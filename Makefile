@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench perf perf-scale perf-gate serve-bench serve-gate serve-chaos runtime-bench runtime-gate fuzz fuzz-faults fuzz-weak examples smoke all
+.PHONY: test bench perf perf-scale perf-gate serve-bench serve-gate serve-chaos fuzz fuzz-faults fuzz-weak examples smoke all
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -44,23 +44,6 @@ serve-gate:
 # budget); this target is the overnight/local acceptance run.
 serve-chaos:
 	REPRO_CHAOS_SCHEDULES=200 $(PYTHON) -m pytest tests/serve/test_chaos.py -q
-
-# Runtime engine scaling bench: weak-scaled em3d/ocean at 64/256/1024
-# procs, batched vs reference engines under all barrier topologies,
-# with snapshot-identity and >=10x-speedup asserts baked in.
-# `runtime-bench` refreshes the committed baseline; `runtime-gate`
-# replays a trimmed ladder (the reference engine at 256+ procs is what
-# the bench exists to retire) to a fresh file and compares — the gate
-# skips committed sizes the trimmed run does not declare.
-runtime-bench:
-	$(PYTHON) benchmarks/bench_runtime.py
-
-runtime-gate:
-	REPRO_RUNTIME_PROCS=64 REPRO_RUNTIME_OUTPUT=BENCH_runtime_fresh.json \
-		$(PYTHON) benchmarks/bench_runtime.py
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_runtime.json --fresh BENCH_runtime_fresh.json \
-		--threshold 3.0
 
 fuzz:
 	$(PYTHON) -m repro fuzz --budget-seconds 60 --profile all

@@ -72,10 +72,6 @@ def tracked_kernels(payload: dict) -> Iterator[Tuple[str, float]]:
         yield f"serve/{phase}", float(entry["seconds"])
         if "p99_seconds" in entry:
             yield f"serve/{phase}/p99", float(entry["p99_seconds"])
-    # BENCH_runtime.json: wall seconds per app/size/engine-or-topology
-    # cell of the runtime scaling bench (bench_runtime.py).
-    for name, entry in sorted(payload.get("runtime", {}).items()):
-        yield f"runtime/{name}", float(entry["seconds"])
 
 
 def pass_shares(payload: dict) -> Dict[str, float]:
@@ -103,8 +99,6 @@ def compare(
     # CI trims the synthetic ladder (REPRO_PERF_SIZES); a size the
     # fresh payload declares out of scope is skipped, not "missing".
     fresh_sizes = {int(s) for s in fresh.get("sizes", [])}
-    # Same for the runtime scaling ladder (REPRO_RUNTIME_PROCS).
-    fresh_runtime_procs = {int(p) for p in fresh.get("runtime_procs", [])}
     rows, regressions = [], []
     for kernel in sorted(base):
         if schema_changed and kernel.startswith("apps/"):
@@ -123,22 +117,6 @@ def compare(
                 rows.append(
                     (kernel, base[kernel], None,
                      "skipped (size not in fresh ladder)")
-                )
-                continue
-        if (
-            kernel not in new
-            and kernel.startswith("runtime/")
-            and fresh_runtime_procs
-        ):
-            parts = kernel.split("/")
-            if (
-                len(parts) == 4
-                and parts[2].isdigit()
-                and int(parts[2]) not in fresh_runtime_procs
-            ):
-                rows.append(
-                    (kernel, base[kernel], None,
-                     "skipped (procs not in fresh ladder)")
                 )
                 continue
         if kernel not in new:

@@ -7,7 +7,6 @@
               [--verify-each-pass] [--print-after-pass PASS]
     repro run program.ms [--opt O3] [--procs 8] [--machine cm5] [--seed 0]
               [--barrier-topology central|sense|tree] [--tree-fanin K]
-              [--engine batched|reference]
               [--memory-model sc|tso|pso] [--drain-seed 0] [--strip-delays]
               [--faults drop=0.1,dup=0.05] [--fault-seed 0] [--verbose]
     repro passes
@@ -42,7 +41,6 @@ from repro.runtime.machine import (
     validate_memory_model,
     validate_tree_fanin,
 )
-from repro.runtime.simulator import ENGINES
 
 
 def _read_source(path: str) -> str:
@@ -200,11 +198,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             fanin = validate_tree_fanin(
                 machine.tree_fanin if fanin is None else fanin
             )
-        if args.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {args.engine!r} "
-                f"(known: {', '.join(ENGINES)})"
-            )
         if args.procs > machine.max_procs:
             raise ValueError(
                 f"{args.procs} processors exceeds the {machine.name} "
@@ -231,8 +224,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run_kwargs["fault_plan"] = plan
     try:
         result = program.run(
-            args.procs, machine, seed=args.seed, engine=args.engine,
-            **run_kwargs
+            args.procs, machine, seed=args.seed, **run_kwargs
         )
     except (DeadlockError, RuntimeFault) as exc:
         return _runtime_error_exit(exc, args.verbose)
@@ -588,11 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tree-fanin", type=int, default=None, metavar="K",
         help="combining-tree fan-in for --barrier-topology tree "
              "(power of two >= 2; default the machine model's, 4)",
-    )
-    run.add_argument(
-        "--engine", default="batched", metavar="NAME",
-        help=f"event engine ({', '.join(ENGINES)}; default batched — "
-             "reference is the seed heapq loop, cycle-identical)",
     )
     run.add_argument(
         "--memory-model", default="sc", metavar="MODEL",

@@ -25,19 +25,15 @@ the access is a cheap no-op — which is what makes the "copy to every
 observer" placement legal (the paper makes the same observation about
 its duplicated syncs).
 
-Two implementations compute the placement:
-
-* :func:`place_syncs` — the production fast path.  Instructions get
-  dense global indices; block reachability, the §6 observer rules, and
-  the candidate sweep all become bitset (Python int) intersections.
-  Per counter the work is one mask build plus one AND, instead of the
-  reference's (counter × instruction) ``sync_blocked_by`` queries.
-* :func:`place_syncs_reference` — the original per-pair loop, kept as
-  the executable specification the property tests compare against.
-
-Both produce identical placements (asserted over litmus, the app
-kernels, and fuzz-generated programs in
-``tests/codegen/test_syncmotion_equiv.py``).
+The implementation, :func:`place_syncs`, gives instructions dense
+global indices so that block reachability, the §6 observer rules, and
+the candidate sweep all become bitset (Python int) intersections: per
+counter the work is one mask build plus one AND, instead of one
+``sync_blocked_by`` query per (counter × instruction) pair.  The
+original per-pair loop is the executable specification it is tested
+against — it lives in ``tests/codegen/syncmotion_reference.py``, and
+``tests/codegen/test_syncmotion_equiv.py`` asserts identical placements
+over litmus, the app kernels, and fuzz-generated programs.
 """
 
 from __future__ import annotations
@@ -203,61 +199,6 @@ def place_syncs(
             if counter not in counters:
                 counters.append(counter)
                 placements += 1
-
-    _apply_insertions(function, insertions)
-    return placements
-
-
-def place_syncs_reference(
-    function: Function,
-    constraints: MotionConstraints,
-    info: SplitPhaseInfo,
-) -> int:
-    """The original per-(counter × instruction) placement loop.
-
-    Retained as the executable specification: the property suite
-    asserts :func:`place_syncs` matches it placement-for-placement on
-    generated programs and the golden kernels.
-    """
-    _strip_managed_syncs(function, info)
-
-    reach = _block_reachability(function)
-    positions: Dict[int, tuple] = {}
-    for block in function.blocks:
-        for index, instr in enumerate(block.instrs):
-            positions[instr.uid] = (block.label, index)
-
-    def reachable(origin: Instr, other: Instr) -> bool:
-        o_block, o_index = positions[origin.uid]
-        x_block, x_index = positions[other.uid]
-        if o_block == x_block and o_index < x_index:
-            return True
-        if x_block in reach[o_block]:
-            return True
-        return False
-
-    # insertions[(block label, index)] = counters needing a sync there.
-    insertions: Dict[tuple, List[int]] = {}
-    placements = 0
-    for counter, origin in info.origin.items():
-        if origin.uid not in positions:
-            continue  # the access itself was eliminated
-        for block in function.blocks:
-            for index, instr in enumerate(block.instrs):
-                if instr.op is Opcode.SYNC_CTR:
-                    continue
-                is_observer = instr.op is Opcode.RET or (
-                    constraints.sync_blocked_by(origin, instr)
-                )
-                if not is_observer:
-                    continue
-                if not reachable(origin, instr):
-                    continue
-                key = (block.label, index)
-                counters = insertions.setdefault(key, [])
-                if counter not in counters:
-                    counters.append(counter)
-                    placements += 1
 
     _apply_insertions(function, insertions)
     return placements

@@ -81,14 +81,13 @@ class CompiledProgram:
 
     def run(self, num_procs: int, machine=None, seed: int = 0,
             trace: bool = False, max_cycles: int = 500_000_000,
-            fault_plan=None, engine: str = "batched"):
+            fault_plan=None):
         """Simulates the compiled program (defaults to the CM-5 model).
 
         ``fault_plan`` (a :class:`repro.runtime.network.FaultPlan`)
         runs the program over a lossy network behind the ack/retransmit
         protocol; deterministic programs produce the same snapshot
-        either way.  ``engine`` selects the event core (``batched``,
-        the default, or the seed-loop ``reference`` — cycle-identical).
+        either way.
         """
         from repro.runtime.machine import CM5
         from repro.runtime.simulator import run_module
@@ -102,7 +101,6 @@ class CompiledProgram:
             max_cycles=max_cycles,
             fault_plan=fault_plan,
             delay_fences=self.delay_fences,
-            engine=engine,
         )
 
     def pretty(self) -> str:

@@ -34,7 +34,6 @@ from repro.runtime.network import (
     StallWindow,
 )
 from repro.runtime.simulator import (
-    ENGINES,
     ProcState,
     Processor,
     SimulationResult,
@@ -67,7 +66,6 @@ __all__ = [
     "build_topology",
     "CalendarQueue",
     "LinkChannels",
-    "ENGINES",
     "GlobalMemory",
     "Network",
     "NetworkStats",

@@ -1,13 +1,12 @@
-"""Threaded-code decoder for the batched engine's interpreter.
+"""Threaded-code decoder: the simulator's only interpreter.
 
 Profiling the seed runtime at 256 processors showed the event heap was
-*not* the bottleneck: ~80% of wall time sat in ``Processor._execute``'s
-giant opcode dispatch and its per-operand ``value()`` calls.  The
-batched engine therefore decodes each function once per simulator into
-**step closures** — one callable per entry point — and the advance
-loop becomes ``r = steps[i](proc, frame, regs)`` with the closure
-returning the next index (or ``-1`` = refetch frame/block, ``-2`` =
-blocked/done).
+*not* the bottleneck: ~80% of wall time sat in a per-instruction opcode
+dispatch and its per-operand ``value()`` calls.  The simulator
+therefore decodes each function once into **step closures** — one
+callable per entry point — and ``Processor.advance`` is
+``r = steps[i](proc, frame, regs)`` with the closure returning the
+next index (or ``-1`` = refetch frame/block, ``-2`` = blocked/done).
 
 Two tiers of steps:
 
@@ -21,25 +20,29 @@ Two tiers of steps:
   trace, so fusing them is invisible to everything but wall time.
 
 * **Slow steps.**  Every opcode with simulator-visible effects
-  (shared accesses, split-phase traffic, synchronization, call/ret —
-  and any instruction whose uid is a compiler-placed delay fence)
-  funnels through the seed's ``Processor._execute`` unchanged, which
-  keeps message formats, fence semantics, blocking behavior and trace
-  recording bit-for-bit identical between engines.
+  (shared accesses, split-phase traffic, synchronization, call/ret)
+  goes through ``Processor._execute``, which owns message formats,
+  weak-memory fences, blocking behavior and trace recording.  Shared
+  accesses fuse only in untraced SC runs, where the delay-fence set is
+  inert and is not consulted; under TSO/PSO they all stay slow steps,
+  so ``_execute`` drains the store buffer in front of every fence
+  target.
 
-Parity contract (pinned by the differential tests): for any program,
-the decoded interpreter produces the same per-processor clocks,
-instruction counts, message sequences and faults as the seed
-``advance`` loop.  The subtleties that matter:
+Parity contract: the seed per-instruction interpreter and flat-heap
+event loop live on as a test-side oracle
+(``tests/runtime/reference_engine.py``), and
+``tests/runtime/test_reference_parity.py`` pins per-processor clocks,
+wait cycles, instruction and message counts, snapshots and fault texts
+against it.  The subtleties that matter:
 
 * reads of a temp that may hold a pending split-phase value
   (a non-fused ``get`` destination, or a load from a local array some
   fused ``get`` lands in) are guarded exactly like ``value()``;
-* an undefined temp raises the seed's ``use of undefined temp``
-  fault (the generated code catches ``KeyError`` from ``regs``);
-* local-array bounds faults reproduce the seed message verbatim;
-* the cycle-budget check moves from per-instruction to per-step —
-  a runaway loop still faults (every loop crosses a block boundary,
+* an undefined temp raises the ``use of undefined temp`` fault (the
+  generated code catches ``KeyError`` from ``regs``);
+* local-array bounds faults carry the oracle's message verbatim;
+* the cycle-budget check runs per step, not per instruction — a
+  runaway loop still faults (every loop crosses a block boundary,
   i.e. a step), merely a few cycles later.
 """
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 from repro.errors import RuntimeFault
 from repro.ir.cfg import Function
@@ -144,7 +147,7 @@ FAST_OPS = frozenset(
 #: Blocking shared accesses the fuser may specialize when the run is
 #: untraced and sequentially consistent: the owner test compiles
 #: inline, the local-home case reads/writes backing storage directly,
-#: and the remote case bails to the seed ``_execute`` path (which
+#: and the remote case bails to ``Processor._execute`` (which
 #: blocks, so the resume entry compiled after each shared op picks the
 #: run back up).
 SHARED_OPS = frozenset({Opcode.READ_SHARED, Opcode.WRITE_SHARED})
@@ -210,8 +213,7 @@ def _unreachable(proc, frame, regs) -> int:  # pragma: no cover - guard
 class _RunCompiler:
     """Generates one fused-run step function as Python source."""
 
-    def __init__(self, function: Function, machine, pending: Set[str],
-                 sim=None):
+    def __init__(self, function: Function, machine, pending: Set[str], sim):
         self.function = function
         self.machine = machine
         self.pending = pending
@@ -280,7 +282,7 @@ class _RunCompiler:
         return cached
 
     def flat_expr(self, ins: Instr) -> str:
-        """Bounds-checked flat offset, replicating ``_local_flat``."""
+        """Bounds-checked row-major offset into a private array."""
         dims = self.function.local_arrays[ins.var].dims
         flat = None
         for operand, extent in zip(ins.indices, dims):
@@ -289,8 +291,7 @@ class _RunCompiler:
                 if 0 <= index < extent:
                     term = str(index)
                 else:
-                    # Out of range statically: fault when executed,
-                    # with the seed's exact message.
+                    # Out of range statically: fault when executed.
                     self.emit(
                         f'raise RuntimeFault(f"P{{proc.pid}}: local '
                         f"array {ins.var} index {index} out of range "
@@ -327,7 +328,7 @@ class _RunCompiler:
             left, right = self.read(ins.lhs), self.read(ins.rhs)
             if template is not None:
                 expr = template.format(l=left, r=right)
-            else:  # DIV/MOD: runtime-typed, share the seed helper
+            else:  # DIV/MOD: runtime-typed, use the shared helper
                 kind = self.const(ins.binop)
                 expr = f"_binop({kind}, {left}, {right})"
             self.write(ins.dest, expr)
@@ -377,9 +378,9 @@ class _RunCompiler:
         local-home case — same fault messages, same evaluation order
         (all indices, then the written value, then the leading-bounds
         /owner check, then trailing bounds) and the same
-        ``local_access`` charge.  A remote owner bails to the seed
-        ``_execute`` path after settling the run's partial cost, and
-        the blocking protocol takes over unchanged.
+        ``local_access`` charge.  A remote owner bails to
+        ``Processor._execute`` after settling the run's partial cost,
+        and the blocking protocol takes over unchanged.
         """
         sim = self.sim
         machine = self.machine
@@ -424,7 +425,7 @@ class _RunCompiler:
         else:
             owner = "0"
         # 4. Remote home: settle the run's partial cost and funnel this
-        #    instruction through the seed blocking path (it re-checks
+        #    instruction through the blocking path (it re-checks
         #    everything; the processor parks until the reply).
         ins_ref = self.const(ins)
         self.emit(f"if {owner} != proc.pid:")
@@ -481,8 +482,8 @@ class _RunCompiler:
 
 
 def _make_slow(ins: Instr, index: int) -> Step:
-    """A step that funnels through the seed ``_execute`` path."""
-    if ins.op in (Opcode.JUMP, Opcode.BRANCH, Opcode.CALL, Opcode.RET):
+    """A step that funnels through ``Processor._execute``."""
+    if ins.op in (Opcode.CALL, Opcode.RET):
         # Control may change the frame or block: refetch on success.
         def step(proc, frame, regs, _ins=ins, _idx=index) -> int:
             frame.index = _idx
@@ -504,36 +505,42 @@ def _make_slow(ins: Instr, index: int) -> Step:
     return step
 
 
-def decode_function(
-    function: Function,
-    machine,
-    delay_fences: Optional[frozenset] = None,
-    sim=None,
-) -> Dict[str, List[Step]]:
-    """Decodes every block of ``function`` into step lists.
+def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
+    """Decodes every block of ``function`` into step lists for ``sim``.
 
     Entry points into a step list are index 0 and each slow step's
     successor (where blocked processors resume); interior indices of a
     fused run are filled with a loud guard.
 
-    When ``sim`` is given and the run is untraced and sequentially
-    consistent, blocking shared accesses fuse too (the dominant cost
-    of stencil kernels is local-home reads/writes — see
-    :meth:`_RunCompiler.add_shared`).  A remote access blocks with the
-    frame advanced past it, so each position after a fused shared op
-    gets its own suffix-run entry for the resume.
+    When the run is untraced and sequentially consistent, blocking
+    shared accesses fuse too (the dominant cost of stencil kernels is
+    local-home reads/writes — see :meth:`_RunCompiler.add_shared`).  A
+    remote access blocks with the frame advanced past it, so each
+    position after a fused shared op gets its own suffix-run entry for
+    the resume.
+
+    ``sim.delay_fences`` matters only under a weak memory model, and
+    there every shared or sync access is a slow step, so
+    ``Processor._execute`` drains the store buffer in front of each
+    fence target.  Fence uids are delay-edge targets — never local
+    opcodes; one that is would lose its drain silently inside a fused
+    run, so it is rejected here instead.
     """
-    fences = delay_fences or frozenset()
     pending = _pending_temps(function)
-    shared_ok = sim is not None and sim.trace is None and sim.weak is None
+    shared_ok = sim.trace is None and sim.weak is None
+    if sim.weak is not None and sim.delay_fences:
+        for _block, _index, ins in function.instructions():
+            if ins.op in FAST_OPS and ins.uid in sim.delay_fences:
+                raise RuntimeFault(
+                    f"{function.name}: delay fence on local instruction "
+                    f"{ins} (fence uids must name shared or sync accesses)"
+                )
 
     def fusable(ins: Instr) -> bool:
-        if ins.uid in fences:
-            return False
         if ins.op in FAST_OPS:
             return True
         if shared_ok and ins.op in SHARED_OPS:
-            # Arity mismatches fault through the seed path instead.
+            # Arity mismatches fault through ``_execute`` instead.
             return len(ins.indices) == len(sim.memory.var(ins.var).dims)
         return False
 
@@ -555,7 +562,7 @@ def decode_function(
                     if instrs[k].op in SHARED_OPS
                 ]
                 for start in entries:
-                    run = _RunCompiler(function, machine, pending, sim)
+                    run = _RunCompiler(function, sim.machine, pending, sim)
                     for k in range(start, j):
                         if instrs[k].op in SHARED_OPS:
                             run.add_shared(instrs[k], k)

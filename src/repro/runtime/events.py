@@ -1,11 +1,11 @@
-"""Batched event engine: calendar queue + per-link FIFO rings.
+"""The event core: calendar queue + per-link FIFO rings.
 
 The seed simulator kept every future event in one flat ``heapq`` of
 ``(time, seq, payload)`` tuples.  That is simple and deterministic, but
 at 256-1024 processors a single em3d/ocean run pushes millions of
 events through the heap and the ``log n`` sift cost (plus one fresh
 tuple per event) dominates the run.  This module provides the two
-structures the batched engine replaces it with:
+structures ``Simulator.run`` uses instead:
 
 :class:`CalendarQueue`
     Buckets events by integer timestamp: a dict ``time -> [payload]``
@@ -13,9 +13,9 @@ structures the batched engine replaces it with:
     heap pop regardless of how many events share the timestamp, and
     same-time pushes are plain list appends.  Within a timestamp,
     payloads run in insertion order — exactly the order the seed heap's
-    monotonically increasing ``seq`` tie-break produced, so the two
-    engines dispatch identical schedules (the determinism audit in
-    DESIGN.md §11 spells out the argument).
+    monotonically increasing ``seq`` tie-break produced, so the schedule
+    is the flat heap's (the determinism audit in DESIGN.md §11 spells
+    out the argument).
 
 :class:`LinkChannels`
     Per-``(src, dst)`` FIFO ring buffers for message delivery.  The
@@ -25,9 +25,8 @@ structures the batched engine replaces it with:
     on a link shares one cached ``("link", ring)`` payload tuple
     instead of allocating a ``("deliver", msg)`` pair per event.
 
-Both engines live in :mod:`repro.runtime.simulator`; the reference
-heapq loop is retained (``engine="reference"``) as the differential
-oracle, mirroring the ``place_syncs_reference`` convention.
+The flat-heap loop survives as a test-side differential oracle
+(``tests/runtime/reference_engine.py``), not as a second engine here.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.errors import RuntimeFault
 class CalendarQueue:
     """Bucketed pending-event set with batch dispatch.
 
-    The owner drains it like so (see ``Simulator._run_batched``)::
+    The owner drains it like so (see ``Simulator.run``)::
 
         while calendar.times:
             time, batch = calendar.pop_batch()

@@ -62,34 +62,14 @@ programs does not.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import DeadlockError, NetworkFault, RuntimeFault
 from repro.ir.cfg import Function, Module
-from repro.ir.instructions import (
-    Const,
-    Instr,
-    Opcode,
-    Operand,
-    Temp,
-    UnOpKind,
-)
-
-# The operator helpers and the PENDING sentinel moved to
-# :mod:`repro.runtime.decode` (the threaded-code decoder shares them
-# with the generated step functions); re-exported here for
-# compatibility.
-from repro.runtime.decode import (  # noqa: F401 - re-exports
-    PENDING,
-    Step,
-    _binop,
-    _intrinsic,
-    _Pending,
-    decode_function,
-)
+from repro.ir.instructions import Const, Instr, Opcode, Operand, Temp
+from repro.runtime.decode import PENDING, Step, _Pending, decode_function
 from repro.runtime.events import CalendarQueue, LinkChannels
 from repro.runtime.machine import MachineConfig, validate_memory_model
 from repro.runtime.memory import GlobalMemory, StoreBuffers, flat_index
@@ -99,14 +79,6 @@ from repro.runtime.topology import BarrierTopology, build_topology
 from repro.runtime.trace import ExecutionTrace, MemEvent, SyncRecord
 
 Value = Union[int, float]
-
-#: Event-engine implementations.  ``batched`` (the default) runs the
-#: calendar-queue core with the decoded threaded-code interpreter;
-#: ``reference`` is the seed flat-heapq loop with the per-instruction
-#: interpreter, retained as the differential oracle (the
-#: ``place_syncs_reference`` convention).  Both produce cycle-identical
-#: schedules on the central topology — the parity tests pin this.
-ENGINES: Tuple[str, ...] = ("batched", "reference")
 
 #: Synchronization opcodes that act as full fences under the weak
 #: memory models: the executing processor's store buffer drains
@@ -141,10 +113,10 @@ class _Frame:
     index: int
     regs: Dict[str, Value]
     arrays: Dict[str, List[Value]]
+    #: decoded step lists per block
+    code: Dict[str, List[Step]]
     #: caller temp receiving this frame's return value
     result_dest: Optional[Temp] = None
-    #: decoded step lists per block (batched engine only)
-    code: Optional[Dict[str, List[Step]]] = None
 
 
 @dataclass
@@ -282,43 +254,17 @@ class Processor:
     # -- the interpreter loop -----------------------------------------------
 
     def advance(self, now: int) -> None:
-        """Executes until the processor blocks or finishes."""
+        """Executes decoded steps until the processor blocks or finishes.
+
+        Step return protocol: ``>= 0`` continue at that index in the
+        same block, ``-1`` refetch frame/block (control transfer),
+        ``-2`` blocked or done.  The cycle-budget check runs per step;
+        every loop crosses a block boundary (a step), so a runaway
+        program still faults.
+        """
         if now > self.clock:
             # The gap between our last local work and the wake event is
             # stall time (waiting on replies, flags, locks, barriers).
-            self.wait_cycles += now - self.clock
-            self.clock = now
-        self.clock += self.stolen
-        self.stolen = 0
-        self.state = ProcState.READY
-        self.block_reason = None
-        sim = self.sim
-        while True:
-            if self.clock > sim.max_cycles:
-                raise RuntimeFault(
-                    f"P{self.pid}: exceeded cycle budget {sim.max_cycles} "
-                    "(runaway loop?)"
-                )
-            frame = self.frames[-1]
-            block = frame.function.block(frame.block)
-            instr = block.instrs[frame.index]
-            self.instructions += 1
-            if self._execute(instr, frame):
-                continue
-            return  # blocked or done
-
-    def advance_fast(self, now: int) -> None:
-        """:meth:`advance` over decoded step lists (batched engine).
-
-        Same wake accounting, same blocking protocol; the inner loop
-        runs step closures instead of the opcode dispatch.  Step return
-        protocol: ``>= 0`` continue at that index in the same block,
-        ``-1`` refetch frame/block (control transfer), ``-2`` blocked
-        or done.  The cycle-budget check runs per step rather than per
-        instruction; every loop crosses a block boundary (a step), so a
-        runaway program still faults with the seed's message.
-        """
-        if now > self.clock:
             self.wait_cycles += now - self.clock
             self.clock = now
         self.clock += self.stolen
@@ -347,8 +293,12 @@ class Processor:
                     break  # control transfer: refetch frame/block
                 return  # blocked or done
 
-    # Returns True to keep running, False when blocked/done.
     def _execute(self, instr: Instr, frame: _Frame) -> bool:
+        """Runs one instruction with simulator-visible effects (shared
+        and split-phase accesses, synchronization, call/ret); the
+        decoder compiles purely local opcodes inline and never sends
+        them here.  Returns True to keep running, False when
+        blocked/done."""
         sim = self.sim
         machine = sim.machine
         op = instr.op
@@ -361,41 +311,7 @@ class Processor:
         ):
             sim.weak.flush(self.pid)
 
-        if op is Opcode.CONST:
-            self.set_reg(instr.dest, instr.value)
-            self.clock += machine.cpu_op
-        elif op is Opcode.MOVE:
-            self.set_reg(instr.dest, self.value(instr.src))
-            self.clock += machine.cpu_op
-        elif op is Opcode.BINOP:
-            self.set_reg(
-                instr.dest,
-                _binop(instr.binop, self.value(instr.lhs),
-                       self.value(instr.rhs)),
-            )
-            self.clock += machine.cpu_op
-        elif op is Opcode.UNOP:
-            value = self.value(instr.src)
-            if instr.unop is UnOpKind.NEG:
-                self.set_reg(instr.dest, -value)
-            else:
-                self.set_reg(instr.dest, 0 if value else 1)
-            self.clock += machine.cpu_op
-        elif op is Opcode.INTRINSIC:
-            args = [self.value(a) for a in instr.args]
-            self.set_reg(instr.dest, _intrinsic(instr.intrinsic, args))
-            self.clock += machine.cpu_op * 4
-        elif op is Opcode.LOAD_LOCAL:
-            array = frame.arrays[instr.var]
-            flat = self._local_flat(frame, instr)
-            self.set_reg(instr.dest, array[flat])
-            self.clock += machine.local_mem
-        elif op is Opcode.STORE_LOCAL:
-            array = frame.arrays[instr.var]
-            flat = self._local_flat(frame, instr)
-            array[flat] = self.value(instr.src)
-            self.clock += machine.local_mem
-        elif op is Opcode.READ_SHARED:
+        if op is Opcode.READ_SHARED:
             return self._blocking_read(instr)
         elif op is Opcode.WRITE_SHARED:
             return self._blocking_write(instr)
@@ -435,17 +351,6 @@ class Processor:
             sim.topology.local_arrive(self.pid, self.clock)
             self._block(("barrier",), instr)
             return False
-        elif op is Opcode.JUMP:
-            frame.block = instr.target
-            frame.index = 0
-            self.clock += machine.cpu_op
-            return True
-        elif op is Opcode.BRANCH:
-            taken = self.value(instr.cond) != 0
-            frame.block = instr.true_target if taken else instr.false_target
-            frame.index = 0
-            self.clock += machine.cpu_op
-            return True
         elif op is Opcode.CALL:
             callee = sim.module.functions[instr.callee]
             new_frame = self._make_frame(callee, instr.dest)
@@ -474,19 +379,6 @@ class Processor:
 
         frame.index += 1
         return True
-
-    def _local_flat(self, frame: _Frame, instr: Instr) -> int:
-        array = frame.function.local_arrays[instr.var]
-        flat = 0
-        for operand, extent in zip(instr.indices, array.dims):
-            index = self.int_value(operand)
-            if not 0 <= index < extent:
-                raise RuntimeFault(
-                    f"P{self.pid}: local array {instr.var} index {index} "
-                    f"out of range [0, {extent})"
-                )
-            flat = flat * extent + index
-        return flat
 
     # -- shared data accesses ---------------------------------------------------
 
@@ -862,6 +754,10 @@ class Processor:
 class Simulator:
     """Drives the processors and the network to completion."""
 
+    #: Processor type instantiated per pid (a seam for the test-side
+    #: reference interpreter, tests/runtime/reference_engine.py).
+    processor_class = Processor
+
     def __init__(
         self,
         module: Module,
@@ -873,12 +769,7 @@ class Simulator:
         max_cycles: int = 500_000_000,
         fault_plan: Optional[FaultPlan] = None,
         delay_fences: Optional[frozenset] = None,
-        engine: str = "batched",
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} (known: {', '.join(ENGINES)})"
-            )
         if num_procs > machine.max_procs:
             raise RuntimeFault(
                 f"{num_procs} processors exceeds the {machine.name} "
@@ -888,7 +779,6 @@ class Simulator:
         self.num_procs = num_procs
         self.machine = machine
         self.entry = entry
-        self.engine = engine
         self.max_cycles = max_cycles
         self.memory = GlobalMemory(module, num_procs)
         self.fault_plan = fault_plan
@@ -920,22 +810,17 @@ class Simulator:
         #: sync records awaiting their lock/unlock pairing serial
         self._pending_lock: Dict[int, SyncRecord] = {}
         self._pending_unlock: Dict[int, SyncRecord] = {}
-        # Event cores.  Only one is driven per run, but both exist so
-        # the bound _push/_deliver below stay branch-free.
-        self._events: List[Tuple[int, int, Tuple]] = []
-        self._seq = itertools.count()
         self._calendar = CalendarQueue()
         self._links = LinkChannels()
-        self._push: Callable[[int, tuple], None]
-        self._deliver: Callable[[int, Message], None]
-        if engine == "batched":
-            self._push = self._calendar.push
-            self._deliver = self._deliver_batched
-        else:
-            self._push = self._push_reference
-            self._deliver = self._deliver_reference
+        # The only two entry points into the event core, bound per
+        # instance: the hot path calls them directly, and the test-side
+        # reference engine rebinds them to its flat heap.
+        self._push: Callable[[int, tuple], None] = self._calendar.push
+        self._deliver: Callable[[int, Message], None] = self._deliver_link
         self._decoded_cache: Dict[str, Dict[str, List[Step]]] = {}
-        self.procs = [Processor(pid, self) for pid in range(num_procs)]
+        self.procs = [
+            self.processor_class(pid, self) for pid in range(num_procs)
+        ]
         self._tags = itertools.count(1)
         self._done_count = 0
         self._trace_events: Dict[int, MemEvent] = {}
@@ -962,15 +847,11 @@ class Simulator:
 
     # -- infrastructure used by processors -----------------------------------
 
-    def decoded(self, function: Function) -> Optional[Dict[str, List[Step]]]:
-        """Decoded step lists for ``function`` (batched engine only)."""
-        if self.engine != "batched":
-            return None
+    def decoded(self, function: Function) -> Dict[str, List[Step]]:
+        """Decoded step lists for ``function`` (once per simulator)."""
         code = self._decoded_cache.get(function.name)
         if code is None:
-            code = decode_function(
-                function, self.machine, self.delay_fences, sim=self,
-            )
+            code = decode_function(function, self)
             self._decoded_cache[function.name] = code
         return code
 
@@ -1091,13 +972,7 @@ class Simulator:
         """Queues a background store-buffer drain (weak models only)."""
         self._push(time, ("drain", pid, entry_id))
 
-    def _push_reference(self, time: int, payload: Tuple) -> None:
-        heapq.heappush(self._events, (time, next(self._seq), payload))
-
-    def _deliver_reference(self, arrival: int, msg: Message) -> None:
-        self._push(arrival, ("deliver", msg))
-
-    def _deliver_batched(self, arrival: int, msg: Message) -> None:
+    def _deliver_link(self, arrival: int, msg: Message) -> None:
         # Perfect-network FIFO bumps make per-link arrivals strictly
         # increasing, so the ring head always corresponds to the
         # earliest pending ("link", ring) event on the calendar.
@@ -1429,42 +1304,10 @@ class Simulator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        if self.engine == "batched":
-            return self._run_batched()
-        return self._run_reference()
-
-    def _run_reference(self) -> SimulationResult:
-        """The seed event loop: one flat heap, one event per pop."""
-        for pid in range(self.num_procs):
-            self.schedule_resume(pid, 0)
-        while self._events:
-            time, _seq, payload = heapq.heappop(self._events)
-            tag = payload[0]
-            if tag == "resume":
-                proc = self.procs[payload[1]]
-                if proc.state is ProcState.DONE:
-                    continue
-                proc.advance(time)
-            elif tag == "deliver":
-                self.network.delivered()
-                self._handle_message(time, payload[1])
-            elif tag == "xport":
-                self.network.delivered()
-                self._handle_xport(time, payload[1])
-            elif tag == "xack":
-                self.network.delivered()
-                self._handle_xack(payload[1])
-            elif tag == "drain":
-                self.weak.drain(payload[1], payload[2])
-            else:  # "retx"
-                self._handle_retx(time, *payload[1])
-        return self._finish()
-
-    def _run_batched(self) -> SimulationResult:
         """Calendar-queue loop: one heap pop per *timestamp*, with all
-        same-time events dispatched in insertion order (identical to
-        the reference heap's seq tie-break) and pushes landing on the
-        live batch mid-dispatch."""
+        same-time events dispatched in insertion order (what a flat
+        heap with a sequence-number tie-break would produce) and pushes
+        landing on the live batch mid-dispatch."""
         for pid in range(self.num_procs):
             self.schedule_resume(pid, 0)
         calendar = self._calendar
@@ -1484,7 +1327,7 @@ class Simulator:
                 elif tag == "resume":
                     proc = procs[payload[1]]
                     if proc.state is not ProcState.DONE:
-                        proc.advance_fast(time)
+                        proc.advance(time)
                 elif tag == "drain":
                     weak.drain(payload[1], payload[2])
                 elif tag == "xport":
@@ -1537,12 +1380,11 @@ def run_module(
     max_cycles: int = 500_000_000,
     fault_plan: Optional[FaultPlan] = None,
     delay_fences: Optional[frozenset] = None,
-    engine: str = "batched",
 ) -> SimulationResult:
     """Convenience wrapper: simulate ``module`` to completion."""
     sim = Simulator(
         module, num_procs, machine, seed=seed, trace=trace,
         max_cycles=max_cycles, fault_plan=fault_plan,
-        delay_fences=delay_fences, engine=engine,
+        delay_fences=delay_fences,
     )
     return sim.run()

@@ -15,8 +15,8 @@ This module extracts the barrier into a strategy object selected by
 
 ``central``
     The seed rendezvous, bit-for-bit: same messages, same release
-    formula, same store-drain gate.  The differential tests pin the
-    batched engine against the reference engine on this topology.
+    formula, same store-drain gate.  The topology tests pin it
+    against the test-side reference engine.
 
 ``sense``
     A sense-reversing barrier: arrivals are unchanged (every processor

@@ -11,15 +11,11 @@
   deadline enforcement, and a wedged-pool watchdog;
 * :mod:`repro.serve.client` — the blocking Python client with split
   timeouts, retries with decorrelated jitter, and a circuit breaker;
-* :mod:`repro.serve.chaos` — the seeded fault-injection harness
-  (:class:`ServeFaultPlan`, :class:`ChaosHarness`).
+* :mod:`repro.serve.chaos` — seeded fault injection for the stack
+  (:class:`ServeFaultPlan`, the ``repro serve --chaos`` plan).
 """
 
-from repro.serve.chaos import (
-    ChaosCrash,
-    ChaosHarness,
-    ServeFaultPlan,
-)
+from repro.serve.chaos import ChaosCrash, ServeFaultPlan
 from repro.serve.client import (
     CircuitBreaker,
     RetryPolicy,
@@ -51,7 +47,6 @@ __all__ = [
     "ArtifactCache",
     "CLIENT_ERROR_CODES",
     "ChaosCrash",
-    "ChaosHarness",
     "CircuitBreaker",
     "ERROR_CODES",
     "OPS",

@@ -1,7 +1,8 @@
-"""Fast bitset sync placement == the retained reference placer.
+"""Fast bitset sync placement == the reference placer.
 
 ``place_syncs`` answers every counter's placement question from
-precomputed observer bitmasks; ``place_syncs_reference`` is the original
+precomputed observer bitmasks; ``place_syncs_reference``
+(``syncmotion_reference.py``, beside this file) is the original
 per-(counter x instruction) loop, kept as the executable specification.
 This suite pins them together two ways:
 
@@ -22,10 +23,11 @@ from repro.analysis.delays import AnalysisLevel, analyze_function
 from repro.apps import ALL_APPS
 from repro.codegen.constraints import MotionConstraints
 from repro.codegen.splitphase import convert_to_split_phase
-from repro.codegen.syncmotion import place_syncs, place_syncs_reference
+from repro.codegen.syncmotion import place_syncs
 from repro.compiler import frontend
 from repro.fuzz.progen import PROFILES, generate_program
 from repro.ir.inline import inline_all
+from tests.codegen.syncmotion_reference import place_syncs_reference
 from tests.pipeline.test_session_equivalence import LITMUS
 
 #: seeds per profile; 6 profiles x 35 = 210 generated programs.

@@ -265,7 +265,7 @@ class TestPipelineDebugFlags:
 
 
 class TestRuntimeFlags:
-    """--barrier-topology / --tree-fanin / --engine / --procs limits."""
+    """--barrier-topology / --tree-fanin / --procs limits."""
 
     def test_run_under_each_topology(self, program_file, capsys):
         outputs = []
@@ -276,14 +276,6 @@ class TestRuntimeFlags:
             ]) == 0
             outputs.append(capsys.readouterr().out)
         assert all("cycles" in out for out in outputs)
-
-    def test_reference_engine_matches_batched(self, program_file, capsys):
-        assert main(["run", program_file, "--procs", "4"]) == 0
-        batched = capsys.readouterr().out
-        assert main([
-            "run", program_file, "--procs", "4", "--engine", "reference",
-        ]) == 0
-        assert capsys.readouterr().out == batched
 
     def test_unknown_topology_exits_two(self, program_file, capsys):
         assert main([
@@ -319,11 +311,20 @@ class TestRuntimeFlags:
         assert err.startswith("repro: error:")
         assert "exceeds" in err and "1024" in err
 
-    def test_unknown_engine_exits_two(self, program_file, capsys):
-        assert main(["run", program_file, "--engine", "warp"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert "unknown engine 'warp'" in err
+    def test_engine_knob_is_gone(self, program_file, capsys):
+        # One engine: the flag is an argparse usage error and no API
+        # layer takes an ``engine`` parameter any more.
+        import inspect
+
+        from repro.pipeline.program import CompiledProgram
+        from repro.runtime import Simulator, run_module
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", program_file, "--engine", "reference"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+        for fn in (run_module, Simulator.__init__, CompiledProgram.run):
+            assert "engine" not in inspect.signature(fn).parameters
 
     def test_fuzz_accepts_tree_topology(self, capsys, tmp_path, monkeypatch):
         import json

@@ -1,9 +1,10 @@
 """Differential tests for the decoded interpreter's shared-access fusing.
 
-The batched engine's threaded-code decoder compiles *local-home*
+The threaded-code decoder compiles *local-home*
 ``READ_SHARED``/``WRITE_SHARED`` accesses straight into the fused run
 (direct storage-list indexing) and bails out to the generic executor
-for remote homes, mid-run.  Every case here runs both engines and
+for remote homes, mid-run.  Every case here runs the production engine
+and the test-side seed interpreter (``reference_engine.py``) and
 demands identical snapshots, cycles, per-processor stats and fault
 messages — the specialization must be invisible except in wall time.
 """
@@ -12,8 +13,8 @@ import pytest
 
 from repro.errors import RuntimeFault
 from repro.runtime import CM5, run_module
-from repro.runtime.simulator import ENGINES
 from tests.helpers import inlined
+from tests.runtime.reference_engine import assert_parity
 
 CASES = {
     # Remote access in the middle of a fused run: the decoder must
@@ -31,7 +32,7 @@ CASES = {
         "}\n"
     ),
     # Leading-dimension bounds fault: checked before the owner test,
-    # so both engines fault with the owner-side message.
+    # so both interpreters fault with the owner-side message.
     "oob_leading": (
         "shared int A[4];\n"
         "void main() { int x; x = A[MYPROC * 9]; }\n"
@@ -81,26 +82,14 @@ CASES = {
 }
 
 
-def observe(module, engine, procs=4):
-    try:
-        result = run_module(module, procs, CM5, engine=engine)
-    except RuntimeFault as fault:
-        return ("fault", str(fault))
-    return (
-        "ok",
-        result.snapshot(),
-        result.cycles,
-        result.per_proc_cycles,
-        result.per_proc_wait,
-        result.instructions,
-    )
+#: Cases that must end in a fault (with the same text on both sides).
+FAULTING = {"oob_leading", "oob_trailing"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engines_agree(name):
-    module = inlined(CASES[name])
-    observations = {engine: observe(module, engine) for engine in ENGINES}
-    assert observations["batched"] == observations["reference"]
+    observed = assert_parity(inlined(CASES[name]), 4, CM5)
+    assert ("fault" in observed) == (name in FAULTING)
 
 
 def test_oob_message_is_seed_text():

@@ -27,7 +27,7 @@ import pytest
 from repro import OptLevel, compile_source
 from repro.fuzz.litmus import mp_program, sb_program
 from repro.serve import protocol
-from repro.serve.chaos import ChaosHarness, ServeFaultPlan
+from repro.serve.chaos import ServeFaultPlan
 from repro.serve.client import (
     CircuitBreaker,
     RetryPolicy,
@@ -36,6 +36,7 @@ from repro.serve.client import (
 )
 from repro.serve.daemon import ServeConfig
 from repro.serve.store import ArtifactCache
+from tests.serve.chaos_harness import ChaosHarness
 
 SB = sb_program(2).source
 MP = mp_program(2).source
