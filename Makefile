@@ -2,40 +2,13 @@
 
 PYTHON ?= python
 
-.PHONY: test bench perf perf-scale perf-gate serve-bench serve-gate serve-chaos fuzz fuzz-faults fuzz-weak examples smoke all
+.PHONY: test bench serve-chaos fuzz fuzz-faults fuzz-weak examples smoke all
 
 test:
 	$(PYTHON) -m pytest tests/
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-perf:
-	$(PYTHON) -m pytest benchmarks/bench_perf.py -q -s
-
-# CI ladder: sizes trimmed to 128 (512 is a local/refresh-only size),
-# output redirected so the committed baseline stays untouched.
-perf-scale:
-	REPRO_PERF_SIZES=8,16,32,64,128 REPRO_PERF_OUTPUT=BENCH_scale.json \
-		$(PYTHON) -m pytest benchmarks/bench_perf.py::test_perf_trajectory -q -s
-
-perf-gate: perf-scale
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_analysis.json --fresh BENCH_scale.json
-
-# Daemon load bench: ≥1000 pipelined requests against `repro serve`,
-# asserting a ≥90% store hit rate.  `serve-bench` refreshes the
-# committed baseline; `serve-gate` measures to a fresh file and
-# compares (CI; threshold is loose because the phases are wall-clock
-# over a multiprocess compile pool).
-serve-bench:
-	$(PYTHON) benchmarks/bench_serve.py
-
-serve-gate:
-	REPRO_SERVE_OUTPUT=BENCH_serve_fresh.json $(PYTHON) benchmarks/bench_serve.py
-	$(PYTHON) benchmarks/check_regression.py \
-		--baseline BENCH_serve.json --fresh BENCH_serve_fresh.json \
-		--threshold 3.0
 
 # Full chaos oracle: 200 seeded fault schedules against the serve
 # stack, each asserting byte-identity-or-typed-error, no leaked

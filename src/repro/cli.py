@@ -705,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--verify-passes", action="store_true",
         help="verify the IR after every mutating codegen pass of every "
-             "compile (compiles in-process, bypassing pool and cache)",
+             "compile (bypassing the compile cache)",
     )
     fuzz.add_argument(
         "--stats-out", default=None, metavar="PATH",
@@ -757,8 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--watchdog-timeout", type=float, default=30.0, metavar="S",
-        help="seconds a compile-pool batch may take before the pool "
-             "is declared wedged and compiles go serial (default 30)",
+        help="seconds a compile-pool batch may wait on a worker before "
+             "the pool is declared wedged and compiles go in-process "
+             "(default 30)",
     )
     serve.add_argument(
         "--chaos", default=None, metavar="SPEC",

@@ -136,15 +136,14 @@ class FuzzConfig:
     max_failures: int = 5
     minimize: bool = True
     minimize_budget: int = 48
-    #: Compile pool width (None = auto, 0/1 = in-process).
+    #: Compile pool width (None/0/1 = in-process).
     jobs: Optional[int] = None
     use_cache: Optional[bool] = None
     #: Run IR verification after every mutating codegen pass (the
-    #: ``--verify-passes`` flag): each compile goes through the session
-    #: path with :class:`~repro.pipeline.PipelineOptions`
-    #: ``verify_each_pass`` set, so a pass that corrupts the IR is
-    #: pinned to its name instead of surfacing as a downstream oracle
-    #: failure.
+    #: ``--verify-passes`` flag): each compile is uncached and carries
+    #: :class:`~repro.pipeline.PipelineOptions` ``verify_each_pass``,
+    #: so a pass that corrupts the IR is pinned to its name instead of
+    #: surfacing as a downstream oracle failure.
     verify_each_pass: bool = False
     #: Run every compiled variant as its delay-stripped twin (same IR,
     #: weak-memory fence metadata removed).  The robustness canary sets
@@ -226,25 +225,22 @@ def _default_analyze(source: str, level):
 def _compile_levels(
     source: str, levels: Sequence[str], config: FuzzConfig
 ) -> List[object]:
-    """Compiles ``source`` at every level, through the pool by default."""
+    """Compiles ``source`` at every level (in-process unless
+    ``config.jobs > 1`` asks for the compile pool)."""
     if config.compile_fn is not None:
         return [config.compile_fn(source, level) for level in levels]
     from repro.perf.parallel import compile_levels
 
     options = None
-    processes = config.jobs
     use_cache = config.use_cache
     if config.verify_each_pass:
         from repro.pipeline import PipelineOptions
 
         options = PipelineOptions(verify_each_pass=True)
-        # Options only thread through the shared-session path (pool
-        # workers would quietly compile without verification), and a
-        # disk-cache hit would skip the passes being verified.
-        processes = None
+        # A disk-cache hit would skip the passes being verified.
         use_cache = False
     return compile_levels(
-        source, levels, processes=processes,
+        source, levels, processes=config.jobs,
         use_cache=use_cache, options=options,
     )
 

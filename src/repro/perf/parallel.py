@@ -1,55 +1,60 @@
-"""Parallel compile fan-out and the on-disk compile cache.
+"""The store-fronted compile: probe -> compile -> put, alone or pooled.
 
-Two independent pieces, composable:
+The only module that knows what happens on a compile-store miss, and
+:func:`compile_batch` is where it knows it: each distinct (source,
+level) job is probed once in the content-addressed
+:class:`repro.serve.store.ArtifactCache`; the misses compile — across a
+``multiprocessing`` pool when one is asked for and there are several,
+in-process otherwise — and are put back.  :func:`compile_with_cache`
+(one job), :func:`compile_levels` (one source, several levels) and
+:func:`compile_many` (raise the first error) are thin faces over it;
+the ``repro serve`` daemon calls it directly for per-job verdicts.
 
-* :func:`compile_many` compiles a batch of independent (source, level)
-  jobs across a ``multiprocessing`` pool — the analysis of one function
-  never depends on another, so whole-app compiles parallelize
-  trivially.  Falls back to in-process compilation when a pool cannot
-  be created (restricted sandboxes) or for tiny batches.
+The store lives under ``$REPRO_CACHE_DIR`` (default
+``~/.cache/repro-compile``; keys, sharding, eviction and integrity are
+:mod:`repro.serve.store`'s).  A key covers the source text, the level
+and a fingerprint of the installed compiler, so editing either the
+program or the compiler invalidates stale entries.  The daemon serves
+the same entries: a kernel compiled by a pool worker is a hit for
+every later serve request, and vice versa.  Delete the directory to
+force a cold run; ``REPRO_COMPILE_CACHE=0`` disables the cache.
 
-* The on-disk cache persists pickled :class:`CompiledProgram` objects
-  in the content-addressed :class:`repro.serve.store.ArtifactCache`
-  under ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-compile``),
-  sharded by key prefix with optional LRU eviction
-  (``REPRO_CACHE_MAX_ENTRIES`` / ``REPRO_CACHE_MAX_BYTES``).  Keys
-  combine a SHA-256 of the source text, the optimization level,
-  ``repro.__version__`` and a fingerprint of the installed ``repro``
-  package files (path, mtime, size), so editing either the program or
-  the compiler invalidates stale entries automatically.  The same
-  entries back the ``repro serve`` daemon — a kernel compiled by a
-  pool worker is a cache hit for every later serve request, and vice
-  versa.  Delete the cache directory to force a cold run; set
-  ``REPRO_COMPILE_CACHE=0`` to disable the cache entirely.
-
-Crash tolerance: the pool treats workers as expendable.  A worker that
-dies (OOM kill, segfaulting interpreter, ``os._exit``) surfaces as
-``BrokenProcessPool``; a worker that wedges trips the per-job timeout
-(``$REPRO_COMPILE_TIMEOUT`` seconds, default 300).  Either way the
-remaining workers are terminated and every unfinished job is compiled
-serially in-process — correctness never depends on the pool — and the
-degradation is recorded on the active profiler (counters
-``compile.pool.worker_deaths`` / ``compile.pool.timeouts`` /
-``compile.pool.serial_fallbacks`` plus an ``events`` entry), so
-``--profile`` output shows exactly when and why the fan-out degraded.
+Crash tolerance: workers are expendable, behind one timeout and one
+fallback.  A worker that dies (OOM kill, segfault, ``os._exit``)
+surfaces as ``BrokenProcessPool``; one that keeps the batch waiting
+past the timeout (the ``timeout`` argument — the daemon's
+``watchdog_timeout`` — else ``$REPRO_COMPILE_TIMEOUT`` seconds,
+default 300) counts as wedged.  Either way the remaining workers are
+terminated and the unfinished jobs compile in the same in-process loop
+that serves pool-less batches — correctness never depends on the pool
+— and the degradation is recorded on the active profiler (counters
+``compile.pool.worker_deaths`` / ``.timeouts`` / ``.unavailable`` /
+``.serial_fallbacks`` plus an ``events`` entry), so ``--profile`` and
+the daemon's ``stats`` show when and why the fan-out degraded.  A
+compile that *raises* is no pool fault: the exception is that job's
+outcome and its neighbours keep theirs.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.perf import profiler
 from repro.serve.store import code_fingerprint, default_cache
 
 __all__ = [
     "cache_enabled", "cache_dir", "code_fingerprint", "cache_key",
-    "load_cached", "store_cached", "compile_with_cache",
-    "compile_levels", "compile_many", "job_timeout",
+    "load_cached", "store_cached", "compile_job", "compile_batch",
+    "compile_with_cache", "compile_levels", "compile_many", "job_timeout",
 ]
 
 
 LevelLike = Union[str, "object"]  # OptLevel or its string value
+#: What a job function receives: (source, level value, use_cache).
+Job = Tuple[str, str, bool]
 
 
 def cache_enabled() -> bool:
@@ -86,31 +91,24 @@ def store_cached(source: str, level: LevelLike, program) -> None:
     )
 
 
-def compile_with_cache(source: str, level: LevelLike, use_cache: bool = True):
-    """compile_source with the on-disk cache in front of it."""
+def compile_job(job: Job, options=None):
+    """A store miss: ``compile_source``, then the put.  The one job
+    function — pool workers and the in-process loop both run it, after
+    :func:`compile_batch` has probed the store."""
     from repro import OptLevel, compile_source
 
-    level_enum = OptLevel(_level_value(level))
+    source, level_value, use_cache = job
+    program = compile_source(
+        source, OptLevel(level_value), options=options
+    )
     if use_cache:
-        program = load_cached(source, level_enum)
-        if program is not None:
-            from repro.perf import profiler
-
-            profiler.count("compile.disk_cache_hits")
-            return program
-    program = compile_source(source, level_enum)
-    if use_cache:
-        store_cached(source, level_enum, program)
+        store_cached(source, level_value, program)
     return program
 
 
-def _compile_job(job: Tuple[str, str, bool]):
-    source, level_value, use_cache = job
-    return compile_with_cache(source, level_value, use_cache)
-
-
 def job_timeout() -> float:
-    """Per-job wall-clock budget before a worker counts as wedged."""
+    """Seconds to wait for a pool job before its worker counts as
+    wedged (``$REPRO_COMPILE_TIMEOUT``, default 300)."""
     try:
         return float(os.environ.get("REPRO_COMPILE_TIMEOUT", "300"))
     except ValueError:
@@ -118,22 +116,19 @@ def job_timeout() -> float:
 
 
 def _record_degradation(kind: str, detail: str) -> None:
-    from repro.perf import profiler
-
     profiler.count(f"compile.pool.{kind}")
     profiler.record_event(f"compile.pool.{kind}", detail)
 
 
-def _run_pool(pending: Sequence[Tuple[str, str, bool]],
-              processes: int, job_fn) -> dict:
-    """Fan ``pending`` out to worker processes, surviving worker death.
+def _run_pool(pending: Sequence[Job], processes: int, job_fn,
+              timeout: float) -> dict:
+    """Fans ``pending`` out to worker processes, surviving worker death.
 
-    Returns a job -> result dict covering *every* pending job: whatever
-    the pool fails to produce (crashed worker, wedged worker, pool
-    creation refused by the sandbox) is compiled serially in-process,
-    with the degradation recorded on the active profiler.
+    Returns job -> outcome (result, or the exception the job raised)
+    for what the pool produced; after a degradation (module docstring)
+    the missing jobs are the caller's in-process loop's.
     """
-    results: dict = {}
+    outcomes: dict = {}
     pool = None
     failure: Optional[str] = None
     try:
@@ -145,16 +140,19 @@ def _run_pool(pending: Sequence[Tuple[str, str, bool]],
             max_workers=min(processes, len(pending))
         )
         futures = [(job, pool.submit(job_fn, job)) for job in pending]
-        timeout = job_timeout()
-        try:
-            for job, future in futures:
-                results[job] = future.result(timeout=timeout)
-        except BrokenProcessPool as exc:
-            failure = f"worker died: {exc}"
-            _record_degradation("worker_deaths", failure)
-        except FutureTimeout:
-            failure = f"worker exceeded {timeout:g}s job timeout"
-            _record_degradation("timeouts", failure)
+        for job, future in futures:
+            try:
+                outcomes[job] = future.result(timeout=timeout)
+            except BrokenProcessPool as exc:
+                failure = f"worker died: {exc}"
+                _record_degradation("worker_deaths", failure)
+                break
+            except FutureTimeout:
+                failure = f"worker exceeded {timeout:g}s job timeout"
+                _record_degradation("timeouts", failure)
+                break
+            except Exception as exc:  # noqa: BLE001 - the job's verdict
+                outcomes[job] = exc
     except (OSError, ImportError, PermissionError) as exc:
         # Restricted sandboxes: no subprocesses at all.
         failure = f"pool unavailable: {exc}"
@@ -163,27 +161,98 @@ def _run_pool(pending: Sequence[Tuple[str, str, bool]],
         if pool is not None:
             if failure is not None:
                 # Dead or wedged workers would make a graceful shutdown
-                # hang; terminate whatever is left before falling back.
+                # hang; kill whatever is left before falling back.
+                # SIGKILL, not SIGTERM: a forked worker shares its
+                # parent's signal wakeup fd, so a *handled* signal
+                # would run the parent's handler (`repro serve` would
+                # start draining).
                 workers = getattr(pool, "_processes", None) or {}
                 for proc in list(workers.values()):
                     try:
-                        proc.terminate()
+                        proc.kill()
                     except (OSError, AttributeError):
                         pass
-                pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                pool.shutdown()
-
-    missing = [job for job in pending if job not in results]
-    if missing:
+            pool.shutdown(wait=failure is None, cancel_futures=True)
+    if len(outcomes) < len(pending):
         _record_degradation(
             "serial_fallbacks",
-            f"{len(missing)} job(s) recompiled in-process "
-            f"({failure or 'pool produced no result'})",
+            f"{len(pending) - len(outcomes)} job(s) recompiled "
+            f"in-process ({failure or 'pool produced no result'})",
         )
-        for job in missing:
-            results[job] = job_fn(job)
-    return results
+    return outcomes
+
+
+def compile_batch(
+    jobs: Sequence[Tuple[str, LevelLike]],
+    processes: Optional[int] = None,
+    use_cache: Optional[bool] = None,
+    timeout: Optional[float] = None,
+    options=None,
+    job_fn=None,
+) -> List["object"]:
+    """The store-fronted compile of independent (source, level) jobs.
+
+    Returns one outcome per job, in job order: the CompiledProgram, or
+    the exception that job's compile raised.  Duplicate jobs compile
+    once.  ``processes``: pool width (``None`` = one per CPU; 0/1, or a
+    single miss, = in-process).  ``timeout``: seconds the pool waits
+    for a result (default :func:`job_timeout`).  ``options`` (a
+    :class:`~repro.pipeline.PipelineOptions`) reaches every compile,
+    pooled or not.  ``job_fn`` (picklable) substitutes
+    :func:`compile_job` for tests and chaos drills.
+    """
+    if use_cache is None:
+        use_cache = cache_enabled()
+    if job_fn is None:
+        job_fn = functools.partial(compile_job, options=options)
+    normalized = [
+        (source, _level_value(level), use_cache) for source, level in jobs
+    ]
+    outcomes: dict = {}
+    pending: List[Job] = []
+    for job in dict.fromkeys(normalized):
+        program = load_cached(job[0], job[1]) if use_cache else None
+        if program is None:
+            pending.append(job)
+        else:
+            profiler.count("compile.disk_cache_hits")
+            outcomes[job] = program
+    if pending:
+        # One count per job actually compiled (pool or in-process) —
+        # the counter the serve dedup tests assert "exactly one
+        # underlying compile" against.
+        profiler.count("compile.pool.jobs", len(pending))
+        if processes is None:
+            processes = os.cpu_count() or 1
+        if processes > 1 and len(pending) > 1:
+            outcomes.update(_run_pool(
+                pending, processes, job_fn,
+                job_timeout() if timeout is None else timeout,
+            ))
+        for job in pending:
+            if job not in outcomes:
+                try:
+                    outcomes[job] = job_fn(job)
+                except Exception as exc:  # noqa: BLE001 - the job's verdict
+                    outcomes[job] = exc
+    return [outcomes[job] for job in normalized]
+
+
+def _programs(outcomes: List["object"]) -> List["object"]:
+    """``outcomes`` if every job compiled; else raises the first error."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def compile_with_cache(
+    source: str, level: LevelLike, use_cache: bool = True, options=None
+):
+    """compile_source with the on-disk cache in front of it."""
+    return compile_levels(
+        source, [level], use_cache=use_cache, options=options
+    )[0]
 
 
 def compile_levels(
@@ -193,49 +262,16 @@ def compile_levels(
     use_cache: Optional[bool] = None,
     options=None,
 ) -> List["object"]:
-    """One source at several optimization levels, sharing a session.
+    """One source at several optimization levels, in ``levels`` order.
 
     The common differential shape (``repro bench-app``, ``repro
-    fuzz``).  By default the levels compile in-process through one
-    :class:`~repro.pipeline.CompilationSession`: the frontend,
-    inlining and each required delay-set analysis run **once** and
-    every level strikes a cheap working copy.  Passing ``processes > 1``
-    instead fans the levels out to the compile pool as independent
-    jobs — each worker re-derives its own artifacts, which only pays
-    off when individual levels dominate the shared prelude.  The
-    on-disk cache fronts both paths.  ``options`` (a
-    :class:`~repro.pipeline.PipelineOptions`) applies to the shared
-    path only.  Returns programs in ``levels`` order.
+    fuzz``): :func:`compile_batch` over the levels, in-process unless
+    ``processes > 1`` asks for the pool.
     """
-    if processes is not None and processes > 1:
-        return compile_many(
-            [(source, level) for level in levels],
-            processes=processes,
-            use_cache=use_cache,
-        )
-
-    from repro.perf import profiler
-    from repro.pipeline import CompilationSession, OptLevel
-
-    if use_cache is None:
-        use_cache = cache_enabled()
-    normalized = [_level_value(level) for level in levels]
-    results = {}
-    session: Optional[CompilationSession] = None
-    for level_value in dict.fromkeys(normalized):
-        program = load_cached(source, level_value) if use_cache else None
-        if program is not None:
-            profiler.count("compile.disk_cache_hits")
-        else:
-            if session is None:
-                session = CompilationSession(
-                    source=source, options=options
-                )
-            program = session.compile(OptLevel(level_value))
-            if use_cache:
-                store_cached(source, level_value, program)
-        results[level_value] = program
-    return [results[level_value] for level_value in normalized]
+    return _programs(compile_batch(
+        [(source, level) for level in levels],
+        processes=processes or 0, use_cache=use_cache, options=options,
+    ))
 
 
 def compile_many(
@@ -246,49 +282,11 @@ def compile_many(
 ) -> List["object"]:
     """Compiles independent (source, level) jobs, fanning out to a pool.
 
-    Returns CompiledPrograms in job order.  ``processes=None`` sizes the
-    pool to ``min(len(jobs), cpu_count)``; 0/1 compiles in-process.
-    Duplicate jobs are compiled once.  A crashed or wedged worker never
-    loses work: the survivors are terminated and unfinished jobs compile
-    serially in-process (see :func:`_run_pool`).  ``_job_fn`` is a test
-    hook substituting the per-job worker function.
+    :func:`compile_batch` for callers that want programs or an
+    exception: returns CompiledPrograms in job order, or raises the
+    first job's error.  ``_job_fn`` is a test hook substituting the
+    per-job worker function.
     """
-    job_fn = _job_fn or _compile_job
-    if use_cache is None:
-        use_cache = cache_enabled()
-    normalized = [
-        (source, _level_value(level), use_cache) for source, level in jobs
-    ]
-    unique = list(dict.fromkeys(normalized))
-    if processes is None:
-        processes = min(len(unique), os.cpu_count() or 1)
-
-    results = {}
-    pending = unique
-    if use_cache:
-        pending = []
-        for job in unique:
-            cached = load_cached(job[0], job[1])
-            if cached is not None:
-                from repro.perf import profiler
-
-                profiler.count("compile.disk_cache_hits")
-                results[job] = cached
-            else:
-                pending.append(job)
-
-    if pending:
-        from repro.perf import profiler
-
-        # One count per job actually compiled (pool or in-process) —
-        # the counter the serve dedup tests assert "exactly one
-        # underlying compile" against.
-        profiler.count("compile.pool.jobs", len(pending))
-        if processes > 1 and len(pending) > 1:
-            results.update(_run_pool(pending, processes, job_fn))
-        else:
-            results.update(
-                (job, job_fn(job)) for job in pending
-            )
-
-    return [results[job] for job in normalized]
+    return _programs(compile_batch(
+        jobs, processes=processes, use_cache=use_cache, job_fn=_job_fn
+    ))

@@ -10,10 +10,12 @@ system routes through a session:
 * ``analyze_source`` asks the same session machinery for just the
   analysis artifact, so it shares the frontend with compilation
   instead of re-running parse/check/lower/inline on its own;
-* multi-level sweeps (``perf.parallel.compile_levels``, the fuzz
-  campaign, benches) keep one session across levels, so the frontend,
-  inlining, and each required delay-set analysis run **once**, and each
-  level's codegen works on a cheap copy of the pristine inlined module.
+* multi-level sweeps that hold a session themselves
+  (:meth:`CompilationSession.compile_levels`) keep it across levels, so
+  the frontend, inlining, and each required delay-set analysis run
+  **once**, and each level's codegen works on a cheap copy of the
+  pristine inlined module.  (``perf.parallel.compile_levels`` does not:
+  it compiles each level as an independent store-fronted job.)
 
 Uid stability makes the sharing sound: the analyses answer queries by
 instruction uid, and ``copy.deepcopy`` preserves uids, so one analysis

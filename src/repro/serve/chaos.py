@@ -21,8 +21,9 @@ Fault classes
   socket unlink) at ``pre_cache_put``, ``mid_batch`` or ``mid_drain``,
   exactly what SIGKILL leaves behind; whatever supervises the daemon
   restarts it (in the chaos tests, ``tests/serve/chaos_harness.py``).
-* **Pool wedge** — a compile batch sleeps long enough to trip the
-  daemon's watchdog, forcing the serial in-process fallback.
+* **Pool wedge** — the batch's pool workers sleep long enough to trip
+  the pool timeout (the daemon's ``watchdog_timeout``), forcing the
+  in-process fallback.
 * **Store rot** — blobs on disk are bit-flipped or truncated between
   requests; the store's digest verification must quarantine them.
 
@@ -174,6 +175,12 @@ class ServeFaultPlan:
     def pool_wedge_seconds(self) -> float:
         return self.wedge_seconds if self._roll(self.wedge) else 0.0
 
+    def wedged_job(self) -> Optional["WedgedJob"]:
+        """The job function for one pool batch under a ``wedge`` fault
+        (None = no fault this batch: the real job function)."""
+        seconds = self.pool_wedge_seconds()
+        return WedgedJob(seconds) if seconds > 0 else None
+
     # -- store-side queries (driven by the harness) ------------------------
 
     def blob_fault(self) -> Optional[str]:
@@ -280,6 +287,25 @@ class ServeFaultPlan:
         if not parts:
             parts.append("no-faults")
         return ",".join(parts)
+
+
+@dataclass(frozen=True)
+class WedgedJob:
+    """A compile job that hangs for ``seconds`` first — in a pool
+    worker only, where the pool's timeout can see it; the in-process
+    fallback that rescues the batch runs it without the sleep.
+    Picklable, so the pool can ship it to its workers."""
+
+    seconds: float
+
+    def __call__(self, job):
+        import multiprocessing
+
+        from repro.perf.parallel import compile_job
+
+        if multiprocessing.parent_process() is not None:
+            time.sleep(self.seconds)
+        return compile_job(job)
 
 
 def _prob(text: str) -> float:

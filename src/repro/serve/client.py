@@ -38,9 +38,7 @@ safe.  On top of that the client layers:
   compile/analyze/simulate requests so the daemon can shed work whose
   client has given up; the daemon answers ``deadline_exceeded``.
 
-The async load generator in ``benchmarks/bench_serve.py`` speaks the
-protocol directly instead — this class optimizes for robustness and
-clarity, not throughput.
+This class optimizes for robustness and clarity, not throughput.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ results out of the content-addressed :class:`~repro.serve.store
    coalesced ones).
 3. **Batching onto the compile pool** — cache misses are collected for
    ``batch_window`` seconds and dispatched as one batch to
-   :func:`repro.perf.parallel.compile_many`, which fans distinct jobs
-   across the existing crash-tolerant worker pool (``jobs`` pool
-   width; 0/1 compiles in the dispatcher thread).
+   :func:`repro.perf.parallel.compile_batch`, which fans distinct jobs
+   across the crash-tolerant worker pool (``jobs`` pool width; 0/1
+   compiles on the batch thread) and returns a verdict per job.
 
 Responses are written per-request as they complete, so clients may
 pipeline many requests over one connection.  Graceful shutdown (the
@@ -36,10 +36,10 @@ Degradation under stress is graceful and *typed*, never silent:
   expires gets ``deadline_exceeded``, and a queued compile all of
   whose waiters have given up is cancelled before it runs
   (``serve.abandoned``).
-* **Watchdog** — a compile-pool batch that exceeds
-  ``watchdog_timeout`` seconds marks the pool wedged
-  (``serve.watchdog.trips``) and the daemon falls back to serial
-  in-process compilation, which cannot wedge.
+* **Watchdog** — ``watchdog_timeout`` is the compile pool's one
+  timeout: a worker that keeps a batch waiting longer marks the pool
+  wedged (``serve.watchdog.trips``); the pool's own in-process
+  fallback finishes that batch and later batches skip the pool.
 * **Chaos hooks** — a seeded :class:`repro.serve.chaos.ServeFaultPlan`
   (the ``chaos`` config field / ``repro serve --chaos``) injects
   connection refusals, mid-frame disconnects, truncated/garbled
@@ -90,8 +90,8 @@ class ServeConfig:
     #: Admission control: maximum artifact requests queued for the
     #: compile path before new ones are refused with ``overloaded``.
     max_pending: int = 256
-    #: Seconds a compile-pool batch may take before the pool is
-    #: declared wedged and the daemon falls back to serial compiles.
+    #: Seconds a compile-pool batch may wait on a worker before the pool
+    #: is declared wedged and compiles go in-process.
     watchdog_timeout: float = 30.0
     #: A seeded :class:`repro.serve.chaos.ServeFaultPlan` injecting
     #: transport/daemon faults (resilience drills); None = no chaos.
@@ -128,9 +128,9 @@ class Server:
         if config.use_cache is not None:
             self.cache_enabled = config.use_cache
         else:
-            self.cache_enabled = (
-                os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
-            )
+            from repro.perf.parallel import cache_enabled
+
+            self.cache_enabled = cache_enabled()
         self.profiler = Profiler()
         self.chaos = config.chaos
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -438,11 +438,11 @@ class Server:
     def _key_for(self, request: Dict[str, Any]) -> str:
         op = request["op"]
         if op == "compile":
-            # Must match perf.parallel's derivation so daemon, pool
-            # workers, and plain CLI runs share one set of entries.
-            return self.cache.key(
-                "compile", source=request["source"], level=request["opt"]
-            )
+            # perf.parallel's own derivation: daemon, pool workers and
+            # plain CLI runs share one set of entries.
+            from repro.perf.parallel import cache_key
+
+            return cache_key(request["source"], request["opt"])
         if op == "analyze":
             return self.cache.key(
                 "analyze", source=request["source"],
@@ -569,12 +569,10 @@ class Server:
                 future = self._inflight.pop(key, None)
                 if future is None or future.done():
                     continue
-                status, value = outcome
-                if status == "ok":
-                    future.set_result(value)
+                if isinstance(outcome, ProtocolError):
+                    future.set_exception(outcome)
                 else:
-                    code, message = value
-                    future.set_exception(ProtocolError(code, message))
+                    future.set_result(outcome)
 
     def _drop_abandoned(
         self, batch: List[Tuple[str, Dict[str, Any]]]
@@ -597,138 +595,78 @@ class Server:
     def _run_batch(
         self, batch: List[Tuple[str, Dict[str, Any]]]
     ) -> Dict[str, Any]:
+        """key -> payload dict or :class:`ProtocolError`, per request."""
         results: Dict[str, Any] = {}
         with profiled(self.profiler):
-            compile_items = [
+            compiles = [
                 (key, request) for key, request in batch
                 if request["op"] == "compile"
             ]
-            if compile_items:
-                results.update(self._run_compiles(compile_items))
+            if compiles:
+                outcomes = self._compile([
+                    (request["source"], request["opt"])
+                    for _key, request in compiles
+                ])
+                for (key, _request), outcome in zip(compiles, outcomes):
+                    results[key] = self._settle(key, "compile", outcome)
             for key, request in batch:
-                if request["op"] == "analyze":
-                    results[key] = self._guard(
-                        key, self._run_analyze, request
-                    )
-                elif request["op"] == "simulate":
-                    results[key] = self._guard(
-                        key, self._run_simulate, request
-                    )
+                op = request["op"]
+                if op == "compile":
+                    continue
+                run = (
+                    self._run_analyze if op == "analyze"
+                    else self._run_simulate
+                )
+                try:
+                    outcome = run(request)
+                except Exception as exc:  # noqa: BLE001 - typed by _settle
+                    outcome = exc
+                results[key] = self._settle(key, op, outcome)
         return results
 
-    def _guard(self, key: str, fn, request) -> Tuple[str, Any]:
-        try:
-            payload = fn(request)
-        except Exception as exc:  # noqa: BLE001 - mapped to wire codes
-            code = protocol.error_code_for(exc) or "internal"
-            return "error", (code, str(exc).splitlines()[0])
-        self._maybe_crash("pre_cache_put")
-        if self.cache_enabled:
-            self.cache.put_bytes(key, pickle.dumps(payload))
-        return "ok", payload
-
-    def _pool_batch_with_watchdog(
-        self, jobs: List[Tuple[str, str]]
-    ) -> Optional[List[Any]]:
-        """``compile_many`` under a watchdog; None = use serial path.
-
-        The pool itself is crash-tolerant, but a *wedged* pool (worker
-        deadlock, a stuck semaphore, an injected ``wedge`` fault) can
-        stall a batch forever.  The batch runs on a helper thread; if
-        it outlives ``watchdog_timeout`` the pool is declared unhealthy
-        — this batch and every later one compile serially in-process,
-        which cannot wedge.  A wedged helper thread eventually finishes
-        or dies with the process; its late results are discarded.
+    def _compile(self, jobs: List[Tuple[str, str]]) -> List[Any]:
+        """A batch of store misses through
+        :func:`~repro.perf.parallel.compile_batch`, a verdict per job.
+        The loop thread probed the store and :meth:`_settle` does the
+        put, hence ``use_cache=False``.  A pool timeout is the watchdog
+        trip: the pool reports it on the active profiler — ours —
+        having already rescued this batch in-process.
         """
-        import threading as threading_module
+        from repro.perf.parallel import compile_batch
 
-        from repro.perf.parallel import compile_many
-
-        box: Dict[str, Any] = {}
-
-        def work() -> None:
-            try:
-                if self.chaos is not None:
-                    wedge = self.chaos.pool_wedge_seconds()
-                    if wedge > 0:
-                        self._count("serve.chaos.wedged")
-                        time.sleep(wedge)
-                box["programs"] = compile_many(
-                    jobs, processes=self.config.jobs, use_cache=False
-                )
-            except BaseException as exc:  # noqa: BLE001 - boxed
-                box["error"] = exc
-
-        worker = threading_module.Thread(
-            target=work, name="repro-serve-pool-batch", daemon=True
+        job_fn = None
+        if self._pool_healthy and self.chaos is not None:
+            job_fn = self.chaos.wedged_job()
+            if job_fn is not None:
+                self._count("serve.chaos.wedged")
+        counters = self.profiler.counters
+        timeouts = counters.get("compile.pool.timeouts", 0)
+        outcomes = compile_batch(
+            jobs,
+            processes=self.config.jobs if self._pool_healthy else 0,
+            use_cache=False,
+            timeout=self.config.watchdog_timeout,
+            job_fn=job_fn,
         )
-        worker.start()
-        worker.join(self.config.watchdog_timeout)
-        if worker.is_alive():
+        if counters.get("compile.pool.timeouts", 0) > timeouts:
             self._pool_healthy = False
             self._count("serve.watchdog.trips")
-            return None
-        if "error" in box:
-            if isinstance(box["error"], ChaosCrash):
-                raise box["error"]
-            return None  # re-run serially for per-job verdicts
-        return box.get("programs")
+        return outcomes
 
-    def _run_compiles(
-        self, items: List[Tuple[str, Dict[str, Any]]]
-    ) -> Dict[str, Any]:
-        """Compiles a batch through the pool, isolating per-job errors.
-
-        The happy path fans every job out with one
-        :func:`~repro.perf.parallel.compile_many` call (the pool's
-        crash tolerance included); if *any* job raises a compile error
-        — or the watchdog declares the pool wedged — the batch re-runs
-        serially so each request gets its own verdict instead of the
-        whole batch failing.
-        """
-        from repro import OptLevel, compile_source
-
-        results: Dict[str, Any] = {}
-        jobs = [
-            (request["source"], request["opt"]) for _key, request in items
-        ]
-        programs: Optional[List[Any]] = None
-        if (
-            len(set(jobs)) > 1
-            and (self.config.jobs is None or self.config.jobs > 1)
-            and self._pool_healthy
-        ):
-            programs = self._pool_batch_with_watchdog(jobs)
-        if programs is not None:
-            for (key, _request), program in zip(items, programs):
-                results[key] = self._finish_compile(key, program)
-            return results
-        from repro.perf import profiler as perf
-
-        compiled: Dict[Tuple[str, str], Any] = {}
-        for key, request in items:
-            job = (request["source"], request["opt"])
-            try:
-                if job not in compiled:
-                    perf.count("compile.pool.jobs")
-                    compiled[job] = compile_source(
-                        request["source"], OptLevel(request["opt"])
-                    )
-            except Exception as exc:  # noqa: BLE001 - per-job verdict
-                code = protocol.error_code_for(exc) or "internal"
-                results[key] = (
-                    "error", (code, str(exc).splitlines()[0])
-                )
-                continue
-            results[key] = self._finish_compile(key, compiled[job])
-        return results
-
-    def _finish_compile(self, key: str, program) -> Tuple[str, Any]:
-        blob = pickle.dumps(program)
+    def _settle(self, key: str, op: str, outcome: Any) -> Any:
+        """One finished job's reply: an exception becomes a typed
+        error; a value (``compile``'s program, else the payload dict)
+        is pickled, stored — crash hook, then ``put_bytes`` — and the
+        payload shaped from the very bytes stored."""
+        if isinstance(outcome, Exception):
+            code = protocol.error_code_for(outcome) or "internal"
+            return ProtocolError(code, str(outcome).splitlines()[0])
+        blob = pickle.dumps(outcome)
         self._maybe_crash("pre_cache_put")
         if self.cache_enabled:
             self.cache.put_bytes(key, blob)
-        return "ok", _compile_payload(program, blob)
+        return _compile_payload(outcome, blob) if op == "compile" \
+            else outcome
 
     def _run_analyze(self, request: Dict[str, Any]) -> Dict[str, Any]:
         from repro import analyze_source
@@ -749,7 +687,7 @@ class Server:
         }
 
     def _run_simulate(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        from repro import OptLevel
+        from repro.perf.parallel import compile_with_cache
         from repro.runtime.machine import (
             get_machine,
             validate_memory_model,
@@ -761,8 +699,8 @@ class Server:
             machine = machine.with_memory_model(
                 model, request["drain_seed"]
             )
-        program = self._compiled(
-            request["source"], OptLevel(request["opt"])
+        program = compile_with_cache(
+            request["source"], request["opt"], self.cache_enabled
         )
         result = program.run(
             request["procs"], machine, seed=request["seed"]
@@ -781,23 +719,6 @@ class Server:
             "messages": result.total_messages,
             "snapshot": snapshot,
         }
-
-    def _compiled(self, source: str, level):
-        """A compiled program via the store (simulate's compile step)."""
-        from repro import compile_source
-        from repro.perf import profiler as perf
-
-        key = self.cache.key("compile", source=source, level=level.value)
-        if self.cache_enabled:
-            program = self.cache.get(key)
-            if program is not None:
-                perf.count("compile.disk_cache_hits")
-                return program
-        perf.count("compile.pool.jobs")
-        program = compile_source(source, level)
-        if self.cache_enabled:
-            self.cache.put_bytes(key, pickle.dumps(program))
-        return program
 
     # -- telemetry ---------------------------------------------------------
 
@@ -946,9 +867,11 @@ class ServerThread:
                 self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)
         # A real crash closes the listening fd with the process; here
-        # the process survives, so close it by hand.  The socket *file*
-        # is deliberately left behind for stale-socket recovery tests.
+        # the process survives, so close it by hand — through the
+        # socket object, or its finalizer would later close the same fd
+        # *number* under whoever reuses it.  The socket *file* is
+        # deliberately left behind for stale-socket recovery tests.
         if self.server is not None and self.server._server is not None:
             for sock in self.server._server.sockets:
-                with contextlib.suppress(OSError, ValueError):
-                    os.close(sock.fileno())
+                with contextlib.suppress(OSError):
+                    sock._sock.close()

@@ -27,10 +27,7 @@ from typing import Any, Dict, Optional
 
 #: Version 2 added the optional ``deadline_ms`` request field plus the
 #: ``overloaded`` / ``deadline_exceeded`` error codes and the optional
-#: ``retry_after_ms`` error hint.  Both directions stay backward
-#: compatible: a v1 client simply never sends a deadline and never
-#: sees the new codes' triggers (no deadline ⇒ no expiry; an
-#: overloaded v2 daemon still answers, just with the typed error).
+#: ``retry_after_ms`` error hint.
 PROTOCOL_VERSION = 2
 
 #: A line longer than this is rejected with ``bad_request`` rather than

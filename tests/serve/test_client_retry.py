@@ -107,11 +107,15 @@ class ScriptedDaemon:
             handle.flush()
 
     def close(self):
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does (accept fails with EINVAL).
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "scripted daemon did not exit"
 
 
 @pytest.fixture

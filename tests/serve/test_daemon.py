@@ -254,6 +254,55 @@ class TestErrors:
         finally:
             thread.stop()
 
+    def test_bad_source_in_pooled_batch_compiles_neighbors_once(
+        self, socket_path, isolated_cache_dir
+    ):
+        """Through the pool (jobs=2) a bad source is still only its own
+        request's verdict: the finished neighbours are kept, not thrown
+        away and recompiled in-process."""
+        thread = ServerThread(ServeConfig(
+            socket_path=socket_path,
+            cache_dir=isolated_cache_dir,
+            batch_window=0.5,
+            jobs=2,
+        ))
+        thread.start()
+        try:
+            sources = {"sb": SB, "mp": MP, "bad": BAD_SOURCE}
+            outcomes = {}
+            barrier = threading.Barrier(len(sources))
+
+            def run(name):
+                with ServeClient(socket_path) as client:
+                    barrier.wait(timeout=30)
+                    try:
+                        outcomes[name] = client.compile(
+                            sources[name], opt="O0"
+                        )
+                    except ServeError as exc:
+                        outcomes[name] = exc
+
+            workers = [
+                threading.Thread(target=run, args=(name,))
+                for name in sources
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+            assert isinstance(outcomes["bad"], ServeError)
+            assert outcomes["bad"].code == "compile_error"
+            assert outcomes["sb"]["artifact_sha256"]
+            assert outcomes["mp"]["artifact_sha256"]
+            counters = thread.server.profiler.counters
+            assert counters.get("serve.batches") == 1
+            assert counters.get("compile.pool.jobs") == 3
+            # Every compile ran in a pool worker, none in the daemon.
+            assert counters.get("pipeline.compiles", 0) == 0
+            assert "compile.pool.serial_fallbacks" not in counters
+        finally:
+            thread.stop()
+
 
 class TestDedup:
     def test_concurrent_identical_requests_compile_once(
@@ -341,6 +390,31 @@ class TestCrashRecovery:
             assert warm["artifact_sha256"] == cold["artifact_sha256"]
             counters = second.server.profiler.counters
             assert counters.get("compile.pool.jobs", 0) == 0
+        finally:
+            second.stop()
+
+    def test_killed_daemon_never_closes_a_successors_listener(
+        self, tmp_path, isolated_cache_dir
+    ):
+        """kill() closes the listening fd by hand; the dead server's
+        socket object must not close that fd *number* again when it is
+        collected — by then it is the next daemon's listener."""
+        import gc
+
+        def start(name):
+            return ServerThread(ServeConfig(
+                socket_path=str(tmp_path / name),
+                cache_dir=isolated_cache_dir,
+            )).start()
+
+        first = start("a.sock")
+        first.kill()
+        second = start("b.sock")  # reuses the freed fd number
+        try:
+            del first
+            gc.collect()
+            with ServeClient(str(tmp_path / "b.sock")) as client:
+                assert client.ping()["pong"] is True
         finally:
             second.stop()
 
@@ -594,8 +668,75 @@ class TestWatchdog:
             assert stats["watchdog_trips"] >= 1
             assert stats["pool_healthy"] is False
             assert stats["counters"].get("serve.chaos.wedged", 0) >= 1
+            # The pool's own telemetry reaches the daemon's profiler.
+            assert stats["counters"].get("compile.pool.timeouts", 0) >= 1
+            assert stats["counters"].get(
+                "compile.pool.serial_fallbacks", 0
+            ) >= 1
+            assert not [
+                worker for worker in threading.enumerate()
+                if worker.name == "repro-serve-pool-batch"
+            ], "no helper thread is left behind a wedged batch"
         finally:
             thread.stop()
+
+    def test_watchdog_trip_does_not_drain_the_cli_daemon(
+        self, socket_path, isolated_cache_dir
+    ):
+        """``repro serve`` drains on SIGTERM, and its forked pool
+        workers share that handler's wakeup fd: killing the wedged
+        workers must not read as a shutdown request."""
+        import os
+        import subprocess
+        import sys
+        import time as time_module
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        daemon = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--socket", socket_path,
+                "--cache-dir", isolated_cache_dir,
+                "--jobs", "2", "--batch-window", "0.3",
+                "--watchdog-timeout", "0.2", "--chaos", "wedge=1:1.5",
+            ],
+            env=dict(os.environ, PYTHONPATH=src),
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time_module.monotonic() + 30
+            while not os.path.exists(socket_path):
+                assert time_module.monotonic() < deadline
+                time_module.sleep(0.05)
+            results = {}
+
+            def compile_one(name, source):
+                with ServeClient(socket_path) as client:
+                    results[name] = client.compile(source, opt="O0")
+
+            workers = [
+                threading.Thread(target=compile_one, args=("sb", SB)),
+                threading.Thread(target=compile_one, args=("mp", MP)),
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert set(results) == {"sb", "mp"}
+            time_module.sleep(0.3)  # a drain would have begun by now
+            with ServeClient(socket_path) as client:
+                stats = client.stats()
+                assert stats["watchdog_trips"] >= 1
+                assert stats["draining"] is False
+                assert client.compile(LB, opt="O0")["artifact_sha256"]
+                client.shutdown()
+            assert daemon.wait(timeout=30) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=30)
 
 
 class TestSocketRace:

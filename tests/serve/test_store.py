@@ -332,6 +332,51 @@ class TestDefaultCache:
         assert load_cached("s", "O0") is None
         assert list(default_cache().iter_entries()) == []
 
+    def test_every_compile_face_writes_the_same_entry(
+        self, isolated_cache_dir, tmp_path, monkeypatch
+    ):
+        """compile_with_cache, compile_levels and compile_many (serial
+        and pooled) are one store-fronted path: one key, one program."""
+        from repro.fuzz.litmus import mp_program, sb_program
+        from repro.perf.parallel import (
+            cache_key,
+            compile_levels,
+            compile_many,
+            compile_with_cache,
+        )
+        from repro.pipeline import PipelineOptions
+
+        sb, mp = sb_program(2).source, mp_program(2).source
+        pair = [(sb, "O3"), (mp, "O3")]  # two misses: the pool runs
+        faces = {
+            "with_cache": lambda: compile_with_cache(sb, "O3"),
+            "levels": lambda: compile_levels(sb, ["O3"])[0],
+            "many_serial": lambda: compile_many(pair, processes=0)[0],
+            "many_pool": lambda: compile_many(pair, processes=2)[0],
+        }
+        texts = set()
+        for name, face in faces.items():
+            # A fresh store per face, found through the environment so
+            # pool workers agree on it under any start method.
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+            set_default_cache(None)
+            with profiled(Profiler()) as prof:
+                texts.add(face().pretty())
+            cache = default_cache()
+            assert cache.get(cache_key(sb, "O3")) is not None, name
+            stored = len(list(cache.iter_entries()))
+            assert stored == (2 if name.startswith("many") else 1), name
+            assert prof.counters["compile.pool.jobs"] == stored, name
+            assert "compile.pool.serial_fallbacks" not in prof.counters
+        assert len(texts) == 1
+
+        with profiled(Profiler()) as prof:
+            compile_levels(
+                sb, ["O1", "O3"], use_cache=False,
+                options=PipelineOptions(verify_each_pass=True),
+            )
+        assert prof.passes["pass.verify-each-pass"].calls > 0
+
     def test_pickled_program_round_trip(self, isolated_cache_dir):
         cache = default_cache()
         key = cache.key("compile", source="s", level="O3")
