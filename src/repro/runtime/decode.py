@@ -21,12 +21,13 @@ Two tiers of steps:
 
 * **Slow steps.**  Every opcode with simulator-visible effects
   (shared accesses, split-phase traffic, synchronization, call/ret)
-  goes through ``Processor._execute``, which owns message formats,
-  weak-memory fences, blocking behavior and trace recording.  Shared
-  accesses fuse only in untraced SC runs, where the delay-fence set is
-  inert and is not consulted; under TSO/PSO they all stay slow steps,
-  so ``_execute`` drains the store buffer in front of every fence
-  target.
+  has a handler in ``Processor.OPS``, which owns message formats,
+  blocking behavior and trace recording; the decoder binds it into
+  the step, so a slow step is one call with no opcode dispatch.
+  Shared accesses fuse only in untraced SC runs, where the delay-fence
+  set is inert and is not consulted; under TSO/PSO they all stay slow
+  steps bound to ``Processor._execute``, which drains the store buffer
+  in front of every fence target and then calls the same handler.
 
 Parity contract: the seed per-instruction interpreter and flat-heap
 event loop live on as a test-side oracle
@@ -147,7 +148,7 @@ FAST_OPS = frozenset(
 #: Blocking shared accesses the fuser may specialize when the run is
 #: untraced and sequentially consistent: the owner test compiles
 #: inline, the local-home case reads/writes backing storage directly,
-#: and the remote case bails to ``Processor._execute`` (which
+#: and the remote case bails to ``Processor._access`` (which
 #: blocks, so the resume entry compiled after each shared op picks the
 #: run back up).
 SHARED_OPS = frozenset({Opcode.READ_SHARED, Opcode.WRITE_SHARED})
@@ -374,13 +375,13 @@ class _RunCompiler:
     def add_shared(self, ins: Instr, index: int) -> None:
         """Inlines a blocking shared access (read_shared/write_shared).
 
-        Replicates ``_blocking_read``/``_blocking_write`` for the
-        local-home case — same fault messages, same evaluation order
-        (all indices, then the written value, then the leading-bounds
-        /owner check, then trailing bounds) and the same
-        ``local_access`` charge.  A remote owner bails to
-        ``Processor._execute`` after settling the run's partial cost,
-        and the blocking protocol takes over unchanged.
+        Replicates ``Processor._access`` for the local-home case —
+        same fault messages, same evaluation order (all indices, then
+        the written value, then the leading-bounds/owner check, then
+        trailing bounds) and the same ``local_access`` charge.  A
+        remote owner bails to ``_access`` itself after settling the
+        run's partial cost, and the blocking protocol takes over
+        unchanged.
         """
         sim = self.sim
         machine = self.machine
@@ -397,7 +398,7 @@ class _RunCompiler:
                 iv = self.fresh()
                 self.emit(f"{iv} = int({self.read(operand)})")
                 idx_terms.append(iv)
-        # 2. For writes, materialize the value next (``_blocking_write``
+        # 2. For writes, materialize the value next (``_access``
         #    evaluates it before the owner lookup can fault).
         val = None
         if ins.op is Opcode.WRITE_SHARED:
@@ -428,12 +429,13 @@ class _RunCompiler:
         #    instruction through the blocking path (it re-checks
         #    everything; the processor parks until the reply).
         ins_ref = self.const(ins)
+        access = self.const(sim.processor_class.OPS[ins.op])
         self.emit(f"if {owner} != proc.pid:")
         if self.cost:
             self.emit(f"    proc.clock += {self.cost}")
         self.emit(f"    proc.instructions += {self.count + 1}")
         self.emit(f"    frame.index = {index}")
-        self.emit(f"    if proc._execute({ins_ref}, frame):")
+        self.emit(f"    if {access}(proc, {ins_ref}, frame):")
         self.emit(f"        return {index + 1}")
         self.emit("    return -2")
         # 5. Local home: trailing bounds checks, then direct storage
@@ -481,27 +483,21 @@ class _RunCompiler:
         return self.env["_step"]
 
 
-def _make_slow(ins: Instr, index: int) -> Step:
-    """A step that funnels through ``Processor._execute``."""
-    if ins.op in (Opcode.CALL, Opcode.RET):
-        # Control may change the frame or block: refetch on success.
-        def step(proc, frame, regs, _ins=ins, _idx=index) -> int:
-            frame.index = _idx
-            proc.instructions += 1
-            if proc._execute(_ins, frame):
-                return -1
-            return -2
-    else:
-        def step(
-            proc, frame, regs, _ins=ins, _idx=index, _nxt=index + 1
-        ) -> int:
-            frame.index = _idx
-            proc.instructions += 1
-            if proc._execute(_ins, frame):
-                # Non-control success always lands on index + 1
-                # (blocking paths return False instead).
-                return _nxt
-            return -2
+def _make_slow(ins: Instr, index: int, handler) -> Step:
+    """A step around ``handler(proc, ins, frame)``: the instruction's
+    ``Processor.OPS`` entry, or ``Processor._execute`` under a weak
+    memory model (which drains fence targets, then dispatches)."""
+    # Call/ret may change the frame or block: refetch on success.  Any
+    # other success lands on index + 1 (blocking paths return False).
+    proceed = -1 if ins.op in (Opcode.CALL, Opcode.RET) else index + 1
+
+    def step(proc, frame, regs) -> int:
+        frame.index = index
+        proc.instructions += 1
+        if handler(proc, ins, frame):
+            return proceed
+        return -2
+
     return step
 
 
@@ -528,6 +524,7 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
     """
     pending = _pending_temps(function)
     shared_ok = sim.trace is None and sim.weak is None
+    processor = sim.processor_class
     if sim.weak is not None and sim.delay_fences:
         for _block, _index, ins in function.instructions():
             if ins.op in FAST_OPS and ins.uid in sim.delay_fences:
@@ -540,7 +537,7 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
         if ins.op in FAST_OPS:
             return True
         if shared_ok and ins.op in SHARED_OPS:
-            # Arity mismatches fault through ``_execute`` instead.
+            # Arity mismatches fault through ``_access`` instead.
             return len(ins.indices) == len(sim.memory.var(ins.var).dims)
         return False
 
@@ -571,7 +568,11 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
                     steps[start] = run.compile(j)
                 i = j
             else:
-                steps[i] = _make_slow(instrs[i], i)
+                handler = (
+                    processor.OPS[instrs[i].op] if sim.weak is None
+                    else processor._execute
+                )
+                steps[i] = _make_slow(instrs[i], i, handler)
                 i += 1
         decoded[block.label] = steps
     return decoded

@@ -84,6 +84,17 @@ class GlobalMemory:
         block = -(-extent // self.num_procs)  # ceil division
         return min(lead // block, self.num_procs - 1)
 
+    def owner_of_flat(self, name: str, flat: int) -> int:
+        """The processor holding the element at a flat offset."""
+        return self.owner(name, (leading_index(self.var(name), flat),))
+
+    def resolve(self, name: str, indices: Tuple[int, ...]) -> Tuple[int, int]:
+        """``(owner, flat offset)`` of one element, fully bounds-checked
+        (the leading index first, with the ownership map's message).
+        The simulator resolves each access once, where it issues; the
+        ``*_flat`` methods below are what the home node then applies."""
+        return self.owner(name, indices), flat_index(self.var(name), indices)
+
     # -- data access ----------------------------------------------------------
 
     def read(self, name: str, indices: Tuple[int, ...]) -> Value:
@@ -102,9 +113,12 @@ class GlobalMemory:
             return int(value)
         return value
 
+    def read_flat(self, name: str, flat: int) -> Value:
+        return self._storage[name][flat]
+
     def write_flat(self, name: str, flat: int, value: Value) -> None:
-        """Applies an already-coerced write at a flat offset (store
-        buffers drain through here)."""
+        """Applies an already-coerced write at a flat offset (remote
+        writes and store-buffer drains land through here)."""
         self._storage[name][flat] = value
 
     def snapshot(self) -> Dict[str, List[Value]]:

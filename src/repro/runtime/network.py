@@ -51,6 +51,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.runtime.trace import MemEvent
+
 Value = Union[int, float]
 
 
@@ -78,9 +80,10 @@ class Message:
     kind: MsgKind
     src: int
     dst: int
-    #: shared variable + element for data traffic
+    #: shared variable + flat element offset for data and sync requests;
+    #: the requester resolved (and bounds-checked) it, the home applies it
     var: Optional[str] = None
-    indices: Tuple[int, ...] = ()
+    flat: int = 0
     value: Optional[Value] = None
     #: destination temp (get) / synchronizing counter id
     dest_temp: Optional[str] = None
@@ -92,6 +95,9 @@ class Message:
     tag: int = 0
     #: per-link transport sequence number (reliability protocol only)
     seq: Optional[int] = None
+    #: a traced read's MemEvent, riding request and reply until the
+    #: value lands (None in untraced runs and on every other kind)
+    event: Optional[MemEvent] = None
 
 
 # -- fault plans -------------------------------------------------------------

@@ -22,6 +22,16 @@ Timing model (see :mod:`repro.runtime.machine` for the constants):
 * ``barrier`` is a central rendezvous that also drains outstanding
   stores (the implicit ``all_store_sync``).
 
+Every opcode with simulator-visible effects has one handler in
+``Processor.OPS`` (bound into the decoded step, so nothing dispatches
+on opcodes at run time): ``_access`` for the five shared-access
+opcodes, ``_sync`` for post/wait/lock/unlock.  The requester resolves
+the element — owner, flat offset, every bounds check — and a request
+carries the flat offset; the home applies it.  Each synchronization
+operation has one home-side implementation, ``Simulator.home_sync``,
+called directly when the object is homed on the requester and from the
+``*_REQ`` message handler otherwise.
+
 The simulator is deterministic for a given seed.  A non-zero machine
 ``jitter`` randomizes per-message wire time (point-to-point FIFO is
 preserved), which the SC litmus tests use as an adversarial network.
@@ -72,11 +82,11 @@ from repro.ir.instructions import Const, Instr, Opcode, Operand, Temp
 from repro.runtime.decode import PENDING, Step, _Pending, decode_function
 from repro.runtime.events import CalendarQueue, LinkChannels
 from repro.runtime.machine import MachineConfig, validate_memory_model
-from repro.runtime.memory import GlobalMemory, StoreBuffers, flat_index
+from repro.runtime.memory import GlobalMemory, StoreBuffers
 from repro.runtime.network import FaultPlan, Message, MsgKind, Network
 from repro.runtime.sync_objects import FlagTable, LockTable
 from repro.runtime.topology import BarrierTopology, build_topology
-from repro.runtime.trace import ExecutionTrace, MemEvent, SyncRecord
+from repro.runtime.trace import ExecutionTrace, SyncRecord
 
 Value = Union[int, float]
 
@@ -99,6 +109,22 @@ _FENCE_OPCODES = frozenset(
     }
 )
 
+#: Request kind of each homed synchronization opcode, and the reply
+#: that tells a remote requester it may proceed.
+_SYNC_REQUEST = {
+    Opcode.POST: MsgKind.POST_REQ,
+    Opcode.WAIT: MsgKind.WAIT_REQ,
+    Opcode.LOCK: MsgKind.LOCK_REQ,
+    Opcode.UNLOCK: MsgKind.UNLOCK_REQ,
+}
+_SYNC_OPCODE = {kind: op for op, kind in _SYNC_REQUEST.items()}
+_SYNC_REPLY = {
+    Opcode.POST: MsgKind.PUT_ACK,
+    Opcode.WAIT: MsgKind.WAIT_GRANT,
+    Opcode.LOCK: MsgKind.LOCK_GRANT,
+    Opcode.UNLOCK: MsgKind.PUT_ACK,
+}
+
 
 class ProcState(enum.Enum):
     READY = "ready"
@@ -117,6 +143,15 @@ class _Frame:
     code: Dict[str, List[Step]]
     #: caller temp receiving this frame's return value
     result_dest: Optional[Temp] = None
+
+
+def _land(frame: _Frame, dest: Optional[str], local_array: Optional[str],
+          local_flat: Optional[int], value) -> None:
+    """Puts a read's value (or PENDING) where the get said to land it."""
+    if local_array is not None:
+        frame.arrays[local_array][local_flat] = value
+    else:
+        frame.regs[dest] = value
 
 
 @dataclass
@@ -294,233 +329,111 @@ class Processor:
                 return  # blocked or done
 
     def _execute(self, instr: Instr, frame: _Frame) -> bool:
-        """Runs one instruction with simulator-visible effects (shared
-        and split-phase accesses, synchronization, call/ret); the
-        decoder compiles purely local opcodes inline and never sends
-        them here.  Returns True to keep running, False when
-        blocked/done."""
+        """Runs one instruction with simulator-visible effects through
+        its :attr:`OPS` handler.  Under a weak memory model every slow
+        step comes through here so that synchronization and
+        compiler-placed delay targets fence the store buffer first
+        (blocking ops may re-execute on wake; re-flushing an empty
+        buffer is a no-op); under SC the decoder binds the handler into
+        the step directly.  Handlers return True having moved
+        ``frame.index`` past the instruction (or transferred control),
+        False when blocked/done."""
         sim = self.sim
-        machine = sim.machine
-        op = instr.op
-
-        # Weak models: synchronization and compiler-placed delay
-        # targets fence the store buffer.  Blocking ops may re-execute
-        # on wake; re-flushing an empty buffer is a no-op.
         if sim.weak is not None and (
-            op in _FENCE_OPCODES or instr.uid in sim.delay_fences
+            instr.op in _FENCE_OPCODES or instr.uid in sim.delay_fences
         ):
             sim.weak.flush(self.pid)
-
-        if op is Opcode.READ_SHARED:
-            return self._blocking_read(instr)
-        elif op is Opcode.WRITE_SHARED:
-            return self._blocking_write(instr)
-        elif op is Opcode.GET:
-            self._issue_get(instr)
-        elif op is Opcode.PUT:
-            self._issue_put(instr)
-        elif op is Opcode.STORE:
-            self._issue_store(instr)
-        elif op is Opcode.SYNC_CTR:
-            if self.counters.get(instr.counter, 0):
-                self._block(("counter", instr.counter), instr)
-                return False
-            self.clock += machine.cpu_op
-        elif op is Opcode.STORE_SYNC:
-            if sim.outstanding_stores:
-                self._block(("store_sync",), instr)
-                sim.store_sync_waiters.append(self.pid)
-                return False
-            self.clock += machine.cpu_op
-        elif op is Opcode.POST:
-            return self._post(instr)
-        elif op is Opcode.WAIT:
-            return self._wait(instr)
-        elif op is Opcode.LOCK:
-            return self._lock(instr)
-        elif op is Opcode.UNLOCK:
-            return self._unlock(instr)
-        elif op is Opcode.BARRIER:
-            if sim.trace is not None:
-                sim.trace.record_sync(
-                    self.pid, "barrier", serial=self.barrier_no,
-                    uid=instr.uid,
-                )
-            self.barrier_no += 1
-            self.clock += machine.send_overhead
-            sim.topology.local_arrive(self.pid, self.clock)
-            self._block(("barrier",), instr)
-            return False
-        elif op is Opcode.CALL:
-            callee = sim.module.functions[instr.callee]
-            new_frame = self._make_frame(callee, instr.dest)
-            for param, arg in zip(callee.params, instr.args):
-                new_frame.regs[param.name] = self.value(arg)
-            # Advance past the call first: the callee's ret resumes the
-            # caller at the following instruction.
-            frame.index += 1
-            self.frames.append(new_frame)
-            self.clock += machine.cpu_op * 2
-            return True
-        elif op is Opcode.RET:
-            result = self.value(instr.src) if instr.src is not None else None
-            dest = frame.result_dest
-            self.frames.pop()
-            self.clock += machine.cpu_op
-            if not self.frames:
-                self.state = ProcState.DONE
-                sim.proc_finished(self)
-                return False
-            if dest is not None:
-                self.set_reg(dest, result)
-            return True
-        else:  # pragma: no cover - defensive
-            raise RuntimeFault(f"P{self.pid}: cannot execute {instr}")
-
-        frame.index += 1
-        return True
+        return self.OPS[instr.op](self, instr, frame)
 
     # -- shared data accesses ---------------------------------------------------
 
-    def _blocking_read(self, instr: Instr) -> bool:
+    def _access(self, instr: Instr, frame: _Frame) -> bool:
+        """read_shared / write_shared / get / put / store.
+
+        One path: evaluate operands, resolve the element (owner + flat
+        offset, every bounds check) once, trace, then serve it here if
+        it is homed here or send one request.  The opcodes differ only
+        in read-vs-write and in how completion is observed: a blocking
+        tag, a sync counter, or (``store``) nothing but the global
+        outstanding-store count.
+
+        Store-atomicity under TSO/PSO: a locally-homed write enters
+        this processor's store buffer (and its own reads forward from
+        it); a remote one is applied at its home on arrival.
+        """
         sim = self.sim
+        machine = sim.machine
+        memory = sim.memory
+        op = instr.op
+        var = instr.var
+        reads = op is Opcode.READ_SHARED or op is Opcode.GET
+        blocking = op is Opcode.READ_SHARED or op is Opcode.WRITE_SHARED
         indices = self.indices_of(instr)
-        owner = sim.memory.owner(instr.var, indices)
+        value = None if reads else self.value(instr.src)
+        owner, flat = memory.resolve(var, indices)
         event = None
         if sim.trace is not None:
-            event = sim.trace.record_read_issue(
-                self.pid, sim.location_of(instr.var, indices),
-                uid=instr.uid,
-            )
+            if reads:
+                event = sim.trace.record_read_issue(
+                    self.pid, (var, flat), uid=instr.uid)
+            else:
+                sim.trace.record_write(
+                    self.pid, (var, flat), value, uid=instr.uid)
+        dest = instr.dest.name if instr.dest is not None else None
+        local_flat = (
+            self._local_flat_fused(instr)
+            if instr.local_array is not None else None
+        )
         if owner == self.pid:
-            value = sim.memory.read(instr.var, indices)
-            if sim.weak is not None:
-                hit = sim.weak.forward(
-                    self.pid, *sim.location_of(instr.var, indices)
+            weak = sim.weak
+            if reads:
+                value = memory.read_flat(var, flat)
+                hit = (
+                    weak.forward(self.pid, var, flat)
+                    if weak is not None else None
                 )
                 if hit is not None:
                     value = hit.value
-                    if event is not None:
-                        event.forwarded = True
-            self.set_reg(instr.dest, value)
-            if event is not None:
-                event.value = value
-            self.clock += sim.machine.local_access
-            self.frames[-1].index += 1
-            return True
-        self.clock += sim.machine.send_overhead
-        tag = sim.new_tag()
-        sim.send(
-            Message(
-                MsgKind.GET_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                dest_temp=instr.dest.name,
-                tag=tag,
-            ),
-            self.clock,
-            trace_event=event,
-        )
-        self._block(("reply", tag), instr)
-        return False
-
-    def _blocking_write(self, instr: Instr) -> bool:
-        sim = self.sim
-        indices = self.indices_of(instr)
-        value = self.value(instr.src)
-        owner = sim.memory.owner(instr.var, indices)
-        if sim.trace is not None:
-            sim.trace.record_write(
-                self.pid, sim.location_of(instr.var, indices), value,
-                uid=instr.uid,
-            )
-        if owner == self.pid:
-            if sim.weak is None:
-                sim.memory.write(instr.var, indices, value)
+                if event is not None:
+                    event.value = value
+                    event.forwarded = hit is not None
+                _land(frame, dest, instr.local_array, local_flat, value)
+            elif weak is None:
+                memory.write_flat(var, flat, memory.coerce(var, value))
             else:
-                self._buffer_write(instr.var, indices, value)
-            self.clock += sim.machine.local_access
-            self.frames[-1].index += 1
+                entry_id, delay = weak.enqueue(self.pid, var, flat, value)
+                sim.schedule_drain(self.pid, entry_id, self.clock + delay)
+            self.clock += machine.local_access
+            frame.index += 1
             return True
-        self.clock += sim.machine.send_overhead
-        tag = sim.new_tag()
-        sim.send(
-            Message(
-                MsgKind.PUT_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                value=value,
-                tag=tag,
-            ),
-            self.clock,
-        )
-        self._block(("reply", tag), instr)
-        return False
-
-    def _buffer_write(self, var: str, indices: Tuple[int, ...],
-                      value: Value) -> None:
-        """Parks a locally-owned write in this proc's store buffer."""
-        sim = self.sim
-        name, flat = sim.location_of(var, indices)
-        entry_id, delay = sim.weak.enqueue(self.pid, name, flat, value)
-        sim.schedule_drain(self.pid, entry_id, self.clock + delay)
-
-    def _issue_get(self, instr: Instr) -> None:
-        sim = self.sim
-        indices = self.indices_of(instr)
-        owner = sim.memory.owner(instr.var, indices)
-        event = None
-        if sim.trace is not None:
-            event = sim.trace.record_read_issue(
-                self.pid, sim.location_of(instr.var, indices),
-                uid=instr.uid,
+        self.clock += machine.send_overhead
+        if reads:
+            msg = Message(
+                MsgKind.GET_REQ, src=self.pid, dst=owner, var=var,
+                flat=flat, dest_temp=dest, local_array=instr.local_array,
+                local_flat=local_flat, event=event,
             )
-        local_flat: Optional[int] = None
-        if instr.local_array is not None:
-            local_flat = self._local_flat_fused(instr)
-        if owner == self.pid:
-            value = sim.memory.read(instr.var, indices)
-            if sim.weak is not None:
-                hit = sim.weak.forward(
-                    self.pid, *sim.location_of(instr.var, indices)
-                )
-                if hit is not None:
-                    value = hit.value
-                    if event is not None:
-                        event.forwarded = True
-            if local_flat is not None:
-                self.frames[-1].arrays[instr.local_array][local_flat] = value
-            else:
-                self.set_reg(instr.dest, value)
-            if event is not None:
-                event.value = value
-            self.clock += sim.machine.local_access
-            return
-        self.clock += sim.machine.send_overhead
-        self.counters[instr.counter] = self.counters.get(instr.counter, 0) + 1
-        if local_flat is not None:
-            self.frames[-1].arrays[instr.local_array][local_flat] = PENDING
         else:
-            self.set_reg(instr.dest, PENDING)
-        sim.send(
-            Message(
-                MsgKind.GET_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                dest_temp=instr.dest.name if instr.dest is not None else None,
-                local_array=instr.local_array,
-                local_flat=local_flat,
-                counter=instr.counter,
-            ),
-            self.clock,
-            trace_event=event,
-        )
+            msg = Message(
+                MsgKind.STORE_REQ if op is Opcode.STORE else MsgKind.PUT_REQ,
+                src=self.pid, dst=owner, var=var, flat=flat,
+                value=memory.coerce(var, value),
+            )
+        if blocking:
+            msg.tag = sim.new_tag()
+        elif op is Opcode.STORE:
+            sim.outstanding_stores += 1
+        else:
+            counter = msg.counter = instr.counter
+            self.counters[counter] = self.counters.get(counter, 0) + 1
+            if reads:
+                _land(frame, dest, instr.local_array, local_flat, PENDING)
+        sim.send(msg, self.clock)
+        if blocking:
+            self._block(("reply", msg.tag), instr)
+            return False
+        frame.index += 1
+        return True
 
     def _local_flat_fused(self, instr: Instr) -> int:
         """Flat offset into a fused get's local landing array."""
@@ -536,202 +449,121 @@ class Processor:
             flat = flat * extent + index
         return flat
 
-    def _issue_put(self, instr: Instr) -> None:
-        sim = self.sim
-        indices = self.indices_of(instr)
-        value = self.value(instr.src)
-        owner = sim.memory.owner(instr.var, indices)
-        if sim.trace is not None:
-            sim.trace.record_write(
-                self.pid, sim.location_of(instr.var, indices), value,
-                uid=instr.uid,
-            )
-        if owner == self.pid:
-            if sim.weak is None:
-                sim.memory.write(instr.var, indices, value)
-            else:
-                self._buffer_write(instr.var, indices, value)
-            self.clock += sim.machine.local_access
-            return
-        self.clock += sim.machine.send_overhead
-        self.counters[instr.counter] = self.counters.get(instr.counter, 0) + 1
-        sim.send(
-            Message(
-                MsgKind.PUT_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                value=value,
-                counter=instr.counter,
-            ),
-            self.clock,
-        )
+    def _sync_ctr(self, instr: Instr, frame: _Frame) -> bool:
+        if self.counters.get(instr.counter, 0):
+            self._block(("counter", instr.counter), instr)
+            return False
+        self.clock += self.sim.machine.cpu_op
+        frame.index += 1
+        return True
 
-    def _issue_store(self, instr: Instr) -> None:
+    def _store_sync(self, instr: Instr, frame: _Frame) -> bool:
         sim = self.sim
-        indices = self.indices_of(instr)
-        value = self.value(instr.src)
-        owner = sim.memory.owner(instr.var, indices)
-        if sim.trace is not None:
-            sim.trace.record_write(
-                self.pid, sim.location_of(instr.var, indices), value,
-                uid=instr.uid,
-            )
-        if owner == self.pid:
-            if sim.weak is None:
-                sim.memory.write(instr.var, indices, value)
-            else:
-                self._buffer_write(instr.var, indices, value)
-            self.clock += sim.machine.local_access
-            return
-        self.clock += sim.machine.send_overhead
-        sim.outstanding_stores += 1
-        sim.send(
-            Message(
-                MsgKind.STORE_REQ,
-                src=self.pid,
-                dst=owner,
-                var=instr.var,
-                indices=indices,
-                value=value,
-            ),
-            self.clock,
-        )
+        if sim.outstanding_stores:
+            self._block(("store_sync",), instr)
+            sim.store_sync_waiters.append(self.pid)
+            return False
+        self.clock += sim.machine.cpu_op
+        frame.index += 1
+        return True
 
     # -- synchronization constructs -------------------------------------------
 
-    def _sync_object(self, instr: Instr) -> Tuple[int, Tuple[str, int]]:
-        sim = self.sim
-        indices = self.indices_of(instr)
-        owner = sim.memory.owner(instr.var, indices)
-        var = sim.memory.var(instr.var)
-        flat = flat_index(var, indices) if var.dims else 0
-        return owner, (instr.var, flat)
+    def _sync(self, instr: Instr, frame: _Frame) -> bool:
+        """post / wait / lock / unlock on a homed flag or lock.
 
-    def _post(self, instr: Instr) -> bool:
+        The operation itself is :meth:`Simulator.home_sync`, called
+        directly when the object is homed here and by the home's
+        message handler otherwise.  ``post`` and ``unlock`` are
+        acknowledged (blocking tag); a ``wait`` or ``lock`` that cannot
+        proceed parks until the home grants it.
+        """
         sim = self.sim
-        owner, key = self._sync_object(instr)
-        if sim.trace is not None:
-            sim.trace.record_sync(self.pid, "post", key, uid=instr.uid)
-        if owner == self.pid:
-            for waiter in sim.flags.post(key):
-                sim.grant_wait(waiter, key, self.clock)
-            self.clock += sim.machine.local_access
-            self.frames[-1].index += 1
-            return True
-        self.clock += sim.machine.send_overhead
-        tag = sim.new_tag()
-        sim.send(
-            Message(
-                MsgKind.POST_REQ,
-                src=self.pid,
-                dst=owner,
-                var=key[0],
-                indices=self.indices_of(instr),
-                tag=tag,
-            ),
-            self.clock,
-        )
-        self._block(("reply", tag), instr)
-        return False
-
-    def _wait(self, instr: Instr) -> bool:
-        sim = self.sim
-        owner, key = self._sync_object(instr)
-        if sim.trace is not None:
-            sim.trace.record_sync(self.pid, "wait", key, uid=instr.uid)
-        if owner == self.pid:
-            if sim.flags.is_posted(key):
-                self.clock += sim.machine.local_access
-                self.frames[-1].index += 1
-                return True
-            sim.flags.add_waiter(key, self.pid)
-            self._block(("wait", key), instr)
-            return False
-        self.clock += sim.machine.send_overhead
-        sim.send(
-            Message(
-                MsgKind.WAIT_REQ,
-                src=self.pid,
-                dst=owner,
-                var=key[0],
-                indices=self.indices_of(instr),
-            ),
-            self.clock,
-        )
-        self._block(("wait", key), instr)
-        return False
-
-    def _lock(self, instr: Instr) -> bool:
-        sim = self.sim
-        owner, key = self._sync_object(instr)
-        record: Optional[SyncRecord] = None
+        op = instr.op
+        owner, flat = sim.memory.resolve(instr.var, self.indices_of(instr))
+        key = (instr.var, flat)
         if sim.trace is not None:
             record = sim.trace.record_sync(
-                self.pid, "lock", key, uid=instr.uid,
-            )
+                self.pid, op.value, key, uid=instr.uid)
+            if op is Opcode.LOCK or op is Opcode.UNLOCK:
+                sim._pending_serial[self.pid] = record
         if owner == self.pid:
-            if sim.locks.acquire(key, self.pid):
-                if record is not None:
-                    record.serial = sim.locks.release_serial(key)
+            if sim.home_sync(op, key, self.pid, self.clock):
                 self.clock += sim.machine.local_access
-                self.frames[-1].index += 1
+                frame.index += 1
                 return True
-            if record is not None:
-                sim._pending_lock[self.pid] = record
-            self._block(("lock", key), instr)
+            self._block((op.value, key), instr)
             return False
-        if record is not None:
-            sim._pending_lock[self.pid] = record
         self.clock += sim.machine.send_overhead
-        sim.send(
-            Message(
-                MsgKind.LOCK_REQ,
-                src=self.pid,
-                dst=owner,
-                var=key[0],
-                indices=self.indices_of(instr),
-            ),
-            self.clock,
-        )
-        self._block(("lock", key), instr)
+        msg = Message(_SYNC_REQUEST[op], src=self.pid, dst=owner,
+                      var=instr.var, flat=flat)
+        if op is Opcode.POST or op is Opcode.UNLOCK:
+            msg.tag = sim.new_tag()
+            reason: Tuple = ("reply", msg.tag)
+        else:
+            reason = (op.value, key)
+        sim.send(msg, self.clock)
+        self._block(reason, instr)
         return False
 
-    def _unlock(self, instr: Instr) -> bool:
+    def _barrier(self, instr: Instr, frame: _Frame) -> bool:
         sim = self.sim
-        owner, key = self._sync_object(instr)
-        record: Optional[SyncRecord] = None
         if sim.trace is not None:
-            record = sim.trace.record_sync(
-                self.pid, "unlock", key, uid=instr.uid,
+            sim.trace.record_sync(
+                self.pid, "barrier", serial=self.barrier_no, uid=instr.uid,
             )
-        if owner == self.pid:
-            next_holder = sim.locks.release(key, self.pid)
-            if record is not None:
-                record.serial = sim.locks.release_serial(key)
-            if next_holder is not None:
-                sim.grant_lock(next_holder, key, self.clock)
-            self.clock += sim.machine.local_access
-            self.frames[-1].index += 1
-            return True
-        if record is not None:
-            sim._pending_unlock[self.pid] = record
+        self.barrier_no += 1
         self.clock += sim.machine.send_overhead
-        tag = sim.new_tag()
-        sim.send(
-            Message(
-                MsgKind.UNLOCK_REQ,
-                src=self.pid,
-                dst=owner,
-                var=key[0],
-                indices=self.indices_of(instr),
-                tag=tag,
-            ),
-            self.clock,
-        )
-        self._block(("reply", tag), instr)
+        sim.topology.local_arrive(self.pid, self.clock)
+        self._block(("barrier",), instr)
         return False
+
+    # -- call / return ----------------------------------------------------------
+
+    def _call(self, instr: Instr, frame: _Frame) -> bool:
+        callee = self.sim.module.functions[instr.callee]
+        new_frame = self._make_frame(callee, instr.dest)
+        for param, arg in zip(callee.params, instr.args):
+            new_frame.regs[param.name] = self.value(arg)
+        # Advance past the call first: the callee's ret resumes the
+        # caller at the following instruction.
+        frame.index += 1
+        self.frames.append(new_frame)
+        self.clock += self.sim.machine.cpu_op * 2
+        return True
+
+    def _ret(self, instr: Instr, frame: _Frame) -> bool:
+        result = self.value(instr.src) if instr.src is not None else None
+        dest = frame.result_dest
+        self.frames.pop()
+        self.clock += self.sim.machine.cpu_op
+        if not self.frames:
+            self.state = ProcState.DONE
+            self.sim.proc_finished(self)
+            return False
+        if dest is not None:
+            self.set_reg(dest, result)
+        return True
+
+    #: Every opcode with simulator-visible effects -> its handler
+    #: ``(proc, instr, frame) -> bool``.  The decoder binds the entry
+    #: into each slow step, so there is no per-step opcode dispatch.
+    OPS: Dict[Opcode, Callable[["Processor", Instr, _Frame], bool]] = {
+        Opcode.READ_SHARED: _access,
+        Opcode.WRITE_SHARED: _access,
+        Opcode.GET: _access,
+        Opcode.PUT: _access,
+        Opcode.STORE: _access,
+        Opcode.SYNC_CTR: _sync_ctr,
+        Opcode.STORE_SYNC: _store_sync,
+        Opcode.POST: _sync,
+        Opcode.WAIT: _sync,
+        Opcode.LOCK: _sync,
+        Opcode.UNLOCK: _sync,
+        Opcode.BARRIER: _barrier,
+        Opcode.CALL: _call,
+        Opcode.RET: _ret,
+    }
 
     # -- blocking/waking ---------------------------------------------------------
 
@@ -807,9 +639,9 @@ class Simulator:
         )
         self.outstanding_stores = 0
         self.store_sync_waiters: List[int] = []
-        #: sync records awaiting their lock/unlock pairing serial
-        self._pending_lock: Dict[int, SyncRecord] = {}
-        self._pending_unlock: Dict[int, SyncRecord] = {}
+        #: traced lock/unlock records awaiting their pairing serial, by
+        #: pid (a processor has at most one such operation in flight)
+        self._pending_serial: Dict[int, SyncRecord] = {}
         self._calendar = CalendarQueue()
         self._links = LinkChannels()
         # The only two entry points into the event core, bound per
@@ -823,7 +655,6 @@ class Simulator:
         ]
         self._tags = itertools.count(1)
         self._done_count = 0
-        self._trace_events: Dict[int, MemEvent] = {}
         #: reliability-protocol state (only populated under a fault plan)
         self._send_seq: Dict[Tuple[int, int], int] = {}
         self._unacked: Dict[Tuple[int, int], Dict[int, _Retransmit]] = {}
@@ -833,14 +664,11 @@ class Simulator:
             MsgKind.GET_REQ: self._on_get_req,
             MsgKind.GET_REPLY: self._on_get_reply,
             MsgKind.PUT_REQ: self._on_put_req,
-            MsgKind.PUT_ACK: self._on_put_ack,
-            MsgKind.STORE_REQ: self._on_store_req,
-            MsgKind.POST_REQ: self._on_post_req,
-            MsgKind.WAIT_REQ: self._on_wait_req,
-            MsgKind.WAIT_GRANT: self._on_grant,
-            MsgKind.LOCK_REQ: self._on_lock_req,
-            MsgKind.LOCK_GRANT: self._on_grant,
-            MsgKind.UNLOCK_REQ: self._on_unlock_req,
+            MsgKind.STORE_REQ: self._on_put_req,
+            MsgKind.PUT_ACK: self._on_completion,
+            MsgKind.WAIT_GRANT: self._on_completion,
+            MsgKind.LOCK_GRANT: self._on_completion,
+            **dict.fromkeys(_SYNC_OPCODE, self._on_sync_req),
             MsgKind.BARRIER_ARRIVE: self.topology.on_arrive,
             MsgKind.BARRIER_RELEASE: self.topology.on_release,
         }
@@ -858,15 +686,7 @@ class Simulator:
     def new_tag(self) -> int:
         return next(self._tags)
 
-    def location_of(self, var: str, indices: Tuple[int, ...]):
-        shared = self.memory.var(var)
-        flat = flat_index(shared, indices) if shared.dims else 0
-        return (var, flat)
-
-    def send(self, msg: Message, now: int,
-             trace_event: Optional[MemEvent] = None) -> None:
-        if trace_event is not None:
-            self._trace_events[id(msg)] = trace_event
+    def send(self, msg: Message, now: int) -> None:
         if self.fault_plan is None:
             self._deliver(self.network.send(msg, now), msg)
             return
@@ -983,59 +803,59 @@ class Simulator:
     def proc_finished(self, proc: Processor) -> None:
         self._done_count += 1
 
-    # -- synchronization grants ---------------------------------------------------
+    # -- home-side synchronization ----------------------------------------------
 
-    def grant_wait(self, waiter: int, key: Tuple[str, int],
-                   now: int) -> None:
-        """Wakes a waiter whose flag was just posted (from the home node)."""
-        home = self.memory.owner(key[0], self._key_indices(key))
-        if waiter == home:
-            self.procs[waiter].wake(now + self.machine.remote_handle)
-        else:
-            self.send(
-                Message(
-                    MsgKind.WAIT_GRANT, src=home, dst=waiter,
-                    var=key[0], indices=self._key_indices(key),
-                ),
-                now,
-            )
-
-    def grant_lock(self, next_holder: int, key: Tuple[str, int],
-                   now: int) -> None:
-        record = self._pending_lock.pop(next_holder, None)
-        if record is not None:
+    def home_sync(self, op: Opcode, key: Tuple[str, int], requester: int,
+                  now: int) -> bool:
+        """The home node's half of one post/wait/lock/unlock on ``key``
+        — the only implementation, reached directly when the object is
+        homed on the requester and through :meth:`_on_sync_req`
+        otherwise.  Returns whether the requester may proceed; False
+        leaves it queued at the home until a post or unlock grants it.
+        Processors this operation releases are granted at ``now``."""
+        if op is Opcode.POST:
+            for waiter in self.flags.post(key):
+                self._grant(MsgKind.WAIT_GRANT, waiter, key, now)
+            return True
+        if op is Opcode.WAIT:
+            if self.flags.is_posted(key):
+                return True
+            self.flags.add_waiter(key, requester)
+            return False
+        if op is Opcode.LOCK:
+            if not self.locks.acquire(key, requester):
+                return False
+            self._stamp_serial(requester, key)
+            return True
+        next_holder = self.locks.release(key, requester)
+        self._stamp_serial(requester, key)
+        if next_holder is not None:
             # The handoff follows the release that just happened.
-            record.serial = self.locks.release_serial(key)
-        home = self.memory.owner(key[0], self._key_indices(key))
-        if next_holder == home:
-            self.procs[next_holder].wake(now + self.machine.remote_handle)
-        else:
-            self.send(
-                Message(
-                    MsgKind.LOCK_GRANT, src=home, dst=next_holder,
-                    var=key[0], indices=self._key_indices(key),
-                ),
-                now,
-            )
+            self._stamp_serial(next_holder, key)
+            self._grant(MsgKind.LOCK_GRANT, next_holder, key, now)
+        return True
 
-    def _key_indices(self, key: Tuple[str, int]) -> Tuple[int, ...]:
-        var = self.memory.var(key[0])
-        if not var.dims:
-            return ()
-        # Unflatten the leading index (enough for ownership).
-        trailing = 1
-        for extent in var.dims[1:]:
-            trailing *= extent
-        lead = key[1] // trailing
-        rest = key[1] % trailing
-        indices = [lead]
-        for extent in var.dims[1:]:
-            trailing //= extent
-            indices.append(rest // trailing if trailing else rest)
-            rest = rest % trailing if trailing else 0
-        return tuple(indices)
+    def _stamp_serial(self, pid: int, key: Tuple[str, int]) -> None:
+        record = self._pending_serial.pop(pid, None)
+        if record is not None:
+            record.serial = self.locks.release_serial(key)
+
+    def _grant(self, kind: MsgKind, pid: int, key: Tuple[str, int],
+               now: int) -> None:
+        """Wakes a processor parked at ``key``'s home: in place when it
+        is the home itself, by a grant message otherwise."""
+        home = self.memory.owner_of_flat(*key)
+        if pid == home:
+            self.procs[pid].wake(now + self.machine.remote_handle)
+        else:
+            self.send(Message(kind, src=home, dst=pid), now)
 
     # -- message handling -----------------------------------------------------------
+    #
+    # Requests are served at the element's home: the handler steals
+    # ``remote_handle`` cycles from the home CPU and replies once they
+    # have passed.  Requesters resolved the element, so handlers apply
+    # flat offsets and never fault on an index.
 
     def _handle_message(self, arrival: int, msg: Message) -> None:
         """Dispatches one delivered logical message to its handler."""
@@ -1046,138 +866,73 @@ class Simulator:
 
     def _on_get_req(self, arrival: int, msg: Message) -> None:
         machine = self.machine
-        value = self.memory.read(msg.var, msg.indices)
-        owner = self.procs[msg.dst]
-        owner.stolen += machine.remote_handle
-        reply = Message(
-            MsgKind.GET_REPLY,
-            src=msg.dst,
-            dst=msg.src,
-            var=msg.var,
-            value=value,
-            dest_temp=msg.dest_temp,
-            local_array=msg.local_array,
-            local_flat=msg.local_flat,
-            counter=msg.counter,
-            tag=msg.tag,
-        )
-        event = self._trace_events.pop(id(msg), None)
-        self.send(reply, arrival + machine.remote_handle,
-                  trace_event=event)
-
-    def _on_get_reply(self, arrival: int, msg: Message) -> None:
-        machine = self.machine
-        proc = self.procs[msg.dst]
-        if not proc.frames:
-            # The processor already returned; the fetched value has
-            # no landing pad left (legal only for dead gets).
-            event = self._trace_events.pop(id(msg), None)
-            if event is not None:
-                event.value = msg.value
-            return
-        if msg.local_array is not None:
-            proc.frames[-1].arrays[msg.local_array][msg.local_flat] = (
-                msg.value
-            )
-        else:
-            proc.frames[-1].regs[msg.dest_temp] = msg.value
-        event = self._trace_events.pop(id(msg), None)
-        if event is not None:
-            event.value = msg.value
-        if msg.counter is not None:
-            self._complete_counter(proc, msg.counter, arrival)
-        else:
-            proc.wake(arrival + machine.recv_overhead)
-
-    def _on_put_req(self, arrival: int, msg: Message) -> None:
-        machine = self.machine
-        self.memory.write(msg.var, msg.indices, msg.value)
-        owner = self.procs[msg.dst]
-        owner.stolen += machine.remote_handle
+        self.procs[msg.dst].stolen += machine.remote_handle
         self.send(
             Message(
-                MsgKind.PUT_ACK,
+                MsgKind.GET_REPLY,
                 src=msg.dst,
                 dst=msg.src,
+                var=msg.var,
+                value=self.memory.read_flat(msg.var, msg.flat),
+                dest_temp=msg.dest_temp,
+                local_array=msg.local_array,
+                local_flat=msg.local_flat,
                 counter=msg.counter,
                 tag=msg.tag,
+                event=msg.event,
             ),
             arrival + machine.remote_handle,
         )
 
-    def _on_put_ack(self, arrival: int, msg: Message) -> None:
+    def _on_get_reply(self, arrival: int, msg: Message) -> None:
+        if msg.event is not None:
+            msg.event.value = msg.value
+        proc = self.procs[msg.dst]
+        if not proc.frames:
+            # The processor already returned; the fetched value has
+            # no landing pad left (legal only for dead gets).
+            return
+        _land(proc.frames[-1], msg.dest_temp, msg.local_array,
+              msg.local_flat, msg.value)
+        self._on_completion(arrival, msg)
+
+    def _on_put_req(self, arrival: int, msg: Message) -> None:
+        """PUT_REQ and STORE_REQ: the same write, acknowledged or not."""
+        machine = self.machine
+        self.memory.write_flat(msg.var, msg.flat, msg.value)
+        self.procs[msg.dst].stolen += machine.remote_handle
+        if msg.kind is MsgKind.STORE_REQ:
+            self.outstanding_stores -= 1
+            self._check_store_drain(arrival)
+        else:
+            self.send(
+                Message(MsgKind.PUT_ACK, src=msg.dst, dst=msg.src,
+                        counter=msg.counter, tag=msg.tag),
+                arrival + machine.remote_handle,
+            )
+
+    def _on_sync_req(self, arrival: int, msg: Message) -> None:
+        """POST/WAIT/LOCK/UNLOCK_REQ: run the operation at its home."""
+        op = _SYNC_OPCODE[msg.kind]
+        served = arrival + self.machine.remote_handle
+        proceeds = self.home_sync(op, (msg.var, msg.flat), msg.src, served)
+        self.procs[msg.dst].stolen += self.machine.remote_handle
+        if proceeds:
+            self.send(
+                Message(_SYNC_REPLY[op], src=msg.dst, dst=msg.src,
+                        tag=msg.tag),
+                served,
+            )
+
+    def _on_completion(self, arrival: int, msg: Message) -> None:
+        """GET_REPLY / PUT_ACK / WAIT_GRANT / LOCK_GRANT: one remote
+        operation of ``msg.dst`` finished — count it off its sync
+        counter, or wake the processor blocked on it."""
         proc = self.procs[msg.dst]
         if msg.counter is not None:
             self._complete_counter(proc, msg.counter, arrival)
         else:
             proc.wake(arrival + self.machine.recv_overhead)
-
-    def _on_store_req(self, arrival: int, msg: Message) -> None:
-        self.memory.write(msg.var, msg.indices, msg.value)
-        self.procs[msg.dst].stolen += self.machine.remote_handle
-        self.outstanding_stores -= 1
-        self._check_store_drain(arrival)
-
-    def _on_post_req(self, arrival: int, msg: Message) -> None:
-        machine = self.machine
-        for waiter in self.flags.post(self.location_of(msg.var,
-                                                       msg.indices)):
-            self.grant_wait(waiter, self.location_of(msg.var, msg.indices),
-                            arrival + machine.remote_handle)
-        self.procs[msg.dst].stolen += machine.remote_handle
-        self.send(
-            Message(MsgKind.PUT_ACK, src=msg.dst, dst=msg.src,
-                    tag=msg.tag),
-            arrival + machine.remote_handle,
-        )
-
-    def _on_wait_req(self, arrival: int, msg: Message) -> None:
-        machine = self.machine
-        key = self.location_of(msg.var, msg.indices)
-        self.procs[msg.dst].stolen += machine.remote_handle
-        if self.flags.is_posted(key):
-            self.send(
-                Message(MsgKind.WAIT_GRANT, src=msg.dst, dst=msg.src,
-                        var=msg.var, indices=msg.indices),
-                arrival + machine.remote_handle,
-            )
-        else:
-            self.flags.add_waiter(key, msg.src)
-
-    def _on_grant(self, arrival: int, msg: Message) -> None:
-        """WAIT_GRANT / LOCK_GRANT: wake the granted processor."""
-        self.procs[msg.dst].wake(arrival + self.machine.recv_overhead)
-
-    def _on_lock_req(self, arrival: int, msg: Message) -> None:
-        machine = self.machine
-        key = self.location_of(msg.var, msg.indices)
-        self.procs[msg.dst].stolen += machine.remote_handle
-        if self.locks.acquire(key, msg.src):
-            record = self._pending_lock.pop(msg.src, None)
-            if record is not None:
-                record.serial = self.locks.release_serial(key)
-            self.send(
-                Message(MsgKind.LOCK_GRANT, src=msg.dst, dst=msg.src,
-                        var=msg.var, indices=msg.indices),
-                arrival + machine.remote_handle,
-            )
-
-    def _on_unlock_req(self, arrival: int, msg: Message) -> None:
-        machine = self.machine
-        key = self.location_of(msg.var, msg.indices)
-        self.procs[msg.dst].stolen += machine.remote_handle
-        next_holder = self.locks.release(key, msg.src)
-        record = self._pending_unlock.pop(msg.src, None)
-        if record is not None:
-            record.serial = self.locks.release_serial(key)
-        if next_holder is not None:
-            self.grant_lock(next_holder, key,
-                            arrival + machine.remote_handle)
-        self.send(
-            Message(MsgKind.PUT_ACK, src=msg.dst, dst=msg.src,
-                    tag=msg.tag),
-            arrival + machine.remote_handle,
-        )
 
     def _complete_counter(self, proc: Processor, counter: int,
                           arrival: int) -> None:

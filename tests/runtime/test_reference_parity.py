@@ -8,6 +8,11 @@ identical inputs and compares ``cycles``, ``per_proc_cycles``,
 weak-memory counters, the final snapshot, the trace (when recorded)
 and, for failing programs, the fault class and text.
 
+The reference engine owns the nine local opcodes and the event core and
+runs the production ``Processor.OPS`` handlers for every shared,
+split-phase and sync opcode, so for those this suite pins fault texts
+only; their behaviour is pinned by ``test_runtime_golden.py``.
+
 The shared-access fusing cases (remote home mid-run, bounds faults on
 the fused path, distributions) stay in ``test_decode_shared.py`` and
 the three barrier topologies in ``test_topology.py``; both drive the
@@ -157,7 +162,87 @@ def _undefined_temp():
     raise AssertionError("no binop to corrupt")
 
 
+def _remote(source, level, opcode, mutate=None, drop=None):
+    """``source`` compiled at ``level``; ``opcode`` must be how its
+    access to a P1-homed element came out.  ``mutate`` may corrupt
+    those instructions; every ``drop`` instruction is deleted."""
+    module = compile_source(source, level).module
+    hits = [
+        ins for _block, _index, ins in module.main.instructions()
+        if ins.op is opcode
+    ]
+    assert hits, f"no {opcode.value} at {level.value}"
+    for ins in hits:
+        if mutate is not None:
+            mutate(ins)
+    for block in module.main.blocks:
+        block.instrs = [i for i in block.instrs if i.op is not drop]
+    return module
+
+
+#: P0 touches elements homed on P1, so each fault below concerns a
+#: *remote* access: the element is resolved where the access issues,
+#: the sync-object rules are enforced at the home.
+REMOTE_READ = (
+    "shared int A[2][4]; shared int Y;\n"
+    "void main() { if (MYPROC == 0) {"
+    " int j = MYPROC + 4; int y = A[1][j]; Y = y; } }"
+)
+REMOTE_WRITE = (
+    "shared int A[2][4];\n"
+    "void main() { if (MYPROC == 0) {"
+    " int j = MYPROC + 4; A[1][j] = 5; } barrier(); }"
+)
+REMOTE_POSTS = (
+    "shared flag_t F[2];\n"
+    "void main() { if (MYPROC == 0) { post(F[1]); post(F[1]); } }"
+)
+REMOTE_UNLOCK = (
+    "shared lock_t L[2];\n"
+    "void main() { if (MYPROC == 0) { lock(L[1]); unlock(L[1]); } }"
+)
+TRAILING_OOB = r"RuntimeFault: A: index 4 out of range \[0, 4\)"
+ARITY = "RuntimeFault: A: expected 2 indices, got 1"
+
+
+def _truncate(ins):
+    if ins.var == "A":
+        ins.indices = ins.indices[:1]
+
+
+def _remote_faults():
+    O0, O1, O3 = OptLevel.O0, OptLevel.O1, OptLevel.O3
+    cases = {}
+    for label, source, level, opcode in (
+        ("read_shared", REMOTE_READ, O0, Opcode.READ_SHARED),
+        ("get", REMOTE_READ, O3, Opcode.GET),
+        ("write_shared", REMOTE_WRITE, O0, Opcode.WRITE_SHARED),
+        ("put", REMOTE_WRITE, O1, Opcode.PUT),
+        ("store", REMOTE_WRITE, O3, Opcode.STORE),
+    ):
+        cases[f"remote_{label}_trailing_oob"] = (
+            lambda s=source, l=level, o=opcode: _remote(s, l, o),
+            TRAILING_OOB,
+        )
+        cases[f"remote_{label}_arity"] = (
+            lambda s=source, l=level, o=opcode: _remote(s, l, o, _truncate),
+            ARITY,
+        )
+    for level in (O0, O3):
+        cases[f"remote_double_post_{level.value}"] = (
+            lambda l=level: _remote(REMOTE_POSTS, l, Opcode.POST),
+            r"RuntimeFault: double post on flag F\[1\] \(illegal",
+        )
+        cases[f"remote_unlock_by_non_holder_{level.value}"] = (
+            lambda l=level: _remote(
+                REMOTE_UNLOCK, l, Opcode.UNLOCK, drop=Opcode.LOCK),
+            r"RuntimeFault: processor 0 unlocking L\[1\] held by None",
+        )
+    return cases
+
+
 FAULTS = {
+    **_remote_faults(),
     "int_div_zero": (
         lambda: inlined(
             "shared int X; void main() { X = 7 / (MYPROC - MYPROC); }"
