@@ -36,6 +36,6 @@ examples:
 	@for s in examples/*.py; do echo "== $$s"; $(PYTHON) $$s || exit 1; done
 
 smoke:
-	$(PYTHON) -m pytest tests/lang tests/ir tests/analysis -q
+	$(PYTHON) -m pytest tests/lang tests/ir tests/analysis tests/codegen tests/pipeline -q
 
 all: test bench

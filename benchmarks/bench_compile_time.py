@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.accesses import AccessSet
 from repro.analysis.conflicts import ConflictSet
-from repro.analysis.cycle.general import GeneralBackPathFinder
 from repro.analysis.cycle.spmd import BackPathEngine
 from repro.analysis.delays import AnalysisLevel, analyze_function
 from repro.apps import get_app
@@ -20,6 +19,7 @@ from repro.ir.inline import inline_all
 from repro.ir.symrefine import refine_index_metadata
 
 from benchmarks.bench_common import print_table
+from tests.analysis.general_backpath import GeneralBackPathFinder
 
 
 def _program_for(size: int) -> str:

@@ -1,15 +1,12 @@
 """Cycle detection (delay-set analysis).
 
-Two implementations of the back-path test of Shasha & Snir (§4):
-
-* :mod:`repro.analysis.cycle.spmd` — the efficient SPMD formulation
-  (conflict-alternating reachability), used by the compiler;
-* :mod:`repro.analysis.cycle.general` — a direct enumeration of
-  Definition-1 simple paths over explicit processor copies, used as a
-  cross-validation oracle in the test suite.
+The back-path test of Shasha & Snir (§4) in its efficient SPMD
+formulation (conflict-alternating reachability):
+:mod:`repro.analysis.cycle.spmd`.  The direct Definition-1 enumeration
+it is cross-validated against lives with the tests
+(``tests/analysis/general_backpath.py``).
 """
 
-from repro.analysis.cycle.general import GeneralBackPathFinder
 from repro.analysis.cycle.spmd import BackPathEngine
 
-__all__ = ["BackPathEngine", "GeneralBackPathFinder"]
+__all__ = ["BackPathEngine"]

@@ -619,8 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     passes = subparsers.add_parser(
         "passes",
-        help="list the registered passes, artifacts, and O0-O4 "
-             "pipelines",
+        help="list the codegen passes and the O0-O4 pipelines",
     )
     passes.set_defaults(func=_cmd_passes)
 

@@ -1,10 +1,10 @@
 """Back-compat surface for the optimization pipeline.
 
-The pipeline itself now lives in :mod:`repro.pipeline`: every stage is
-a registered :class:`~repro.pipeline.Pass`, the O0–O4 levels are
-declarative :class:`~repro.pipeline.PipelineSpec` data, and compiles
-run through a :class:`~repro.pipeline.CompilationSession` that caches
-frontend and analysis artifacts across levels.  This module keeps the
+The pipeline itself lives in :mod:`repro.pipeline`: the codegen passes
+are the ``PASSES`` table, the O0–O4 levels are declarative
+:class:`~repro.pipeline.PipelineSpec` data, and compiles run through a
+:class:`~repro.pipeline.CompilationSession` that memoizes the inlined
+module and the analyses across levels.  This module keeps the
 long-standing import points (``OptLevel``, ``CompiledProgram``,
 ``CodegenReport``, :func:`compile_module`) stable.
 

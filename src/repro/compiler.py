@@ -11,7 +11,7 @@ Typical use::
 
 Both entry points route through one
 :class:`~repro.pipeline.CompilationSession`, so compiling and analyzing
-obtain the inlined module from the same session artifact — callers that
+obtain the inlined module from the same session memo — callers that
 need both (or several optimization levels) should open a session with
 :func:`open_session` and reuse it::
 

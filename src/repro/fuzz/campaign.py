@@ -23,6 +23,7 @@ prove a deliberately broken compiler *is* caught and minimized.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -216,12 +217,6 @@ class CampaignStats:
         }
 
 
-def _default_analyze(source: str, level):
-    from repro import analyze_source
-
-    return analyze_source(source, level)
-
-
 def _compile_levels(
     source: str, levels: Sequence[str], config: FuzzConfig
 ) -> List[object]:
@@ -256,12 +251,19 @@ def check_program(
     tally = stats.sc if stats is not None else ScTally()
 
     # Oracle 3: delay-set monotonicity (static, once per program).
-    analyze = config.analyze_fn or _default_analyze
     from repro.analysis.delays import AnalysisLevel
 
+    if config.analyze_fn is not None:
+        analyze = functools.partial(config.analyze_fn, source)
+    else:
+        # One session for both levels: the frontend runs once and SYNC
+        # starts from SAS's access and conflict sets.
+        from repro.compiler import open_session
+
+        analyze = open_session(source).analyze
     try:
-        sas = analyze(source, AnalysisLevel.SAS)
-        sync = analyze(source, AnalysisLevel.SYNC)
+        sas = analyze(AnalysisLevel.SAS)
+        sync = analyze(AnalysisLevel.SYNC)
     except ReproError as exc:
         return OracleFailure("crash", f"analysis raised: {exc}")
     if stats is not None:

@@ -21,15 +21,14 @@ library code can call them unconditionally.
 JSON schema (``Profiler.to_dict``)::
 
     {
-      "version": 2,
+      "version": 3,
       "total_seconds": 0.123,
       "passes":   {"analysis.conflict-set": {"seconds": 0.05, "calls": 1}},
       "counters": {"engine.closures": 42, "engine.closure_cache_hits": 17},
       "events":   [{"name": "compile.pool.fallback", "detail": "..."}],
       "pass_events": [
         {"pass": "analysis-sync", "pipeline": "O3", "seconds": 0.04,
-         "cached": false, "mutates_ir": false,
-         "provides": ["analysis.sync"]}
+         "cached": false, "mutates_ir": false}
       ]
     }
 
@@ -37,10 +36,10 @@ Counters are cumulative over the profiler's lifetime; nested or repeated
 passes accumulate into one entry per name.  ``events`` records discrete
 degradation incidents — compile-pool worker deaths, timeouts, serial
 fallbacks — that a counter alone would flatten into noise.
-``pass_events`` is the pass manager's structured stream: one entry per
-pipeline stage *in execution order*, including cache hits (``cached:
-true``, zero seconds), so a multi-level compile's artifact reuse is
-directly visible.
+``pass_events`` is the compile driver's structured stream: one entry
+per pipeline stage *in execution order*, including memo hits (``cached:
+true``, zero seconds), so a multi-level compile's reuse of the frontend
+and the analyses is directly visible.
 """
 
 from __future__ import annotations
@@ -93,14 +92,14 @@ class Profiler:
         self.events.append({"name": name, "detail": detail})
 
     def record_pass(self, event: dict) -> None:
-        """Appends one pass-manager event to the structured stream."""
+        """Appends one compile-driver event to the structured stream."""
         self.pass_events.append(event)
 
     # -- reporting ---------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
             "total_seconds": time.perf_counter() - self._started,
             "passes": {
                 name: {"seconds": record.seconds, "calls": record.calls}

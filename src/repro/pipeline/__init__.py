@@ -1,45 +1,23 @@
-"""The pass-manager architecture: declarative pipelines over artifacts.
+"""The compile driver: one chain, a pass table, a memoizing session.
 
-This package turns the compile pipeline from an if-ladder into data:
-
-* :mod:`repro.pipeline.passes` — every frontend, analysis, and codegen
-  stage as a registered :class:`Pass` with declared ``requires`` /
-  ``provides`` / ``invalidates``;
+* :mod:`repro.pipeline.passes` — the eight codegen transformations as
+  the :data:`PASSES` table of :class:`Pass` entries;
 * :mod:`repro.pipeline.specs` — the O0–O4 optimization levels as
-  declarative :class:`PipelineSpec` data;
-* :mod:`repro.pipeline.artifacts` — the :class:`ArtifactStore` caching
-  intermediate results (AST, modules, delay sets, constraints) with
-  scoped invalidation;
-* :mod:`repro.pipeline.manager` — the :class:`PassManager` scheduling
-  passes by artifact dependency, with per-pass profiler timing, a
-  structured ``pass_events`` stream, and the ``--verify-each-pass`` /
-  ``--print-after-pass`` debug hooks;
+  declarative :class:`PipelineSpec` data (:data:`PIPELINES`);
 * :mod:`repro.pipeline.session` — the :class:`CompilationSession` every
-  public compile/analyze entry point routes through; shared sessions
-  reuse frontend + analysis artifacts across optimization levels.
+  public compile/analyze entry point routes through: it runs the fixed
+  prelude (parse -> lower -> inline -> analysis -> constraints ->
+  materialize-ir) and then the level's passes, with per-stage profiler
+  timing, a structured ``pass_events`` stream, and the
+  ``--verify-each-pass`` / ``--print-after-pass`` debug hooks; a session
+  kept across levels reuses the inlined module and the analyses;
+* :mod:`repro.pipeline.program` — :class:`OptLevel` and the
+  :class:`CompiledProgram` value object.
 """
 
-from repro.pipeline.artifacts import (
-    ANALYSIS_SAS,
-    ANALYSIS_SYNC,
-    AST,
-    CONSTRAINTS_SAS,
-    CONSTRAINTS_SYNC,
-    INLINED,
-    MODULE,
-    SPLITPHASE,
-    WORK_MAIN,
-    WORK_MODULE,
-    ArtifactStore,
-)
-from repro.pipeline.manager import PassManager
-from repro.pipeline.passes import PROVIDERS, REGISTRY, Pass
+from repro.pipeline.passes import PASSES, LevelRun, Pass
 from repro.pipeline.program import CodegenReport, CompiledProgram, OptLevel
-from repro.pipeline.session import (
-    CompilationSession,
-    PassContext,
-    PipelineOptions,
-)
+from repro.pipeline.session import CompilationSession, PipelineOptions
 from repro.pipeline.specs import (
     PIPELINES,
     PipelineSpec,
@@ -48,29 +26,16 @@ from repro.pipeline.specs import (
 )
 
 __all__ = [
-    "ArtifactStore",
     "CompilationSession",
     "CompiledProgram",
     "CodegenReport",
+    "LevelRun",
     "OptLevel",
     "Pass",
-    "PassContext",
-    "PassManager",
+    "PASSES",
     "PipelineOptions",
     "PipelineSpec",
     "PIPELINES",
-    "PROVIDERS",
-    "REGISTRY",
     "describe_pipelines",
     "full_pass_sequence",
-    "AST",
-    "MODULE",
-    "INLINED",
-    "ANALYSIS_SAS",
-    "ANALYSIS_SYNC",
-    "CONSTRAINTS_SAS",
-    "CONSTRAINTS_SYNC",
-    "SPLITPHASE",
-    "WORK_MODULE",
-    "WORK_MAIN",
 ]

@@ -1,371 +1,133 @@
-"""The pass registry: every pipeline stage as a :class:`Pass` object.
+"""The codegen pass table: the paper's §6–§7 transformations by name.
 
-A pass declares what it needs (``requires``), what it produces
-(``provides``), what it dirties (``invalidates``), and whether it
-mutates the working IR (``mutates_ir``).  The :class:`PassManager`
-schedules against those declarations: a required artifact that is
-missing from the store is produced by running its registered provider
-first, a provider whose outputs are all cached is skipped, and a
-mutating pass triggers invalidation, optional ``verify_compiled``
-checks, and ``--print-after-pass`` dumps.
-
-Two requirement names are *aliases* resolved per pipeline spec:
-``"analysis"`` and ``"constraints"`` name the SAS or SYNC artifact the
-level's spec selects (O1 pipelines against the plain Shasha–Snir delay
-set, O2+ against the synchronization-aware one).
+Each :data:`PASSES` entry wraps one transformation function as a
+:class:`Pass` working on a :class:`LevelRun` — the working module,
+the level's :class:`MotionConstraints`, the split-phase bookkeeping
+and the :class:`CodegenReport` being filled in.  Which entries a level
+runs, and in what order, is the ``PIPELINES`` table in
+:mod:`repro.pipeline.specs`; the driver that times them and applies
+the debug hooks is :class:`~repro.pipeline.session.CompilationSession`.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional
 
-from repro.analysis.delays import AnalysisLevel, analyze_function
 from repro.codegen.constraints import MotionConstraints
 from repro.codegen.counters import coalesce_counters
+from repro.codegen.hoist import hoist_gets
 from repro.codegen.oneway import convert_one_way
 from repro.codegen.reuse import (
     eliminate_dead_puts,
     eliminate_redundant_gets,
 )
 from repro.codegen.splitphase import (
+    SplitPhaseInfo,
     convert_to_split_phase,
     fuse_gets_into_locals,
 )
-from repro.codegen.hoist import hoist_gets
 from repro.codegen.syncmotion import place_syncs
 from repro.codegen.verify import verify_compiled
-from repro.ir.inline import inline_all
-from repro.ir.lowering import lower_program
-from repro.lang import parse_and_check
-from repro.pipeline.artifacts import (
-    ANALYSIS_SAS,
-    ANALYSIS_SYNC,
-    AST,
-    CONSTRAINTS_SAS,
-    CONSTRAINTS_SYNC,
-    INLINED,
-    MODULE,
-    PRISTINE_IR_ARTIFACTS,
-    SPLITPHASE,
-    WORK_MAIN,
-    WORK_MODULE,
-)
-from repro.errors import AnalysisError
-
-#: Alias requirement tokens resolved through the active pipeline spec.
-ANALYSIS = "analysis"
-CONSTRAINTS = "constraints"
+from repro.ir.cfg import Function, Module
+from repro.pipeline.program import CodegenReport
 
 
+@dataclass
+class LevelRun:
+    """What one level's codegen passes share."""
+
+    #: The level's working IR (a copy of the session's inlined module,
+    #: or that module itself for in-place compiles).
+    module: Module
+    constraints: MotionConstraints
+    report: CodegenReport
+    #: Counter -> initiation map; ``split-phase`` sets it, and every
+    #: pipeline that runs a consumer runs ``split-phase`` first.
+    splitphase: Optional[SplitPhaseInfo] = None
+
+    @property
+    def main(self) -> Function:
+        return self.module.main
+
+
+@dataclass(frozen=True)
 class Pass:
-    """One pipeline stage; subclasses fill the declarations and run()."""
+    """One codegen stage of the ``PIPELINES`` table."""
 
-    name: str = "<unnamed>"
-    #: Artifact names (or alias tokens) that must exist before running.
-    requires: Tuple[str, ...] = ()
-    #: Artifact names this pass stores; if all are already present the
-    #: manager skips the pass (a cache hit — the cross-level reuse).
-    provides: Tuple[str, ...] = ()
-    #: Artifact names dirtied when this pass mutates shared IR in place.
-    invalidates: Tuple[str, ...] = ()
+    name: str
+    run: Callable[[LevelRun], None]
+    description: str
     #: True for passes that rewrite the working IR; drives the
     #: --verify-each-pass and --print-after-pass hooks.
-    mutates_ir: bool = False
-
-    def run(self, ctx) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        parts = []
-        if self.requires:
-            parts.append("requires " + ", ".join(self.requires))
-        if self.provides:
-            parts.append("provides " + ", ".join(self.provides))
-        if self.mutates_ir:
-            parts.append("mutates IR")
-        return "; ".join(parts)
-
-
-#: name -> Pass instance, in registration order.
-REGISTRY: Dict[str, Pass] = {}
-#: artifact name -> name of the pass that provides it.
-PROVIDERS: Dict[str, str] = {}
+    mutates_ir: bool = True
 
-
-def register(cls: Callable[[], Pass]):
-    """Class decorator: instantiate and index a pass."""
-    instance = cls()
-    if instance.name in REGISTRY:
-        raise ValueError(f"duplicate pass name {instance.name!r}")
-    REGISTRY[instance.name] = instance
-    for artifact in instance.provides:
-        PROVIDERS.setdefault(artifact, instance.name)
-    return cls
 
+def _split_phase(run: LevelRun) -> None:
+    info = convert_to_split_phase(run.main)
+    run.splitphase = info
+    run.report.converted_reads = info.converted_reads
+    run.report.converted_writes = info.converted_writes
 
-# -- frontend --------------------------------------------------------------
 
+def _communication_elim(run: LevelRun) -> None:
+    run.report.gets_eliminated = eliminate_redundant_gets(
+        run.main, run.constraints, run.splitphase
+    )
+    run.report.puts_eliminated = eliminate_dead_puts(
+        run.main, run.constraints, run.splitphase
+    )
 
-@register
-class ParsePass(Pass):
-    """Source text -> type-checked AST."""
 
-    name = "parse"
-    provides = (AST,)
+def _fuse_gets(run: LevelRun) -> None:
+    run.report.gets_fused = fuse_gets_into_locals(run.main, run.splitphase)
 
-    def run(self, ctx) -> None:
-        session = ctx.session
-        if session.source is None:
-            raise AnalysisError(
-                "pipeline: cannot re-derive the AST — this session was "
-                "created from an IR module and its inlined form was "
-                "consumed by an in-place compile"
-            )
-        ctx.put(AST, parse_and_check(session.source, session.filename))
 
+def _hoist_gets(run: LevelRun) -> None:
+    run.report.gets_hoisted = hoist_gets(run.main, run.constraints)
 
-@register
-class LowerPass(Pass):
-    """AST -> IR module."""
 
-    name = "lower"
-    requires = (AST,)
-    provides = (MODULE,)
+def _sync_placement(run: LevelRun) -> None:
+    run.report.sync_moves = place_syncs(
+        run.main, run.constraints, run.splitphase
+    )
 
-    def run(self, ctx) -> None:
-        ctx.put(MODULE, lower_program(ctx.get(AST)))
 
+def _one_way(run: LevelRun) -> None:
+    run.report.one_way_conversions = convert_one_way(
+        run.main, run.splitphase
+    )
 
-@register
-class InlinePass(Pass):
-    """Whole-program inlining; the analyses need a single CFG."""
 
-    name = "inline"
-    requires = (MODULE,)
-    provides = (INLINED,)
+def _coalesce_counters(run: LevelRun) -> None:
+    before, after = coalesce_counters(run.main)
+    run.report.counters_before = before
+    run.report.counters_after = after
 
-    def run(self, ctx) -> None:
-        module = ctx.get(MODULE)
-        if ctx.session.preserve_input_module:
-            # The caller's module must stay untouched (clone semantics):
-            # inline a private copy.
-            module = copy.deepcopy(module)
-            inline_all(module)
-        else:
-            # The module is session-private (lowered from source) or the
-            # caller asked for in-place compilation: inline it where it
-            # stands.  The pre-inline artifact no longer exists.
-            inline_all(module)
-            ctx.invalidate(MODULE)
-        ctx.put(INLINED, module)
 
+def _verify(run: LevelRun) -> None:
+    verify_compiled(run.main)
 
-# -- analysis --------------------------------------------------------------
 
-
-def _run_analysis(ctx, level: AnalysisLevel, artifact: str,
-                  sibling: str) -> None:
-    inlined = ctx.get(INLINED)
-    reuse = None
-    if ctx.has(sibling):
-        other = ctx.get(sibling)
-        # Reuse the access/conflict artifacts when the sibling level was
-        # computed on this very function (uids and indices line up).
-        if other.accesses.function is inlined.main:
-            reuse = other
-    ctx.put(artifact, analyze_function(inlined.main, level, reuse_from=reuse))
-
-
-@register
-class AnalysisSasPass(Pass):
-    """Plain Shasha–Snir delay-set analysis (§4)."""
-
-    name = "analysis-sas"
-    requires = (INLINED,)
-    provides = (ANALYSIS_SAS,)
-
-    def run(self, ctx) -> None:
-        _run_analysis(ctx, AnalysisLevel.SAS, ANALYSIS_SAS, ANALYSIS_SYNC)
-
-
-@register
-class AnalysisSyncPass(Pass):
-    """Synchronization-aware delay-set analysis (§5)."""
-
-    name = "analysis-sync"
-    requires = (INLINED,)
-    provides = (ANALYSIS_SYNC,)
-
-    def run(self, ctx) -> None:
-        _run_analysis(ctx, AnalysisLevel.SYNC, ANALYSIS_SYNC, ANALYSIS_SAS)
-
-
-@register
-class ConstraintsSasPass(Pass):
-    name = "constraints-sas"
-    requires = (ANALYSIS_SAS,)
-    provides = (CONSTRAINTS_SAS,)
-
-    def run(self, ctx) -> None:
-        ctx.put(CONSTRAINTS_SAS, MotionConstraints(ctx.get(ANALYSIS_SAS)))
-
-
-@register
-class ConstraintsSyncPass(Pass):
-    name = "constraints-sync"
-    requires = (ANALYSIS_SYNC,)
-    provides = (CONSTRAINTS_SYNC,)
-
-    def run(self, ctx) -> None:
-        ctx.put(CONSTRAINTS_SYNC, MotionConstraints(ctx.get(ANALYSIS_SYNC)))
-
-
-# -- working-copy materialization ------------------------------------------
-
-
-@register
-class MaterializeIrPass(Pass):
-    """Strikes the level's working IR from the pristine inlined module.
-
-    Shared sessions copy, so the analyses stay valid for every level;
-    in-place compiles adopt the inlined module itself (and the mutating
-    passes then invalidate the pristine artifacts).
-    """
-
-    name = "materialize-ir"
-    requires = (INLINED,)
-    provides = (WORK_MODULE, WORK_MAIN)
-
-    def run(self, ctx) -> None:
-        inlined = ctx.get(INLINED)
-        work = inlined if ctx.in_place else copy.deepcopy(inlined)
-        ctx.put(WORK_MODULE, work)
-        ctx.put(WORK_MAIN, work.main)
-
-
-# -- codegen ---------------------------------------------------------------
-
-
-@register
-class SplitPhasePass(Pass):
-    """Blocking accesses -> split-phase get/put + sync_ctr (§6)."""
-
-    name = "split-phase"
-    requires = (WORK_MAIN,)
-    provides = (SPLITPHASE,)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        info = convert_to_split_phase(ctx.get(WORK_MAIN))
-        ctx.put(SPLITPHASE, info)
-        ctx.report.converted_reads = info.converted_reads
-        ctx.report.converted_writes = info.converted_writes
-
-
-@register
-class CommunicationElimPass(Pass):
-    """Redundant-get and dead-put elimination (§7)."""
-
-    name = "communication-elim"
-    requires = (CONSTRAINTS, SPLITPHASE, WORK_MAIN)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        main = ctx.get(WORK_MAIN)
-        constraints = ctx.get(CONSTRAINTS)
-        info = ctx.get(SPLITPHASE)
-        ctx.report.gets_eliminated = eliminate_redundant_gets(
-            main, constraints, info
-        )
-        ctx.report.puts_eliminated = eliminate_dead_puts(
-            main, constraints, info
-        )
-
-
-@register
-class FuseGetsPass(Pass):
-    """get t; sync; buf[i] = t  ->  get(&buf[i], ...); sync."""
-
-    name = "fuse-gets"
-    requires = (SPLITPHASE, WORK_MAIN)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        ctx.report.gets_fused = fuse_gets_into_locals(
-            ctx.get(WORK_MAIN), ctx.get(SPLITPHASE)
-        )
-
-
-@register
-class HoistGetsPass(Pass):
-    """Hoists get initiations above earlier code (prefetch)."""
-
-    name = "hoist-gets"
-    requires = (CONSTRAINTS, WORK_MAIN)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        ctx.report.gets_hoisted = hoist_gets(
-            ctx.get(WORK_MAIN), ctx.get(CONSTRAINTS)
-        )
-
-
-@register
-class SyncPlacementPass(Pass):
-    """Sinks each sync_ctr to its delay/def-use frontier (§6)."""
-
-    name = "sync-placement"
-    requires = (CONSTRAINTS, SPLITPHASE, WORK_MAIN)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        ctx.report.sync_moves = place_syncs(
-            ctx.get(WORK_MAIN), ctx.get(CONSTRAINTS), ctx.get(SPLITPHASE)
-        )
-
-
-@register
-class OneWayPass(Pass):
-    """put -> store where every sync sits at a barrier (§6)."""
-
-    name = "one-way"
-    requires = (SPLITPHASE, WORK_MAIN)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        ctx.report.one_way_conversions = convert_one_way(
-            ctx.get(WORK_MAIN), ctx.get(SPLITPHASE)
-        )
-
-
-@register
-class CoalesceCountersPass(Pass):
-    """Interference-colors sync counters down to a small set."""
-
-    name = "coalesce-counters"
-    requires = (WORK_MAIN,)
-    invalidates = PRISTINE_IR_ARTIFACTS
-    mutates_ir = True
-
-    def run(self, ctx) -> None:
-        before, after = coalesce_counters(ctx.get(WORK_MAIN))
-        ctx.report.counters_before = before
-        ctx.report.counters_after = after
-
-
-@register
-class VerifyPass(Pass):
-    """Static split-phase well-formedness check (pending-get dataflow)."""
-
-    name = "verify"
-    requires = (WORK_MAIN,)
-
-    def run(self, ctx) -> None:
-        verify_compiled(ctx.get(WORK_MAIN))
+PASSES: Dict[str, Pass] = {
+    pass_.name: pass_
+    for pass_ in (
+        Pass("split-phase", _split_phase,
+             "blocking accesses -> split-phase get/put + sync_ctr (§6)"),
+        Pass("communication-elim", _communication_elim,
+             "redundant-get and dead-put elimination (§7)"),
+        Pass("fuse-gets", _fuse_gets,
+             "get t; sync; buf[i] = t  ->  get(&buf[i], ...); sync"),
+        Pass("hoist-gets", _hoist_gets,
+             "hoists get initiations above earlier code (prefetch)"),
+        Pass("sync-placement", _sync_placement,
+             "sinks each sync_ctr to its delay/def-use frontier (§6)"),
+        Pass("one-way", _one_way,
+             "put -> store where every sync sits at a barrier (§6)"),
+        Pass("coalesce-counters", _coalesce_counters,
+             "interference-colors sync counters down to a small set"),
+        Pass("verify", _verify,
+             "static split-phase well-formedness check "
+             "(pending-get dataflow)", mutates_ir=False),
+    )
+}

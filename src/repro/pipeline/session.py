@@ -1,53 +1,78 @@
-"""Compilation sessions: one program, many pipelines, shared artifacts.
+"""Compilation sessions: one program, one chain, three memos.
+
+Every compile in this system is the same chain::
+
+    parse -> lower -> inline -> analysis -> constraints -> materialize-ir
+          -> the level's codegen passes (repro.pipeline.specs.PIPELINES)
 
 A :class:`CompilationSession` wraps one source program (or one IR
-module) together with an :class:`ArtifactStore` and a
-:class:`PassManager`.  Every compile and analysis entry point in the
-system routes through a session:
+module) and runs that chain, memoizing the three prelude results a
+later level can reuse: the pristine inlined module, the delay-set
+analysis per :class:`AnalysisLevel`, and its ``MotionConstraints``.
+Every compile and analysis entry point routes through a session:
 
 * ``compile_source`` / ``compile_module`` open a throwaway session and
-  compile once, in place — exactly the old single-shot behavior;
-* ``analyze_source`` asks the same session machinery for just the
-  analysis artifact, so it shares the frontend with compilation
-  instead of re-running parse/check/lower/inline on its own;
-* multi-level sweeps that hold a session themselves
-  (:meth:`CompilationSession.compile_levels`) keep it across levels, so
-  the frontend, inlining, and each required delay-set analysis run
-  **once**, and each level's codegen works on a cheap copy of the
-  pristine inlined module.  (``perf.parallel.compile_levels`` does not:
-  it compiles each level as an independent store-fronted job.)
+  compile once, in place;
+* ``analyze_source`` asks the same session for just the analysis, so it
+  shares the frontend with compilation instead of re-running
+  parse/check/lower/inline on its own;
+* callers that hold a session across levels
+  (:meth:`CompilationSession.compile_levels`) run the frontend,
+  inlining, and each required delay-set analysis **once**, and each
+  level's codegen works on a copy of the pristine inlined module.
+  (``perf.parallel.compile_levels`` does not: it compiles each level as
+  an independent store-fronted job.)
 
 Uid stability makes the sharing sound: the analyses answer queries by
 instruction uid, and ``copy.deepcopy`` preserves uids, so one analysis
-of the pristine module is valid for every level's working copy.
+of the pristine module is valid for every level's working copy.  The
+same argument covers an in-place compile — its passes mutate the very
+module that was analysed, but keep the uids — provided the analysis ran
+before the first pass did; :meth:`CompilationSession.compile` holds it
+in a local variable from then on and never asks again.
 """
 
 from __future__ import annotations
 
+import copy
 import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
-
-from repro.analysis.delays import AnalysisLevel, AnalysisResult
-from repro.ir.cfg import Module
-from repro.pipeline.artifacts import (
-    INLINED,
-    MODULE,
-    WORK_MAIN,
-    WORK_MODULE,
-    ArtifactStore,
-    is_level_scoped,
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
-from repro.pipeline.manager import PassManager
+
+from repro.analysis.delays import (
+    AnalysisLevel,
+    AnalysisResult,
+    analyze_function,
+)
+from repro.codegen.constraints import MotionConstraints
+from repro.codegen.verify import verify_compiled
+from repro.errors import AnalysisError, CodegenError
+from repro.ir.cfg import Module
+from repro.ir.inline import inline_all
+from repro.ir.lowering import lower_program
+from repro.lang import parse_and_check
+from repro.perf import profiler as perf
+from repro.pipeline.passes import PASSES, LevelRun
 from repro.pipeline.program import CodegenReport, CompiledProgram, OptLevel
-from repro.pipeline.specs import PIPELINES, SAS_KEY, SYNC_KEY, PipelineSpec
+from repro.pipeline.specs import PIPELINES, analysis_tag
 
 LevelLike = Union[OptLevel, str]
 
 
 @dataclass
 class PipelineOptions:
-    """Debug and verification knobs threaded through the manager."""
+    """Debug and verification knobs threaded through the driver."""
 
     #: Run ``verify_compiled`` after every mutating codegen pass (the
     #: ``--verify-each-pass`` flag; also enabled by the
@@ -68,50 +93,36 @@ class PipelineOptions:
         return "all" in self.print_after or pass_name in self.print_after
 
 
-class PassContext:
-    """One pipeline execution: a level store layered on the session's."""
+def _record(name: str, pipeline: str, seconds: float = 0.0,
+            cached: bool = False, mutates_ir: bool = False) -> None:
+    """Appends one entry to the active profiler's ``pass_events``."""
+    profiler = perf.current()
+    if profiler is not None:
+        profiler.record_pass({
+            "pass": name,
+            "pipeline": pipeline,
+            "seconds": round(seconds, 6),
+            "cached": cached,
+            "mutates_ir": mutates_ir,
+        })
 
-    def __init__(self, session: "CompilationSession", spec: PipelineSpec,
-                 in_place: bool) -> None:
-        self.session = session
-        self.spec = spec
-        self.in_place = in_place
-        self.options = session.options
-        self.store = ArtifactStore(parent=session.store)
-        self.report = CodegenReport()
-        #: Pass names currently executing (cycle guard / diagnostics).
-        self.running: List[str] = []
-        #: Pass names already recorded in this pipeline's event stream
-        #: (dedupes the cache-hit events the manager emits on reuse).
-        self.emitted: Set[str] = set()
 
-    @property
-    def pipeline_name(self) -> str:
-        if self.spec.level is not None:
-            return self.spec.level.value
-        return f"analyze-{self.spec.analysis_key}"
+@contextmanager
+def _stage(name: str, pipeline: str,
+           mutates_ir: bool = False) -> Iterator[None]:
+    """Times one executed stage under ``pass.<name>``; records its event."""
+    start = time.perf_counter()
+    with perf.pass_timer(f"pass.{name}"):
+        yield
+    _record(name, pipeline, time.perf_counter() - start,
+            mutates_ir=mutates_ir)
 
-    def resolve(self, name: str) -> str:
-        return self.spec.resolve(name)
 
-    def has(self, name: str) -> bool:
-        return self.store.has(self.resolve(name))
-
-    def get(self, name: str):
-        return self.store.get(self.resolve(name))
-
-    def put(self, name: str, value) -> None:
-        resolved = self.resolve(name)
-        if is_level_scoped(resolved):
-            self.store.put(resolved, value)
-        else:
-            self.session.store.put(resolved, value)
-
-    def invalidate(self, name: str) -> bool:
-        resolved = self.resolve(name)
-        if is_level_scoped(resolved):
-            return self.store.invalidate(resolved)
-        return self.session.store.invalidate(resolved)
+def _memo_hit(name: str, pipeline: str) -> None:
+    """Makes a reuse visible: the stage this pipeline did NOT run."""
+    perf.count("pipeline.artifact_hits")
+    perf.count(f"pipeline.cached.{name}")
+    _record(name, pipeline, cached=True)
 
 
 class CompilationSession:
@@ -138,21 +149,79 @@ class CompilationSession:
             )
         self.source = source
         self.filename = filename
-        self.module_is_external = module is not None
         self.clone_input = clone_input
         self.options = options if options is not None \
             else PipelineOptions.from_env()
-        self.store = ArtifactStore()
-        self.manager = PassManager()
-        if module is not None:
-            self.store.put(MODULE, module)
+        #: The seeded pre-inline module; None for source sessions and
+        #: once a ``clone_input=False`` session has inlined it in place.
+        self._module = module
+        # The memos: valid for the pristine inlined module, dropped
+        # together when an in-place compile takes it.
+        self._inlined: Optional[Module] = None
+        self._analyses: Dict[AnalysisLevel, AnalysisResult] = {}
+        self._constraints: Dict[AnalysisLevel, MotionConstraints] = {}
 
-    # -- pass-facing properties -------------------------------------------
+    # -- the memoized prelude ----------------------------------------------
 
-    @property
-    def preserve_input_module(self) -> bool:
-        """Must the inline pass leave the seeded module untouched?"""
-        return self.module_is_external and self.clone_input
+    def _get_inlined(self, pipeline: str) -> Module:
+        if self._inlined is not None:
+            _memo_hit("inline", pipeline)
+            return self._inlined
+        perf.count("pipeline.artifact_misses")
+        if self.source is not None:
+            with _stage("parse", pipeline):
+                ast = parse_and_check(self.source, self.filename)
+            with _stage("lower", pipeline):
+                module = lower_program(ast)
+        elif self._module is None:
+            raise AnalysisError(
+                "pipeline: cannot re-derive the AST — this session was "
+                "created from an IR module and its inlined form was "
+                "consumed by an in-place compile"
+            )
+        elif self.clone_input:
+            # The caller's module must stay untouched: inline a copy.
+            module = copy.deepcopy(self._module)
+        else:
+            module, self._module = self._module, None
+        with _stage("inline", pipeline):
+            inline_all(module)
+        self._inlined = module
+        return module
+
+    def _memoized(self, memo: dict, level: AnalysisLevel, stage: str,
+                  pipeline: str, compute: Callable[[], object]):
+        """``memo[level]``, running ``compute`` as stage
+        ``<stage>-sas|sync`` on a miss."""
+        name = f"{stage}-{analysis_tag(level)}"
+        if level in memo:
+            _memo_hit(name, pipeline)
+        else:
+            perf.count("pipeline.artifact_misses")
+            with _stage(name, pipeline):
+                memo[level] = compute()
+        return memo[level]
+
+    def _get_analysis(self, level: AnalysisLevel, inlined: Module,
+                      pipeline: str) -> AnalysisResult:
+        # The sibling level analysed this very function, so its
+        # access/conflict sets line up by uid and index.
+        sibling = (AnalysisLevel.SAS if level is AnalysisLevel.SYNC
+                   else AnalysisLevel.SYNC)
+        return self._memoized(
+            self._analyses, level, "analysis", pipeline,
+            lambda: analyze_function(
+                inlined.main, level, reuse_from=self._analyses.get(sibling)
+            ),
+        )
+
+    def _get_constraints(self, level: AnalysisLevel,
+                         analysis: AnalysisResult,
+                         pipeline: str) -> MotionConstraints:
+        return self._memoized(
+            self._constraints, level, "constraints", pipeline,
+            lambda: MotionConstraints(analysis),
+        )
 
     # -- entry points ------------------------------------------------------
 
@@ -165,12 +234,11 @@ class CompilationSession:
         """Runs ``opt_level``'s pipeline; returns the compiled program.
 
         ``in_place=False`` (shared mode) strikes a fresh working copy
-        from the pristine inlined module, leaving every session
-        artifact valid for further levels.  ``in_place=True`` mutates
-        the inlined module itself — cheaper for single-shot compiles —
-        and the mutating passes then invalidate the session's
-        pristine-IR artifacts (a later compile re-derives them from
-        the source, or fails with a clear diagnostic if it can't).
+        from the pristine inlined module, leaving every memo valid for
+        further levels.  ``in_place=True`` mutates the inlined module
+        itself — cheaper for single-shot compiles — and the session
+        forgets its memos (a later compile re-derives them from the
+        source, or fails with a clear diagnostic if it can't).
 
         ``strip_delays=True`` produces the delay-stripped debug twin:
         identical IR, but without the weak-memory fence metadata that
@@ -178,40 +246,62 @@ class CompilationSession:
         unaffected — this knob exists for the robustness oracle and
         for demonstrating that the analysis's delays are load-bearing.
         """
-        from repro.perf import profiler as perf
-
         level = OptLevel(opt_level.value if isinstance(opt_level, OptLevel)
                          else opt_level)
         spec = PIPELINES[level]
-        ctx = PassContext(self, spec, in_place=in_place)
+        pipeline = level.value
         perf.count("pipeline.compiles")
 
-        # Analysis strictly before the working copy exists: it must see
-        # the pristine IR (and, shared, serve every later level too).
-        self.manager.ensure(ctx, "analysis")
-        self.manager.ensure(ctx, "constraints")
-        analysis: AnalysisResult = ctx.get("analysis")
-        # Pin the level's analysis artifacts into the level store: an
-        # in-place pipeline invalidates them from the *session* store
-        # the moment a pass mutates the IR, but this pipeline's own
-        # later passes still legitimately consume them (they answer by
-        # uid, which mutation preserves).  Without the pin, a mid-
-        # pipeline re-ensure would re-derive a fresh analysis whose
-        # uids match nothing in the working IR.
-        ctx.store.put(ctx.resolve("analysis"), analysis)
-        ctx.store.put(ctx.resolve("constraints"), ctx.get("constraints"))
-        self.manager.ensure(ctx, WORK_MAIN)
+        # Analysis strictly before any pass runs: it must see the
+        # pristine IR (and, shared, serve every later level too).
+        inlined = self._get_inlined(pipeline)
+        analysis = self._get_analysis(spec.analysis, inlined, pipeline)
+        constraints = self._get_constraints(spec.analysis, analysis, pipeline)
+        with _stage("materialize-ir", pipeline):
+            if in_place:
+                work = inlined
+                self._inlined = None
+                self._analyses.clear()
+                self._constraints.clear()
+            else:
+                work = copy.deepcopy(inlined)
+        run = LevelRun(work, constraints, CodegenReport())
         for name in spec.passes:
-            self.manager.run_pass(ctx, name)
+            self._run_pass(name, run, pipeline)
         return CompiledProgram(
-            module=ctx.get(WORK_MODULE),
+            module=work,
             opt_level=level,
             analysis=analysis,
-            report=ctx.report,
+            report=run.report,
             delay_fences=(
                 frozenset() if strip_delays else analysis.fence_uids()
             ),
         )
+
+    def _run_pass(self, name: str, run: LevelRun, pipeline: str) -> None:
+        """One codegen pass, timed, with the debug hooks applied."""
+        try:
+            pass_ = PASSES[name]
+        except KeyError:
+            raise CodegenError(f"pipeline: unknown pass {name!r}")
+        with _stage(name, pipeline, pass_.mutates_ir):
+            pass_.run(run)
+        if not pass_.mutates_ir:
+            return
+        options = self.options
+        if options.verify_each_pass:
+            with perf.pass_timer("pass.verify-each-pass"):
+                try:
+                    verify_compiled(run.main)
+                except CodegenError as exc:
+                    raise CodegenError(
+                        f"--verify-each-pass: IR invalid after pass "
+                        f"{name!r} ({pipeline}): {exc}"
+                    )
+        if options.wants_print_after(name):
+            options.print_fn(
+                f"; IR after pass {name} ({pipeline})\n{run.module}\n"
+            )
 
     def compile_levels(
         self, levels: Sequence[LevelLike]
@@ -222,22 +312,12 @@ class CompilationSession:
     def analyze(
         self, level: AnalysisLevel = AnalysisLevel.SYNC
     ) -> AnalysisResult:
-        """The delay-set analysis artifact for ``level`` (cached)."""
-        key = SAS_KEY if level is AnalysisLevel.SAS else SYNC_KEY
-        spec = PipelineSpec(
-            level=None, analysis_key=key, passes=(),
-            description="analysis only",
+        """The delay-set analysis for ``level`` (memoized)."""
+        pipeline = f"analyze-{analysis_tag(level)}"
+        return self._get_analysis(
+            level, self._get_inlined(pipeline), pipeline
         )
-        ctx = PassContext(self, spec, in_place=False)
-        self.manager.ensure(ctx, "analysis")
-        return ctx.get("analysis")
 
     def inlined_module(self) -> Module:
         """The pristine inlined module (computing it if needed)."""
-        spec = PipelineSpec(
-            level=None, analysis_key=SYNC_KEY, passes=(),
-            description="frontend only",
-        )
-        ctx = PassContext(self, spec, in_place=False)
-        self.manager.ensure(ctx, INLINED)
-        return ctx.get(INLINED)
+        return self._get_inlined("frontend")

@@ -3,10 +3,10 @@
 Each :class:`PipelineSpec` is pure data: which delay-set analysis the
 level pipelines against, and the ordered codegen passes to run on the
 working IR.  The frontend/analysis prelude (parse -> lower -> inline ->
-analysis -> constraints -> materialize-ir) is not listed per level — the
-:class:`~repro.pipeline.manager.PassManager` derives it on demand from
-the passes' declared requirements, which is exactly what lets a shared
-session satisfy it once for all five levels.
+analysis -> constraints -> materialize-ir) is the same chain for every
+level and is not listed here —
+:class:`~repro.pipeline.session.CompilationSession` runs it, memoized,
+ahead of the level's passes.
 
 Adding a pass to a level — or a whole new level — is an edit to this
 table, not to a driver function.
@@ -15,47 +15,41 @@ table, not to a driver function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.pipeline.artifacts import WORK_MAIN
-from repro.pipeline.passes import PROVIDERS, REGISTRY
+from repro.analysis.delays import AnalysisLevel
+from repro.pipeline.passes import PASSES
 from repro.pipeline.program import OptLevel
-
-#: Spec keys for the two analysis artifacts (see artifacts.py).
-SAS_KEY = "sas"
-SYNC_KEY = "sync"
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
     """One optimization level as data."""
 
-    #: None for ad-hoc analysis-only contexts (session.analyze).
-    level: Optional[OptLevel]
-    #: Which analysis artifact "analysis"/"constraints" aliases resolve
-    #: to: "sas" (§4 Shasha–Snir) or "sync" (§5 sync-aware).
-    analysis_key: str
+    level: OptLevel
+    #: The delay set the level pipelines against: SAS (§4 Shasha–Snir)
+    #: or SYNC (§5 sync-aware).
+    analysis: AnalysisLevel
     #: Codegen pass names, in execution order.
     passes: Tuple[str, ...]
     description: str = ""
 
-    def resolve(self, name: str) -> str:
-        """Maps alias requirement tokens to concrete artifact names."""
-        if name in ("analysis", "constraints"):
-            return f"{name}.{self.analysis_key}"
-        return name
+
+def analysis_tag(level: AnalysisLevel) -> str:
+    """``sas`` / ``sync``: the suffix of the level's prelude stage names."""
+    return level.name.lower()
 
 
 PIPELINES: Dict[OptLevel, PipelineSpec] = {
     OptLevel.O0: PipelineSpec(
         level=OptLevel.O0,
-        analysis_key=SYNC_KEY,
+        analysis=AnalysisLevel.SYNC,
         passes=(),
         description="blocking accesses, no reordering (naive but SC)",
     ),
     OptLevel.O1: PipelineSpec(
         level=OptLevel.O1,
-        analysis_key=SAS_KEY,
+        analysis=AnalysisLevel.SAS,
         passes=(
             "split-phase",
             "fuse-gets",
@@ -68,7 +62,7 @@ PIPELINES: Dict[OptLevel, PipelineSpec] = {
     ),
     OptLevel.O2: PipelineSpec(
         level=OptLevel.O2,
-        analysis_key=SYNC_KEY,
+        analysis=AnalysisLevel.SYNC,
         passes=(
             "split-phase",
             "fuse-gets",
@@ -82,7 +76,7 @@ PIPELINES: Dict[OptLevel, PipelineSpec] = {
     ),
     OptLevel.O3: PipelineSpec(
         level=OptLevel.O3,
-        analysis_key=SYNC_KEY,
+        analysis=AnalysisLevel.SYNC,
         passes=(
             "split-phase",
             "fuse-gets",
@@ -96,7 +90,7 @@ PIPELINES: Dict[OptLevel, PipelineSpec] = {
     ),
     OptLevel.O4: PipelineSpec(
         level=OptLevel.O4,
-        analysis_key=SYNC_KEY,
+        analysis=AnalysisLevel.SYNC,
         passes=(
             "split-phase",
             "communication-elim",
@@ -113,57 +107,29 @@ PIPELINES: Dict[OptLevel, PipelineSpec] = {
 
 
 def full_pass_sequence(spec: PipelineSpec) -> List[str]:
-    """The spec's pass list with its derived prelude, for display.
-
-    Walks the requirement graph the same way the manager's demand
-    resolution does, so ``repro passes`` shows the true execution
-    order of a cold compile.
-    """
-    ordered: List[str] = []
-    seen = set()
-
-    def add_provider_of(artifact: str) -> None:
-        provider = PROVIDERS.get(spec.resolve(artifact))
-        if provider is not None:
-            add_pass(provider)
-
-    def add_pass(name: str) -> None:
-        if name in seen:
-            return
-        seen.add(name)
-        for req in REGISTRY[name].requires:
-            add_provider_of(req)
-        ordered.append(name)
-
-    # The session driver ensures the analysis artifacts before
-    # materializing the working IR (see CompilationSession.compile),
-    # then runs the spec.
-    add_provider_of("analysis")
-    add_provider_of("constraints")
-    add_provider_of(WORK_MAIN)
-    for name in spec.passes:
-        add_pass(name)
-    return ordered
+    """The stage names of a cold compile of ``spec``, for display."""
+    tag = analysis_tag(spec.analysis)
+    return [
+        "parse", "lower", "inline",
+        f"analysis-{tag}", f"constraints-{tag}", "materialize-ir",
+        *spec.passes,
+    ]
 
 
 def describe_pipelines() -> str:
-    """Human-readable registry dump for the ``repro passes`` command."""
+    """Human-readable table dump for the ``repro passes`` command."""
     lines: List[str] = ["registered pipelines:"]
-    for level in OptLevel:
-        spec = PIPELINES[level]
+    for spec in PIPELINES.values():
         lines.append(
-            f"  {level.value}  (analysis: {spec.analysis_key})  "
+            f"  {spec.level.value}  "
+            f"(analysis: {analysis_tag(spec.analysis)})  "
             f"— {spec.description}"
         )
         lines.append("      " + " -> ".join(full_pass_sequence(spec)))
     lines.append("")
     lines.append("registered passes:")
-    width = max(len(name) for name in REGISTRY)
-    for name, pass_ in REGISTRY.items():
-        lines.append(f"  {name.ljust(width)}  {pass_.describe()}")
-    lines.append("")
-    lines.append(
-        "artifacts with providers: "
-        + ", ".join(sorted(PROVIDERS))
-    )
+    width = max(len(name) for name in PASSES)
+    for name, pass_ in PASSES.items():
+        suffix = "; mutates IR" if pass_.mutates_ir else ""
+        lines.append(f"  {name.ljust(width)}  {pass_.description}{suffix}")
     return "\n".join(lines)

@@ -32,8 +32,8 @@ the compile pool, ``compile_with_cache`` — shares:
   ``root/quarantine/``) and reports a miss, so a corrupt artifact is
   recompiled transparently and can never be served, and the bad bytes
   are preserved for forensics instead of being re-read forever.
-  Entries written before the sidecar existed verify as legacy
-  (unpickle failures still quarantine them).
+  A blob with no sidecar is damage too (puts write the sidecar first,
+  and every key hashes the store schema) and takes the same path.
 
 * **Telemetry.**  Hits, misses, puts, evictions, corruption
   detections and quarantines are counted on the store instance *and*
@@ -176,11 +176,12 @@ class ArtifactCache:
     def get_bytes(self, key: str) -> Optional[bytes]:
         """The verified blob for ``key``, or None (miss).
 
-        A hit refreshes LRU order.  When a digest sidecar exists, the
-        blob is re-hashed and compared; a mismatch quarantines the
-        entry and reports a miss.  The comparison is retried once to
-        tolerate racing an in-progress overwrite (blob and sidecar are
-        replaced one after the other).
+        A hit refreshes LRU order.  The blob is re-hashed and compared
+        with its digest sidecar; a mismatch — or a missing sidecar —
+        quarantines the entry and reports a miss.  The comparison is
+        retried once to tolerate racing an in-progress overwrite or
+        eviction (blob and sidecar are replaced, and unlinked, one
+        after the other).
         """
         path = self.path_for(key)
         for _attempt in range(2):
@@ -190,10 +191,7 @@ class ArtifactCache:
             except OSError:
                 self._count("misses")
                 return None
-            expected = self._read_digest(key)
-            if expected is None or (
-                hashlib.sha256(data).hexdigest() == expected
-            ):
+            if hashlib.sha256(data).hexdigest() == self._read_digest(key):
                 break
         else:
             self._count("corrupt")
@@ -213,7 +211,7 @@ class ArtifactCache:
                       encoding="ascii") as handle:
                 return handle.read().strip() or None
         except (OSError, UnicodeDecodeError):
-            return None  # legacy entry (pre-integrity) or unreadable
+            return None  # lost or unreadable: matches no blob
 
     def put_bytes(self, key: str, data: bytes) -> None:
         """Atomically stores ``data`` plus its digest sidecar; evicts
@@ -298,9 +296,9 @@ class ArtifactCache:
             return pickle.loads(data)
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
-            # The digest matched (or was legacy) but the payload does
-            # not unpickle: quarantine it rather than re-reading the
-            # bad bytes on every future request.
+            # The digest matched but the payload does not unpickle:
+            # quarantine it rather than re-reading the bad bytes on
+            # every future request.
             self._count("corrupt")
             self.quarantine(key)
             return None
@@ -364,7 +362,7 @@ class ArtifactCache:
             try:
                 os.unlink(path + ".sum")
             except OSError:
-                pass  # legacy entry without a digest sidecar
+                pass  # another process won the race
             count -= 1
             total -= size
             evicted += 1

@@ -21,10 +21,10 @@ import pytest
 from repro.analysis import delays as delays_mod
 from repro.analysis.accesses import AccessSet
 from repro.analysis.conflicts import ConflictSet
-from repro.analysis.cycle.general import GeneralBackPathFinder
 from repro.analysis.cycle.spmd import BackPathEngine, _iter_bits
 from repro.analysis.delays import AnalysisLevel, analyze_function
 from repro.ir.symrefine import refine_index_metadata
+from tests.analysis.general_backpath import GeneralBackPathFinder
 from tests.helpers import inlined
 from repro.fuzz.progen import generate
 

@@ -2,11 +2,11 @@
 
 from repro.analysis.accesses import AccessKind, AccessSet
 from repro.analysis.conflicts import ConflictSet
-from repro.analysis.cycle.general import GeneralBackPathFinder
 from repro.analysis.cycle.spmd import BackPathEngine
 from repro.analysis.sync.precedence import PrecedenceRelation
 from repro.ir.dominators import DominatorTree
 from repro.ir.symrefine import refine_index_metadata
+from tests.analysis.general_backpath import GeneralBackPathFinder
 from tests.helpers import FIGURE_1, FIGURE_5, inlined
 
 

@@ -10,6 +10,9 @@ from repro.analysis.delays import AnalysisLevel
 from repro.cli import main as cli_main
 from repro.fuzz import FuzzConfig, run_campaign
 from repro.fuzz.bundle import read_bundle
+from repro.fuzz.campaign import check_program
+from repro.fuzz.progen import generate_program
+from repro.perf import profiler as perf
 
 
 def config_for(tmp_path, **overrides):
@@ -46,6 +49,17 @@ class TestCleanCampaign:
         first_dict.pop("elapsed_seconds")
         second_dict.pop("elapsed_seconds")
         assert first_dict == second_dict
+
+    def test_monotonicity_oracle_shares_one_frontend(self, tmp_path):
+        # No levels, no schedules: only the oracle step touches the
+        # compiler, so the profile is the oracle's alone.
+        config = config_for(tmp_path, levels=())
+        with perf.profiled() as prof:
+            assert check_program(generate_program(0), [], config) is None
+        assert prof.passes["pass.parse"].calls == 1
+        assert prof.passes["pass.analysis-sas"].calls == 1
+        assert prof.passes["pass.analysis-sync"].calls == 1
+        assert prof.counters["analysis.artifacts_reused"] >= 1
 
     def test_budget_seconds_halts(self, tmp_path):
         stats = run_campaign(

@@ -230,7 +230,7 @@ class TestPasses:
         for level in ("O0", "O1", "O2", "O3", "O4"):
             assert level in out
         assert "split-phase" in out
-        assert "analysis.sync" in out
+        assert "analysis-sync" in out
 
 
 class TestPipelineDebugFlags:

@@ -1,4 +1,6 @@
-"""Pass-manager behavior: scheduling, events, debug hooks."""
+"""Compile-driver behavior: stage order, events, debug hooks."""
+
+import dataclasses
 
 import pytest
 
@@ -6,12 +8,12 @@ from repro.errors import CodegenError
 from repro.ir.instructions import Opcode
 from repro.perf import profiler as perf
 from repro.pipeline import (
+    PASSES,
     PIPELINES,
-    REGISTRY,
     CompilationSession,
     OptLevel,
-    PassContext,
     PipelineOptions,
+    full_pass_sequence,
 )
 from tests.helpers import FIGURE_1, FIGURE_5
 
@@ -68,24 +70,31 @@ class TestEventStream:
         assert split["pipeline"] == "O1"
         assert split["mutates_ir"] is True
         assert split["seconds"] >= 0.0
-        assert "ir.inlined" in split["invalidated"]
+        assert split["cached"] is False
         analysis = by_name["analysis-sas"]
-        assert analysis["provides"] == ["analysis.sas"]
+        assert analysis["pipeline"] == "O1"
         assert analysis["mutates_ir"] is False
+
+    @pytest.mark.parametrize("level", list(OptLevel))
+    def test_displayed_sequence_is_the_executed_sequence(self, level):
+        """``repro passes`` prints ``full_pass_sequence``; the driver
+        runs its own chain.  A cold in-place compile ties the two."""
+        session = CompilationSession(source=FIGURE_5)
+        with perf.profiled() as prof:
+            session.compile(level, in_place=True)
+        executed = [e["pass"] for e in prof.pass_events if not e["cached"]]
+        assert executed == full_pass_sequence(PIPELINES[level])
 
 
 class TestScheduling:
-    def test_unknown_pass_rejected(self):
+    def test_unknown_pass_rejected(self, monkeypatch):
+        spec = dataclasses.replace(
+            PIPELINES[OptLevel.O3], passes=("split-phase", "no-such-pass")
+        )
+        monkeypatch.setitem(PIPELINES, OptLevel.O3, spec)
         session = CompilationSession(source=FIGURE_1)
-        ctx = PassContext(session, PIPELINES[OptLevel.O3], in_place=False)
         with pytest.raises(CodegenError, match="unknown pass"):
-            session.manager.run_pass(ctx, "no-such-pass")
-
-    def test_unknown_artifact_rejected(self):
-        session = CompilationSession(source=FIGURE_1)
-        ctx = PassContext(session, PIPELINES[OptLevel.O3], in_place=False)
-        with pytest.raises(CodegenError, match="no registered pass"):
-            session.manager.ensure(ctx, "no.such.artifact")
+            session.compile(OptLevel.O3)
 
     def test_analysis_artifact_shared_with_compile(self):
         from repro.analysis.delays import AnalysisLevel
@@ -119,16 +128,22 @@ def _corrupt_sync(main) -> None:
     raise AssertionError("no get/sync_ctr pair to corrupt")
 
 
+def _patch_pass(monkeypatch, name, after) -> None:
+    """Replaces ``PASSES[name]`` with one that also calls ``after(main)``."""
+    original = PASSES[name]
+
+    def corrupting_run(run):
+        original.run(run)
+        after(run.main)
+
+    monkeypatch.setitem(
+        PASSES, name, dataclasses.replace(original, run=corrupting_run)
+    )
+
+
 class TestDebugHooks:
     def test_verify_each_pass_names_the_corrupting_pass(self, monkeypatch):
-        fuse = REGISTRY["fuse-gets"]
-        original = fuse.__class__.run
-
-        def corrupting_run(self, ctx):
-            original(self, ctx)
-            _corrupt_sync(ctx.get("work.main"))
-
-        monkeypatch.setattr(fuse.__class__, "run", corrupting_run)
+        _patch_pass(monkeypatch, "fuse-gets", _corrupt_sync)
         options = PipelineOptions(verify_each_pass=True)
         session = CompilationSession(source=FIGURE_1, options=options)
         with pytest.raises(CodegenError, match="after pass 'fuse-gets'"):
@@ -141,14 +156,7 @@ class TestDebugHooks:
         a sync dropped after fuse-gets is *healed* downstream — only
         --verify-each-pass (exercised above) observes the transient
         corruption at all.  This pins that healing behavior."""
-        fuse = REGISTRY["fuse-gets"]
-        original = fuse.__class__.run
-
-        def corrupting_run(self, ctx):
-            original(self, ctx)
-            _corrupt_sync(ctx.get("work.main"))
-
-        monkeypatch.setattr(fuse.__class__, "run", corrupting_run)
+        _patch_pass(monkeypatch, "fuse-gets", _corrupt_sync)
         # Explicit empty options: this test pins the *default* healing
         # behavior even when CI exports REPRO_VERIFY_EACH_PASS=1.
         session = CompilationSession(
@@ -162,19 +170,14 @@ class TestDebugHooks:
         """A pass corrupting the IR after sync-placement surfaces at
         the final verify — as a generic error that does not name the
         culprit, which is exactly what --verify-each-pass adds."""
-        coalesce = REGISTRY["coalesce-counters"]
-        original = coalesce.__class__.run
-
-        def corrupting_run(self, ctx):
-            original(self, ctx)
-            main = ctx.get("work.main")
+        def drop_every_sync(main):
             for block in main.blocks:
                 block.instrs = [
                     i for i in block.instrs
                     if i.op is not Opcode.SYNC_CTR
                 ]
 
-        monkeypatch.setattr(coalesce.__class__, "run", corrupting_run)
+        _patch_pass(monkeypatch, "coalesce-counters", drop_every_sync)
         # Explicit empty options: the generic-error half of this test
         # must hold even when CI exports REPRO_VERIFY_EACH_PASS=1.
         session = CompilationSession(
@@ -210,9 +213,27 @@ class TestDebugHooks:
         session.compile(OptLevel.O1)
         mutating = [
             name for name in PIPELINES[OptLevel.O1].passes
-            if REGISTRY[name].mutates_ir
+            if PASSES[name].mutates_ir
         ]
         assert len(dumps) == len(mutating)
+
+    @pytest.mark.parametrize("level", ["O1", "O2", "O3", "O4"])
+    def test_verify_each_pass_in_place_analyses_once(self, level):
+        """The in-place hazard: the passes mutate the module that was
+        analysed, so a second analysis mid-pipeline would describe IR
+        whose uids no longer match.  The driver must ask exactly once,
+        hooks on or off."""
+        session = CompilationSession(
+            source=FIGURE_5, options=PipelineOptions(verify_each_pass=True)
+        )
+        with perf.profiled() as prof:
+            session.compile(level, in_place=True)
+        analyses = {
+            name: record.calls for name, record in prof.passes.items()
+            if name.startswith("pass.analysis-")
+        }
+        assert list(analyses.values()) == [1], analyses
+        assert prof.passes["pass.verify-each-pass"].calls >= 1
 
     def test_verify_each_pass_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_EACH_PASS", "1")

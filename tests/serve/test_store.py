@@ -201,7 +201,7 @@ class TestIntegrity:
         key = "e5" + "0" * 62
         cache.put(key, [1, 2, 3])
         # Overwrite blob AND sidecar consistently: the digest matches,
-        # but the payload cannot unpickle (legacy-entry style rot).
+        # but the payload cannot unpickle.
         bad = b"\x80\x05 garbage that will not unpickle"
         with open(cache.path_for(key), "wb") as handle:
             handle.write(bad)
@@ -212,15 +212,18 @@ class TestIntegrity:
         assert cache.quarantined_entries() == 1
         assert cache.corrupt == 1
 
-    def test_legacy_entry_without_sidecar_still_serves(self, tmp_path):
+    def test_blob_without_sidecar_is_quarantined(self, tmp_path):
+        """Puts write the sidecar first and no pre-sidecar entry is
+        addressable by a current key, so a bare blob is damage."""
         cache = make_cache(tmp_path)
         key = "f6" + "0" * 62
-        path = cache.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(b"pre-integrity entry")
-        assert cache.get_bytes(key) == b"pre-integrity entry"
-        assert cache.corrupt == 0
+        cache.put_bytes(key, b"payload")
+        os.unlink(cache.digest_path_for(key))
+        assert cache.get_bytes(key) is None
+        assert cache.corrupt == 1
+        assert cache.misses == 1
+        assert cache.quarantined_entries() == 1
+        assert not os.path.exists(cache.path_for(key))
 
     def test_eviction_removes_sidecars(self, tmp_path):
         cache = make_cache(tmp_path, max_entries=1)
