@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro import OptLevel, compile_source
 from repro.analysis.accesses import AccessSet
 from repro.analysis.conflicts import ConflictSet
 from repro.analysis.cycle.spmd import BackPathEngine
@@ -17,6 +18,7 @@ from repro.apps import get_app
 from repro.compiler import frontend
 from repro.ir.inline import inline_all
 from repro.ir.symrefine import refine_index_metadata
+from repro.perf import profiled
 
 from benchmarks.bench_common import print_table
 from tests.analysis.general_backpath import GeneralBackPathFinder
@@ -46,6 +48,49 @@ def test_analysis_scales(benchmark, size):
 
     result = benchmark.pedantic(analyze, rounds=3, iterations=1)
     assert result.stats.num_accesses >= size
+
+
+@pytest.mark.benchmark(group="compile-time")
+@pytest.mark.parametrize("size", [64, 128, 256])
+def test_counter_allocation_scales(benchmark, size):
+    """Counter allocation against the frontend on the barrier ladder.
+
+    The ladder keeps half of its 2 x size counters live to the end of
+    the program: an allocator that inserts every live pair at every
+    point is cubic here (2.2 s of a 2.3 s ladder-256 O1 compile), while
+    interference rows touched only where the live set changes stay
+    beside parse + lower.  Asserts host time, so CI's ``perf-gate`` job
+    runs it, not tier-1.
+    """
+    source = _program_for(size)
+
+    def compile_profiled():
+        with profiled() as profiler:
+            start = time.perf_counter()
+            program = compile_source(source, OptLevel.O1)
+            return program, time.perf_counter() - start, profiler
+
+    program, seconds, profiler = benchmark.pedantic(
+        compile_profiled, rounds=3, iterations=1
+    )
+
+    def pass_seconds(name):
+        return profiler.passes[f"pass.{name}"].seconds
+
+    print_table(
+        f"Counter allocation vs frontend (ladder-{size}, O1)",
+        ("counters", "coalesce-counters s", "parse + lower s", "compile s"),
+        [(
+            f"{program.report.counters_before} -> "
+            f"{program.report.counters_after}",
+            f"{pass_seconds('coalesce-counters'):.4f}",
+            f"{pass_seconds('parse') + pass_seconds('lower'):.4f}",
+            f"{seconds:.4f}",
+        )],
+    )
+    assert program.report.counters_after == size + 1
+    if size == 256:
+        assert seconds < 1.0, "ladder-256 O1 compile regressed"
 
 
 @pytest.mark.benchmark(group="compile-time")

@@ -12,64 +12,72 @@ ranges never overlap.
 
 Liveness here is the same forward may-analysis the verifier uses: a
 counter is live from an initiation tagged with it to the syncs naming
-it.  Interfering counters get distinct colors via greedy coloring in
-first-initiation order.
+it.  Live sets and interference rows are packed ints (DESIGN.md §7),
+one bit per counter in counter-id order.  Interfering counters get
+distinct colors by first-fit coloring in counter-id order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Tuple
 
+from repro.codegen.syncmotion import _iter_bits
 from repro.ir.cfg import Function
 from repro.ir.instructions import Opcode
 
+_TAGGED = (Opcode.GET, Opcode.PUT, Opcode.SYNC_CTR)
 
-def _live_counter_sets(
-    function: Function,
-) -> List[Tuple[FrozenSet[int], "int | None"]]:
-    """Per instruction point: (live counters, sync target here or None).
 
-    A point's live set holds the counters pending *just before* the
-    instruction executes; when the instruction is a ``sync_ctr`` its
-    counter is also reported so the allocator can see syncs that fall
-    inside other counters' live ranges.
+def _interference_rows(
+    function: Function, bit_of: Dict[int, int]
+) -> List[int]:
+    """Per counter position: the mask of counters it interferes with.
+
+    Every pair of simultaneously live counters interferes.  A live set
+    only gains pairs where it changes, so rows are touched at three
+    kinds of point: a block entry (the union over predecessors can
+    pair counters no single predecessor had live together), an
+    initiation of a not-yet-live counter, and a ``sync_ctr`` of a
+    counter that is not live — merging X into a live Y would turn that
+    (possibly no-op) sync into a wait for Y's outstanding traffic, a
+    legal but serializing change.  A counter live across its *own*
+    re-initiation (loops) stays valid — same id, union semantics — so
+    there is no self-interference.
     """
-    block_in: Dict[str, FrozenSet[int]] = {
-        block.label: frozenset() for block in function.blocks
+    # Per block, in program order: (is a sync, the counter's bit).
+    ops = {
+        block.label: [
+            (instr.op is Opcode.SYNC_CTR, bit_of[instr.counter])
+            for instr in block.instrs
+            if instr.counter is not None and instr.op in _TAGGED
+        ]
+        for block in function.blocks
     }
+    block_in = dict.fromkeys(ops, 0)
     changed = True
     while changed:
         changed = False
         for block in function.blocks:
             live = block_in[block.label]
-            for instr in block.instrs:
-                if instr.op in (Opcode.GET, Opcode.PUT) and (
-                    instr.counter is not None
-                ):
-                    live = live | {instr.counter}
-                elif instr.op is Opcode.SYNC_CTR:
-                    live = live - {instr.counter}
+            for is_sync, bit in ops[block.label]:
+                live = live & ~bit if is_sync else live | bit
             for succ in block.successors():
-                merged = block_in[succ] | live
-                if merged != block_in[succ]:
-                    block_in[succ] = merged
+                if live & ~block_in[succ]:
+                    block_in[succ] |= live
                     changed = True
 
-    points: List[Tuple[FrozenSet[int], "int | None"]] = []
-    for block in function.blocks:
-        live = block_in[block.label]
-        for instr in block.instrs:
-            syncing = (
-                instr.counter if instr.op is Opcode.SYNC_CTR else None
-            )
-            points.append((live, syncing))
-            if instr.op in (Opcode.GET, Opcode.PUT) and (
-                instr.counter is not None
-            ):
-                live = live | {instr.counter}
-            elif instr.op is Opcode.SYNC_CTR:
-                live = live - {instr.counter}
-    return points
+    rows = [0] * len(bit_of)
+    for label, block_ops in ops.items():
+        live = block_in[label]
+        for position in _iter_bits(live):
+            rows[position] |= live ^ (1 << position)
+        for is_sync, bit in block_ops:
+            if not live & bit:
+                rows[bit.bit_length() - 1] |= live
+                for position in _iter_bits(live):
+                    rows[position] |= bit
+            live = live & ~bit if is_sync else live | bit
+    return rows
 
 
 def coalesce_counters(function: Function) -> Tuple[int, int]:
@@ -79,51 +87,34 @@ def coalesce_counters(function: Function) -> Tuple[int, int]:
     counters share a physical id.  Rewrites GET/PUT/SYNC_CTR counters in
     place (STOREs carry no counter).
     """
-    all_counters: Set[int] = set()
-    for _b, _i, instr in function.instructions():
-        if instr.counter is not None and instr.op in (
-            Opcode.GET, Opcode.PUT, Opcode.SYNC_CTR
-        ):
-            all_counters.add(instr.counter)
-    if not all_counters:
+    tagged = [
+        instr
+        for _b, _i, instr in function.instructions()
+        if instr.counter is not None and instr.op in _TAGGED
+    ]
+    if not tagged:
         return (0, 0)
+    bit_of = {
+        counter: 1 << position
+        for position, counter in enumerate(
+            sorted({instr.counter for instr in tagged})
+        )
+    }
+    rows = _interference_rows(function, bit_of)
 
-    interference: Dict[int, Set[int]] = {c: set() for c in all_counters}
-    for live, syncing in _live_counter_sets(function):
-        members = sorted(live)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                interference[a].add(b)
-                interference[b].add(a)
-        if syncing is not None:
-            # A sync of X inside Y's live range: merging X and Y would
-            # turn this (possibly no-op) sync into a wait for Y's
-            # outstanding traffic — a legal but serializing change.
-            for other in live:
-                if other != syncing:
-                    interference[syncing].add(other)
-                    interference[other].add(syncing)
-
-    # Also: a counter live across its *own* re-initiation (loops) stays
-    # valid — same id, union semantics — so no self-interference.
-
+    # pools[k] = the counters sharing physical id k + 1.
+    pools: List[int] = []
     color: Dict[int, int] = {}
-    for counter in sorted(all_counters):
-        taken = {
-            color[other]
-            for other in interference[counter]
-            if other in color
-        }
-        slot = 1
-        while slot in taken:
+    for (counter, bit), row in zip(bit_of.items(), rows):
+        slot = 0
+        while slot < len(pools) and row & pools[slot]:
             slot += 1
-        color[counter] = slot
-
-    for _b, _i, instr in function.instructions():
-        if instr.counter is not None and instr.op in (
-            Opcode.GET, Opcode.PUT, Opcode.SYNC_CTR
-        ):
-            instr.counter = color[instr.counter]
+        if slot == len(pools):
+            pools.append(0)
+        pools[slot] |= bit
+        color[counter] = slot + 1
+    for instr in tagged:
+        instr.counter = color[instr.counter]
 
     # Peephole: coalescing can leave runs of identical syncs (several
     # logical counters now share an id); keep one of each run.
@@ -139,4 +130,4 @@ def coalesce_counters(function: Function) -> Tuple[int, int]:
                 continue
             deduped.append(instr)
         block.instrs = deduped
-    return (len(all_counters), len(set(color.values())))
+    return (len(bit_of), len(pools))

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from repro.codegen.splitphase import SplitPhaseInfo
 from repro.ir.cfg import BasicBlock, Function
-from repro.ir.instructions import Opcode
+from repro.ir.instructions import Instr, Opcode
 
 #: Opcodes a sync may look past when checking it sits "at" a barrier —
 #: other completions and one-way traffic do not observe the put.
@@ -41,9 +41,7 @@ def convert_one_way(function: Function, info: SplitPhaseInfo) -> int:
     later put's qualification scan) can let another put qualify.
     """
     converted = 0
-    progress = True
-    while progress:
-        progress = False
+    while True:
         placements: Dict[int, List[Tuple[BasicBlock, int]]] = {}
         for block in function.blocks:
             for index, instr in enumerate(block.instrs):
@@ -52,7 +50,7 @@ def convert_one_way(function: Function, info: SplitPhaseInfo) -> int:
                         (block, index)
                     )
         # Decide on the current layout, then mutate.
-        qualifying = []
+        qualifying: Dict[int, Instr] = {}
         for counter, origin in info.origin.items():
             if origin.op is not Opcode.PUT:
                 continue
@@ -63,19 +61,19 @@ def convert_one_way(function: Function, info: SplitPhaseInfo) -> int:
                 _sync_reaches_global_sync(block, index)
                 for block, index in syncs
             ):
-                qualifying.append((counter, origin))
-        for counter, origin in qualifying:
+                qualifying[counter] = origin
+        if not qualifying:
+            return converted
+        for origin in qualifying.values():
             origin.op = Opcode.STORE
             origin.counter = None
-            for block in function.blocks:
-                block.instrs = [
-                    instr
-                    for instr in block.instrs
-                    if not (
-                        instr.op is Opcode.SYNC_CTR
-                        and instr.counter == counter
-                    )
-                ]
-            converted += 1
-            progress = True
-    return converted
+        for block in function.blocks:
+            block.instrs = [
+                instr
+                for instr in block.instrs
+                if not (
+                    instr.op is Opcode.SYNC_CTR
+                    and instr.counter in qualifying
+                )
+            ]
+        converted += len(qualifying)

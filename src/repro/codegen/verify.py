@@ -96,8 +96,11 @@ def verify_split_phase(function: Function) -> None:
         visited.add(label)
         pending = block_in[label]
         block = function.block(label)
+        where = f"{function.name}/{label}"
         for instr in block.instrs:
-            pending = _transfer(pending, instr, f"{function.name}/{label}")
+            # With nothing pending, only a get can change the state.
+            if pending or instr.op is Opcode.GET:
+                pending = _transfer(pending, instr, where)
         for succ in block.successors():
             merged = block_in[succ] | pending
             if merged != block_in[succ] or succ not in visited:
