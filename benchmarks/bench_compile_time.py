@@ -38,16 +38,32 @@ def _program_for(size: int) -> str:
     return "\n".join(lines)
 
 
+#: SYNC delay-set size on the two ladder sizes no tier-1 test reaches.
+_LADDER_DELAYS = {256: 2016, 512: 8128}
+
+
 @pytest.mark.benchmark(group="compile-time")
-@pytest.mark.parametrize("size", [8, 16, 32, 64])
+@pytest.mark.parametrize("size", [8, 16, 32, 64, 256, 512])
 def test_analysis_scales(benchmark, size):
+    """SYNC analysis on the barrier ladder, up to 1 152 accesses.
+
+    Nothing in tier-1 analyses more than 280 accesses, so the two large
+    sizes pin the delay-set size exactly and ladder-512 asserts host
+    time — which is why CI's ``perf-gate`` job runs this, not tier-1.
+    """
     module = inline_all(frontend(_program_for(size)))
 
     def analyze():
-        return analyze_function(module.main, AnalysisLevel.SYNC)
+        start = time.perf_counter()
+        result = analyze_function(module.main, AnalysisLevel.SYNC)
+        return result, time.perf_counter() - start
 
-    result = benchmark.pedantic(analyze, rounds=3, iterations=1)
+    result, seconds = benchmark.pedantic(analyze, rounds=3, iterations=1)
     assert result.stats.num_accesses >= size
+    if size in _LADDER_DELAYS:
+        assert result.stats.delay_size == _LADDER_DELAYS[size]
+    if size == 512:
+        assert seconds < 1.5, "ladder-512 SYNC analysis regressed"
 
 
 @pytest.mark.benchmark(group="compile-time")

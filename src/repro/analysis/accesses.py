@@ -93,10 +93,6 @@ class Access:
             AccessKind.UNLOCK,
         )
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind in (AccessKind.READ, AccessKind.WAIT)
-
     def describe(self) -> str:
         idx = ""
         if self.meta is not None and self.meta.exprs:

@@ -115,11 +115,6 @@ def _indices_may_collide(
     return True
 
 
-def _kinds_conflict(a: Access, b: Access) -> bool:
-    """At least one side must have write semantics."""
-    return a.is_write or b.is_write
-
-
 class ConflictSet:
     """Directed conflict edges over an :class:`AccessSet`.
 
@@ -186,9 +181,6 @@ class ConflictSet:
         return mask
 
     # -- mutation --------------------------------------------------------
-
-    def add_edge(self, a: Access, b: Access) -> None:
-        self._rows[a.index] |= 1 << b.index
 
     def remove_direction(self, a: Access, b: Access) -> None:
         """Removes the directed edge ``a -> b`` (keeping ``b -> a``)."""

@@ -38,168 +38,55 @@ def _iter_bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _uid_compatible(old: AccessSet, new: AccessSet) -> bool:
-    """True when two access sets share one bit numbering.
-
-    Engine state is bit-indexed, so inherited rows are meaningful
-    exactly when the access lists name the same instructions (by uid)
-    in the same dense order — the common case after an in-place IR
-    mutation that neither adds nor removes shared accesses.
-    """
-    if len(old) != len(new):
-        return False
-    return all(
-        a.uid == b.uid for a, b in zip(old.accesses, new.accesses)
-    )
-
-
 @dataclass
 class EngineStats:
     """Work counters for the profiler (``--profile``)."""
 
-    closures: int = 0  # BFS closures actually run
-    closure_cache_hits: int = 0
-    closures_reused: int = 0  # transferred from a prior engine
+    closures: int = 0  # BFS closures run
     masked_rows: int = 0  # exclusion-masked t-rows computed
     masked_row_hits: int = 0
     mask_groups: int = 0  # distinct (source, exclusion-mask) groups
     excluded_pair_queries: int = 0
-    t_rows_reused: int = 0  # t-rows inherited from a prior engine
 
     def as_counters(self, prefix: str = "engine.") -> Dict[str, int]:
         return {
             f"{prefix}closures": self.closures,
-            f"{prefix}closure_cache_hits": self.closure_cache_hits,
-            f"{prefix}closures_reused": self.closures_reused,
             f"{prefix}masked_rows": self.masked_rows,
             f"{prefix}masked_row_hits": self.masked_row_hits,
             f"{prefix}mask_groups": self.mask_groups,
             f"{prefix}excluded_pair_queries": self.excluded_pair_queries,
-            f"{prefix}t_rows_reused": self.t_rows_reused,
         }
 
 
 class BackPathEngine:
     """Answers back-path queries against one (P, C) configuration.
 
-    The conflict set may be directed (after §5's orientation); build a
-    fresh engine after mutating it.  ``reuse_from`` makes the successor
-    engine *incremental*: it inherits the predecessor's t-rows for
-    every access whose in-visit conflict inputs are unchanged, and —
-    row-validated — its memoized closures.  A cached closure from ``v``
-    survives when ``v``'s own conflict row is unchanged and no member
-    of the closure has a changed continuation row; since back-paths
-    only traverse closure members, an unchanged membership set implies
-    the identical fixpoint.
+    A pure function of its two inputs: the conflict set may be directed
+    (after §5's orientation); build a fresh engine after mutating it.
 
-    Reuse works across *different* access-set objects too, provided the
-    instruction-uid sequence (and therefore the bit numbering) lines
-    up — this is what makes re-analysis of a mutated IR incremental:
-    only rows whose program-order or conflict inputs actually changed
-    are recomputed.
-
-    Closures are memoized per (source, exclusion-mask): the exclusion
-    masks produced by §5's rules are highly shared (they come from
-    precedence successor/predecessor rows), so one BFS typically serves
-    many delay-candidate pairs.
+    ``delay_set`` groups its excluded queries by (source, exclusion
+    mask): the masks produced by §5's rules are highly shared (they
+    come from precedence successor/predecessor rows), so one BFS
+    typically serves many delay-candidate pairs.
     """
 
-    def __init__(
-        self,
-        accesses: AccessSet,
-        conflicts: ConflictSet,
-        reuse_from: Optional["BackPathEngine"] = None,
-    ):
+    def __init__(self, accesses: AccessSet, conflicts: ConflictSet):
         self._accesses = accesses
-        self._conflicts = conflicts
-        n = len(accesses)
-        self._n = n
         self.stats = EngineStats()
-        #: (source index, excluded mask) -> (closure, final) bitsets.
-        self._closure_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: (node index, excluded mask) -> masked visit-continuation row.
         self._masked_t_cache: Dict[Tuple[int, int], int] = {}
         self._c_rows: List[int] = [
-            conflicts.row_by_index(i) for i in range(n)
+            conflicts.row_by_index(i) for i in range(len(accesses))
         ]
-        if reuse_from is not None and reuse_from._accesses is accesses:
-            # P* only depends on the access set: share it outright.
-            self._pstar_self = reuse_from._pstar_self
-            self._reuse_rows(reuse_from, pstar_changed=0)
-            return
-        if reuse_from is not None and not _uid_compatible(
-            reuse_from._accesses, accesses
-        ):
-            reuse_from = None
         # P* including self: one "processor visit" is x (then optionally
         # a later access y of the same copy).
         self._pstar_self: List[int] = [
             accesses.p_row(a) | (1 << a.index) for a in accesses
         ]
-        if reuse_from is not None:
-            pstar_changed = 0
-            for i in range(n):
-                if reuse_from._pstar_self[i] != self._pstar_self[i]:
-                    pstar_changed |= 1 << i
-            self._reuse_rows(reuse_from, pstar_changed)
-            return
         # T[x] = union of C rows over the in-visit continuations of x:
         # a boolean product of P* and C, computed as one structured
         # sweep over the block layout.
         self._t_rows: List[int] = accesses.fold_over_p(self._c_rows)
-
-    def _reuse_rows(
-        self, reuse_from: "BackPathEngine", pstar_changed: int
-    ) -> None:
-        """Inherits unchanged t-rows and still-valid memoized closures."""
-        n = self._n
-        c_changed = 0
-        for i in range(n):
-            if reuse_from._c_rows[i] != self._c_rows[i]:
-                c_changed |= 1 << i
-        # A continuation row t[x] changed iff x's own P* row changed or
-        # some in-visit partner's conflict row did.  Fresh values come
-        # from one bulk fold; the per-row test only decides provenance
-        # (and therefore which memoized closures stay valid).
-        t_changed = pstar_changed
-        fresh = (
-            self._accesses.fold_over_p(self._c_rows)
-            if c_changed or pstar_changed
-            else None
-        )
-        self._t_rows = []
-        for x in range(n):
-            if (
-                pstar_changed >> x & 1 == 0
-                and self._pstar_self[x] & c_changed == 0
-            ):
-                self._t_rows.append(reuse_from._t_rows[x])
-                self.stats.t_rows_reused += 1
-            else:
-                t_changed |= 1 << x
-                self._t_rows.append(fresh[x])
-        if c_changed == 0 and pstar_changed == 0:
-            # Identical graph: every memoized closure still holds.
-            self._closure_cache = dict(reuse_from._closure_cache)
-            self._masked_t_cache = dict(reuse_from._masked_t_cache)
-            self.stats.closures_reused = len(self._closure_cache)
-            return
-        # Row-validated transfer: a closure from v is untouched by the
-        # edit when its start row (v's conflict row) is unchanged and
-        # none of its members has a changed continuation row — changed
-        # rows outside the closure were unreachable before and, having
-        # gained no in-closure predecessor, stay unreachable.
-        for (v, excluded), entry in reuse_from._closure_cache.items():
-            if c_changed >> v & 1:
-                continue
-            closure, _final = entry
-            if closure & t_changed:
-                continue
-            self._closure_cache[(v, excluded)] = entry
-            self.stats.closures_reused += 1
-        for (x, excluded), row in reuse_from._masked_t_cache.items():
-            if t_changed >> x & 1 == 0:
-                self._masked_t_cache[(x, excluded)] = row
 
     # -- closures ---------------------------------------------------------
 
@@ -236,11 +123,6 @@ class BackPathEngine:
         from ``v``.  ``excluded`` masks accesses that may not appear as
         intermediate path members (§5's pruning rules).
         """
-        key = (v_index, excluded)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            self.stats.closure_cache_hits += 1
-            return cached
         allowed = ~excluded
         start = self._c_rows[v_index] & allowed
         closure = 0
@@ -263,7 +145,6 @@ class BackPathEngine:
                 next_frontier |= t_row & allowed & ~closure
             frontier = next_frontier
         self.stats.closures += 1
-        self._closure_cache[key] = (closure, final)
         return closure, final
 
     def _p_pred_rows(self) -> List[int]:

@@ -72,24 +72,6 @@ class AnalysisResult:
     #: Same-processor may-same-location dependences as uid pairs.
     local_dep_uid_pairs: FrozenSet[Tuple[int, int]] = frozenset()
     stats: AnalysisStats = field(default_factory=AnalysisStats)
-    #: The back-path engines that produced this result ("base" over the
-    #: undirected conflict set; "final" over the oriented one, SYNC
-    #: only).  Successor analyses — the sibling level in a shared
-    #: session, or a re-analysis after an IR mutation — seed their
-    #: engines from these, inheriting t-rows and memoized closures for
-    #: everything the change did not touch.  Deliberately excluded from
-    #: equality and pickling: they are caches, not results.
-    engines: Dict[str, "BackPathEngine"] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["engines"] = {}
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def is_delayed(self, earlier_uid: int, later_uid: int) -> bool:
         """Must ``later`` be held until ``earlier`` completes?"""
@@ -122,7 +104,6 @@ def analyze_function(
     function: Function,
     level: AnalysisLevel = AnalysisLevel.SYNC,
     reuse_from: Optional[AnalysisResult] = None,
-    incremental_from: Optional[AnalysisResult] = None,
 ) -> AnalysisResult:
     """Runs delay-set analysis on one (fully inlined) SPMD function.
 
@@ -131,20 +112,9 @@ def analyze_function(
     supplied by a shared :class:`~repro.pipeline.CompilationSession`).
     The level-independent artifacts — refined index metadata, the
     access set, the undirected conflict set, and the local-dependence
-    pairs — are taken from it instead of being recomputed, and the
-    back-path engine inherits the sibling's memoized closures wholesale
-    (the undirected conflict graph is shared); the level-specific delay
-    computation still runs in full, so results are identical to a cold
-    analysis.
-
-    ``incremental_from`` — a prior :class:`AnalysisResult` for a
-    *mutated* version of the same program (instruction uids preserved,
-    e.g. a fuzz mutant or the IR after one more codegen pass).  The
-    access and conflict sets are rebuilt, but both engines seed from
-    the prior fixpoint: only t-rows whose program-order or conflict
-    inputs changed are recomputed, and memoized closures untouched by
-    the edit transfer.  The result is byte-identical to a cold
-    analysis — the reuse is row-validated, never assumed.
+    pairs — are taken from it instead of being recomputed; the
+    level-specific delay computation still runs in full, so results are
+    identical to a cold analysis.
     """
     from repro.analysis import symbolic
     from repro.ir.symrefine import refine_index_metadata
@@ -166,12 +136,7 @@ def analyze_function(
             accesses = AccessSet(function)
         with perf.pass_timer("analysis.conflict-set"):
             conflicts = ConflictSet(accesses)
-    base_seed = None
-    if reuse_from is not None:
-        base_seed = reuse_from.engines.get("base")
-    elif incremental_from is not None:
-        base_seed = incremental_from.engines.get("base")
-    engine = BackPathEngine(accesses, conflicts, reuse_from=base_seed)
+    engine = BackPathEngine(accesses, conflicts)
 
     if level is AnalysisLevel.SAS:
         with perf.pass_timer("analysis.sas-delay-set"):
@@ -184,7 +149,6 @@ def analyze_function(
             precedence=None,
             d1=set(),
             delays_by_index=delays,
-            engines={"base": engine},
         )
         _record_engine_counters(sym_before, engine)
         return _finish(result, function, reuse_from)
@@ -239,21 +203,10 @@ def analyze_function(
             ]
         )
 
-    # Step 6: final delay set over P ∪ C1 with access pruning.  The
-    # second engine inherits the first engine's program-order tables and
-    # every t-row (and, when orientation removed no edges, its whole
-    # closure cache) where conflict rows are unchanged.
+    # Step 6: final delay set over P ∪ C1 with access pruning.
     with perf.pass_timer("analysis.final-delays"):
         guards = LockGuards(accesses, dominators, d1)
-        final_seed = engine
-        if (
-            incremental_from is not None
-            and "final" in incremental_from.engines
-        ):
-            # The prior run's oriented engine is the better donor: its
-            # closure cache holds the expensive excluded-mask closures.
-            final_seed = incremental_from.engines["final"]
-        engine2 = BackPathEngine(accesses, oriented, reuse_from=final_seed)
+        engine2 = BackPathEngine(accesses, oriented)
 
         pred_masks = precedence.predecessor_masks()
 
@@ -281,7 +234,6 @@ def analyze_function(
         precedence=precedence,
         d1=d1,
         delays_by_index=delays,
-        engines={"base": engine, "final": engine2},
     )
     _record_engine_counters(sym_before, engine, engine2)
     return _finish(result, function, reuse_from)

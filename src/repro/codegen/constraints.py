@@ -34,44 +34,6 @@ class MotionConstraints:
             return True
         return (earlier_uid, later_uid) in self.analysis.local_dep_uid_pairs
 
-    def sync_blocked_by(self, origin: Instr, other: Instr) -> bool:
-        """Must the sync for ``origin`` stay before ``other``?
-
-        Note this checks the *delay set* only, not same-processor
-        local dependences: initiations are never reordered by the
-        codegen, and the runtime network delivers point-to-point
-        traffic in order, so a processor's accesses to one location
-        are applied in program order without any completion wait
-        (Split-C's CM-5 implementation had the same per-destination
-        ordering).  Passes that move *initiations* (the reuse pass)
-        must — and do — still respect local dependences via
-        :meth:`hoist_blocked_by`.
-        """
-        op = other.op
-        if op in (Opcode.CALL, Opcode.RET):
-            return True
-        if other.is_shared_access or other.is_sync:
-            if (origin.uid, other.uid) in self.analysis.delay_uid_pairs:
-                return True
-        if origin.op in (Opcode.GET, Opcode.READ_SHARED):
-            dest = origin.dest
-            if dest is not None:
-                if any(temp.name == dest.name for temp in other.used_temps()):
-                    return True
-                defined = other.defined_temp()
-                if defined is not None and defined.name == dest.name:
-                    return True
-            if origin.local_array is not None and other.op in (
-                Opcode.LOAD_LOCAL,
-                Opcode.STORE_LOCAL,
-            ):
-                # Fused get: the landing pad is a local array element;
-                # any touch of that array (whole-array granularity) must
-                # wait for the fetch.
-                if other.var == origin.local_array:
-                    return True
-        return False
-
     def hoist_blocked_by(self, moving: Instr, other: Instr) -> bool:
         """May access ``moving`` not be hoisted above ``other``?
 

@@ -29,9 +29,9 @@ The implementation, :func:`place_syncs`, gives instructions dense
 global indices so that block reachability, the §6 observer rules, and
 the candidate sweep all become bitset (Python int) intersections: per
 counter the work is one mask build plus one AND, instead of one
-``sync_blocked_by`` query per (counter × instruction) pair.  The
-original per-pair loop is the executable specification it is tested
-against — it lives in ``tests/codegen/syncmotion_reference.py``, and
+``sync_blocked_by`` query per (counter × instruction) pair.  That query
+and the original per-pair loop are the executable specification it is
+tested against — both live in ``tests/codegen/syncmotion_reference.py``, and
 ``tests/codegen/test_syncmotion_equiv.py`` asserts identical placements
 over litmus, the app kernels, and fuzz-generated programs.
 """
@@ -119,7 +119,8 @@ def place_syncs(
 
     # Observer masks, built in one scan.  An observer bit is never set
     # on a sync_ctr (rule: syncs do not observe each other) and the
-    # per-rule masks mirror MotionConstraints.sync_blocked_by exactly.
+    # per-rule masks mirror ``sync_blocked_by`` in
+    # tests/codegen/syncmotion_reference.py exactly.
     callret_mask = 0  # calls/returns block every counter
     shared_uid_mask: Dict[int, int] = {}  # delay-edge target instances
     use_mask: Dict[str, int] = {}  # temp name -> instrs reading it
@@ -156,7 +157,8 @@ def place_syncs(
         ) << block_start[block.label]
 
     # Delay-edge observers, grouped by origin uid in one pass over the
-    # delay set instead of one sync_blocked_by probe per (origin, instr).
+    # delay set instead of one ``sync_blocked_by`` probe
+    # (tests/codegen/syncmotion_reference.py) per (origin, instr).
     delay_obs: Dict[int, int] = {}
     for earlier_uid, later_uid in constraints.analysis.delay_uid_pairs:
         targets = shared_uid_mask.get(later_uid)

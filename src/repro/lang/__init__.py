@@ -9,7 +9,7 @@ and explicit synchronization (``barrier``, ``post``/``wait``,
 
 from repro.lang import ast
 from repro.lang.checker import CheckedProgram, check
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse
 from repro.lang.types import (
     DOUBLE,
@@ -34,7 +34,6 @@ __all__ = [
     "check",
     "parse_and_check",
     "tokenize",
-    "Lexer",
     "Parser",
     "CheckedProgram",
     "Type",

@@ -1,182 +1,80 @@
-"""Hand-written lexer for MiniSplit.
+"""Lexer for MiniSplit: one compiled master pattern.
 
-The lexer is a straightforward single-pass scanner.  It supports C-style
-``//`` line comments and ``/* ... */`` block comments, decimal integer and
-floating-point literals, and the operator set listed in
-:mod:`repro.lang.tokens`.
+C-style ``//`` line comments and ``/* ... */`` block comments, decimal
+integer and floating-point literals, and the operator set listed in
+:mod:`repro.lang.tokens`.  Every character class is explicit ASCII —
+``\\d``, ``\\w`` and ``\\s`` would admit '²', 'é' and form feeds, which
+``int()`` and the grammar reject.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import re
+from bisect import bisect_right
+from typing import List
 
 from repro.errors import LexError, SourceLocation
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
+#: Spelling -> kind for punctuation.  Keyword spellings and the names of
+#: the literal/identifier/EOF categories all start with a letter; every
+#: other member's value *is* its spelling.
+_PUNCTUATION = {k.value: k for k in TokenKind if not k.value[0].isalpha()}
 
-def _is_digit(char: str) -> bool:
-    """ASCII digits only — ``str.isdigit`` accepts Unicode digits like
-    '²' that ``int()`` rejects."""
-    return "0" <= char <= "9"
+_LONGEST_FIRST = "|".join(
+    re.escape(text) for text in sorted(_PUNCTUATION, key=len, reverse=True)
+)
 
-
-def _is_ident_start(char: str) -> bool:
-    return ("a" <= char <= "z") or ("A" <= char <= "Z") or char == "_"
-
-
-def _is_ident_char(char: str) -> bool:
-    return _is_ident_start(char) or _is_digit(char)
-
-_TWO_CHAR_OPERATORS = {
-    "==": TokenKind.EQ,
-    "!=": TokenKind.NE,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "&&": TokenKind.AND,
-    "||": TokenKind.OR,
-}
-
-_ONE_CHAR_OPERATORS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ",": TokenKind.COMMA,
-    ";": TokenKind.SEMI,
-    "=": TokenKind.ASSIGN,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "!": TokenKind.NOT,
-}
-
-
-class Lexer:
-    """Scans MiniSplit source text into a token stream."""
-
-    def __init__(self, source: str, filename: str = "<input>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self) -> str:
-        char = self._source[self._pos]
-        self._pos += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return char
-
-    def _skip_trivia(self) -> None:
-        """Skips whitespace and both comment styles."""
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance()
-                self._advance()
-                while True:
-                    if self._pos >= len(self._source):
-                        raise LexError("unterminated block comment", start)
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance()
-                        self._advance()
-                        break
-                    self._advance()
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        start = self._location()
-        digits: List[str] = []
-        while _is_digit(self._peek()):
-            digits.append(self._advance())
-        is_float = False
-        if self._peek() == "." and _is_digit(self._peek(1)):
-            is_float = True
-            digits.append(self._advance())
-            while _is_digit(self._peek()):
-                digits.append(self._advance())
-        if self._peek() in "eE" and (
-            _is_digit(self._peek(1))
-            or (self._peek(1) in "+-" and _is_digit(self._peek(2)))
-        ):
-            is_float = True
-            digits.append(self._advance())
-            if self._peek() in "+-":
-                digits.append(self._advance())
-            while _is_digit(self._peek()):
-                digits.append(self._advance())
-        text = "".join(digits)
-        if is_float:
-            return Token(TokenKind.FLOAT_LITERAL, start, float(text))
-        return Token(TokenKind.INT_LITERAL, start, int(text))
-
-    def _lex_word(self) -> Token:
-        start = self._location()
-        chars: List[str] = []
-        while _is_ident_char(self._peek()):
-            chars.append(self._advance())
-        word = "".join(chars)
-        kind = KEYWORDS.get(word)
-        if kind is not None:
-            return Token(kind, start)
-        return Token(TokenKind.IDENT, start, word)
-
-    def next_token(self) -> Token:
-        """Returns the next token, or an EOF token at end of input."""
-        self._skip_trivia()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, self._location())
-        char = self._peek()
-        if _is_digit(char):
-            return self._lex_number()
-        if _is_ident_start(char):
-            return self._lex_word()
-        start = self._location()
-        two = char + self._peek(1)
-        if two in _TWO_CHAR_OPERATORS:
-            self._advance()
-            self._advance()
-            return Token(_TWO_CHAR_OPERATORS[two], start)
-        if char in _ONE_CHAR_OPERATORS:
-            self._advance()
-            return Token(_ONE_CHAR_OPERATORS[char], start)
-        raise LexError(f"unexpected character {char!r}", start)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yields all tokens including the final EOF token."""
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind is TokenKind.EOF:
-                return
+# A float needs digits after its dot or a complete exponent; otherwise
+# the integer prefix stands alone ("1." is 1 then a stray dot, "1e+" is
+# 1, e, +).  An unterminated "/*" must be tried before "/" and after
+# the closed comment; ``bad`` catches whatever nothing else matched.
+_MASTER = re.compile(
+    rf"""
+      (?P<trivia> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )
+    | (?P<open_comment> /\* )
+    | (?P<float> [0-9]+ (?: \.[0-9]+ (?: [eE][+-]?[0-9]+ )?
+                          | [eE][+-]?[0-9]+ ) )
+    | (?P<int> [0-9]+ )
+    | (?P<word> [A-Za-z_][A-Za-z_0-9]* )
+    | (?P<punct> {_LONGEST_FIRST} )
+    | (?P<bad> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Convenience wrapper: lex ``source`` into a list of tokens."""
-    return list(Lexer(source, filename).tokens())
+    """Lexes ``source`` into a list of tokens ending with an EOF token."""
+    # Only "\n" starts a line; a tab or "\r" advances the column by one.
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+
+    def location(offset: int) -> SourceLocation:
+        line = bisect_right(line_starts, offset)
+        return SourceLocation(
+            line, offset - line_starts[line - 1] + 1, filename
+        )
+
+    tokens: List[Token] = []
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        if group == "trivia":
+            continue
+        start = location(match.start())
+        text = match.group()
+        if group == "word":
+            kind = KEYWORDS.get(text, TokenKind.IDENT)
+            value = text if kind is TokenKind.IDENT else None
+            tokens.append(Token(kind, start, value))
+        elif group == "punct":
+            tokens.append(Token(_PUNCTUATION[text], start))
+        elif group == "int":
+            tokens.append(Token(TokenKind.INT_LITERAL, start, int(text)))
+        elif group == "float":
+            tokens.append(Token(TokenKind.FLOAT_LITERAL, start, float(text)))
+        elif group == "open_comment":
+            raise LexError("unterminated block comment", start)
+        else:
+            raise LexError(f"unexpected character {text!r}", start)
+    tokens.append(Token(TokenKind.EOF, location(len(source))))
+    return tokens

@@ -81,29 +81,7 @@ class TokenKind(enum.Enum):
 #: are lexed as keywords because they are builtin nullary expressions with
 #: special meaning to the analyses (processor identity drives the conflict
 #: analysis of distributed array indices).
-KEYWORDS = {
-    "shared": TokenKind.KW_SHARED,
-    "int": TokenKind.KW_INT,
-    "double": TokenKind.KW_DOUBLE,
-    "void": TokenKind.KW_VOID,
-    "flag_t": TokenKind.KW_FLAG,
-    "lock_t": TokenKind.KW_LOCK,
-    "if": TokenKind.KW_IF,
-    "else": TokenKind.KW_ELSE,
-    "while": TokenKind.KW_WHILE,
-    "for": TokenKind.KW_FOR,
-    "return": TokenKind.KW_RETURN,
-    "barrier": TokenKind.KW_BARRIER,
-    "post": TokenKind.KW_POST,
-    "wait": TokenKind.KW_WAIT,
-    "lock": TokenKind.KW_LOCK_STMT,
-    "unlock": TokenKind.KW_UNLOCK,
-    "MYPROC": TokenKind.KW_MYPROC,
-    "PROCS": TokenKind.KW_PROCS,
-    "dist": TokenKind.KW_DIST,
-    "block": TokenKind.KW_BLOCK,
-    "cyclic": TokenKind.KW_CYCLIC,
-}
+KEYWORDS = {k.value: k for k in TokenKind if k.name.startswith("KW_")}
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from repro.perf import profiler
 from repro.serve.store import code_fingerprint, default_cache
 
 __all__ = [
-    "cache_enabled", "cache_dir", "code_fingerprint", "cache_key",
+    "cache_enabled", "code_fingerprint", "cache_key",
     "load_cached", "store_cached", "compile_job", "compile_batch",
     "compile_with_cache", "compile_levels", "compile_many", "job_timeout",
 ]
@@ -59,10 +59,6 @@ Job = Tuple[str, str, bool]
 
 def cache_enabled() -> bool:
     return os.environ.get("REPRO_COMPILE_CACHE", "1") != "0"
-
-
-def cache_dir() -> str:
-    return default_cache().root
 
 
 def _level_value(level: LevelLike) -> str:

@@ -24,7 +24,7 @@ JSON schema (``Profiler.to_dict``)::
       "version": 3,
       "total_seconds": 0.123,
       "passes":   {"analysis.conflict-set": {"seconds": 0.05, "calls": 1}},
-      "counters": {"engine.closures": 42, "engine.closure_cache_hits": 17},
+      "counters": {"engine.closures": 42, "engine.masked_row_hits": 17},
       "events":   [{"name": "compile.pool.fallback", "detail": "..."}],
       "pass_events": [
         {"pass": "analysis-sync", "pipeline": "O3", "seconds": 0.04,

@@ -166,9 +166,6 @@ class ExecutionTrace:
             clone._positions[proc] = len(merged)
         return clone
 
-    def all_events(self) -> List[MemEvent]:
-        return [event for events in self.per_proc for event in events]
-
     def total_length(self) -> int:
         return sum(len(events) for events in self.per_proc)
 

@@ -1,9 +1,20 @@
 """Delay-set driver tests: the full §4/§5 pipeline on paper examples."""
 
+import inspect
+import pickle
+
 import pytest
 
 from repro.analysis.accesses import AccessKind
-from repro.analysis.delays import AnalysisLevel, analyze_function
+from repro.analysis.cycle.spmd import BackPathEngine
+from repro.analysis.delays import (
+    AnalysisLevel,
+    AnalysisResult,
+    analyze_function,
+)
+from repro.apps import get_app
+from repro.compiler import open_session
+from repro.perf import profiled
 from tests.helpers import FIGURE_1, FIGURE_5, analyze, delay_pairs
 
 
@@ -200,3 +211,41 @@ class TestResultContents:
         assert stats.num_sync_accesses == 2
         assert stats.delay_size == len(result.delays_by_index)
         assert stats.precedence_size > 0
+
+
+class TestPureEngine:
+    """The engine is a function of (P, C); a result is plain data."""
+
+    def test_engine_takes_accesses_and_conflicts_only(self):
+        parameters = inspect.signature(BackPathEngine.__init__).parameters
+        assert list(parameters) == ["self", "accesses", "conflicts"]
+
+    def test_result_carries_no_engines_or_pickle_hooks(self):
+        assert "engines" not in AnalysisResult.__dataclass_fields__
+        # vars(), not hasattr: object itself defines __getstate__.
+        for name in ("__getstate__", "__setstate__"):
+            assert name not in vars(AnalysisResult), name
+
+    @pytest.mark.parametrize(
+        "level", [AnalysisLevel.SAS, AnalysisLevel.SYNC],
+        ids=["sas", "sync"],
+    )
+    def test_result_round_trips_through_pickle(self, level):
+        result = analyze(get_app("em3d").source(4), level)
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone.delays_by_index == result.delays_by_index
+        assert clone.delay_uid_pairs == result.delay_uid_pairs
+        assert clone.d1 == result.d1
+        assert clone.local_dep_uid_pairs == result.local_dep_uid_pairs
+        assert clone.stats == result.stats
+        assert result.stats.delay_size > 0
+
+    def test_session_still_shares_level_independent_artifacts(self):
+        session = open_session(get_app("em3d").source(4))
+        with profiled() as prof:
+            sas = session.analyze(AnalysisLevel.SAS)
+            sync = session.analyze(AnalysisLevel.SYNC)
+        counters = prof.to_dict()["counters"]
+        assert counters.get("analysis.artifacts_reused", 0) >= 1, counters
+        assert sync.accesses is sas.accesses
+        assert sync.conflicts is sas.conflicts

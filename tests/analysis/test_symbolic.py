@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import OptLevel
 from repro.analysis.symbolic import (
     OPAQUE,
     SymExpr,
@@ -9,6 +10,9 @@ from repro.analysis.symbolic import (
     distinct_iterations_may_collide,
     may_be_equal,
 )
+from repro.apps import ALL_APPS, get_app
+from repro.compiler import open_session
+from repro.perf import profiled
 
 
 def sym(name):
@@ -258,3 +262,26 @@ class TestVarDomain:
 
     def test_empty_range(self):
         assert VarDomain(5, 4).size == 0
+
+
+def _sweep_counters(app):
+    with profiled() as prof:
+        open_session(app.source(4)).compile_levels(tuple(OptLevel))
+    return prof.to_dict()["counters"]
+
+
+class TestSessionCacheCounters:
+    """The pair-level feasibility memo is hit on real kernels, via a
+    shared O0-O4 session sweep."""
+
+    @pytest.mark.parametrize("app_name", ["em3d", "ocean"])
+    def test_app_sweep_counters_fire(self, app_name):
+        counters = _sweep_counters(get_app(app_name))
+        assert counters.get("symbolic.cache_hits", 0) > 0, counters
+
+    def test_most_apps_report_cache_hits(self):
+        with_symbolic_hits = sum(
+            _sweep_counters(app).get("symbolic.cache_hits", 0) > 0
+            for app in ALL_APPS
+        )
+        assert with_symbolic_hits >= 3

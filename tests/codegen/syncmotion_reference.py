@@ -1,7 +1,7 @@
 """The original sync placer, kept as the executable specification.
 
-One ``MotionConstraints.sync_blocked_by`` query per (counter x
-instruction) pair: slow and obviously the §6 rules.  The production
+One ``sync_blocked_by`` query per (counter x instruction) pair: slow
+and obviously the §6 rules.  The production
 placer (``repro.codegen.syncmotion.place_syncs``) must match it
 placement-for-placement; ``test_syncmotion_equiv.py`` asserts that on
 generated programs and the golden kernels.
@@ -18,6 +18,47 @@ from repro.codegen.syncmotion import (
 )
 from repro.ir.cfg import Function
 from repro.ir.instructions import Instr, Opcode
+
+
+def sync_blocked_by(
+    constraints: MotionConstraints, origin: Instr, other: Instr
+) -> bool:
+    """Must the sync for ``origin`` stay before ``other``?
+
+    Note this checks the *delay set* only, not same-processor
+    local dependences: initiations are never reordered by the
+    codegen, and the runtime network delivers point-to-point
+    traffic in order, so a processor's accesses to one location
+    are applied in program order without any completion wait
+    (Split-C's CM-5 implementation had the same per-destination
+    ordering).  Passes that move *initiations* (the reuse pass)
+    must — and do — still respect local dependences via
+    ``MotionConstraints.hoist_blocked_by``.
+    """
+    op = other.op
+    if op in (Opcode.CALL, Opcode.RET):
+        return True
+    if other.is_shared_access or other.is_sync:
+        if (origin.uid, other.uid) in constraints.analysis.delay_uid_pairs:
+            return True
+    if origin.op in (Opcode.GET, Opcode.READ_SHARED):
+        dest = origin.dest
+        if dest is not None:
+            if any(temp.name == dest.name for temp in other.used_temps()):
+                return True
+            defined = other.defined_temp()
+            if defined is not None and defined.name == dest.name:
+                return True
+        if origin.local_array is not None and other.op in (
+            Opcode.LOAD_LOCAL,
+            Opcode.STORE_LOCAL,
+        ):
+            # Fused get: the landing pad is a local array element;
+            # any touch of that array (whole-array granularity) must
+            # wait for the fetch.
+            if other.var == origin.local_array:
+                return True
+    return False
 
 
 def place_syncs_reference(
@@ -54,7 +95,7 @@ def place_syncs_reference(
                 if instr.op is Opcode.SYNC_CTR:
                     continue
                 is_observer = instr.op is Opcode.RET or (
-                    constraints.sync_blocked_by(origin, instr)
+                    sync_blocked_by(constraints, origin, instr)
                 )
                 if not is_observer:
                     continue

@@ -43,6 +43,11 @@ class TestBasicTokens:
             tokenize("1 .")
             tokenize(".")
 
+    def test_lone_dot_is_error(self):
+        # The call above never reaches its second line.
+        with pytest.raises(LexError, match=r"unexpected character '\.'"):
+            tokenize(".")
+
     def test_identifier(self):
         tokens = tokenize("foo_bar2")
         assert tokens[0].kind is TokenKind.IDENT
