@@ -14,8 +14,8 @@ from repro.analysis.accesses import AccessSet
 from repro.analysis.conflicts import ConflictSet
 from repro.analysis.cycle.spmd import BackPathEngine
 from repro.analysis.delays import AnalysisLevel, analyze_function
-from repro.apps import get_app
-from repro.compiler import frontend
+from repro.apps import ALL_APPS, get_app
+from repro.compiler import frontend, open_session
 from repro.ir.inline import inline_all
 from repro.ir.symrefine import refine_index_metadata
 from repro.perf import profiled
@@ -107,6 +107,52 @@ def test_counter_allocation_scales(benchmark, size):
     assert program.report.counters_after == size + 1
     if size == 256:
         assert seconds < 1.0, "ladder-256 O1 compile regressed"
+
+
+def _cell(program):
+    """What a compile produced, free of process-global uid values
+    (fence uids are taken relative to the module's first uid)."""
+    base = min(instr.uid for _, _, instr in program.module.main.instructions())
+    return (program.pretty(), program.report,
+            sorted(uid - base for uid in program.delay_fences))
+
+
+@pytest.mark.benchmark(group="compile-time")
+def test_shared_session_pays(benchmark):
+    """One session per kernel against one ``compile_source`` per level.
+
+    The five kernels at O0-O4: a session parses, inlines and analyses
+    once and strikes each level's working IR with ``Module.copy``, so it
+    must produce the same 25 programs in clearly less host time (the
+    ``deepcopy`` it replaced read 1.0x).  Asserts host time, so CI's
+    ``perf-gate`` job runs it, not tier-1.
+    """
+    sources = [app.source(8) for app in ALL_APPS]
+    levels = tuple(OptLevel)
+
+    def sweeps():
+        best_cold = best_shared = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            cold = [compile_source(source, level)
+                    for source in sources for level in levels]
+            best_cold = min(best_cold, time.perf_counter() - start)
+            start = time.perf_counter()
+            shared = [program for source in sources for program in
+                      open_session(source).compile_levels(levels)]
+            best_shared = min(best_shared, time.perf_counter() - start)
+        return cold, shared, best_cold, best_shared
+
+    cold, shared, cold_s, shared_s = benchmark.pedantic(
+        sweeps, rounds=1, iterations=1
+    )
+    print_table(
+        "Shared session vs cold compiles (5 kernels x O0-O4, min of 3)",
+        ("cold sweep s", "shared sweep s", "ratio"),
+        [(f"{cold_s:.3f}", f"{shared_s:.3f}", f"{cold_s / shared_s:.2f}x")],
+    )
+    assert [_cell(p) for p in shared] == [_cell(p) for p in cold]
+    assert cold_s / shared_s >= 1.3, "holding a session no longer pays"
 
 
 @pytest.mark.benchmark(group="compile-time")

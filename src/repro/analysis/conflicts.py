@@ -22,7 +22,6 @@ distinct processors touch distinct elements (e.g. ``A[MYPROC]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.accesses import Access, AccessSet
@@ -43,16 +42,6 @@ def _domains(meta: Optional[IndexMeta]) -> Dict[str, VarDomain]:
     return domains
 
 
-#: Pair-level memo over (IndexMeta, IndexMeta, same_processor): the
-#: answer depends only on the (frozen, hashable) index metadata, and
-#: real programs repeat a few index shapes across many accesses.  Hits
-#: and misses are charged to the ``symbolic.cache_*`` counters — this
-#: memo *is* the pair-level symbolic-feasibility cache, fronting the
-#: per-expression memos inside :mod:`repro.analysis.symbolic`.
-_COLLIDE_CACHE_LIMIT = 1 << 16
-_collide_cache: Dict[tuple, bool] = {}
-
-
 def indices_may_collide(
     a: Access, b: Access, same_processor: bool = False
 ) -> bool:
@@ -66,26 +55,6 @@ def indices_may_collide(
 
 
 def _metas_may_collide(
-    meta_a: Optional[IndexMeta],
-    meta_b: Optional[IndexMeta],
-    same_processor: bool,
-) -> bool:
-    from repro.analysis import symbolic
-
-    key = (meta_a, meta_b, same_processor)
-    cached = _collide_cache.get(key)
-    if cached is not None:
-        symbolic.note_cache_hit()
-        return cached
-    symbolic.note_cache_miss()
-    answer = _indices_may_collide(meta_a, meta_b, same_processor)
-    if len(_collide_cache) >= _COLLIDE_CACHE_LIMIT:
-        _collide_cache.clear()
-    _collide_cache[key] = answer
-    return answer
-
-
-def _indices_may_collide(
     meta_a: Optional[IndexMeta],
     meta_b: Optional[IndexMeta],
     same_processor: bool,

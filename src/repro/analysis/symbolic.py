@@ -414,7 +414,7 @@ def _enumerate_solve_delta(
 #: the hottest parts of conflict-set construction without the memo.
 _CACHE_LIMIT = 1 << 16
 _may_equal_cache: Dict[tuple, bool] = {}
-_iter_collide_cache: Dict[tuple, bool] = {}
+_distinct_iter_cache: Dict[tuple, bool] = {}
 _cache_hits = 0
 _cache_misses = 0
 
@@ -425,22 +425,6 @@ def cache_counters() -> Dict[str, int]:
         "symbolic.cache_hits": _cache_hits,
         "symbolic.cache_misses": _cache_misses,
     }
-
-
-def note_cache_hit() -> None:
-    """Charges a hit on an external symbolic-feasibility memo.
-
-    The pair-level collide cache in :mod:`repro.analysis.conflicts`
-    fronts the per-expression memos here; its traffic belongs to the
-    same ``symbolic.cache_*`` counters.
-    """
-    global _cache_hits
-    _cache_hits += 1
-
-
-def note_cache_miss() -> None:
-    global _cache_misses
-    _cache_misses += 1
 
 
 def _norm_domains(
@@ -730,15 +714,15 @@ def distinct_iterations_may_collide(
     """Memoized front end of :func:`_distinct_iterations_may_collide`."""
     global _cache_hits, _cache_misses
     key = (forms, _norm_domains(loop_domains))
-    cached = _iter_collide_cache.get(key)
+    cached = _distinct_iter_cache.get(key)
     if cached is not None:
         _cache_hits += 1
         return cached
     _cache_misses += 1
     answer = _distinct_iterations_may_collide(forms, loop_domains)
-    if len(_iter_collide_cache) >= _CACHE_LIMIT:
-        _iter_collide_cache.clear()
-    _iter_collide_cache[key] = answer
+    if len(_distinct_iter_cache) >= _CACHE_LIMIT:
+        _distinct_iter_cache.clear()
+    _distinct_iter_cache[key] = answer
     return answer
 
 

@@ -256,20 +256,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_bench_app(args: argparse.Namespace) -> int:
     from repro.apps import get_app
-    from repro.perf.parallel import compile_levels
+    from repro.compiler import open_session
+    from repro.errors import DeadlockError, RuntimeFault
 
     app = get_app(args.app)
     machine = get_machine(args.machine)
-    source = app.source(args.procs)
     print(f"{app.name}: {app.description}")
     levels = (OptLevel.O1, OptLevel.O2, OptLevel.O3)
-    programs = compile_levels(
-        source, levels,
-        processes=args.jobs,
-        use_cache=False if args.no_cache else None,
-    )
-    from repro.errors import DeadlockError, RuntimeFault
-
+    programs = open_session(app.source(args.procs)).compile_levels(levels)
     for level, program in zip(levels, programs):
         try:
             result = program.run(args.procs, machine, seed=args.seed)
@@ -336,8 +330,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             failures_dir=args.failures_dir,
             max_failures=args.max_failures,
             minimize=not args.no_minimize,
-            jobs=args.jobs,
-            use_cache=False if args.no_cache else None,
             verify_each_pass=args.verify_passes,
         )
         stats = run_campaign(config, log=log).as_dict()
@@ -633,15 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="compile the optimization levels across N processes "
-             "(0/1 = in-process)",
-    )
-    bench.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the on-disk compile cache for this run",
-    )
-    bench.add_argument(
         "--verbose", action="store_true",
         help="print full tracebacks and deadlock reports on failure",
     )
@@ -693,18 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-failures", type=int, default=5,
         help="stop a profile's campaign after this many failures",
     )
-    fuzz.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="compile pool width (0/1 = in-process)",
-    )
-    fuzz.add_argument("--no-cache", action="store_true",
-                      help="bypass the on-disk compile cache")
     fuzz.add_argument("--no-minimize", action="store_true",
                       help="skip delta-debugging failing programs")
     fuzz.add_argument(
         "--verify-passes", action="store_true",
-        help="verify the IR after every mutating codegen pass of every "
-             "compile (bypassing the compile cache)",
+        help="verify the IR after every mutating pass of every compile",
     )
     fuzz.add_argument(
         "--stats-out", default=None, metavar="PATH",

@@ -10,8 +10,8 @@ trace checker — into a sustained differential-testing campaign:
   under several stress profiles (sync-heavy, lock-heavy,
   barrier-misaligned, racy);
 * :mod:`repro.fuzz.campaign` compiles each program at several
-  optimization levels through the shared compile pool, runs every
-  variant under N adversarial schedules, and cross-checks the
+  optimization levels on one shared session, runs every variant under
+  N adversarial schedules, and cross-checks the
   :mod:`repro.fuzz.oracles`;
 * on failure, :mod:`repro.fuzz.minimize` shrinks the program with
   delta debugging and :mod:`repro.fuzz.bundle` writes a self-contained

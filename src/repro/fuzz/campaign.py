@@ -5,8 +5,9 @@ One campaign iteration:
 1. generate a seeded random program under the configured profile;
 2. check **delay-set monotonicity** (SYNC ⊆ Shasha–Snir ∪ D1) on its
    analysis;
-3. compile it at every configured optimization level through the
-   shared compile pool (:mod:`repro.perf.parallel`);
+3. compile it at every configured optimization level on the session
+   the analyses came from (one parse, one SAS and one SYNC analysis
+   per program; the compile store is never touched);
 4. run every compiled variant under N adversarial schedules (seeded
    network jitter, varied machine models, the program's processor
    count) and cross-check **final-snapshot agreement** and **trace
@@ -137,11 +138,8 @@ class FuzzConfig:
     max_failures: int = 5
     minimize: bool = True
     minimize_budget: int = 48
-    #: Compile pool width (None/0/1 = in-process).
-    jobs: Optional[int] = None
-    use_cache: Optional[bool] = None
     #: Run IR verification after every mutating codegen pass (the
-    #: ``--verify-passes`` flag): each compile is uncached and carries
+    #: ``--verify-passes`` flag): the program's session carries
     #: :class:`~repro.pipeline.PipelineOptions` ``verify_each_pass``,
     #: so a pass that corrupts the IR is pinned to its name instead of
     #: surfacing as a downstream oracle failure.
@@ -217,29 +215,6 @@ class CampaignStats:
         }
 
 
-def _compile_levels(
-    source: str, levels: Sequence[str], config: FuzzConfig
-) -> List[object]:
-    """Compiles ``source`` at every level (in-process unless
-    ``config.jobs > 1`` asks for the compile pool)."""
-    if config.compile_fn is not None:
-        return [config.compile_fn(source, level) for level in levels]
-    from repro.perf.parallel import compile_levels
-
-    options = None
-    use_cache = config.use_cache
-    if config.verify_each_pass:
-        from repro.pipeline import PipelineOptions
-
-        options = PipelineOptions(verify_each_pass=True)
-        # A disk-cache hit would skip the passes being verified.
-        use_cache = False
-    return compile_levels(
-        source, levels, processes=config.jobs,
-        use_cache=use_cache, options=options,
-    )
-
-
 def check_program(
     program: GeneratedProgram,
     schedules: Sequence[Schedule],
@@ -250,17 +225,23 @@ def check_program(
     source = program.source
     tally = stats.sc if stats is not None else ScTally()
 
-    # Oracle 3: delay-set monotonicity (static, once per program).
     from repro.analysis.delays import AnalysisLevel
+    from repro.compiler import open_session
+    from repro.pipeline import PipelineOptions
 
-    if config.analyze_fn is not None:
-        analyze = functools.partial(config.analyze_fn, source)
-    else:
-        # One session for both levels: the frontend runs once and SYNC
-        # starts from SAS's access and conflict sets.
-        from repro.compiler import open_session
+    # One session per program (lazy: an injected compiler/analyzer
+    # leaves its half unused): the frontend runs once, SYNC starts from
+    # SAS's access and conflict sets, and every level's codegen reuses
+    # both analyses on a copy of the one inlined module.
+    options = (PipelineOptions(verify_each_pass=True)
+               if config.verify_each_pass else None)
+    session = open_session(source, options=options)
+    analyze = (functools.partial(config.analyze_fn, source)
+               if config.analyze_fn is not None else session.analyze)
+    compile_level = (functools.partial(config.compile_fn, source)
+                     if config.compile_fn is not None else session.compile)
 
-        analyze = open_session(source).analyze
+    # Oracle 3: delay-set monotonicity (static, once per program).
     try:
         sas = analyze(AnalysisLevel.SAS)
         sync = analyze(AnalysisLevel.SYNC)
@@ -273,7 +254,7 @@ def check_program(
         return OracleFailure("monotonicity", detail)
 
     try:
-        compiled = _compile_levels(source, config.levels, config)
+        compiled = [compile_level(level) for level in config.levels]
     except ReproError as exc:
         return OracleFailure("crash", f"compile raised: {exc}")
     if config.strip_delays:
@@ -484,6 +465,7 @@ def _check_weak_canary(
         "memory_model": "tso",
         "drain_seeds": list(CANARY_DRAIN_SEEDS),
     }
+    stats.weak_canary = verdict  # completed below, on every path
     delayed = check_program(program, schedules, config, stats)
     if delayed is not None:
         log("weak canary: delayed SB litmus is NOT robust under TSO")
@@ -492,7 +474,6 @@ def _check_weak_canary(
         )
         verdict["delayed_robust"] = False
         verdict["caught_stripped"] = None
-        stats.weak_canary = verdict
         return
     verdict["delayed_robust"] = True
 
@@ -513,7 +494,6 @@ def _check_weak_canary(
             program, toothless, schedules, config, stats, -1, log
         )
         verdict["caught_stripped"] = False
-        stats.weak_canary = verdict
         return
 
     # Expected divergence: minimize and bundle it exactly like a real
@@ -521,56 +501,31 @@ def _check_weak_canary(
     # record it as the canary verdict rather than a campaign failure.
     stripped.stripped = True
     log(f"weak canary: stripped twin caught - {stripped.summary()}")
-    minimized = program
-    if config.minimize:
-        tests = 0
-
-        def still_fails(candidate: GeneratedProgram) -> bool:
-            nonlocal tests
-            tests += 1
-            repro = check_program(candidate, schedules, stripped_config)
-            return repro is not None and repro.oracle == stripped.oracle
-
-        minimized = minimize_program(
-            program, still_fails, max_tests=config.minimize_budget
-        )
-        stats.minimizer_tests += tests
-    bundle_dir = write_bundle(
-        config.failures_dir,
-        stripped,
-        minimized,
-        program,
-        campaign_meta={
-            "campaign_seed": config.seed,
-            "profile": config.profile,
-            "levels": list(config.levels),
-            "schedules": [s.as_dict() for s in schedules],
-            "sc_step_limit": config.sc_step_limit,
-            "iteration": -1,
-            "expected_divergence": True,
-        },
-        index=len(stats.bundles),
+    bundle_dir = _minimize_and_bundle(
+        program, stripped, schedules, stripped_config, stats, -1,
+        expected_divergence=True,
     )
-    stats.bundles.append(bundle_dir)
     verdict["caught_stripped"] = True
     verdict["detail"] = stripped.detail
     verdict["level"] = stripped.level
     verdict["schedule"] = stripped.schedule
     verdict["bundle"] = bundle_dir
-    stats.weak_canary = verdict
     log(f"weak canary: bundle written to {bundle_dir}")
 
 
-def _handle_failure(
+def _minimize_and_bundle(
     program: GeneratedProgram,
     failure: OracleFailure,
     schedules: Sequence[Schedule],
     config: FuzzConfig,
     stats: CampaignStats,
     iteration: int,
-    log: Callable[[str], None],
-) -> None:
-    log(f"FAILURE {failure.summary()} (program seed {program.seed})")
+    log: Optional[Callable[[str], None]] = None,
+    **extra_meta,
+) -> str:
+    """The one failure path: shrink ``program`` while ``config``'s
+    oracles still report ``failure.oracle`` (``log`` gets the summary
+    line), write the bundle, record it on ``stats``; returns its path."""
     minimized = program
     if config.minimize:
         tests = 0
@@ -585,11 +540,12 @@ def _handle_failure(
             program, still_fails, max_tests=config.minimize_budget
         )
         stats.minimizer_tests += tests
-        log(
-            f"  minimized {len(program.phases)} phases/"
-            f"{program.procs} procs -> {len(minimized.phases)} phases/"
-            f"{minimized.procs} procs ({tests} oracle re-runs)"
-        )
+        if log is not None:
+            log(
+                f"  minimized {len(program.phases)} phases/"
+                f"{program.procs} procs -> {len(minimized.phases)} phases/"
+                f"{minimized.procs} procs ({tests} oracle re-runs)"
+            )
     bundle_dir = write_bundle(
         config.failures_dir,
         failure,
@@ -602,10 +558,29 @@ def _handle_failure(
             "schedules": [s.as_dict() for s in schedules],
             "sc_step_limit": config.sc_step_limit,
             "iteration": iteration,
+            **extra_meta,
         },
+        # The canary runs before any failure can be recorded, so its
+        # bundle is index 0 too; the names differ in oracle and seed.
         index=stats.failure_count,
     )
     stats.bundles.append(bundle_dir)
+    return bundle_dir
+
+
+def _handle_failure(
+    program: GeneratedProgram,
+    failure: OracleFailure,
+    schedules: Sequence[Schedule],
+    config: FuzzConfig,
+    stats: CampaignStats,
+    iteration: int,
+    log: Callable[[str], None],
+) -> None:
+    log(f"FAILURE {failure.summary()} (program seed {program.seed})")
+    bundle_dir = _minimize_and_bundle(
+        program, failure, schedules, config, stats, iteration, log
+    )
     stats.failures.append({
         "oracle": failure.oracle,
         "detail": failure.detail,

@@ -8,7 +8,6 @@ descriptors plus functions, with ``main`` as the SPMD entry point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -74,16 +73,14 @@ class Function:
         self.blocks: List[BasicBlock] = []
         self._blocks_by_label: Dict[str, BasicBlock] = {}
         self.local_arrays: Dict[str, LocalArray] = {}
-        self._label_counter = itertools.count()
-        self._temp_counter = itertools.count()
+        self._next_label = 0
+        self._next_temp = 0
 
     # -- construction ---------------------------------------------------
 
     def new_block(self, hint: str = "bb") -> BasicBlock:
-        label = f"{hint}{next(self._label_counter)}"
-        block = BasicBlock(label)
-        self.blocks.append(block)
-        self._blocks_by_label[label] = block
+        block = BasicBlock(self.fresh_label(hint))
+        self.adopt_block(block)
         return block
 
     def adopt_block(self, block: BasicBlock) -> None:
@@ -94,10 +91,28 @@ class Function:
         self._blocks_by_label[block.label] = block
 
     def new_temp(self, hint: str = "t") -> Temp:
-        return Temp(f"{hint}.{next(self._temp_counter)}")
+        index = self._next_temp
+        self._next_temp = index + 1
+        return Temp(f"{hint}.{index}")
 
     def fresh_label(self, hint: str = "bb") -> str:
-        return f"{hint}{next(self._label_counter)}"
+        index = self._next_label
+        self._next_label = index + 1
+        return f"{hint}{index}"
+
+    def copy(self) -> "Function":
+        """An independent copy: new blocks and instructions (labels and
+        uids kept), and the label/temp counters carried over so names
+        minted on the copy continue where the original stopped."""
+        clone = Function(self.name, self.params, self.returns_value)
+        for block in self.blocks:
+            twin = BasicBlock(block.label)
+            twin.instrs = [instr.copy() for instr in block.instrs]
+            clone.adopt_block(twin)
+        clone.local_arrays = dict(self.local_arrays)
+        clone._next_label = self._next_label
+        clone._next_temp = self._next_temp
+        return clone
 
     # -- queries ----------------------------------------------------------
 
@@ -201,6 +216,16 @@ class Module:
     def verify(self) -> None:
         for function in self.functions.values():
             function.verify()
+
+    def copy(self) -> "Module":
+        """A copy no mutation of which can reach this module.
+
+        Containers and instructions are new; what instructions point at
+        (operands, index metadata, variable descriptors, locations) is
+        shared — every such object is a frozen dataclass or a tuple.
+        """
+        functions = {n: f.copy() for n, f in self.functions.items()}
+        return Module(dict(self.shared_vars), functions)
 
     def __str__(self) -> str:
         parts = []

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import SourceLocation
@@ -255,8 +256,12 @@ class Instr:
         return self.op in TERMINATOR_OPCODES
 
     def copy(self, fresh: bool = False) -> "Instr":
-        """A shallow copy; ``fresh=True`` assigns a new uid."""
-        clone = replace(self)
+        """A shallow copy (field values are immutable and stay shared);
+        ``fresh=True`` assigns a new uid.  Built through ``__init__``, not
+        ``__dict__``: touching an instance's ``__dict__`` moves CPython's
+        attribute storage out of line and slows every later field read
+        (the passes', the simulator's) of the original and the copy."""
+        clone = Instr(*_field_values(self))
         if fresh:
             clone.uid = fresh_uid()
         return clone
@@ -297,6 +302,10 @@ class Instr:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return format_instr(self)
+
+
+#: Reads every field of an instruction, in constructor order.
+_field_values = operator.attrgetter(*(f.name for f in fields(Instr)))
 
 
 def format_instr(instr: Instr) -> str:

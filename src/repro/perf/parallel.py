@@ -6,9 +6,10 @@ level) job is probed once in the content-addressed
 :class:`repro.serve.store.ArtifactCache`; the misses compile — across a
 ``multiprocessing`` pool when one is asked for and there are several,
 in-process otherwise — and are put back.  :func:`compile_with_cache`
-(one job), :func:`compile_levels` (one source, several levels) and
-:func:`compile_many` (raise the first error) are thin faces over it;
-the ``repro serve`` daemon calls it directly for per-job verdicts.
+(one job) and :func:`compile_many` (raise the first error) are thin
+faces over it; the ``repro serve`` daemon calls it directly for per-job
+verdicts.  One source at several levels is not a batch of independent
+jobs: that is :meth:`repro.pipeline.CompilationSession.compile_levels`.
 
 The store lives under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-compile``; keys, sharding, eviction and integrity are
@@ -37,7 +38,6 @@ outcome and its neighbours keep theirs.
 
 from __future__ import annotations
 
-import functools
 import os
 import pickle
 from typing import List, Optional, Sequence, Tuple, Union
@@ -48,7 +48,7 @@ from repro.serve.store import code_fingerprint, default_cache
 __all__ = [
     "cache_enabled", "code_fingerprint", "cache_key",
     "load_cached", "store_cached", "compile_job", "compile_batch",
-    "compile_with_cache", "compile_levels", "compile_many", "job_timeout",
+    "compile_with_cache", "compile_many", "job_timeout",
 ]
 
 
@@ -87,16 +87,14 @@ def store_cached(source: str, level: LevelLike, program) -> None:
     )
 
 
-def compile_job(job: Job, options=None):
+def compile_job(job: Job):
     """A store miss: ``compile_source``, then the put.  The one job
     function — pool workers and the in-process loop both run it, after
     :func:`compile_batch` has probed the store."""
     from repro import OptLevel, compile_source
 
     source, level_value, use_cache = job
-    program = compile_source(
-        source, OptLevel(level_value), options=options
-    )
+    program = compile_source(source, OptLevel(level_value))
     if use_cache:
         store_cached(source, level_value, program)
     return program
@@ -183,7 +181,6 @@ def compile_batch(
     processes: Optional[int] = None,
     use_cache: Optional[bool] = None,
     timeout: Optional[float] = None,
-    options=None,
     job_fn=None,
 ) -> List["object"]:
     """The store-fronted compile of independent (source, level) jobs.
@@ -192,15 +189,12 @@ def compile_batch(
     the exception that job's compile raised.  Duplicate jobs compile
     once.  ``processes``: pool width (``None`` = one per CPU; 0/1, or a
     single miss, = in-process).  ``timeout``: seconds the pool waits
-    for a result (default :func:`job_timeout`).  ``options`` (a
-    :class:`~repro.pipeline.PipelineOptions`) reaches every compile,
-    pooled or not.  ``job_fn`` (picklable) substitutes
-    :func:`compile_job` for tests and chaos drills.
+    for a result (default :func:`job_timeout`).  ``job_fn`` (picklable)
+    substitutes :func:`compile_job` for tests and chaos drills.
     """
     if use_cache is None:
         use_cache = cache_enabled()
-    if job_fn is None:
-        job_fn = functools.partial(compile_job, options=options)
+    job_fn = job_fn or compile_job
     normalized = [
         (source, _level_value(level), use_cache) for source, level in jobs
     ]
@@ -234,40 +228,9 @@ def compile_batch(
     return [outcomes[job] for job in normalized]
 
 
-def _programs(outcomes: List["object"]) -> List["object"]:
-    """``outcomes`` if every job compiled; else raises the first error."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
-
-
-def compile_with_cache(
-    source: str, level: LevelLike, use_cache: bool = True, options=None
-):
+def compile_with_cache(source: str, level: LevelLike, use_cache: bool = True):
     """compile_source with the on-disk cache in front of it."""
-    return compile_levels(
-        source, [level], use_cache=use_cache, options=options
-    )[0]
-
-
-def compile_levels(
-    source: str,
-    levels: Sequence[LevelLike],
-    processes: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-    options=None,
-) -> List["object"]:
-    """One source at several optimization levels, in ``levels`` order.
-
-    The common differential shape (``repro bench-app``, ``repro
-    fuzz``): :func:`compile_batch` over the levels, in-process unless
-    ``processes > 1`` asks for the pool.
-    """
-    return _programs(compile_batch(
-        [(source, level) for level in levels],
-        processes=processes or 0, use_cache=use_cache, options=options,
-    ))
+    return compile_many([(source, level)], use_cache=use_cache)[0]
 
 
 def compile_many(
@@ -283,6 +246,10 @@ def compile_many(
     first job's error.  ``_job_fn`` is a test hook substituting the
     per-job worker function.
     """
-    return _programs(compile_batch(
+    outcomes = compile_batch(
         jobs, processes=processes, use_cache=use_cache, job_fn=_job_fn
-    ))
+    )
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes

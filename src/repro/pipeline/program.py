@@ -5,7 +5,9 @@ Levels map onto the paper's evaluation (§8):
 =====  =====================================================================
 level  meaning
 =====  =====================================================================
-O0     blocking accesses, no analysis (naive but sequentially consistent)
+O0     blocking accesses, no codegen pass (naive but sequentially
+       consistent); the §5 analysis still runs, only to supply
+       ``delay_fences`` for the TSO/PSO backends
 O1     split-phase pipelining constrained by the Shasha–Snir delay set
        (§4) — Figure 12's baseline ("unoptimized" bar)
 O2     pipelining constrained by the synchronization-aware delay set

@@ -17,15 +17,17 @@ Every compile and analysis entry point routes through a session:
   shares the frontend with compilation instead of re-running
   parse/check/lower/inline on its own;
 * callers that hold a session across levels
-  (:meth:`CompilationSession.compile_levels`) run the frontend,
-  inlining, and each required delay-set analysis **once**, and each
-  level's codegen works on a copy of the pristine inlined module.
-  (``perf.parallel.compile_levels`` does not: it compiles each level as
-  an independent store-fronted job.)
+  (:meth:`CompilationSession.compile_levels` — the only multi-level
+  compile: ``repro fuzz``, ``repro bench-app``, the benchmark's shared
+  sweep) run the frontend, inlining, and each required delay-set
+  analysis **once**, and each level's codegen works on a copy of the
+  pristine inlined module.
 
 Uid stability makes the sharing sound: the analyses answer queries by
-instruction uid, and ``copy.deepcopy`` preserves uids, so one analysis
-of the pristine module is valid for every level's working copy.  The
+instruction uid, and :meth:`Module.copy` (structural: new containers
+and instruction objects over shared immutable operands, cheap enough
+that holding a session pays) preserves uids, so one analysis of the
+pristine module is valid for every level's working copy.  The
 same argument covers an in-place compile — its passes mutate the very
 module that was analysed, but keep the uids — provided the analysis ran
 before the first pass did; :meth:`CompilationSession.compile` holds it
@@ -34,7 +36,6 @@ in a local variable from then on and never asks again.
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 from contextlib import contextmanager
@@ -130,7 +131,7 @@ class CompilationSession:
 
     Created from either ``source`` text or an IR ``module`` (exactly
     one).  ``clone_input`` only matters for module-seeded sessions:
-    True (default) deep-copies before inlining so the caller's module
+    True (default) copies before inlining so the caller's module
     is never touched; False adopts and mutates it (the old
     ``compile_module(clone=False)`` contract).
     """
@@ -181,7 +182,7 @@ class CompilationSession:
             )
         elif self.clone_input:
             # The caller's module must stay untouched: inline a copy.
-            module = copy.deepcopy(self._module)
+            module = self._module.copy()
         else:
             module, self._module = self._module, None
         with _stage("inline", pipeline):
@@ -229,7 +230,6 @@ class CompilationSession:
         self,
         opt_level: LevelLike = OptLevel.O3,
         in_place: bool = False,
-        strip_delays: bool = False,
     ) -> CompiledProgram:
         """Runs ``opt_level``'s pipeline; returns the compiled program.
 
@@ -239,15 +239,8 @@ class CompilationSession:
         itself — cheaper for single-shot compiles — and the session
         forgets its memos (a later compile re-derives them from the
         source, or fails with a clear diagnostic if it can't).
-
-        ``strip_delays=True`` produces the delay-stripped debug twin:
-        identical IR, but without the weak-memory fence metadata that
-        makes the program robust under TSO/PSO.  SC behaviour is
-        unaffected — this knob exists for the robustness oracle and
-        for demonstrating that the analysis's delays are load-bearing.
         """
-        level = OptLevel(opt_level.value if isinstance(opt_level, OptLevel)
-                         else opt_level)
+        level = OptLevel(opt_level)  # a member or its string value
         spec = PIPELINES[level]
         pipeline = level.value
         perf.count("pipeline.compiles")
@@ -264,7 +257,7 @@ class CompilationSession:
                 self._analyses.clear()
                 self._constraints.clear()
             else:
-                work = copy.deepcopy(inlined)
+                work = inlined.copy()
         run = LevelRun(work, constraints, CodegenReport())
         for name in spec.passes:
             self._run_pass(name, run, pipeline)
@@ -273,9 +266,7 @@ class CompilationSession:
             opt_level=level,
             analysis=analysis,
             report=run.report,
-            delay_fences=(
-                frozenset() if strip_delays else analysis.fence_uids()
-            ),
+            delay_fences=analysis.fence_uids(),
         )
 
     def _run_pass(self, name: str, run: LevelRun, pipeline: str) -> None:

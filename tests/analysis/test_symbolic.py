@@ -271,7 +271,7 @@ def _sweep_counters(app):
 
 
 class TestSessionCacheCounters:
-    """The pair-level feasibility memo is hit on real kernels, via a
+    """The symbolic-feasibility memos are hit on real kernels, via a
     shared O0-O4 session sweep."""
 
     @pytest.mark.parametrize("app_name", ["em3d", "ocean"])

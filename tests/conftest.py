@@ -1,4 +1,4 @@
-"""Shared fixtures: every serve test runs against an isolated store."""
+"""Shared fixtures: an isolated compile store for the tests that touch it."""
 
 import pytest
 

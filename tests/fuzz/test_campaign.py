@@ -19,8 +19,6 @@ def config_for(tmp_path, **overrides):
     defaults = dict(
         seed=0,
         iterations=3,
-        jobs=0,
-        use_cache=False,
         failures_dir=str(tmp_path / "fuzz-failures"),
         schedules_per_program=2,
         max_failures=1,
@@ -60,6 +58,27 @@ class TestCleanCampaign:
         assert prof.passes["pass.analysis-sas"].calls == 1
         assert prof.passes["pass.analysis-sync"].calls == 1
         assert prof.counters["analysis.artifacts_reused"] >= 1
+
+    def test_every_level_compiles_on_the_oracle_session(self, tmp_path):
+        # Default levels, no schedules: one parse and one analysis per
+        # delay-set level serve the oracle and all three compiles.
+        config = config_for(tmp_path)
+        with perf.profiled() as prof:
+            assert check_program(generate_program(0), [], config) is None
+        assert prof.passes["pass.parse"].calls == 1
+        assert prof.passes["pass.analysis-sas"].calls == 1
+        assert prof.passes["pass.analysis-sync"].calls == 1
+        assert prof.counters["pipeline.compiles"] == len(config.levels)
+
+    def test_campaign_writes_nothing_to_the_compile_store(
+        self, tmp_path, isolated_cache_dir
+    ):
+        stats = run_campaign(FuzzConfig(
+            iterations=2, failures_dir=str(tmp_path / "fuzz-failures"),
+        ))
+        assert stats.programs == 2 and stats.failure_count == 0
+        assert not os.path.exists(isolated_cache_dir) \
+            or not os.listdir(isolated_cache_dir)
 
     def test_budget_seconds_halts(self, tmp_path):
         stats = run_campaign(
@@ -162,8 +181,7 @@ class TestCli:
         stats_path = tmp_path / "stats.json"
         status = cli_main([
             "fuzz", "--iterations", "2", "--seed", "0",
-            "--profile", "racy", "--jobs", "0", "--no-cache",
-            "--quiet", "--failures-dir",
+            "--profile", "racy", "--quiet", "--failures-dir",
             str(tmp_path / "fuzz-failures"),
             "--stats-out", str(stats_path),
         ])
@@ -175,8 +193,7 @@ class TestCli:
 
     def test_all_profiles_split_budget(self, tmp_path, capsys):
         status = cli_main([
-            "fuzz", "--iterations", "5", "--profile", "all",
-            "--jobs", "0", "--no-cache", "--quiet",
+            "fuzz", "--iterations", "5", "--profile", "all", "--quiet",
             "--failures-dir", str(tmp_path / "fuzz-failures"),
         ])
         assert status == 0
@@ -188,12 +205,24 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--iterations", "--schedules"])
     def test_flags_accepted(self, tmp_path, capsys, flag):
         status = cli_main([
-            "fuzz", flag, "1", "--profile", "racy", "--jobs", "0",
-            "--no-cache", "--quiet", "--failures-dir",
+            "fuzz", flag, "1", "--profile", "racy", "--quiet",
+            "--failures-dir",
             str(tmp_path / "fuzz-failures"),
         ])
         assert status == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--jobs", "0"],
+        ["fuzz", "--no-cache"],
+        ["bench-app", "ocean", "--jobs", "2"],
+        ["bench-app", "ocean", "--no-cache"],
+    ])
+    def test_pool_and_store_flags_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFaultyProfile:

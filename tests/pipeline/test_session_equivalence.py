@@ -2,7 +2,7 @@
 cold per-level compiles.
 
 The whole cross-level artifact-reuse story rests on uid stability
-(deepcopy preserves instruction uids; the analyses and constraints
+(``Module.copy`` preserves instruction uids; the analyses and constraints
 answer by uid), so one analysis of the pristine inlined module must
 yield *exactly* the code a cold compile produces.  These tests pin that
 for the litmus suite and every application kernel.

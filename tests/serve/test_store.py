@@ -338,22 +338,19 @@ class TestDefaultCache:
     def test_every_compile_face_writes_the_same_entry(
         self, isolated_cache_dir, tmp_path, monkeypatch
     ):
-        """compile_with_cache, compile_levels and compile_many (serial
-        and pooled) are one store-fronted path: one key, one program."""
+        """compile_with_cache and compile_many (serial and pooled) are
+        one store-fronted path: one key, one program."""
         from repro.fuzz.litmus import mp_program, sb_program
         from repro.perf.parallel import (
             cache_key,
-            compile_levels,
             compile_many,
             compile_with_cache,
         )
-        from repro.pipeline import PipelineOptions
 
         sb, mp = sb_program(2).source, mp_program(2).source
         pair = [(sb, "O3"), (mp, "O3")]  # two misses: the pool runs
         faces = {
             "with_cache": lambda: compile_with_cache(sb, "O3"),
-            "levels": lambda: compile_levels(sb, ["O3"])[0],
             "many_serial": lambda: compile_many(pair, processes=0)[0],
             "many_pool": lambda: compile_many(pair, processes=2)[0],
         }
@@ -372,13 +369,6 @@ class TestDefaultCache:
             assert prof.counters["compile.pool.jobs"] == stored, name
             assert "compile.pool.serial_fallbacks" not in prof.counters
         assert len(texts) == 1
-
-        with profiled(Profiler()) as prof:
-            compile_levels(
-                sb, ["O1", "O3"], use_cache=False,
-                options=PipelineOptions(verify_each_pass=True),
-            )
-        assert prof.passes["pass.verify-each-pass"].calls > 0
 
     def test_pickled_program_round_trip(self, isolated_cache_dir):
         cache = default_cache()
