@@ -106,6 +106,10 @@ class IndexMeta:
 
 
 class Opcode(enum.Enum):
+    # Members are singletons: identity hashing, not Enum's Python-level
+    # ``hash(self._name_)``, under every opcode-keyed set and dict.
+    __hash__ = object.__hash__
+
     # Local computation
     CONST = "const"
     MOVE = "move"

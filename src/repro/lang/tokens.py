@@ -21,6 +21,8 @@ from repro.errors import SourceLocation
 class TokenKind(enum.Enum):
     """Every distinct lexical category recognized by the lexer."""
 
+    __hash__ = object.__hash__  # identity: see ``ir.instructions.Opcode``
+
     # Literals and identifiers
     INT_LITERAL = "int_literal"
     FLOAT_LITERAL = "float_literal"

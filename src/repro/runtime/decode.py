@@ -10,24 +10,40 @@ next index (or ``-1`` = refetch frame/block, ``-2`` = blocked/done).
 
 Two tiers of steps:
 
-* **Fused runs.**  Maximal straight-line sequences of *local* opcodes
-  (const/move/binop/unop/intrinsic/local array traffic, plus a
-  trailing jump/branch) are compiled to one generated-source function:
-  operand loads become direct ``regs[...]`` accesses, temps written
-  earlier in the run are cached in Python locals, the cycle cost of
-  the whole run is added with a single ``proc.clock +=``.  Local ops
-  never touch shared memory, the network, the store buffers or the
-  trace, so fusing them is invisible to everything but wall time.
+* **Fused runs.**  Straight-line sequences are compiled to one
+  generated-source function each: operand loads become direct
+  ``regs[...]`` accesses, temps written earlier in the run are cached
+  in Python locals, the cycle cost of the whole run is added with a
+  single ``proc.clock +=``.  The nine *local* opcodes (const/move/
+  binop/unop/intrinsic/local array traffic, a trailing jump/branch)
+  always fuse.  In untraced SC runs — where the delay-fence set is
+  inert and nothing records accesses — so do the five shared-access
+  opcodes (``read_shared``/``write_shared`` and the split-phase
+  ``get``/``put``/``store``) for an element homed on the issuer, with
+  the owner test inline and a bail-out to ``Processor._access`` for a
+  remote home, and a ``sync_ctr`` whose counter is already zero.  That
+  is the common case by construction in owner-computes kernels, and at
+  O1 and up it is the code the paper is about.
 
-* **Slow steps.**  Every opcode with simulator-visible effects
-  (shared accesses, split-phase traffic, synchronization, call/ret)
-  has a handler in ``Processor.OPS``, which owns message formats,
-  blocking behavior and trace recording; the decoder binds it into
-  the step, so a slow step is one call with no opcode dispatch.
-  Shared accesses fuse only in untraced SC runs, where the delay-fence
-  set is inert and is not consulted; under TSO/PSO they all stay slow
-  steps bound to ``Processor._execute``, which drains the store buffer
-  in front of every fence target and then calls the same handler.
+* **Slow steps.**  Every other opcode with simulator-visible effects
+  (post/wait/lock/unlock, barrier, store_sync, call/ret), and every
+  shared access or ``sync_ctr`` of a traced or TSO/PSO run, is one call
+  of its ``Processor.OPS`` handler, which owns message formats,
+  blocking behavior and trace recording; the decoder binds it into the
+  step, so there is no opcode dispatch.  Under TSO/PSO the step binds
+  ``Processor._execute`` instead, which drains the store buffer in
+  front of every fence target and then calls the same handler.
+
+Decode cost is linear and mostly memoized.  Every instruction is
+compiled into exactly one step: a run ends after a shared access (a
+blocked remote access resumes at the next index, and a remote
+split-phase bail returns there) and a ``sync_ctr`` always starts one
+(it re-executes on wake).  Most of decode is ``compile()`` of step
+source, and step texts repeat heavily within and across programs, so
+one bounded memo (:func:`_step_code`) maps text to code object.  That
+is sound because a step's text names every non-literal constant ``cN``
+and resolves it as a global: the code object depends on nothing but the
+text, and each run executes it into its own namespace.
 
 Parity contract: the seed per-instruction interpreter and flat-heap
 event loop live on as a test-side oracle
@@ -37,8 +53,9 @@ wait cycles, instruction and message counts, snapshots and fault texts
 against it.  The subtleties that matter:
 
 * reads of a temp that may hold a pending split-phase value
-  (a non-fused ``get`` destination, or a load from a local array some
-  fused ``get`` lands in) are guarded exactly like ``value()``;
+  (the destination of a ``get`` without a landing array, or a load
+  from a local array some ``get`` lands in) are guarded exactly like
+  ``value()``;
 * an undefined temp raises the ``use of undefined temp`` fault (the
   generated code catches ``KeyError`` from ``regs``);
 * local-array bounds faults carry the oracle's message verbatim;
@@ -49,6 +66,7 @@ against it.  The subtleties that matter:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Dict, List, Set
@@ -145,13 +163,19 @@ FAST_OPS = frozenset(
     }
 )
 
-#: Blocking shared accesses the fuser may specialize when the run is
-#: untraced and sequentially consistent: the owner test compiles
-#: inline, the local-home case reads/writes backing storage directly,
-#: and the remote case bails to ``Processor._access`` (which
-#: blocks, so the resume entry compiled after each shared op picks the
-#: run back up).
-SHARED_OPS = frozenset({Opcode.READ_SHARED, Opcode.WRITE_SHARED})
+#: Shared accesses (everything ``Processor._access`` serves) the fuser
+#: may specialize when the run is untraced and sequentially consistent:
+#: the owner test compiles inline, the local-home case reads/writes
+#: backing storage directly, and the remote case bails to ``_access``.
+SHARED_OPS = frozenset(
+    {
+        Opcode.READ_SHARED,
+        Opcode.WRITE_SHARED,
+        Opcode.GET,
+        Opcode.PUT,
+        Opcode.STORE,
+    }
+)
 
 #: Binop kinds whose semantics are type-independent enough to inline.
 _INLINE_BINOPS: Dict[BinOpKind, str] = {
@@ -282,11 +306,11 @@ class _RunCompiler:
             self.array_map[var] = cached
         return cached
 
-    def flat_expr(self, ins: Instr) -> str:
-        """Bounds-checked row-major offset into a private array."""
-        dims = self.function.local_arrays[ins.var].dims
+    def flat_expr(self, name: str, indices, what: str = "local array") -> str:
+        """Bounds-checked row-major offset into private array ``name``."""
+        dims = self.function.local_arrays[name].dims
         flat = None
-        for operand, extent in zip(ins.indices, dims):
+        for operand, extent in zip(indices, dims):
             if isinstance(operand, Const):
                 index = int(operand.value)
                 if 0 <= index < extent:
@@ -294,8 +318,8 @@ class _RunCompiler:
                 else:
                     # Out of range statically: fault when executed.
                     self.emit(
-                        f'raise RuntimeFault(f"P{{proc.pid}}: local '
-                        f"array {ins.var} index {index} out of range "
+                        f'raise RuntimeFault(f"P{{proc.pid}}: {what} '
+                        f"{name} index {index} out of range "
                         f'[0, {extent})")'
                     )
                     term = "0"  # unreachable
@@ -304,8 +328,8 @@ class _RunCompiler:
                 self.emit(f"{iv} = int({self.read(operand)})")
                 self.emit(f"if not 0 <= {iv} < {extent}:")
                 self.emit(
-                    f'    raise RuntimeFault(f"P{{proc.pid}}: local '
-                    f"array {ins.var} index {{{iv}}} out of range "
+                    f'    raise RuntimeFault(f"P{{proc.pid}}: {what} '
+                    f"{name} index {{{iv}}} out of range "
                     f'[0, {extent})")'
                 )
                 term = iv
@@ -348,11 +372,12 @@ class _RunCompiler:
             self.cost += machine.cpu_op * 4
         elif op is Opcode.LOAD_LOCAL:
             array = self.array(ins.var)
-            self.write(ins.dest, f"{array}[{self.flat_expr(ins)}]")
+            flat = self.flat_expr(ins.var, ins.indices)
+            self.write(ins.dest, f"{array}[{flat}]")
             self.cost += machine.local_mem
         elif op is Opcode.STORE_LOCAL:
             array = self.array(ins.var)
-            flat = self.flat_expr(ins)
+            flat = self.flat_expr(ins.var, ins.indices)
             self.emit(f"{array}[{flat}] = {self.read(ins.src)}")
             self.cost += machine.local_mem
         elif op is Opcode.JUMP:
@@ -372,22 +397,44 @@ class _RunCompiler:
         else:  # pragma: no cover - the fuser only feeds FAST_OPS
             raise RuntimeFault(f"cannot fuse {ins}")
 
+    def bail(self, ins: Instr, index: int) -> None:
+        """Body of an ``if``: settles the run's partial cost and hands
+        ``ins`` to its ``OPS`` handler, which blocks or proceeds."""
+        handler = self.const(self.sim.processor_class.OPS[ins.op])
+        if self.cost:
+            self.emit(f"    proc.clock += {self.cost}")
+        self.emit(f"    proc.instructions += {self.count + 1}")
+        self.emit(f"    frame.index = {index}")
+        self.emit(f"    if {handler}(proc, {self.const(ins)}, frame):")
+        self.emit(f"        return {index + 1}")
+        self.emit("    return -2")
+
+    def add_sync_ctr(self, ins: Instr, index: int) -> None:
+        """A ``sync_ctr`` falls through when its counter is zero; else
+        ``_sync_ctr`` blocks and the step re-executes (and is counted
+        again, like the oracle's) on wake."""
+        self.emit(f"if proc.counters.get({ins.counter!r}, 0):")
+        self.bail(ins, index)
+        self.cost += self.machine.cpu_op
+        self.count += 1
+
     def add_shared(self, ins: Instr, index: int) -> None:
-        """Inlines a blocking shared access (read_shared/write_shared).
+        """Inlines a shared access (any of :data:`SHARED_OPS`).
 
         Replicates ``Processor._access`` for the local-home case —
         same fault messages, same evaluation order (all indices, then
         the written value, then the leading-bounds/owner check, then
-        trailing bounds) and the same ``local_access`` charge.  A
-        remote owner bails to ``_access`` itself after settling the
-        run's partial cost, and the blocking protocol takes over
-        unchanged.
+        trailing bounds, then a ``get``'s landing indices) and the same
+        ``local_access`` charge; a local-home split-phase access
+        completes at once, so no counter moves.  A remote owner bails
+        to ``_access`` itself after settling the run's partial cost,
+        and the blocking or split-phase protocol takes over unchanged.
         """
         sim = self.sim
-        machine = self.machine
         var = sim.memory.var(ins.var)
         num_procs = sim.num_procs
         name = ins.var
+        reads = ins.op is Opcode.READ_SHARED or ins.op is Opcode.GET
         # 1. Evaluate every index left to right (undefined/pending
         #    faults fire here, before any bounds check — indices_of).
         idx_terms: List[str] = []
@@ -401,7 +448,7 @@ class _RunCompiler:
         # 2. For writes, materialize the value next (``_access``
         #    evaluates it before the owner lookup can fault).
         val = None
-        if ins.op is Opcode.WRITE_SHARED:
+        if not reads:
             val = self.fresh()
             self.emit(f"{val} = {self.read(ins.src)}")
         # 3. Leading bounds + owner (messages from ``GlobalMemory``).
@@ -425,19 +472,11 @@ class _RunCompiler:
                     owner = f"min({lead} // {block}, {num_procs - 1})"
         else:
             owner = "0"
-        # 4. Remote home: settle the run's partial cost and funnel this
-        #    instruction through the blocking path (it re-checks
-        #    everything; the processor parks until the reply).
-        ins_ref = self.const(ins)
-        access = self.const(sim.processor_class.OPS[ins.op])
+        # 4. Remote home: funnel this instruction through ``_access``
+        #    (it re-checks everything, then parks the processor until
+        #    the reply or issues the split-phase request and goes on).
         self.emit(f"if {owner} != proc.pid:")
-        if self.cost:
-            self.emit(f"    proc.clock += {self.cost}")
-        self.emit(f"    proc.instructions += {self.count + 1}")
-        self.emit(f"    frame.index = {index}")
-        self.emit(f"    if {access}(proc, {ins_ref}, frame):")
-        self.emit(f"        return {index + 1}")
-        self.emit("    return -2")
+        self.bail(ins, index)
         # 5. Local home: trailing bounds checks, then direct storage
         #    access (the leading dimension was checked above).
         flat = idx_terms[0] if var.dims else "0"
@@ -448,17 +487,19 @@ class _RunCompiler:
                 f'out of range [0, {extent})")'
             )
             flat = f"({flat} * {extent} + {term})"
-        storage = self.array_map.get("\0" + name)
-        if storage is None:
-            storage = self.const(sim.memory._storage[name])
-            self.array_map["\0" + name] = storage
-        if ins.op is Opcode.READ_SHARED:
+        storage = self.const(sim.memory._storage[name])
+        if ins.local_array is not None:  # a get fused with its store
+            land = self.flat_expr(
+                ins.local_array, ins.local_indices, "fused get target")
+            array = self.array(ins.local_array)
+            self.emit(f"{array}[{land}] = {storage}[{flat}]")
+        elif reads:
             self.write(ins.dest, f"{storage}[{flat}]")
         elif var.kind is ScalarKind.INT:
             self.emit(f"{storage}[{flat}] = int({val})")
         else:
             self.emit(f"{storage}[{flat}] = {val}")
-        self.cost += machine.local_access
+        self.cost += self.machine.local_access
         self.count += 1
 
     def compile(self, next_index: int) -> Step:
@@ -479,8 +520,15 @@ class _RunCompiler:
                 f"    return {self.result}",
             ]
         )
-        exec(source, self.env)  # noqa: S102 - deterministic codegen
+        exec(_step_code(source), self.env)  # noqa: S102 - own codegen
         return self.env["_step"]
+
+
+@functools.lru_cache(maxsize=512)
+def _step_code(source: str):
+    """Code object for one step's source text.  Bounded: 512 entries
+    hold a Fig. 12 sweep's distinct texts at +4 % daemon RSS."""
+    return compile(source, "<decoded step>", "exec")
 
 
 def _make_slow(ins: Instr, index: int, handler) -> Step:
@@ -504,23 +552,23 @@ def _make_slow(ins: Instr, index: int, handler) -> Step:
 def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
     """Decodes every block of ``function`` into step lists for ``sim``.
 
-    Entry points into a step list are index 0 and each slow step's
-    successor (where blocked processors resume); interior indices of a
-    fused run are filled with a loud guard.
+    Each instruction belongs to exactly one step.  Entry points into a
+    step list are the head of each fused run and each slow step;
+    interior indices of a run are filled with a loud guard.  A run is
+    cut where a processor can re-enter the block: after a shared
+    access (a blocked remote access resumes at the next index, a
+    remote split-phase one returns it) and before a ``sync_ctr`` (it
+    re-executes on wake).  Nothing is compiled twice, so decode is
+    linear in the block however accesses and syncs alternate.
 
-    When the run is untraced and sequentially consistent, blocking
-    shared accesses fuse too (the dominant cost of stencil kernels is
-    local-home reads/writes — see :meth:`_RunCompiler.add_shared`).  A
-    remote access blocks with the frame advanced past it, so each
-    position after a fused shared op gets its own suffix-run entry for
-    the resume.
-
-    ``sim.delay_fences`` matters only under a weak memory model, and
-    there every shared or sync access is a slow step, so
-    ``Processor._execute`` drains the store buffer in front of each
-    fence target.  Fence uids are delay-edge targets — never local
-    opcodes; one that is would lose its drain silently inside a fused
-    run, so it is rejected here instead.
+    Shared accesses and ``sync_ctr`` fuse only when the run is
+    untraced and sequentially consistent (see
+    :meth:`_RunCompiler.add_shared`).  ``sim.delay_fences`` matters
+    only under a weak memory model, and there every shared or sync
+    access is a slow step, so ``Processor._execute`` drains the store
+    buffer in front of each fence target.  Fence uids are delay-edge
+    targets — never local opcodes; one that is would lose its drain
+    silently inside a fused run, so it is rejected here instead.
     """
     pending = _pending_temps(function)
     shared_ok = sim.trace is None and sim.weak is None
@@ -539,7 +587,7 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
         if shared_ok and ins.op in SHARED_OPS:
             # Arity mismatches fault through ``_access`` instead.
             return len(ins.indices) == len(sim.memory.var(ins.var).dims)
-        return False
+        return shared_ok and ins.op is Opcode.SYNC_CTR
 
     decoded: Dict[str, List[Step]] = {}
     for block in function.blocks:
@@ -547,32 +595,31 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
         steps: List[Step] = [_unreachable] * len(instrs)
         i = 0
         while i < len(instrs):
-            if fusable(instrs[i]):
-                j = i
-                while j < len(instrs) and fusable(instrs[j]):
-                    j += 1
-                # One entry at the head of the run, plus one after each
-                # fused shared access (remote blocking resumes there).
-                entries = [i] + [
-                    k + 1
-                    for k in range(i, j - 1)
-                    if instrs[k].op in SHARED_OPS
-                ]
-                for start in entries:
-                    run = _RunCompiler(function, sim.machine, pending, sim)
-                    for k in range(start, j):
-                        if instrs[k].op in SHARED_OPS:
-                            run.add_shared(instrs[k], k)
-                        else:
-                            run.add(instrs[k])
-                    steps[start] = run.compile(j)
-                i = j
-            else:
+            ins = instrs[i]
+            if not fusable(ins):
                 handler = (
-                    processor.OPS[instrs[i].op] if sim.weak is None
+                    processor.OPS[ins.op] if sim.weak is None
                     else processor._execute
                 )
-                steps[i] = _make_slow(instrs[i], i, handler)
+                steps[i] = _make_slow(ins, i, handler)
                 i += 1
+                continue
+            run = _RunCompiler(function, sim.machine, pending, sim)
+            j = i
+            while j < len(instrs) and fusable(instrs[j]):
+                ins = instrs[j]
+                if ins.op is Opcode.SYNC_CTR:
+                    if j > i:
+                        break  # re-executes on wake: heads its own run
+                    run.add_sync_ctr(ins, j)
+                elif ins.op in SHARED_OPS:
+                    run.add_shared(ins, j)
+                else:
+                    run.add(ins)
+                j += 1
+                if ins.op in SHARED_OPS:
+                    break  # a remote access resumes, or returns, at j
+            steps[i] = run.compile(j)
+            i = j
         decoded[block.label] = steps
     return decoded

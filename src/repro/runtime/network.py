@@ -57,6 +57,8 @@ Value = Union[int, float]
 
 
 class MsgKind(enum.Enum):
+    __hash__ = object.__hash__  # identity: see ``ir.instructions.Opcode``
+
     GET_REQ = "get_req"
     GET_REPLY = "get_reply"
     PUT_REQ = "put_req"

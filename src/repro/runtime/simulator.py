@@ -79,7 +79,10 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.errors import DeadlockError, NetworkFault, RuntimeFault
 from repro.ir.cfg import Function, Module
 from repro.ir.instructions import Const, Instr, Opcode, Operand, Temp
-from repro.runtime.decode import PENDING, Step, _Pending, decode_function
+from repro.perf import profiler as perf
+from repro.runtime.decode import (
+    PENDING, Step, _Pending, _step_code, decode_function,
+)
 from repro.runtime.events import CalendarQueue, LinkChannels
 from repro.runtime.machine import MachineConfig, validate_memory_model
 from repro.runtime.memory import GlobalMemory, StoreBuffers
@@ -679,8 +682,14 @@ class Simulator:
         """Decoded step lists for ``function`` (once per simulator)."""
         code = self._decoded_cache.get(function.name)
         if code is None:
-            code = decode_function(function, self)
+            before = _step_code.cache_info()
+            with perf.pass_timer("simulate.decode"):
+                code = decode_function(function, self)
             self._decoded_cache[function.name] = code
+            after = _step_code.cache_info()
+            hits = after.hits - before.hits
+            perf.count("decode.steps", hits + after.misses - before.misses)
+            perf.count("decode.code_memo_hits", hits)
         return code
 
     def new_tag(self) -> int:
@@ -1058,6 +1067,7 @@ class Simulator:
 
     # -- main loop ------------------------------------------------------------------
 
+    @perf.pass_timer("simulate.run")
     def run(self) -> SimulationResult:
         """Calendar-queue loop: one heap pop per *timestamp*, with all
         same-time events dispatched in insertion order (what a flat
