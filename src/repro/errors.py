@@ -68,8 +68,8 @@ class RuntimeFault(ReproError):
 class NetworkFault(RuntimeFault):
     """A message exhausted its retransmission budget and is undeliverable.
 
-    Raised by the simulator's reliability protocol when the retry cap is
-    reached — a permanently partitioned link, or a fault plan so lossy
+    Raised by ``network.Transport`` when the retry cap is reached — a
+    permanently partitioned link, or a fault plan so lossy
     the exponential backoff budget runs out.  Carries the undeliverable
     message and the sending link's fault statistics so callers (and the
     CLI) can render a precise diagnostic instead of hanging.

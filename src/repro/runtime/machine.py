@@ -145,27 +145,6 @@ class MachineConfig:
             return self.drain_window
         return (0, 4 * self.remote_read_cycles)
 
-    def retransmit_timeout(self, attempt: int, max_spike: int = 0) -> int:
-        """Retransmission timeout for the ``attempt``-th transmission.
-
-        The base timeout strictly exceeds the worst-case round trip —
-        request wire time plus transport-ack wire time, each inflated
-        by the full jitter bound and any fault-plan latency spike, plus
-        handler time — so a timeout firing always means the envelope or
-        its ack was genuinely lost, never that the ack is merely slow.
-        Subsequent attempts back off exponentially (doubling, capped at
-        64x) to ride out link partitions without flooding the wire.
-        """
-        worst_one_way = self.wire_latency + self.jitter + max_spike
-        base = (
-            2 * worst_one_way
-            + self.remote_handle
-            + self.send_overhead
-            + self.recv_overhead
-            + 16  # scheduling slack (FIFO bumps, handler queueing)
-        )
-        return base * (2 ** min(attempt - 1, 6))
-
 
 #: Thinking Machines CM-5: high-overhead message layer (Table 1: 400/30).
 #: The CM-5 shipped in configurations up to 1024 nodes, which is the

@@ -21,12 +21,19 @@ dimension: *loss*.  With a plan installed, :meth:`Network.transmit`
 replaces :meth:`Network.send` — each physical transmission may be
 dropped, duplicated, hit by a latency spike, or swallowed by a
 temporary link partition, all decided by a dedicated seeded RNG so a
-(program seed, fault seed) pair replays exactly.  The point-to-point
-FIFO guarantee is then re-established *above* the lossy wire by the
-simulator's sequence-numbered ack/retransmit protocol
-(:mod:`repro.runtime.simulator`): receivers deliver each link's traffic
-in sequence order, so every SC argument that leaned on FIFO still
-holds under loss.
+(program seed, fault seed) pair replays exactly.
+
+Above it the :class:`Transport` restores point-to-point FIFO.  Each
+logical message travels in a sequence-numbered envelope, retransmitted
+until acked on a timeout strictly above the worst-case round trip that
+doubles per attempt (capped at 64x); past the plan's ``retry_cap``
+:class:`NetworkFault` is raised — silent loss becomes a diagnosis,
+never a hang.  Receivers ack every arrival (acks are faultable too),
+suppress duplicates and release strictly in sequence order, so handlers
+see each message **exactly once, in order**.  Acks are cumulative: each
+carries the link's in-order delivery floor, so an envelope whose own
+acks were all lost is cleared by any later one.  Acks cost no handler
+cycles.
 
 Fault-plan spec grammar (the CLI's ``--faults`` string)::
 
@@ -37,6 +44,7 @@ Fault-plan spec grammar (the CLI's ``--faults`` string)::
                | 'partition=A-B@START+DURATION'  # temporary link outage
                | 'stall=PID@START+DURATION'      # processor stall window
                | 'retry_cap=N'                   # retransmission budget
+               | 'seed=N'                        # fault RNG seed
 
 where ``KIND`` is a lower-case :class:`MsgKind` value (``store_req``,
 ``put_req``, ``net_ack``, ...), probabilities are floats in [0, 1] and
@@ -48,10 +56,16 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.errors import NetworkFault
 from repro.runtime.trace import MemEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.machine import MachineConfig
+    from repro.runtime.simulator import Simulator
 
 Value = Union[int, float]
 
@@ -72,8 +86,8 @@ class MsgKind(enum.Enum):
     UNLOCK_REQ = "unlock_req"
     BARRIER_ARRIVE = "barrier_arrive"
     BARRIER_RELEASE = "barrier_release"
-    #: transport-level acknowledgement of one (link, seq) envelope;
-    #: exists only when a fault plan is active.
+    #: the transport's acknowledgement of one envelope (fault plans
+    #: only; its seq and floor ride the event, not the message)
     NET_ACK = "net_ack"
 
 
@@ -95,8 +109,6 @@ class Message:
     local_flat: Optional[int] = None
     #: opaque tag correlating requests and replies
     tag: int = 0
-    #: per-link transport sequence number (reliability protocol only)
-    seq: Optional[int] = None
     #: a traced read's MemEvent, riding request and reply until the
     #: value lands (None in untraced runs and on every other kind)
     event: Optional[MemEvent] = None
@@ -255,7 +267,7 @@ class FaultPlan:
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def describe(self) -> str:
-        """A compact human-readable summary for diagnostics."""
+        """The plan as a ``--faults`` spec that parses back to it."""
         parts = [f"drop={self.drop:g}", f"dup={self.duplicate:g}"]
         for kind, prob in sorted(self.drop_by_kind.items(),
                                  key=lambda kv: kv[0].value):
@@ -272,6 +284,7 @@ class FaultPlan:
         for s in self.stalls:
             parts.append(f"stall={s.pid}@{s.start}+{s.end - s.start}")
         parts.append(f"retry_cap={self.retry_cap}")
+        parts.append(f"seed={self.seed}")
         return ",".join(parts)
 
 
@@ -372,10 +385,9 @@ class Network:
     The network computes delivery times and keeps traffic statistics;
     the simulator owns the actual event queue.  Without a fault plan,
     :meth:`send` is the whole story (and FIFO is enforced by bumping
-    arrival times).  With a plan, the simulator calls :meth:`transmit`
-    instead: each call is one *physical* transmission attempt that may
-    yield zero, one or two arrivals; ordering is restored above by the
-    sequence-numbered protocol.
+    arrival times).  With a plan, the :class:`Transport` calls
+    :meth:`transmit` instead: each call is one *physical* transmission
+    attempt that may yield zero, one or two arrivals.
     """
 
     def __init__(self, wire_latency: int, jitter: int = 0,
@@ -464,3 +476,134 @@ class Network:
             f"partition), {stats.duplicated} duplicated, "
             f"{stats.delivered_copies} copies delivered"
         )
+
+
+# -- the reliability protocol ------------------------------------------------
+
+
+@dataclass
+class _Link:
+    """Both ends' protocol state for one directed (src, dst) link."""
+
+    next_seq: int = 0
+    #: sender: seq -> (envelope, transmissions so far), until acked
+    unacked: Dict[int, Tuple[Message, int]] = field(default_factory=dict)
+    #: receiver: the next seq to release, and arrivals held above it
+    expected: int = 0
+    held: Dict[int, Message] = field(default_factory=dict)
+
+
+class Transport:
+    """The reliability protocol of the module docstring.  Its events
+    ride the simulator's queue as ``("xport", what, ...)`` and come back
+    through :meth:`handle`; ``sim._push`` and ``sim._handle_message``
+    are looked up per call (the test-side reference engine rebinds
+    ``_push`` after construction)."""
+
+    def __init__(self, network: Network, plan: FaultPlan,
+                 machine: MachineConfig, sim: Simulator) -> None:
+        self.network = network
+        self.plan = plan
+        self.sim = sim
+        # Strictly above the worst-case round trip — data and ack wire
+        # time, each inflated by the full jitter bound and any spike,
+        # plus handler time and slack for FIFO bumps and queueing — so
+        # a timeout means a lost envelope or ack, never a slow one.
+        worst_one_way = machine.wire_latency + machine.jitter + plan.spike_cycles
+        self.base_timeout = (
+            2 * worst_one_way + machine.remote_handle
+            + machine.send_overhead + machine.recv_overhead + 16
+        )
+        self._links: Dict[Tuple[int, int], _Link] = defaultdict(_Link)
+
+    def send(self, msg: Message, now: int) -> None:
+        """``Simulator.send`` under a fault plan: ``msg`` becomes its
+        link's next envelope."""
+        link = self._links[(msg.src, msg.dst)]
+        link.next_seq += 1
+        self._transmit(link, link.next_seq - 1, msg, 1, now)
+
+    def _transmit(self, link: _Link, seq: int, msg: Message, attempts: int,
+                  now: int) -> None:
+        """Transmission number ``attempts`` of one envelope, and its
+        timer: the timeout doubles per attempt, up to 64x."""
+        link.unacked[seq] = (msg, attempts)
+        push = self.sim._push
+        arrivals = self.network.transmit(msg, now, retransmission=attempts > 1)
+        for arrival in arrivals:
+            push(arrival, ("xport", "data", msg, seq))
+        push(now + self.base_timeout * 2 ** min(attempts - 1, 6),
+             ("xport", "timer", (msg.src, msg.dst), seq))
+
+    def handle(self, now: int, payload: tuple) -> None:
+        """One ``("xport", ...)`` event off the simulator's queue."""
+        what = payload[1]
+        if what == "timer":
+            self._on_timeout(now, payload[2], payload[3])
+            return
+        self.network.delivered()
+        if what == "data":
+            self._on_envelope(now, payload[2], payload[3])
+        else:
+            self._on_ack(payload[2], payload[3], payload[4])
+
+    def _on_timeout(self, now: int, key: Tuple[int, int], seq: int) -> None:
+        link = self._links[key]
+        entry = link.unacked.get(seq)
+        if entry is None:
+            return  # acked in the meantime: a stale timer
+        msg, attempts = entry
+        plan = self.plan
+        if attempts > plan.retry_cap:
+            raise NetworkFault(
+                f"P{msg.src}: {msg.kind.value} to P{msg.dst} "
+                f"undeliverable after {attempts} transmissions "
+                f"(seq {seq}, retry cap {plan.retry_cap}); "
+                + self.network.describe_link(key)
+                + ("; link currently partitioned"
+                   if plan.partitioned(key[0], key[1], now) else ""),
+                undeliverable=msg, link=key, attempts=attempts,
+                link_stats=self.network.link_stats.get(key),
+            )
+        self._transmit(link, seq, msg, attempts + 1, now)
+
+    def _on_envelope(self, now: int, msg: Message, seq: int) -> None:
+        """Suppresses duplicates, releases in seq order, always acks."""
+        key = (msg.src, msg.dst)
+        link = self._links[key]
+        if seq < link.expected or seq in link.held:
+            self.network.stats.duplicates_suppressed += 1
+        else:
+            link.held[seq] = msg
+            while link.expected in link.held:
+                ready = link.held.pop(link.expected)
+                link.expected += 1
+                self.sim._handle_message(now, ready)
+        # Always ack: our last ack may be what was lost.  Without the
+        # floor, one envelope fails once ~11 independent coin flips go
+        # wrong — far too often across a whole campaign.
+        floor = link.expected - 1
+        ack = Message(MsgKind.NET_ACK, src=msg.dst, dst=msg.src)
+        for arrival in self.network.transmit(ack, now):
+            self.sim._push(arrival, ("xport", "ack", key, seq, floor))
+
+    def _on_ack(self, key: Tuple[int, int], seq: int, floor: int) -> None:
+        """Clears the acked envelope of link ``key``, and every one at
+        or below the receiver's in-order floor."""
+        unacked = self._links[key].unacked
+        stats = self.network.stats
+        entry = unacked.pop(seq, None)
+        if entry is not None:
+            stats.record_retries(entry[1])
+        for done in [s for s in unacked if s <= floor]:
+            stats.record_retries(unacked.pop(done)[1])
+
+    def forensics(self) -> List[str]:
+        """The deadlock report's lines on envelopes awaiting an ack."""
+        lines = [
+            f"  unacked envelope {key[0]}->{key[1]} seq {seq} "
+            f"({msg.kind.value}, {attempts} transmission(s))"
+            for key, link in sorted(self._links.items())
+            for seq, (msg, attempts) in sorted(link.unacked.items())
+        ]
+        return lines or ["  unacked envelopes: none"]

@@ -250,10 +250,10 @@ class TestFaultyProfile:
         # so the first dropped envelope is lost forever and the lossy
         # run deadlocks — the campaign must surface that as a failure
         # rather than reporting a clean pass.
-        from repro.runtime.simulator import Simulator
+        from repro.runtime.network import Transport
 
         monkeypatch.setattr(
-            Simulator, "_handle_retx",
+            Transport, "_on_timeout",
             lambda self, now, link, seq: None,
         )
         stats = run_campaign(config_for(

@@ -153,16 +153,10 @@ class ReferenceSimulator(Simulator):
             elif tag == "deliver":
                 self.network.delivered()
                 self._handle_message(time, payload[1])
-            elif tag == "xport":
-                self.network.delivered()
-                self._handle_xport(time, payload[1])
-            elif tag == "xack":
-                self.network.delivered()
-                self._handle_xack(payload[1])
             elif tag == "drain":
                 self.weak.drain(payload[1], payload[2])
-            else:  # "retx"
-                self._handle_retx(time, *payload[1])
+            else:  # "xport"
+                self.transport.handle(time, payload)
         return self._finish()
 
 

@@ -110,7 +110,7 @@ def make_network(plan, wire=10, jitter=0):
 
 
 def msg(kind=MsgKind.STORE_REQ, src=0, dst=1):
-    return Message(kind, src=src, dst=dst, seq=0)
+    return Message(kind, src=src, dst=dst)
 
 
 class TestTransmit:

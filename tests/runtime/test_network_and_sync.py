@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RuntimeFault
-from repro.runtime.network import Message, MsgKind, Network
+from repro.runtime.network import FaultPlan, Message, MsgKind, Network
 from repro.runtime.sync_objects import BarrierState, FlagTable, LockTable
 
 
@@ -60,6 +60,18 @@ class TestNetwork:
             assert first.send(msg(dst=i % 3), 0) == second.send(
                 msg(dst=i % 3), 0
             )
+
+
+def test_fault_plan_describe_parses_back_to_the_same_plan():
+    # ``repro run --faults`` prints this string as its "fault plan:"
+    # line; pasting it back must give the same plan, seed included.
+    plan = FaultPlan.parse(
+        "drop=0.1,dup=0.05,drop.store_req=0.3,dup.net_ack=0.2,"
+        "spike=0.05:2000,partition=0-1@100+50,stall=1@5+10,retry_cap=7,"
+        "seed=9"
+    )
+    assert "seed=9" in plan.describe()
+    assert FaultPlan.parse(plan.describe()) == plan
 
 
 class TestFlagTable:
