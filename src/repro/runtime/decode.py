@@ -18,12 +18,12 @@ Two tiers of steps:
   binop/unop/intrinsic/local array traffic, a trailing jump/branch)
   always fuse.  In untraced SC runs — where the delay-fence set is
   inert and nothing records accesses — so do the five shared-access
-  opcodes (``read_shared``/``write_shared`` and the split-phase
-  ``get``/``put``/``store``) for an element homed on the issuer, with
-  the owner test inline and a bail-out to ``Processor._access`` for a
-  remote home, and a ``sync_ctr`` whose counter is already zero.  That
-  is the common case by construction in owner-computes kernels, and at
-  O1 and up it is the code the paper is about.
+  opcodes and ``sync_ctr``, with the owner test inline.  A local home
+  touches backing storage directly; a remote split-phase ``get``/
+  ``put``/``store`` builds, counts and sends its request and goes on
+  (§6's message pipelining, what O1 and up is made of).  A remote
+  blocking ``read_shared``/``write_shared``, and a ``sync_ctr`` whose
+  counter is not zero, bail out to their ``Processor.OPS`` handler.
 
 * **Slow steps.**  Every other opcode with simulator-visible effects
   (post/wait/lock/unlock, barrier, store_sync, call/ret), and every
@@ -35,10 +35,10 @@ Two tiers of steps:
   front of every fence target and then calls the same handler.
 
 Decode cost is linear and mostly memoized.  Every instruction is
-compiled into exactly one step: a run ends after a shared access (a
-blocked remote access resumes at the next index, and a remote
-split-phase bail returns there) and a ``sync_ctr`` always starts one
-(it re-executes on wake).  Most of decode is ``compile()`` of step
+compiled into exactly one step: a run ends after a blocking shared
+access (a blocked remote one resumes at the next index) and a
+``sync_ctr`` always starts one (it re-executes on wake); a split-phase
+access never ends a run.  Most of decode is ``compile()`` of step
 source, and step texts repeat heavily within and across programs, so
 one bounded memo (:func:`_step_code`) maps text to code object.  That
 is sound because a step's text names every non-literal constant ``cN``
@@ -55,7 +55,7 @@ against it.  The subtleties that matter:
 * reads of a temp that may hold a pending split-phase value
   (the destination of a ``get`` without a landing array, or a load
   from a local array some ``get`` lands in) are guarded exactly like
-  ``value()``;
+  ``value()``, including a read later in the run that wrote it;
 * an undefined temp raises the ``use of undefined temp`` fault (the
   generated code catches ``KeyError`` from ``regs``);
 * local-array bounds faults carry the oracle's message verbatim;
@@ -75,6 +75,7 @@ from repro.errors import RuntimeFault
 from repro.ir.cfg import Function
 from repro.ir.instructions import BinOpKind, Const, Instr, Opcode, UnOpKind
 from repro.lang.types import Distribution, ScalarKind
+from repro.runtime.network import Message, MsgKind
 
 Value = object
 
@@ -166,7 +167,8 @@ FAST_OPS = frozenset(
 #: Shared accesses (everything ``Processor._access`` serves) the fuser
 #: may specialize when the run is untraced and sequentially consistent:
 #: the owner test compiles inline, the local-home case reads/writes
-#: backing storage directly, and the remote case bails to ``_access``.
+#: backing storage directly, a remote split-phase access sends its
+#: request inline, and a remote blocking one bails to ``_access``.
 SHARED_OPS = frozenset(
     {
         Opcode.READ_SHARED,
@@ -246,10 +248,19 @@ class _RunCompiler:
         self.lines: List[str] = []
         self.locals = itertools.count()
         self.local_map: Dict[str, str] = {}
+        #: pending temps whose latest value sits in a local not yet
+        #: guarded: the first read checks that local, not ``regs``
+        self.unguarded: Dict[str, str] = {}
         self.array_map: Dict[str, str] = {}
         self.env: Dict[str, object] = {
             "RuntimeFault": RuntimeFault,
             "_Pending": _Pending,
+            "PENDING": PENDING,
+            "Message": Message,
+            "GET_REQ": MsgKind.GET_REQ,
+            "PUT_REQ": MsgKind.PUT_REQ,
+            "STORE_REQ": MsgKind.STORE_REQ,
+            "sim": sim,
             "_binop": _binop,
             "_intrinsic": _intrinsic,
         }
@@ -280,8 +291,10 @@ class _RunCompiler:
         if cached is not None:
             return cached
         if name in self.pending:
-            var = self.fresh()
-            self.emit(f"{var} = regs[{name!r}]")
+            var = self.unguarded.pop(name, None)
+            if var is None:
+                var = self.fresh()
+                self.emit(f"{var} = regs[{name!r}]")
             self.emit(f"if {var}.__class__ is _Pending:")
             self.emit(
                 f'    raise RuntimeFault(f"P{{proc.pid}}: read of '
@@ -296,7 +309,11 @@ class _RunCompiler:
         var = self.fresh()
         self.emit(f"{var} = {expr}")
         self.emit(f"regs[{dest.name!r}] = {var}")
-        self.local_map[dest.name] = var
+        if dest.name in self.pending:  # may have copied the sentinel
+            self.local_map.pop(dest.name, None)
+            self.unguarded[dest.name] = var
+        else:
+            self.local_map[dest.name] = var
 
     def array(self, var: str) -> str:
         cached = self.array_map.get(var)
@@ -421,20 +438,21 @@ class _RunCompiler:
     def add_shared(self, ins: Instr, index: int) -> None:
         """Inlines a shared access (any of :data:`SHARED_OPS`).
 
-        Replicates ``Processor._access`` for the local-home case —
-        same fault messages, same evaluation order (all indices, then
-        the written value, then the leading-bounds/owner check, then
-        trailing bounds, then a ``get``'s landing indices) and the same
-        ``local_access`` charge; a local-home split-phase access
-        completes at once, so no counter moves.  A remote owner bails
-        to ``_access`` itself after settling the run's partial cost,
-        and the blocking or split-phase protocol takes over unchanged.
+        Replicates ``Processor._access`` — same fault messages, same
+        evaluation order (all indices, the written value, leading
+        bounds/owner, trailing bounds, a ``get``'s landing indices),
+        same charges.  A local home touches storage directly (no
+        counter moves), a remote split-phase access sends its request
+        and the run goes on, and a remote blocking one bails to
+        ``_access``, whose protocol takes over unchanged.
         """
         sim = self.sim
+        machine = self.machine
         var = sim.memory.var(ins.var)
         num_procs = sim.num_procs
         name = ins.var
-        reads = ins.op is Opcode.READ_SHARED or ins.op is Opcode.GET
+        op = ins.op
+        reads = op is Opcode.READ_SHARED or op is Opcode.GET
         # 1. Evaluate every index left to right (undefined/pending
         #    faults fire here, before any bounds check — indices_of).
         idx_terms: List[str] = []
@@ -472,13 +490,9 @@ class _RunCompiler:
                     owner = f"min({lead} // {block}, {num_procs - 1})"
         else:
             owner = "0"
-        # 4. Remote home: funnel this instruction through ``_access``
-        #    (it re-checks everything, then parks the processor until
-        #    the reply or issues the split-phase request and goes on).
-        self.emit(f"if {owner} != proc.pid:")
-        self.bail(ins, index)
-        # 5. Local home: trailing bounds checks, then direct storage
-        #    access (the leading dimension was checked above).
+        # 4. Trailing bounds checks (the leading dimension was checked
+        #    above), then a fused get's landing offset: ``resolve``,
+        #    then ``_local_flat_fused``, whichever the home.
         flat = idx_terms[0] if var.dims else "0"
         for term, extent in zip(idx_terms[1:], var.dims[1:]):
             self.emit(f"if not 0 <= {term} < {extent}:")
@@ -487,20 +501,52 @@ class _RunCompiler:
                 f'out of range [0, {extent})")'
             )
             flat = f"({flat} * {extent} + {term})"
-        storage = self.const(sim.memory._storage[name])
+        land = None
         if ins.local_array is not None:  # a get fused with its store
             land = self.flat_expr(
                 ins.local_array, ins.local_indices, "fused get target")
-            array = self.array(ins.local_array)
-            self.emit(f"{array}[{land}] = {storage}[{flat}]")
-        elif reads:
-            self.write(ins.dest, f"{storage}[{flat}]")
-        elif var.kind is ScalarKind.INT:
-            self.emit(f"{storage}[{flat}] = int({val})")
+        storage = self.const(sim.memory._storage[name])
+        if val is not None and var.kind is ScalarKind.INT:
+            self.emit(f"{val} = int({val})")  # ``GlobalMemory.coerce``
+        # 5. Either home settles the run's cost so far.  A remote
+        #    blocking access bails to ``_access``, which parks the
+        #    processor until the reply; a remote split-phase one counts
+        #    itself and sends its request (``Message`` fields in order),
+        #    and the run goes on.
+        home, got, ctr = self.fresh(), self.fresh(), ins.counter
+        self.emit(f"{home} = {owner}")  # also the request's destination
+        self.emit(f"if {home} != proc.pid:")
+        if op is Opcode.READ_SHARED or op is Opcode.WRITE_SHARED:
+            self.bail(ins, index)
         else:
-            self.emit(f"{storage}[{flat}] = {val}")
-        self.cost += self.machine.local_access
+            self.emit(f"    proc.clock += {self.cost + machine.send_overhead}")
+            head = f"proc.pid, {home}, {name!r}, {flat}"
+            if op is Opcode.STORE:
+                self.emit("    sim.outstanding_stores += 1")
+                request = f"STORE_REQ, {head}, {val}"
+            else:
+                self.emit(f"    proc.counters[{ctr!r}] = "
+                          f"proc.counters.get({ctr!r}, 0) + 1")
+                if op is Opcode.PUT:
+                    request = f"PUT_REQ, {head}, {val}, None, {ctr!r}"
+                else:
+                    dest = ins.dest.name if ins.dest is not None else None
+                    request = (f"GET_REQ, {head}, None, {dest!r}, {ctr!r}, "
+                               f"{ins.local_array!r}, {land}")
+                    self.emit(f"    {got} = PENDING")
+            self.emit(f"    sim.send(Message({request}), proc.clock)")
+        self.emit("else:")
+        self.emit(f"    proc.clock += {self.cost + machine.local_access}")
+        if reads:
+            self.emit(f"    {got} = {storage}[{flat}]")
+        else:
+            self.emit(f"    {storage}[{flat}] = {val}")
+        self.cost = 0
         self.count += 1
+        if ins.local_array is not None:
+            self.emit(f"{self.array(ins.local_array)}[{land}] = {got}")
+        elif reads:
+            self.write(ins.dest, got)
 
     def compile(self, next_index: int) -> Step:
         if not self.tail:
@@ -555,11 +601,12 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
     Each instruction belongs to exactly one step.  Entry points into a
     step list are the head of each fused run and each slow step;
     interior indices of a run are filled with a loud guard.  A run is
-    cut where a processor can re-enter the block: after a shared
-    access (a blocked remote access resumes at the next index, a
-    remote split-phase one returns it) and before a ``sync_ctr`` (it
-    re-executes on wake).  Nothing is compiled twice, so decode is
-    linear in the block however accesses and syncs alternate.
+    cut where a processor can re-enter the block: after a blocking
+    shared access (a blocked remote one resumes at the next index) and
+    before a ``sync_ctr`` (it re-executes on wake).  A split-phase
+    access never blocks, so its run goes on.  Nothing is compiled
+    twice, so decode is linear in the block however accesses and syncs
+    alternate.
 
     Shared accesses and ``sync_ctr`` fuse only when the run is
     untraced and sequentially consistent (see
@@ -617,8 +664,9 @@ def decode_function(function: Function, sim) -> Dict[str, List[Step]]:
                 else:
                     run.add(ins)
                 j += 1
-                if ins.op in SHARED_OPS:
-                    break  # a remote access resumes, or returns, at j
+                if (ins.op is Opcode.READ_SHARED
+                        or ins.op is Opcode.WRITE_SHARED):
+                    break  # a blocked remote access resumes at j
             steps[i] = run.compile(j)
             i = j
         decoded[block.label] = steps

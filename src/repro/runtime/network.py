@@ -91,27 +91,46 @@ class MsgKind(enum.Enum):
     NET_ACK = "net_ack"
 
 
-@dataclass
 class Message:
-    kind: MsgKind
-    src: int
-    dst: int
-    #: shared variable + flat element offset for data and sync requests;
-    #: the requester resolved (and bounds-checked) it, the home applies it
-    var: Optional[str] = None
-    flat: int = 0
-    value: Optional[Value] = None
-    #: destination temp (get) / synchronizing counter id
-    dest_temp: Optional[str] = None
-    counter: Optional[int] = None
-    #: fused get landing pad: local array name + flat element offset
-    local_array: Optional[str] = None
-    local_flat: Optional[int] = None
-    #: opaque tag correlating requests and replies
-    tag: int = 0
-    #: a traced read's MemEvent, riding request and reply until the
-    #: value lands (None in untraced runs and on every other kind)
-    event: Optional[MemEvent] = None
+    """One network message: a slots class, built once per message on
+    the hottest path (``@dataclass(slots=True)`` needs Python 3.10).
+    The decoder's generated code passes the fields positionally.
+
+    ``var``/``flat`` name the element the requester resolved and
+    bounds-checked, and the home applies; ``dest_temp``/``counter`` a
+    get's destination and the synchronizing counter; ``local_array``/
+    ``local_flat`` a fused get's landing pad; ``tag`` correlates
+    blocking requests and replies; ``event`` is a traced read's
+    MemEvent, riding request and reply until the value lands.
+    """
+
+    __slots__ = ("kind", "src", "dst", "var", "flat", "value", "dest_temp",
+                 "counter", "local_array", "local_flat", "tag", "event")
+
+    def __init__(self, kind: MsgKind, src: int, dst: int,
+                 var: Optional[str] = None, flat: int = 0,
+                 value: Optional[Value] = None,
+                 dest_temp: Optional[str] = None,
+                 counter: Optional[int] = None,
+                 local_array: Optional[str] = None,
+                 local_flat: Optional[int] = None, tag: int = 0,
+                 event: Optional[MemEvent] = None) -> None:
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.var = var
+        self.flat = flat
+        self.value = value
+        self.dest_temp = dest_temp
+        self.counter = counter
+        self.local_array = local_array
+        self.local_flat = local_flat
+        self.tag = tag
+        self.event = event
+
+    def __repr__(self) -> str:
+        return "Message(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 # -- fault plans -------------------------------------------------------------
