@@ -390,12 +390,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         drain_timeout=args.drain_timeout,
         max_pending=args.max_pending,
-        watchdog_timeout=args.watchdog_timeout,
         chaos=chaos,
     )
     try:
         asyncio.run(serve(config))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # A busy socket, or a malformed $REPRO_COMPILE_TIMEOUT /
+        # $REPRO_CACHE_MAX_* read at startup.
         return _runtime_error_exit(exc, args.verbose)
     return 0
 
@@ -417,12 +418,15 @@ def _cmd_client(args: argparse.Namespace) -> int:
         )
         return 2
     try:
+        retry = RetryPolicy(max_attempts=args.retries)
+    except ValueError as exc:
+        return _runtime_error_exit(exc, verbose=False)
+    try:
         with ServeClient(
             args.socket,
             timeout=args.timeout,
             connect_timeout=args.connect_timeout,
-            deadline_ms=args.deadline_ms,
-            retry=RetryPolicy(max_attempts=max(1, args.retries)),
+            retry=retry,
         ) as client:
             if args.op == "compile":
                 result = client.compile(
@@ -486,14 +490,9 @@ def _client_retry_hint(exc: Any, args: argparse.Namespace) -> str:
             f"the daemon shed this request (pending queue full); "
             f"retry in {wait} or raise serve --max-pending"
         )
-    if exc.code == "circuit_open":
-        return (
-            "repeated transport failures tripped the circuit "
-            "breaker; check the daemon and retry"
-        )
     if exc.code == "transport":
         return (
-            f"no answer after {max(1, args.retries)} attempt(s); "
+            f"no answer after {args.retries} attempt(s); "
             f"is a daemon listening on {args.socket!r}?"
         )
     return ""
@@ -731,12 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
              "requests are queued for the compile path (default 256)",
     )
     serve.add_argument(
-        "--watchdog-timeout", type=float, default=30.0, metavar="S",
-        help="seconds a compile-pool batch may wait on a worker before "
-             "the pool is declared wedged and compiles go in-process "
-             "(default 30)",
-    )
-    serve.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="inject seeded faults for resilience drills, e.g. "
              "'refuse=0.05,garble=0.1,crash.mid_batch=0.01' "
@@ -804,11 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=4, metavar="N",
         help="attempts for retryable failures (transport/overloaded/"
              "shutting_down) with jittered backoff (default 4)",
-    )
-    client.add_argument(
-        "--deadline-ms", type=int, default=0, metavar="MS",
-        help="per-request deadline propagated to the daemon "
-             "(0 = none; daemon answers deadline_exceeded on expiry)",
     )
     client.add_argument(
         "--artifact-out", default=None, metavar="PATH",

@@ -23,9 +23,8 @@ force a cold run; ``REPRO_COMPILE_CACHE=0`` disables the cache.
 Crash tolerance: workers are expendable, behind one timeout and one
 fallback.  A worker that dies (OOM kill, segfault, ``os._exit``)
 surfaces as ``BrokenProcessPool``; one that keeps the batch waiting
-past the timeout (the ``timeout`` argument — the daemon's
-``watchdog_timeout`` — else ``$REPRO_COMPILE_TIMEOUT`` seconds,
-default 300) counts as wedged.  Either way the remaining workers are
+past :func:`job_timeout` (``$REPRO_COMPILE_TIMEOUT`` seconds, default
+30, for every caller) counts as wedged.  Either way the remaining workers are
 terminated and the unfinished jobs compile in the same in-process loop
 that serves pool-less batches — correctness never depends on the pool
 — and the degradation is recorded on the active profiler (counters
@@ -102,11 +101,19 @@ def compile_job(job: Job):
 
 def job_timeout() -> float:
     """Seconds to wait for a pool job before its worker counts as
-    wedged (``$REPRO_COMPILE_TIMEOUT``, default 300)."""
+    wedged: ``$REPRO_COMPILE_TIMEOUT`` (unset or empty = 30).  A value
+    that is not a positive finite number raises ValueError."""
+    raw = os.environ.get("REPRO_COMPILE_TIMEOUT") or "30"
     try:
-        return float(os.environ.get("REPRO_COMPILE_TIMEOUT", "300"))
+        value = float(raw)
     except ValueError:
-        return 300.0
+        value = 0.0
+    if not 0.0 < value < float("inf"):
+        raise ValueError(
+            "$REPRO_COMPILE_TIMEOUT must be a positive number of "
+            f"seconds, got {raw!r}"
+        )
+    return value
 
 
 def _record_degradation(kind: str, detail: str) -> None:
@@ -180,7 +187,6 @@ def compile_batch(
     jobs: Sequence[Tuple[str, LevelLike]],
     processes: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    timeout: Optional[float] = None,
     job_fn=None,
 ) -> List["object"]:
     """The store-fronted compile of independent (source, level) jobs.
@@ -188,8 +194,7 @@ def compile_batch(
     Returns one outcome per job, in job order: the CompiledProgram, or
     the exception that job's compile raised.  Duplicate jobs compile
     once.  ``processes``: pool width (``None`` = one per CPU; 0/1, or a
-    single miss, = in-process).  ``timeout``: seconds the pool waits
-    for a result (default :func:`job_timeout`).  ``job_fn`` (picklable)
+    single miss, = in-process).  ``job_fn`` (picklable)
     substitutes :func:`compile_job` for tests and chaos drills.
     """
     if use_cache is None:
@@ -215,10 +220,9 @@ def compile_batch(
         if processes is None:
             processes = os.cpu_count() or 1
         if processes > 1 and len(pending) > 1:
-            outcomes.update(_run_pool(
-                pending, processes, job_fn,
-                job_timeout() if timeout is None else timeout,
-            ))
+            outcomes.update(
+                _run_pool(pending, processes, job_fn, job_timeout())
+            )
         for job in pending:
             if job not in outcomes:
                 try:
@@ -230,7 +234,7 @@ def compile_batch(
 
 def compile_with_cache(source: str, level: LevelLike, use_cache: bool = True):
     """compile_source with the on-disk cache in front of it."""
-    return compile_many([(source, level)], use_cache=use_cache)[0]
+    return compile_many([(source, level)], None, use_cache)[0]
 
 
 def compile_many(
@@ -246,9 +250,7 @@ def compile_many(
     first job's error.  ``_job_fn`` is a test hook substituting the
     per-job worker function.
     """
-    outcomes = compile_batch(
-        jobs, processes=processes, use_cache=use_cache, job_fn=_job_fn
-    )
+    outcomes = compile_batch(jobs, processes, use_cache, _job_fn)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

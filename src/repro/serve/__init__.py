@@ -7,17 +7,16 @@
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire
   protocol (spec: docs/SERVING.md);
 * :mod:`repro.serve.daemon` — the asyncio unix-socket daemon with
-  in-flight request deduplication, pool batching, admission control,
-  deadline enforcement, and a wedged-pool watchdog;
+  in-flight request deduplication, pool batching and admission
+  control;
 * :mod:`repro.serve.client` — the blocking Python client with split
-  timeouts, retries with decorrelated jitter, and a circuit breaker;
+  timeouts and retries with decorrelated jitter;
 * :mod:`repro.serve.chaos` — seeded fault injection for the stack
   (:class:`ServeFaultPlan`, the ``repro serve --chaos`` plan).
 """
 
 from repro.serve.chaos import ChaosCrash, ServeFaultPlan
 from repro.serve.client import (
-    CircuitBreaker,
     RetryPolicy,
     ServeClient,
     ServeError,
@@ -47,7 +46,6 @@ __all__ = [
     "ArtifactCache",
     "CLIENT_ERROR_CODES",
     "ChaosCrash",
-    "CircuitBreaker",
     "ERROR_CODES",
     "OPS",
     "PROTOCOL_VERSION",

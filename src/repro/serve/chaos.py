@@ -22,7 +22,7 @@ Fault classes
   exactly what SIGKILL leaves behind; whatever supervises the daemon
   restarts it (in the chaos tests, ``tests/serve/chaos_harness.py``).
 * **Pool wedge** — the batch's pool workers sleep long enough to trip
-  the pool timeout (the daemon's ``watchdog_timeout``), forcing the
+  the pool timeout (``$REPRO_COMPILE_TIMEOUT``), forcing the
   in-process fallback.
 * **Store rot** — blobs on disk are bit-flipped or truncated between
   requests; the store's digest verification must quarantine them.

@@ -30,13 +30,9 @@ safe.  On top of that the client layers:
   ``overloaded`` failures, honoring the server's ``retry_after_ms``
   hint when one is sent.  The request id is stable across attempts of
   one logical request.
-* **A circuit breaker** — after ``failure_threshold`` consecutive
-  transport-level failures the breaker opens and requests fail fast
-  with code ``circuit_open`` until ``reset_timeout`` elapses
-  (half-open probe, closing again on the first success).
-* **Deadline propagation** — ``deadline_ms`` (protocol v2) rides on
-  compile/analyze/simulate requests so the daemon can shed work whose
-  client has given up; the daemon answers ``deadline_exceeded``.
+
+``timeout`` is the one bound on waiting for an answer: the daemon
+holds no per-request deadline of its own.
 
 This class optimizes for robustness and clarity, not throughput.
 """
@@ -61,9 +57,6 @@ RETRYABLE_CODES = frozenset(
     {"transport", "shutting_down", "overloaded"}
 )
 
-#: deadline_ms rides only on ops that accept it (protocol v2).
-_DEADLINE_OPS = frozenset({"compile", "analyze", "simulate"})
-
 
 class ServeError(ReproError):
     """An error response from the daemon, or a client-side failure.
@@ -71,8 +64,7 @@ class ServeError(ReproError):
     ``code`` is one of :data:`repro.serve.protocol.ERROR_CODES` (the
     daemon answered with an error) or
     :data:`repro.serve.protocol.CLIENT_ERROR_CODES` (``transport``:
-    the daemon never answered; ``circuit_open``: the client refused to
-    try).  ``retry_after_ms`` carries the server's backoff hint when
+    the daemon never answered).  ``retry_after_ms`` carries the server's backoff hint when
     one was sent.
     """
 
@@ -108,6 +100,12 @@ class RetryPolicy:
     base_delay: float = 0.05
     max_delay: float = 2.0
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be at least 1, got {self.max_attempts}"
+            )
+
     def next_delay(
         self, previous: float, rng: random.Random
     ) -> float:
@@ -116,72 +114,19 @@ class RetryPolicy:
         return min(self.max_delay, rng.uniform(low, high))
 
 
-class CircuitBreaker:
-    """Fail fast after repeated daemon loss (closed → open → half-open).
-
-    Counts *consecutive* transport-level failures; at
-    ``failure_threshold`` the breaker opens and :meth:`allow` answers
-    False until ``reset_timeout`` seconds pass, after which one probe
-    request is let through (half-open).  A success closes the breaker
-    and resets the count; a failure re-opens it for another full
-    ``reset_timeout``.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        reset_timeout: float = 5.0,
-    ) -> None:
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.state = "closed"
-        self.failures = 0
-        self._opened_at = 0.0
-
-    def allow(self) -> bool:
-        if self.state == "open":
-            if (
-                time.monotonic() - self._opened_at
-                >= self.reset_timeout
-            ):
-                self.state = "half_open"
-                return True
-            return False
-        return True  # closed or half-open probe
-
-    def record_success(self) -> None:
-        self.state = "closed"
-        self.failures = 0
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if (
-            self.state == "half_open"
-            or self.failures >= self.failure_threshold
-        ):
-            self.state = "open"
-            self._opened_at = time.monotonic()
-
-
 class ServeClient:
     def __init__(
         self,
         socket_path: str,
         timeout: float = 120.0,
         connect_timeout: float = 5.0,
-        deadline_ms: int = 0,
         retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         retry_seed: Optional[int] = None,
     ) -> None:
         self.socket_path = socket_path
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        #: default per-request deadline propagated to the daemon for
-        #: artifact ops (0 = none); per-call params override it.
-        self.deadline_ms = deadline_ms
         self.retry = retry or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker()
         self._rng = random.Random(retry_seed)
         self._sock: Optional[socket.socket] = None
         self._file = None
@@ -233,18 +178,11 @@ class ServeClient:
         """Sends one request (with retries), returns its ``result``.
 
         Raises :class:`ServeError` with the daemon's error code on an
-        error response, ``transport`` when the daemon never answered,
-        and ``circuit_open`` when the breaker is failing fast.
+        error response, ``transport`` when the daemon never answered.
         Retryable failures (:data:`RETRYABLE_CODES`) are retried up to
         ``retry.max_attempts`` times with decorrelated-jitter backoff
         before the last error propagates.
         """
-        if (
-            op in _DEADLINE_OPS
-            and self.deadline_ms > 0
-            and "deadline_ms" not in params
-        ):
-            params["deadline_ms"] = self.deadline_ms
         self._next_id += 1
         request_id = self._next_id
         delay = 0.0
@@ -257,25 +195,12 @@ class ServeClient:
                         delay, last_error.retry_after_ms / 1000.0
                     )
                 time.sleep(delay)
-            if not self.breaker.allow():
-                raise ServeError(
-                    "circuit_open",
-                    f"circuit breaker is open after "
-                    f"{self.breaker.failures} consecutive transport "
-                    f"failures; retry after "
-                    f"{self.breaker.reset_timeout:g}s",
-                )
             try:
-                result = self._attempt(request_id, op, params)
+                return self._attempt(request_id, op, params)
             except ServeError as exc:
-                if exc.code == "transport":
-                    self.breaker.record_failure()
                 if not exc.retryable:
                     raise
                 last_error = exc
-                continue
-            self.breaker.record_success()
-            return result
         raise last_error
 
     def _attempt(

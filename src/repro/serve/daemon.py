@@ -31,15 +31,10 @@ Degradation under stress is graceful and *typed*, never silent:
   may wait for the compile path; excess requests are refused with an
   ``overloaded`` error carrying a ``retry_after_ms`` hint instead of
   queueing without bound.
-* **Deadlines** — a request's ``deadline_ms`` (protocol v2) is
-  enforced server-side: a request still unanswered when its deadline
-  expires gets ``deadline_exceeded``, and a queued compile all of
-  whose waiters have given up is cancelled before it runs
-  (``serve.abandoned``).
-* **Watchdog** — ``watchdog_timeout`` is the compile pool's one
-  timeout: a worker that keeps a batch waiting longer marks the pool
-  wedged (``serve.watchdog.trips``); the pool's own in-process
-  fallback finishes that batch and later batches skip the pool.
+* **Wedged pool** — a pool worker that keeps a batch waiting past
+  :func:`repro.perf.parallel.job_timeout` is killed and the batch
+  finishes in-process (``compile.pool.timeouts`` /
+  ``.serial_fallbacks``); the next batch gets a fresh pool.
 * **Chaos hooks** — a seeded :class:`repro.serve.chaos.ServeFaultPlan`
   (the ``chaos`` config field / ``repro serve --chaos``) injects
   connection refusals, mid-frame disconnects, truncated/garbled
@@ -84,15 +79,9 @@ class ServeConfig:
     #: Compile-pool width for a batch (None = auto, 0/1 = in-process).
     jobs: Optional[int] = 0
     drain_timeout: float = 10.0
-    #: None = honor ``REPRO_COMPILE_CACHE``; False = memory-only serving
-    #: (in-flight dedup still applies, nothing touches disk).
-    use_cache: Optional[bool] = None
     #: Admission control: maximum artifact requests queued for the
     #: compile path before new ones are refused with ``overloaded``.
     max_pending: int = 256
-    #: Seconds a compile-pool batch may wait on a worker before the pool
-    #: is declared wedged and compiles go in-process.
-    watchdog_timeout: float = 30.0
     #: A seeded :class:`repro.serve.chaos.ServeFaultPlan` injecting
     #: transport/daemon faults (resilience drills); None = no chaos.
     chaos: Optional[Any] = None
@@ -125,18 +114,17 @@ class Server:
             max_entries=config.max_entries,
             max_bytes=config.max_bytes,
         )
-        if config.use_cache is not None:
-            self.cache_enabled = config.use_cache
-        else:
-            from repro.perf.parallel import cache_enabled
+        from repro.perf.parallel import cache_enabled, job_timeout
 
-            self.cache_enabled = cache_enabled()
+        # A malformed $REPRO_COMPILE_TIMEOUT fails startup, not the
+        # first pooled batch.
+        job_timeout()
+        #: False under ``REPRO_COMPILE_CACHE=0``: memory-only serving
+        #: (in-flight dedup still applies, nothing touches disk).
+        self.cache_enabled = cache_enabled()
         self.profiler = Profiler()
         self.chaos = config.chaos
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._waiters: Dict[str, int] = {}
-        self._abandoned: set = set()
-        self._pool_healthy = True
         self._queue: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
@@ -463,12 +451,6 @@ class Server:
         self, request: Dict[str, Any]
     ) -> Dict[str, Any]:
         key = self._key_for(request)
-        loop = asyncio.get_running_loop()
-        deadline_ms = int(request.get("deadline_ms", 0) or 0)
-        deadline = (
-            loop.time() + deadline_ms / 1000.0 if deadline_ms > 0
-            else None
-        )
         if self.cache_enabled:
             blob = self.cache.get_bytes(key)
             if blob is not None:
@@ -482,7 +464,7 @@ class Server:
                 # clean slate instead of racing a poisoned entry.
                 self.cache.quarantine(key)
         future = self._inflight.get(key)
-        if future is not None and not future.cancelled():
+        if future is not None:
             self._count("serve.dedup_hits")
         else:
             if (
@@ -497,41 +479,13 @@ class Server:
                     "retry after the hinted backoff",
                     retry_after_ms=self._retry_after_ms(),
                 )
-            future = loop.create_future()
+            future = asyncio.get_running_loop().create_future()
             self._inflight[key] = future
             await self._queue.put((key, request))
-        # A new waiter revives a job every previous waiter abandoned.
-        self._abandoned.discard(key)
-        self._waiters[key] = self._waiters.get(key, 0) + 1
-        try:
-            # shield: one client disconnecting must not cancel the
-            # shared compile future out from under the other waiters.
-            if deadline is None:
-                payload = dict(await asyncio.shield(future))
-            else:
-                try:
-                    payload = dict(await asyncio.wait_for(
-                        asyncio.shield(future),
-                        max(0.0, deadline - loop.time()),
-                    ))
-                except asyncio.TimeoutError:
-                    self._count("serve.deadline_exceeded")
-                    raise ProtocolError(
-                        "deadline_exceeded",
-                        f"deadline of {deadline_ms}ms expired before "
-                        "the artifact was ready",
-                    ) from None
-        finally:
-            remaining = self._waiters.get(key, 1) - 1
-            if remaining <= 0:
-                self._waiters.pop(key, None)
-                if not future.done():
-                    # Every waiter gave up (deadline/disconnect): mark
-                    # the queued job abandoned so the dispatcher skips
-                    # it instead of compiling for nobody.
-                    self._abandoned.add(key)
-            else:
-                self._waiters[key] = remaining
+        # shield: one waiter's task being cancelled (a drained
+        # connection) must not cancel the shared compile future out
+        # from under the other waiters.
+        payload = dict(await asyncio.shield(future))
         payload["cached"] = False
         payload["cache_key"] = key
         return payload
@@ -553,9 +507,6 @@ class Server:
                         ))
                     except asyncio.TimeoutError:
                         break
-            batch = self._drop_abandoned(batch)
-            if not batch:
-                continue
             try:
                 self._maybe_crash("mid_batch")
                 self._count("serve.batches")
@@ -573,22 +524,6 @@ class Server:
                     future.set_exception(outcome)
                 else:
                     future.set_result(outcome)
-
-    def _drop_abandoned(
-        self, batch: List[Tuple[str, Dict[str, Any]]]
-    ) -> List[Tuple[str, Dict[str, Any]]]:
-        """Cancels queued jobs whose waiters have all given up."""
-        live: List[Tuple[str, Dict[str, Any]]] = []
-        for key, request in batch:
-            if key in self._abandoned and not self._waiters.get(key):
-                self._abandoned.discard(key)
-                future = self._inflight.pop(key, None)
-                if future is not None and not future.done():
-                    future.cancel()
-                self._count("serve.abandoned")
-                continue
-            live.append((key, request))
-        return live
 
     # -- the batch worker (runs in a thread off the event loop) ------------
 
@@ -628,30 +563,18 @@ class Server:
         """A batch of store misses through
         :func:`~repro.perf.parallel.compile_batch`, a verdict per job.
         The loop thread probed the store and :meth:`_settle` does the
-        put, hence ``use_cache=False``.  A pool timeout is the watchdog
-        trip: the pool reports it on the active profiler — ours —
-        having already rescued this batch in-process.
+        put, so the batch runs with the store off.  A wedged or dead
+        pool worker is the pool's to handle: it records the fault on the
+        active profiler — ours — and rescues the batch in-process.
         """
         from repro.perf.parallel import compile_batch
 
         job_fn = None
-        if self._pool_healthy and self.chaos is not None:
+        if self.chaos is not None:
             job_fn = self.chaos.wedged_job()
             if job_fn is not None:
                 self._count("serve.chaos.wedged")
-        counters = self.profiler.counters
-        timeouts = counters.get("compile.pool.timeouts", 0)
-        outcomes = compile_batch(
-            jobs,
-            processes=self.config.jobs if self._pool_healthy else 0,
-            use_cache=False,
-            timeout=self.config.watchdog_timeout,
-            job_fn=job_fn,
-        )
-        if counters.get("compile.pool.timeouts", 0) > timeouts:
-            self._pool_healthy = False
-            self._count("serve.watchdog.trips")
-        return outcomes
+        return compile_batch(jobs, self.config.jobs, False, job_fn)
 
     def _settle(self, key: str, op: str, outcome: Any) -> Any:
         """One finished job's reply: an exception becomes a typed
@@ -743,12 +666,6 @@ class Server:
             "batches": counters.get("serve.batches", 0),
             "batched_requests": counters.get("serve.batched_requests", 0),
             "overloaded": counters.get("serve.overloaded", 0),
-            "deadline_exceeded": counters.get(
-                "serve.deadline_exceeded", 0
-            ),
-            "abandoned": counters.get("serve.abandoned", 0),
-            "watchdog_trips": counters.get("serve.watchdog.trips", 0),
-            "pool_healthy": self._pool_healthy,
             "max_pending": self.config.max_pending,
             "cache": self.cache.stats(),
             "counters": counters,

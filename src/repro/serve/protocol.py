@@ -25,10 +25,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional
 
-#: Version 2 added the optional ``deadline_ms`` request field plus the
-#: ``overloaded`` / ``deadline_exceeded`` error codes and the optional
-#: ``retry_after_ms`` error hint.
-PROTOCOL_VERSION = 2
+#: Bumped whenever a request field or error code changes.
+PROTOCOL_VERSION = 3
 
 #: A line longer than this is rejected with ``bad_request`` rather than
 #: buffered without bound (compiled-artifact responses stay well under).
@@ -44,7 +42,6 @@ ERROR_CODES = (
     "deadlock",           # the simulation deadlocked
     "shutting_down",      # the daemon is draining; retry elsewhere/later
     "overloaded",         # admission control: pending queue full
-    "deadline_exceeded",  # the request's deadline_ms expired server-side
     "internal",           # unexpected server-side failure
 )
 
@@ -52,8 +49,7 @@ ERROR_CODES = (
 #: carry in addition to the wire codes above: they describe failures
 #: the daemon never got to answer.
 CLIENT_ERROR_CODES = (
-    "transport",     # connect/read/write failed or the frame was garbled
-    "circuit_open",  # the client's circuit breaker is failing fast
+    "transport",  # connect/read/write failed or the frame was garbled
 )
 
 #: Per-op required and optional fields (optional ones with defaults).
@@ -69,8 +65,8 @@ _OPTIONAL: Dict[str, Dict[str, Any]] = {
     "ping": {},
     "stats": {},
     "shutdown": {},
-    "compile": {"opt": "O3", "deadline_ms": 0},
-    "analyze": {"level": "sync", "deadline_ms": 0},
+    "compile": {"opt": "O3"},
+    "analyze": {"level": "sync"},
     "simulate": {
         "opt": "O3",
         "procs": 8,
@@ -78,7 +74,6 @@ _OPTIONAL: Dict[str, Dict[str, Any]] = {
         "seed": 0,
         "memory_model": "sc",
         "drain_seed": 0,
-        "deadline_ms": 0,
     },
 }
 

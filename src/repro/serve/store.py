@@ -99,13 +99,20 @@ def default_root() -> str:
 
 
 def _env_int(name: str) -> Optional[int]:
+    """A non-negative integer budget from ``$name`` (unset or empty =
+    None, no budget); anything else raises ValueError naming it."""
     raw = os.environ.get(name)
     if not raw:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return None
+        value = -1
+    if value < 0:
+        raise ValueError(
+            f"${name} must be a non-negative integer, got {raw!r}"
+        )
+    return value
 
 
 def artifact_key(kind: str, **parts: Any) -> str:

@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import time
 
+import pytest
+
 from repro.perf import Profiler, profiled
 from repro.perf.parallel import compile_many, job_timeout
 
@@ -99,5 +101,17 @@ class TestWorkerTimeout:
         assert prof.counters.get("compile.pool.serial_fallbacks") == 1
 
     def test_bad_timeout_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "soon")
-        assert job_timeout() == 300.0
+        """Unset or blank means the default; see the next test for a
+        value that is set but unusable."""
+        monkeypatch.delenv("REPRO_COMPILE_TIMEOUT", raising=False)
+        assert job_timeout() == 30.0
+        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "")
+        assert job_timeout() == 30.0
+
+    @pytest.mark.parametrize("raw", ["soon", "0", "-2", "inf", "nan"])
+    def test_malformed_timeout_env_raises(self, monkeypatch, raw):
+        """A typo, or a value that would time every pooled batch out
+        at once, fails loudly instead of being replaced."""
+        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", raw)
+        with pytest.raises(ValueError, match=r"\$REPRO_COMPILE_TIMEOUT"):
+            job_timeout()

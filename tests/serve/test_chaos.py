@@ -28,12 +28,7 @@ from repro import OptLevel, compile_source
 from repro.fuzz.litmus import mp_program, sb_program
 from repro.serve import protocol
 from repro.serve.chaos import ServeFaultPlan
-from repro.serve.client import (
-    CircuitBreaker,
-    RetryPolicy,
-    ServeClient,
-    ServeError,
-)
+from repro.serve.client import RetryPolicy, ServeClient, ServeError
 from repro.serve.daemon import ServeConfig
 from repro.serve.store import ArtifactCache
 from tests.serve.chaos_harness import ChaosHarness
@@ -47,9 +42,7 @@ WORKLOAD = [(SB, "O0"), (SB, "O3"), (MP, "O0"), (MP, "O3")]
 #: Codes a fault schedule may surface to a retrying client.  Anything
 #: else (internal, compile_error, parse_error, ...) is an oracle
 #: failure: chaos must never be misdiagnosed.
-FAULT_CODES = frozenset(
-    {"transport", "shutting_down", "overloaded", "circuit_open"}
-)
+FAULT_CODES = frozenset({"transport", "shutting_down", "overloaded"})
 
 #: Attempts per logical request, with a daemon-restart check between
 #: each: enough to ride out any crash/refusal streak the bounded
@@ -114,7 +107,6 @@ def supervised_request(harness, source, opt):
             retry=RetryPolicy(
                 max_attempts=3, base_delay=0.01, max_delay=0.2
             ),
-            breaker=CircuitBreaker(failure_threshold=1000),
             retry_seed=0,
         )
         try:
@@ -143,7 +135,6 @@ def run_schedule(seed, tmp_path, identity):
         jobs=0,
         drain_timeout=5.0,
         max_pending=64,
-        watchdog_timeout=5.0,
         chaos=plan,
     )
     cache = ArtifactCache(root=cache_dir)

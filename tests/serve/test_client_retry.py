@@ -1,4 +1,4 @@
-"""The resilient client: retries, backoff, breaker, deadlines.
+"""The resilient client: retries and backoff.
 
 These tests run the client against a *scripted* daemon — a tiny
 unix-socket server that answers each request according to a fixed
@@ -16,12 +16,7 @@ import time
 import pytest
 
 from repro.serve import protocol
-from repro.serve.client import (
-    CircuitBreaker,
-    RetryPolicy,
-    ServeClient,
-    ServeError,
-)
+from repro.serve.client import RetryPolicy, ServeClient, ServeError
 
 
 class ScriptedDaemon:
@@ -140,9 +135,6 @@ def make_client(socket_path, **kwargs):
         "retry",
         RetryPolicy(max_attempts=4, base_delay=0.01, max_delay=0.05),
     )
-    kwargs.setdefault(
-        "breaker", CircuitBreaker(failure_threshold=100)
-    )
     kwargs.setdefault("retry_seed", 0)
     return ServeClient(socket_path, **kwargs)
 
@@ -173,50 +165,11 @@ class TestRetryPolicy:
             b.append(policy.next_delay(b[-1], rng_b))
         assert a == b
 
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(
-            failure_threshold=3, reset_timeout=60.0
-        )
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_success_resets_the_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_probe_then_close(self):
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=0.05
-        )
-        breaker.record_failure()
-        assert not breaker.allow()
-        time.sleep(0.06)
-        assert breaker.allow()  # the half-open probe
-        assert breaker.state == "half_open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker(
-            failure_threshold=5, reset_timeout=0.05
-        )
-        breaker.failures = 5
-        breaker.state = "open"
-        breaker._opened_at = time.monotonic() - 1.0
-        assert breaker.allow()
-        breaker.record_failure()  # the probe failed
-        assert breaker.state == "open"
-        assert not breaker.allow()
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_rejects_fewer_than_one_attempt(self, attempts):
+        """Zero attempts would leave request() nothing to raise."""
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=attempts)
 
 
 class TestClientRetries:
@@ -276,14 +229,6 @@ class TestClientRetries:
         assert excinfo.value.code == "compile_error"
         assert len(daemon.requests) == 1, "no retry for a real verdict"
 
-    def test_does_not_retry_deadline_exceeded(self, scripted):
-        daemon = scripted([("error", "deadline_exceeded")])
-        with make_client(daemon.socket_path) as client:
-            with pytest.raises(ServeError) as excinfo:
-                client.request("compile", source="x", opt="O3")
-        assert excinfo.value.code == "deadline_exceeded"
-        assert len(daemon.requests) == 1
-
     def test_bounded_attempts_then_last_error(self, scripted):
         daemon = scripted(["drop"] * 10)
         client = make_client(
@@ -308,73 +253,3 @@ class TestClientRetries:
         with pytest.raises(ServeError) as excinfo:
             client.ping()
         assert excinfo.value.code == "transport"
-
-
-class TestClientBreaker:
-    def test_circuit_opens_and_fails_fast(self, tmp_path):
-        client = make_client(
-            str(tmp_path / "gone.sock"),
-            retry=RetryPolicy(
-                max_attempts=2, base_delay=0.005, max_delay=0.01
-            ),
-            breaker=CircuitBreaker(
-                failure_threshold=2, reset_timeout=60.0
-            ),
-        )
-        with pytest.raises(ServeError):
-            client.ping()  # two transport failures open the breaker
-        started = time.monotonic()
-        with pytest.raises(ServeError) as excinfo:
-            client.ping()
-        assert excinfo.value.code == "circuit_open"
-        assert time.monotonic() - started < 0.5, "fail fast, no dial"
-
-    def test_breaker_recovers_once_daemon_returns(
-        self, scripted, tmp_path
-    ):
-        daemon = scripted(["ok"])
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_timeout=0.05
-        )
-        client = make_client(
-            daemon.socket_path,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=breaker,
-        )
-        breaker.record_failure()  # daemon was lost earlier
-        assert breaker.state == "open"
-        time.sleep(0.06)
-        assert client.ping() == {"echo": "ping"}
-        assert breaker.state == "closed"
-        client.close()
-
-
-class TestDeadlinePropagation:
-    def test_deadline_rides_artifact_ops_only(self, scripted):
-        daemon = scripted()
-        with make_client(
-            daemon.socket_path, deadline_ms=2500
-        ) as client:
-            client.ping()
-            client.request("compile", source="x", opt="O0")
-            client.request("analyze", source="x", level="sync")
-        ping, compile_req, analyze_req = daemon.requests
-        assert "deadline_ms" not in ping
-        assert compile_req["deadline_ms"] == 2500
-        assert analyze_req["deadline_ms"] == 2500
-
-    def test_per_call_deadline_overrides_default(self, scripted):
-        daemon = scripted()
-        with make_client(
-            daemon.socket_path, deadline_ms=2500
-        ) as client:
-            client.request(
-                "compile", source="x", opt="O0", deadline_ms=99
-            )
-        assert daemon.requests[0]["deadline_ms"] == 99
-
-    def test_no_deadline_by_default(self, scripted):
-        daemon = scripted()
-        with make_client(daemon.socket_path) as client:
-            client.request("compile", source="x", opt="O0")
-        assert "deadline_ms" not in daemon.requests[0]

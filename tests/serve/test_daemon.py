@@ -46,7 +46,7 @@ class TestBasics:
         with ServeClient(socket_path) as client:
             result = client.ping()
         assert result["pong"] is True
-        assert result["version"] == 2
+        assert result["version"] == 3
         assert isinstance(result["pid"], int)
 
     def test_stats_shape(self, server, socket_path):
@@ -460,12 +460,12 @@ class TestShutdown:
 
 class TestMemoryOnlyMode:
     def test_use_cache_false_never_touches_disk(
-        self, socket_path, isolated_cache_dir
+        self, socket_path, isolated_cache_dir, monkeypatch
     ):
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
         thread = ServerThread(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            use_cache=False,
         ))
         thread.start()
         try:
@@ -548,94 +548,18 @@ class TestAdmissionControl:
             thread.stop()
 
 
-class TestDeadlines:
-    def test_expired_deadline_is_a_typed_error(
-        self, socket_path, isolated_cache_dir
-    ):
-        thread = ServerThread(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            batch_window=0.0,
-        ))
-        thread.start()
-        try:
-            with ServeClient(socket_path) as client:
-                with pytest.raises(ServeError) as excinfo:
-                    client.request(
-                        "compile", source=APP, opt="O3", deadline_ms=1
-                    )
-            assert excinfo.value.code == "deadline_exceeded"
-            counters = thread.server.profiler.counters
-            assert counters.get("serve.deadline_exceeded", 0) == 1
-        finally:
-            thread.stop()
-
-    def test_generous_deadline_serves_normally(
-        self, socket_path, isolated_cache_dir
-    ):
-        thread = ServerThread(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            batch_window=0.0,
-        ))
-        thread.start()
-        try:
-            with ServeClient(socket_path) as client:
-                result = client.request(
-                    "compile", source=SB, opt="O0",
-                    deadline_ms=120_000,
-                )
-            assert result["cached"] is False
-            assert result["artifact_sha256"]
-        finally:
-            thread.stop()
-
-    def test_abandoned_compile_is_cancelled_before_dispatch(
-        self, socket_path, isolated_cache_dir
-    ):
-        """A queued job all of whose waiters gave up never compiles."""
-        import time as time_module
-
-        thread = ServerThread(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            batch_window=0.3,  # the deadline expires inside the window
-        ))
-        thread.start()
-        try:
-            with ServeClient(socket_path) as client:
-                with pytest.raises(ServeError) as excinfo:
-                    client.request(
-                        "compile", source=MP, opt="O3", deadline_ms=20
-                    )
-                assert excinfo.value.code == "deadline_exceeded"
-                deadline = time_module.monotonic() + 10
-                while time_module.monotonic() < deadline:
-                    counters = thread.server.profiler.counters
-                    if counters.get("serve.abandoned", 0):
-                        break
-                    time_module.sleep(0.05)
-            counters = thread.server.profiler.counters
-            assert counters.get("serve.abandoned", 0) == 1
-            assert counters.get("compile.pool.jobs", 0) == 0, (
-                "the abandoned job must never reach a compiler"
-            )
-        finally:
-            thread.stop()
-
-
 class TestWatchdog:
     def test_wedged_pool_trips_watchdog_and_goes_serial(
-        self, socket_path, isolated_cache_dir
+        self, socket_path, isolated_cache_dir, monkeypatch
     ):
         from repro.serve.chaos import ServeFaultPlan
 
+        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "0.2")
         thread = ServerThread(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
             batch_window=0.2,
             jobs=2,
-            watchdog_timeout=0.2,
             chaos=ServeFaultPlan(wedge=1.0, wedge_seconds=1.5, seed=0),
         ))
         thread.start()
@@ -665,8 +589,6 @@ class TestWatchdog:
                 assert result["artifact_sha256"]
             with ServeClient(socket_path) as client:
                 stats = client.stats()
-            assert stats["watchdog_trips"] >= 1
-            assert stats["pool_healthy"] is False
             assert stats["counters"].get("serve.chaos.wedged", 0) >= 1
             # The pool's own telemetry reaches the daemon's profiler.
             assert stats["counters"].get("compile.pool.timeouts", 0) >= 1
@@ -700,9 +622,11 @@ class TestWatchdog:
                 "--socket", socket_path,
                 "--cache-dir", isolated_cache_dir,
                 "--jobs", "2", "--batch-window", "0.3",
-                "--watchdog-timeout", "0.2", "--chaos", "wedge=1:1.5",
+                "--chaos", "wedge=1:1.5",
             ],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(
+                os.environ, PYTHONPATH=src, REPRO_COMPILE_TIMEOUT="0.2"
+            ),
             stderr=subprocess.DEVNULL,
         )
         try:
@@ -728,7 +652,9 @@ class TestWatchdog:
             time_module.sleep(0.3)  # a drain would have begun by now
             with ServeClient(socket_path) as client:
                 stats = client.stats()
-                assert stats["watchdog_trips"] >= 1
+                counters = stats["counters"]
+                assert counters.get("compile.pool.timeouts", 0) >= 1
+                assert counters.get("compile.pool.serial_fallbacks", 0) >= 1
                 assert stats["draining"] is False
                 assert client.compile(LB, opt="O0")["artifact_sha256"]
                 client.shutdown()
@@ -816,3 +742,56 @@ class TestSocketRace:
         # The incumbent is untouched.
         with ServeClient(socket_path) as client:
             assert client.ping()["pong"] is True
+
+
+class TestCliFailurePaths:
+    """``repro serve`` / ``repro client`` fail loudly: exit 2, one
+    ``repro: error:`` line, never a traceback."""
+
+    def test_client_without_daemon_is_transport_with_hint(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        code = main([
+            "client", "ping", "--socket", str(tmp_path / "absent.sock"),
+            "--retries", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "[transport]" in err
+        assert "repro: hint: no answer after 1 attempt(s)" in err
+
+    def test_client_rejects_zero_retries(self, tmp_path, capsys):
+        from repro.cli import main
+
+        code = main([
+            "client", "ping", "--socket", str(tmp_path / "absent.sock"),
+            "--retries", "0",
+        ])
+        assert code == 2
+        assert "repro: error: max_attempts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "inf"])
+    def test_serve_rejects_malformed_compile_timeout(
+        self, socket_path, monkeypatch, capsys, value
+    ):
+        import os
+
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", value)
+        assert main(["serve", "--socket", socket_path]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error: $REPRO_COMPILE_TIMEOUT" in err
+        assert not os.path.exists(socket_path), "nothing was bound"
+
+    def test_serve_rejects_malformed_store_budget(
+        self, socket_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "10k")
+        assert main(["serve", "--socket", socket_path]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error: $REPRO_CACHE_MAX_ENTRIES" in err

@@ -86,12 +86,16 @@ class TestValidateRequest:
             validate_request({"id": 1, "op": "compile", "source": ""})
 
     def test_unknown_field_rejected_not_ignored(self):
-        """A typo'd parameter must not silently use the default."""
-        with pytest.raises(ProtocolError) as excinfo:
-            validate_request(
-                {"id": 1, "op": "compile", "source": "x", "optt": "O0"}
-            )
-        assert "optt" in excinfo.value.message
+        """A typo'd parameter must not silently use the default, and
+        a field an older protocol version knew (``deadline_ms``, gone
+        in version 3) is just as unknown."""
+        for field, value in (("optt", "O0"), ("deadline_ms", 100)):
+            with pytest.raises(ProtocolError) as excinfo:
+                validate_request(
+                    {"id": 1, "op": "compile", "source": "x", field: value}
+                )
+            assert excinfo.value.code == "bad_request"
+            assert field in excinfo.value.message
 
     def test_simulate_defaults(self):
         request = validate_request(

@@ -4,6 +4,8 @@ import hashlib
 import os
 import pickle
 
+import pytest
+
 from repro.perf import Profiler, profiled
 from repro.serve.store import (
     ArtifactCache,
@@ -139,6 +141,26 @@ class TestEviction:
             cache.put_bytes(str(index % 10) * 64, b"y" * 1000)
         assert cache.evictions == 0
         assert len(list(cache.iter_entries())) == 10
+
+    def test_budgets_come_from_the_environment(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "3")
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "")
+        cache = make_cache(tmp_path)
+        assert (cache.max_entries, cache.max_bytes) == (3, None)
+
+    @pytest.mark.parametrize(
+        "name", ["REPRO_CACHE_MAX_ENTRIES", "REPRO_CACHE_MAX_BYTES"]
+    )
+    @pytest.mark.parametrize("raw", ["10k", "1.5", "-1"])
+    def test_malformed_budget_env_raises(
+        self, tmp_path, monkeypatch, name, raw
+    ):
+        """A typo'd budget must not silently mean "unbounded"."""
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=rf"\${name}.*{raw!r}"):
+            make_cache(tmp_path)
 
     def test_clear(self, tmp_path):
         cache = make_cache(tmp_path)
