@@ -155,6 +155,53 @@ def test_shared_session_pays(benchmark):
     assert cold_s / shared_s >= 1.3, "holding a session no longer pays"
 
 
+#: Ceiling on the frontend's share of a cold sweep's pass time.  Median
+#: of three sweeps (5 kernels + ladder-128, O0-O4; Python 3.11, x86-64
+#: VM): 0.41 with frozen-dataclass tokens/locations, a bisect per token
+#: and an ``isinstance`` chain per expression node; 0.35 with slots
+#: tokens, a running line counter and type-keyed dispatch.  Midpoint.
+_FRONTEND_SHARE_BOUND = 0.38
+
+
+@pytest.mark.benchmark(group="compile-time")
+def test_frontend_share_of_cold_sweep(benchmark):
+    """``pass.parse`` + ``pass.lower`` against every pass of a cold sweep.
+
+    Each of the five kernels and the 128-rung ladder compiles cold at
+    O0-O4, so the frontend runs once per level.  The share of the
+    summed pass time is a ratio of host times on one runner, so runner
+    speed cancels; it asserts host time all the same, so CI's
+    ``perf-gate`` job runs it, not tier-1.
+    """
+    sources = [app.source(8) for app in ALL_APPS] + [_program_for(128)]
+    for source in sources:  # imports and regex caches, outside the timing
+        compile_source(source, OptLevel.O3)
+
+    def shares():
+        result = []
+        for _ in range(3):
+            with profiled() as profiler:
+                for source in sources:
+                    for level in OptLevel:
+                        compile_source(source, level)
+            seconds = {name: record.seconds
+                       for name, record in profiler.passes.items()
+                       if name.startswith("pass.")}
+            result.append((seconds["pass.parse"] + seconds["pass.lower"])
+                          / sum(seconds.values()))
+        return sorted(result)
+
+    sweep_shares = benchmark.pedantic(shares, rounds=1, iterations=1)
+    share = sweep_shares[1]
+    print_table(
+        "Frontend share of a cold sweep (5 kernels + ladder-128, O0-O4)",
+        ("parse + lower share, 3 sweeps", "median", "bound"),
+        [(" ".join(f"{s:.3f}" for s in sweep_shares), f"{share:.3f}",
+          f"{_FRONTEND_SHARE_BOUND:.2f}")],
+    )
+    assert share < _FRONTEND_SHARE_BOUND, "the frontend's share regressed"
+
+
 @pytest.mark.benchmark(group="compile-time")
 def test_spmd_engine_vs_general_oracle(benchmark):
     """The SPMD reachability engine against the exponential oracle."""

@@ -8,20 +8,54 @@ catch one base class at the API boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
 class SourceLocation:
-    """A position in a MiniSplit source file (1-based line and column)."""
+    """A position in a MiniSplit source file (1-based line and column).
 
+    Immutable, with a frozen dataclass's ``==``, ``hash`` and ``repr``;
+    one per token, so ``__init__`` skips ``object.__setattr__``.
+    """
+
+    __slots__ = ("line", "column", "filename")
     line: int
     column: int
-    filename: str = "<input>"
+    filename: str
+
+    def __init__(self, line: int, column: int, filename: str = "<input>"):
+        _set_line(self, line)
+        _set_column(self, column)
+        _set_filename(self, filename)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SourceLocation:
+            return NotImplemented
+        return (self.line, self.column, self.filename) == (
+            other.line, other.column, other.filename)
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column, self.filename))
+
+    def __repr__(self) -> str:
+        return (f"SourceLocation(line={self.line!r}, "
+                f"column={self.column!r}, filename={self.filename!r})")
+
+    def __reduce__(self):
+        return SourceLocation, (self.line, self.column, self.filename)
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"
+
+
+_set_line, _set_column, _set_filename = (
+    SourceLocation.__dict__[name].__set__ for name in SourceLocation.__slots__)
 
 
 class ReproError(Exception):

@@ -19,11 +19,11 @@ jobs for the parallel analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CodegenError
 from repro.lang import ast
-from repro.lang.checker import CheckedProgram
+from repro.lang.checker import INTRINSICS, CheckedProgram
 from repro.lang.types import ScalarKind
 from repro.analysis.symbolic import MaybeSymExpr, OPAQUE, SymExpr
 from repro.ir.cfg import BasicBlock, Function, Module
@@ -182,36 +182,39 @@ class FunctionLowerer:
 
     def _symbolic(self, expr: ast.Expr, scope: "_ScopeMap") -> MaybeSymExpr:
         """Translates an index AST to an extended affine form (or OPAQUE)."""
-        if isinstance(expr, ast.IntLiteral):
-            return SymExpr.constant(expr.value)
-        if isinstance(expr, ast.MyProc):
-            return SymExpr.symbol("MYPROC")
-        if isinstance(expr, ast.NumProcs):
-            return SymExpr.procs()
-        if isinstance(expr, ast.VarRef):
-            binding = scope.lookup(expr.name)
-            if isinstance(binding, _LocalBinding):
-                if binding.sym_override is not None:
-                    return binding.sym_override
-                return SymExpr.symbol(binding.temp.name)
+        symbolic = _SYMBOLIC.get(type(expr))
+        return OPAQUE if symbolic is None else symbolic(self, expr, scope)
+
+    def _symbolic_var(self, expr: ast.VarRef,
+                      scope: "_ScopeMap") -> MaybeSymExpr:
+        binding = scope.lookup(expr.name)
+        if isinstance(binding, _LocalBinding):
+            if binding.sym_override is not None:
+                return binding.sym_override
+            return SymExpr.symbol(binding.temp.name)
+        return OPAQUE
+
+    def _symbolic_unary(self, expr: ast.Unary,
+                        scope: "_ScopeMap") -> MaybeSymExpr:
+        if expr.op is not ast.UnaryOp.NEG:
             return OPAQUE
-        if isinstance(expr, ast.Unary) and expr.op is ast.UnaryOp.NEG:
-            inner = self._symbolic(expr.operand, scope)
-            if inner is OPAQUE:
-                return OPAQUE
-            return -inner
-        if isinstance(expr, ast.Binary):
-            left = self._symbolic(expr.left, scope)
-            right = self._symbolic(expr.right, scope)
-            if left is OPAQUE or right is OPAQUE:
-                return OPAQUE
-            if expr.op is ast.BinaryOp.ADD:
-                return left + right
-            if expr.op is ast.BinaryOp.SUB:
-                return left - right
-            if expr.op is ast.BinaryOp.MUL:
-                return left.multiply(right)
+        inner = self._symbolic(expr.operand, scope)
+        if inner is OPAQUE:
             return OPAQUE
+        return -inner
+
+    def _symbolic_binary(self, expr: ast.Binary,
+                         scope: "_ScopeMap") -> MaybeSymExpr:
+        left = self._symbolic(expr.left, scope)
+        right = self._symbolic(expr.right, scope)
+        if left is OPAQUE or right is OPAQUE:
+            return OPAQUE
+        if expr.op is ast.BinaryOp.ADD:
+            return left + right
+        if expr.op is ast.BinaryOp.SUB:
+            return left - right
+        if expr.op is ast.BinaryOp.MUL:
+            return left.multiply(right)
         return OPAQUE
 
     def _const_value(self, expr: ast.Expr) -> Optional[int]:
@@ -619,121 +622,97 @@ class FunctionLowerer:
     # -- expressions --------------------------------------------------------
 
     def _lower_expression(self, expr: ast.Expr, scope: _ScopeMap) -> Operand:
-        if isinstance(expr, ast.IntLiteral):
-            return Const(expr.value)
-        if isinstance(expr, ast.FloatLiteral):
-            return Const(expr.value)
-        if isinstance(expr, ast.MyProc):
-            return MYPROC
-        if isinstance(expr, ast.NumProcs):
-            return PROCS
-        if isinstance(expr, ast.VarRef):
-            binding = scope.lookup(expr.name)
-            if isinstance(binding, _LocalBinding):
-                return binding.temp
-            if isinstance(binding, _SharedBinding):
-                dest = self._function.new_temp("rd")
-                self._emit(
-                    Instr(
-                        Opcode.READ_SHARED,
-                        dest=dest,
-                        var=binding.var.name,
-                        indices=(),
-                        index_meta=self._index_meta([], scope),
-                        location=expr.location,
-                    )
-                )
-                return dest
-            raise CodegenError(f"cannot read {expr.name!r}")
-        if isinstance(expr, ast.IndexExpr):
-            binding = scope.lookup(expr.base.name)
-            index_operands = tuple(
-                self._lower_expression(index, scope) for index in expr.indices
-            )
-            dest = self._function.new_temp("rd")
-            if isinstance(binding, _ArrayBinding):
-                self._emit(
-                    Instr(
-                        Opcode.LOAD_LOCAL,
-                        dest=dest,
-                        var=binding.array.name,
-                        indices=index_operands,
-                        location=expr.location,
-                    )
-                )
-                return dest
-            if isinstance(binding, _SharedBinding):
-                self._emit(
-                    Instr(
-                        Opcode.READ_SHARED,
-                        dest=dest,
-                        var=binding.var.name,
-                        indices=index_operands,
-                        index_meta=self._index_meta(list(expr.indices), scope),
-                        location=expr.location,
-                    )
-                )
-                return dest
-            raise CodegenError(f"cannot index {expr.base.name!r}")
-        if isinstance(expr, ast.Binary):
-            lhs = self._lower_expression(expr.left, scope)
-            rhs = self._lower_expression(expr.right, scope)
-            dest = self._function.new_temp("t")
-            self._emit(
-                Instr(
-                    Opcode.BINOP,
-                    dest=dest,
-                    binop=_BINOP_MAP[expr.op],
-                    lhs=lhs,
-                    rhs=rhs,
-                    location=expr.location,
-                )
-            )
-            return dest
-        if isinstance(expr, ast.Unary):
-            src = self._lower_expression(expr.operand, scope)
-            dest = self._function.new_temp("t")
-            unop = UnOpKind.NEG if expr.op is ast.UnaryOp.NEG else UnOpKind.NOT
-            self._emit(
-                Instr(Opcode.UNOP, dest=dest, unop=unop, src=src,
-                      location=expr.location)
-            )
-            return dest
-        if isinstance(expr, ast.Call):
-            args = tuple(
-                self._lower_expression(arg, scope) for arg in expr.args
-            )
-            from repro.lang.checker import INTRINSICS
+        lower = _LOWER_EXPRESSION.get(type(expr))
+        if lower is None:  # pragma: no cover - defensive
+            raise CodegenError(f"cannot lower expression {type(expr).__name__}")
+        return lower(self, expr, scope)
 
-            if expr.name in INTRINSICS:
-                dest = self._function.new_temp("t")
-                self._emit(
-                    Instr(
-                        Opcode.INTRINSIC,
-                        dest=dest,
-                        intrinsic=expr.name,
-                        args=args,
-                        location=expr.location,
-                    )
-                )
-                return dest
-            func = self._checked.functions[expr.name]
-            dest = None
-            if func.return_type.kind is not ScalarKind.VOID:
-                dest = self._function.new_temp("t")
-            self._emit(
-                Instr(
-                    Opcode.CALL,
-                    dest=dest,
-                    callee=expr.name,
-                    args=args,
-                    location=expr.location,
-                )
-            )
-            return dest if dest is not None else Const(0)
-        raise CodegenError(  # pragma: no cover - defensive
-            f"cannot lower expression {type(expr).__name__}"
+    def _lower_var(self, expr: ast.VarRef, scope: _ScopeMap) -> Operand:
+        binding = scope.lookup(expr.name)
+        if isinstance(binding, _LocalBinding):
+            return binding.temp
+        if isinstance(binding, _SharedBinding):
+            dest = self._function.new_temp("rd")
+            self._emit(Instr(Opcode.READ_SHARED, dest=dest,
+                             var=binding.var.name, indices=(),
+                             index_meta=self._index_meta([], scope),
+                             location=expr.location))
+            return dest
+        raise CodegenError(f"cannot read {expr.name!r}")
+
+    def _lower_index(self, expr: ast.IndexExpr, scope: _ScopeMap) -> Operand:
+        binding = scope.lookup(expr.base.name)
+        index_operands = tuple(
+            self._lower_expression(index, scope) for index in expr.indices
         )
+        dest = self._function.new_temp("rd")
+        if isinstance(binding, _ArrayBinding):
+            self._emit(Instr(Opcode.LOAD_LOCAL, dest=dest,
+                             var=binding.array.name, indices=index_operands,
+                             location=expr.location))
+            return dest
+        if isinstance(binding, _SharedBinding):
+            self._emit(Instr(Opcode.READ_SHARED, dest=dest,
+                             var=binding.var.name, indices=index_operands,
+                             index_meta=self._index_meta(
+                                 list(expr.indices), scope),
+                             location=expr.location))
+            return dest
+        raise CodegenError(f"cannot index {expr.base.name!r}")
+
+    def _lower_binary(self, expr: ast.Binary, scope: _ScopeMap) -> Operand:
+        lhs = self._lower_expression(expr.left, scope)
+        rhs = self._lower_expression(expr.right, scope)
+        dest = self._function.new_temp("t")
+        self._emit(Instr(Opcode.BINOP, dest=dest, binop=_BINOP_MAP[expr.op],
+                         lhs=lhs, rhs=rhs, location=expr.location))
+        return dest
+
+    def _lower_unary(self, expr: ast.Unary, scope: _ScopeMap) -> Operand:
+        src = self._lower_expression(expr.operand, scope)
+        dest = self._function.new_temp("t")
+        unop = UnOpKind.NEG if expr.op is ast.UnaryOp.NEG else UnOpKind.NOT
+        self._emit(Instr(Opcode.UNOP, dest=dest, unop=unop, src=src,
+                         location=expr.location))
+        return dest
+
+    def _lower_call(self, expr: ast.Call, scope: _ScopeMap) -> Operand:
+        args = tuple(self._lower_expression(arg, scope) for arg in expr.args)
+        if expr.name in INTRINSICS:
+            dest = self._function.new_temp("t")
+            self._emit(Instr(Opcode.INTRINSIC, dest=dest, intrinsic=expr.name,
+                             args=args, location=expr.location))
+            return dest
+        func = self._checked.functions[expr.name]
+        dest = None
+        if func.return_type.kind is not ScalarKind.VOID:
+            dest = self._function.new_temp("t")
+        self._emit(Instr(Opcode.CALL, dest=dest, callee=expr.name, args=args,
+                         location=expr.location))
+        return dest if dest is not None else Const(0)
+
+
+#: Expression node type -> its ``FunctionLowerer`` method; a type absent
+#: from ``_SYMBOLIC`` has no affine form.
+_LOWER_EXPRESSION: Dict[type, Callable[..., Operand]] = {
+    ast.IntLiteral: lambda self, expr, scope: Const(expr.value),
+    ast.FloatLiteral: lambda self, expr, scope: Const(expr.value),
+    ast.MyProc: lambda self, expr, scope: MYPROC,
+    ast.NumProcs: lambda self, expr, scope: PROCS,
+    ast.VarRef: FunctionLowerer._lower_var,
+    ast.IndexExpr: FunctionLowerer._lower_index,
+    ast.Binary: FunctionLowerer._lower_binary,
+    ast.Unary: FunctionLowerer._lower_unary,
+    ast.Call: FunctionLowerer._lower_call,
+}
+_SYMBOLIC: Dict[type, Callable[..., MaybeSymExpr]] = {
+    ast.IntLiteral: lambda self, expr, scope: SymExpr.constant(expr.value),
+    ast.MyProc: lambda self, expr, scope: SymExpr.symbol("MYPROC"),
+    ast.NumProcs: lambda self, expr, scope: SymExpr.procs(),
+    ast.VarRef: FunctionLowerer._symbolic_var,
+    ast.Unary: FunctionLowerer._symbolic_unary,
+    ast.Binary: FunctionLowerer._symbolic_binary,
+}
 
 
 def lower_program(checked: CheckedProgram) -> Module:

@@ -66,6 +66,8 @@ class IndexExpr(Expr):
 
 
 class BinaryOp(enum.Enum):
+    __hash__ = object.__hash__  # identity: see ``ir.instructions.Opcode``
+
     ADD = "+"
     SUB = "-"
     MUL = "*"

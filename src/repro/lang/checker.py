@@ -18,7 +18,7 @@ symbol information the lowering pass needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import TypeError_
 from repro.lang import ast
@@ -269,95 +269,76 @@ class Checker:
         return expr_type
 
     def _infer(self, expr: ast.Expr, scope: Scope, allow_sync: bool) -> Type:
-        if isinstance(expr, ast.IntLiteral):
-            return INT
-        if isinstance(expr, ast.FloatLiteral):
-            return DOUBLE
-        if isinstance(expr, (ast.MyProc, ast.NumProcs)):
-            return INT
-        if isinstance(expr, ast.VarRef):
-            symbol = scope.lookup(expr.name)
-            if symbol is None:
-                raise TypeError_(f"undeclared variable {expr.name!r}",
-                                 expr.location)
-            if symbol.kind is SymbolKind.FUNCTION:
-                raise TypeError_(
-                    f"{expr.name!r} is a function, not a variable",
-                    expr.location,
-                )
-            if symbol.type.is_sync_object and not allow_sync:
-                raise TypeError_(
-                    "flags and locks may only appear in "
-                    "post/wait/lock/unlock",
-                    expr.location,
-                )
-            return symbol.type
-        if isinstance(expr, ast.IndexExpr):
-            base_type = self._check_expression(expr.base, scope, allow_sync=True)
-            if not base_type.is_array:
-                raise TypeError_(
-                    f"{expr.base.name!r} is not an array", expr.location
-                )
-            if len(expr.indices) != len(base_type.dims):
-                raise TypeError_(
-                    f"{expr.base.name!r} has {len(base_type.dims)} "
-                    f"dimension(s), got {len(expr.indices)} index(es)",
-                    expr.location,
-                )
-            for index in expr.indices:
-                index_type = self._check_expression(index, scope)
-                if index_type.kind is not ScalarKind.INT:
-                    raise TypeError_("array indices must be int",
-                                     index.location)
-            element = base_type.element_type()
-            if element.is_sync_object and not allow_sync:
-                raise TypeError_(
-                    "flag/lock elements may only appear in "
-                    "post/wait/lock/unlock",
-                    expr.location,
-                )
-            return element
-        if isinstance(expr, ast.Binary):
-            left = self._check_expression(expr.left, scope)
-            right = self._check_expression(expr.right, scope)
-            if not left.is_numeric or not right.is_numeric:
-                raise TypeError_(
-                    f"operator {expr.op.value!r} requires numeric operands",
-                    expr.location,
-                )
-            if expr.op in (
-                ast.BinaryOp.EQ,
-                ast.BinaryOp.NE,
-                ast.BinaryOp.LT,
-                ast.BinaryOp.LE,
-                ast.BinaryOp.GT,
-                ast.BinaryOp.GE,
-                ast.BinaryOp.AND,
-                ast.BinaryOp.OR,
-            ):
-                return INT
-            if expr.op is ast.BinaryOp.MOD:
-                if left.kind is not ScalarKind.INT or right.kind is not ScalarKind.INT:
-                    raise TypeError_("'%' requires int operands", expr.location)
-                return INT
-            return arithmetic_result(left, right)
-        if isinstance(expr, ast.Unary):
-            operand = self._check_expression(expr.operand, scope)
-            if not operand.is_numeric:
-                raise TypeError_(
-                    f"operator {expr.op.value!r} requires a numeric operand",
-                    expr.location,
-                )
-            if expr.op is ast.UnaryOp.NOT:
-                return INT
-            return operand
-        if isinstance(expr, ast.Call):
-            return self._infer_call(expr, scope)
-        raise TypeError_(  # pragma: no cover - defensive
-            f"unknown expression {type(expr).__name__}", expr.location
-        )
+        infer = _INFER.get(type(expr))
+        if infer is None:  # pragma: no cover - defensive
+            raise TypeError_(f"unknown expression {type(expr).__name__}",
+                             expr.location)
+        return infer(self, expr, scope, allow_sync)
 
-    def _infer_call(self, expr: ast.Call, scope: Scope) -> Type:
+    def _infer_var(self, expr: ast.VarRef, scope: Scope,
+                   allow_sync: bool) -> Type:
+        symbol = scope.lookup(expr.name)
+        if symbol is None:
+            raise TypeError_(f"undeclared variable {expr.name!r}",
+                             expr.location)
+        if symbol.kind is SymbolKind.FUNCTION:
+            raise TypeError_(f"{expr.name!r} is a function, not a variable",
+                             expr.location)
+        if symbol.type.is_sync_object and not allow_sync:
+            raise TypeError_("flags and locks may only appear in "
+                             "post/wait/lock/unlock", expr.location)
+        return symbol.type
+
+    def _infer_index(self, expr: ast.IndexExpr, scope: Scope,
+                     allow_sync: bool) -> Type:
+        base_type = self._check_expression(expr.base, scope, allow_sync=True)
+        if not base_type.is_array:
+            raise TypeError_(f"{expr.base.name!r} is not an array",
+                             expr.location)
+        if len(expr.indices) != len(base_type.dims):
+            raise TypeError_(
+                f"{expr.base.name!r} has {len(base_type.dims)} "
+                f"dimension(s), got {len(expr.indices)} index(es)",
+                expr.location,
+            )
+        for index in expr.indices:
+            index_type = self._check_expression(index, scope)
+            if index_type.kind is not ScalarKind.INT:
+                raise TypeError_("array indices must be int",
+                                 index.location)
+        element = base_type.element_type()
+        if element.is_sync_object and not allow_sync:
+            raise TypeError_("flag/lock elements may only appear in "
+                             "post/wait/lock/unlock", expr.location)
+        return element
+
+    def _infer_binary(self, expr: ast.Binary, scope: Scope,
+                      allow_sync: bool) -> Type:
+        left = self._check_expression(expr.left, scope)
+        right = self._check_expression(expr.right, scope)
+        if not left.is_numeric or not right.is_numeric:
+            raise TypeError_(f"operator {expr.op.value!r} requires numeric "
+                             "operands", expr.location)
+        if expr.op in _INT_RESULT_OPS:
+            return INT
+        if expr.op is ast.BinaryOp.MOD:
+            if left.kind is not ScalarKind.INT or right.kind is not ScalarKind.INT:
+                raise TypeError_("'%' requires int operands", expr.location)
+            return INT
+        return arithmetic_result(left, right)
+
+    def _infer_unary(self, expr: ast.Unary, scope: Scope,
+                     allow_sync: bool) -> Type:
+        operand = self._check_expression(expr.operand, scope)
+        if not operand.is_numeric:
+            raise TypeError_(f"operator {expr.op.value!r} requires a numeric "
+                             "operand", expr.location)
+        if expr.op is ast.UnaryOp.NOT:
+            return INT
+        return operand
+
+    def _infer_call(self, expr: ast.Call, scope: Scope,
+                    allow_sync: bool) -> Type:
         arity = INTRINSICS.get(expr.name)
         if arity is not None:
             if len(expr.args) != arity:
@@ -399,6 +380,27 @@ class Checker:
                     arg.location,
                 )
         return func.return_type
+
+
+#: Comparisons and logical operators produce int whatever their operands.
+_INT_RESULT_OPS = frozenset({
+    ast.BinaryOp.EQ, ast.BinaryOp.NE, ast.BinaryOp.LT, ast.BinaryOp.LE,
+    ast.BinaryOp.GT, ast.BinaryOp.GE, ast.BinaryOp.AND, ast.BinaryOp.OR,
+})
+
+
+#: Expression node type -> its ``Checker`` inference method.
+_INFER: Dict[type, Callable[..., Type]] = {
+    ast.IntLiteral: lambda self, expr, scope, allow_sync: INT,
+    ast.FloatLiteral: lambda self, expr, scope, allow_sync: DOUBLE,
+    ast.MyProc: lambda self, expr, scope, allow_sync: INT,
+    ast.NumProcs: lambda self, expr, scope, allow_sync: INT,
+    ast.VarRef: Checker._infer_var,
+    ast.IndexExpr: Checker._infer_index,
+    ast.Binary: Checker._infer_binary,
+    ast.Unary: Checker._infer_unary,
+    ast.Call: Checker._infer_call,
+}
 
 
 def check(program: ast.Program) -> CheckedProgram:

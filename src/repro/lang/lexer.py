@@ -10,7 +10,6 @@ integer and floating-point literals, and the operator set listed in
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from typing import List
 
 from repro.errors import LexError, SourceLocation
@@ -47,34 +46,34 @@ _MASTER = re.compile(
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Lexes ``source`` into a list of tokens ending with an EOF token."""
     # Only "\n" starts a line; a tab or "\r" advances the column by one.
-    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
-
-    def location(offset: int) -> SourceLocation:
-        line = bisect_right(line_starts, offset)
-        return SourceLocation(
-            line, offset - line_starts[line - 1] + 1, filename
-        )
-
+    # Newlines occur only in trivia, so a running count keeps columns
+    # exact with one ``count`` per trivia match.
+    line, line_start = 1, 0
     tokens: List[Token] = []
+    append = tokens.append
     for match in _MASTER.finditer(source):
         group = match.lastgroup
-        if group == "trivia":
-            continue
-        start = location(match.start())
         text = match.group()
+        if group == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", 0, match.end()) + 1
+            continue
+        start = SourceLocation(line, match.start() - line_start + 1, filename)
         if group == "word":
             kind = KEYWORDS.get(text, TokenKind.IDENT)
-            value = text if kind is TokenKind.IDENT else None
-            tokens.append(Token(kind, start, value))
+            append(Token(kind, start, text if kind is TokenKind.IDENT else None))
         elif group == "punct":
-            tokens.append(Token(_PUNCTUATION[text], start))
+            append(Token(_PUNCTUATION[text], start))
         elif group == "int":
-            tokens.append(Token(TokenKind.INT_LITERAL, start, int(text)))
+            append(Token(TokenKind.INT_LITERAL, start, int(text)))
         elif group == "float":
-            tokens.append(Token(TokenKind.FLOAT_LITERAL, start, float(text)))
+            append(Token(TokenKind.FLOAT_LITERAL, start, float(text)))
         elif group == "open_comment":
             raise LexError("unterminated block comment", start)
         else:
             raise LexError(f"unexpected character {text!r}", start)
-    tokens.append(Token(TokenKind.EOF, location(len(source))))
+    append(Token(TokenKind.EOF,
+                 SourceLocation(line, len(source) - line_start + 1, filename)))
     return tokens

@@ -66,9 +66,9 @@ class Parser:
 
     # -- token stream helpers ------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        # In range: the list ends in EOF, which ``_advance`` never passes.
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -77,15 +77,16 @@ class Parser:
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self._tokens[self._pos].kind is kind
 
     def _match(self, kind: TokenKind) -> Optional[Token]:
-        if self._check(kind):
+        token = self._tokens[self._pos]
+        if token.kind is kind:
             return self._advance()
         return None
 
     def _expect(self, kind: TokenKind, context: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             raise ParseError(
                 f"expected {kind.value!r} {context}, found {token.spelling!r}",

@@ -12,7 +12,6 @@ synchronization statement forms the paper analyzes (``barrier``, ``post``/
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import SourceLocation
@@ -86,18 +85,38 @@ class TokenKind(enum.Enum):
 KEYWORDS = {k.value: k for k in TokenKind if k.name.startswith("KW_")}
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexeme with its source location.
 
     ``value`` carries the decoded payload for literals (``int`` or
     ``float``) and the spelling for identifiers; it is ``None`` for
-    punctuation and keywords.
+    punctuation and keywords.  A plain slots class, immutable by
+    convention, with a frozen dataclass's ``==``, ``hash`` and ``repr``.
     """
 
-    kind: TokenKind
-    location: SourceLocation
-    value: Optional[Union[int, float, str]] = None
+    __slots__ = ("kind", "location", "value")
+
+    def __init__(self, kind: TokenKind, location: SourceLocation,
+                 value: Optional[Union[int, float, str]] = None):
+        self.kind = kind
+        self.location = location
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Token:
+            return NotImplemented
+        return (self.kind, self.location, self.value) == (
+            other.kind, other.location, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.location, self.value))
+
+    def __repr__(self) -> str:
+        return (f"Token(kind={self.kind!r}, location={self.location!r}, "
+                f"value={self.value!r})")
+
+    def __reduce__(self):
+        return Token, (self.kind, self.location, self.value)
 
     @property
     def spelling(self) -> str:

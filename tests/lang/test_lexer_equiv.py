@@ -1,14 +1,15 @@
 """One-pattern lexer == the character-at-a-time reference scanner.
 
-``repro.lang.lexer.tokenize`` is one compiled ``re`` alternation with
-line/column from a newline-offset table; ``lexer_reference.py`` (beside
-this file) is the original ``_peek``/``_advance`` scanner, kept as the
-executable specification.  Both run on the five kernels, 140 generated
+``repro.lang.lexer.tokenize`` is one compiled ``re`` alternation with a
+running line counter fed by its trivia matches; ``lexer_reference.py``
+(beside this file) is the original ``_peek``/``_advance`` scanner, kept
+as the executable specification.  Both run on the five kernels, 140 generated
 programs over every fuzz profile, the barrier ladder, ``tests/data/sb.ms``
 and a list of hostile strings: tokens are compared field by field
-(including ``type(value)``), errors by class, text and location.  One
-mutant of the production pattern (``\\s`` for the explicit ASCII
-whitespace class) must fail the same comparison on a form feed.
+(including ``type(value)``), errors by class, text and location.  Two
+one-line mutants of the production lexer must fail the same comparison:
+``\\s`` for the explicit ASCII whitespace class (on a form feed), and a
+line counter that skips the newlines inside block comments.
 """
 
 import inspect
@@ -32,6 +33,7 @@ HOSTILE = [
     "/**/",
     "/* a */ /* b",
     "a /* x\n y */ b // tail",
+    "/*\n\n*/\tx\r\n// end",
     "// only a comment",
     "1.",
     "1 .",
@@ -116,13 +118,33 @@ def test_hostile_strings_cover_both_error_texts():
         assert any(text in error for error in errors), text
 
 
-def test_unicode_whitespace_mutant_is_caught():
-    """``\\s`` would swallow the form feed the scanner rejects."""
-    old, new = r"[ \t\r\n]+", r"\s+"
+def _mutant(old, new):
+    """``tokenize`` from ``lexer.py`` with one source line rewritten."""
     source = inspect.getsource(lexer)
     assert source.count(old) == 1, f"stale mutation anchor: {old!r}"
     namespace = {}
     exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
-    _assert_lexers_match("a b", "sanity", namespace["tokenize"])
+    tokenize = namespace["tokenize"]
+    _assert_lexers_match("a b", "sanity", tokenize)
+    return tokenize
+
+
+def test_unicode_whitespace_mutant_is_caught():
+    """``\\s`` would swallow the form feed the scanner rejects."""
+    tokenize = _mutant(r"[ \t\r\n]+", r"\s+")
     with pytest.raises(AssertionError):
-        _assert_lexers_match("a\fb", "form feed", namespace["tokenize"])
+        _assert_lexers_match("a\fb", "form feed", tokenize)
+
+
+def test_comment_newline_mutant_is_caught():
+    """A line counter fed only by whitespace trivia misplaces every
+    token after a multi-line block comment."""
+    old = r'newlines = text.count("\n")'
+    tokenize = _mutant(old, old + ' if text[0] != "/" else 0')
+    caught = []
+    for source in HOSTILE:
+        try:
+            _assert_lexers_match(source, repr(source), tokenize)
+        except AssertionError:
+            caught.append(source)
+    assert caught, "no hostile string catches the comment-newline mutant"

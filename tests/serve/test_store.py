@@ -59,6 +59,24 @@ class TestBlobs:
         cache.put("k" * 64, value)
         assert cache.get("k" * 64) == value
 
+    def test_round_trip_compiled_program(self, tmp_path):
+        """A compiled artifact, source locations included, survives
+        put/get unchanged."""
+        from repro import OptLevel, compile_source
+        from repro.apps import get_app
+
+        def locations(program):
+            return [instr.location for _, _, instr
+                    in program.module.main.instructions()]
+
+        program = compile_source(get_app("ocean").source(4), OptLevel.O3)
+        cache = make_cache(tmp_path)
+        key = cache.key("compile", source="ocean@4", level="O3")
+        cache.put(key, program)
+        loaded = cache.get(key)
+        assert loaded.pretty() == program.pretty()
+        assert locations(loaded) == locations(program)
+
     def test_corrupt_blob_is_a_miss(self, tmp_path):
         cache = make_cache(tmp_path)
         key = "a" * 64
