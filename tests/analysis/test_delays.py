@@ -136,6 +136,63 @@ class TestFigure9BarrierReadOnly:
         assert has_delay(result, reads[0], reads[1])
 
 
+_TWO = "shared int A; shared int B;\nvoid main() { int t; "
+_LOOP = _TWO + "for (int i = 0; i < 3; i = i + 1) { "
+
+#: (program, its SYNC delay set as access-index pairs).  The first
+#: eight write two unrelated variables around barriers, so only
+#: same-variable instances conflict.  In the rest each write is read
+#: back across the barrier, and the barrier is what removes delays.
+BARRIER_CASES = {
+    "straight_line": (_TWO + "A = 1; barrier(); B = 2; }", set()),
+    "same_phase": (_TWO + "A = 1; B = 2; barrier(); }", set()),
+    "branch_dependent_barrier": (
+        _TWO + "if (MYPROC == 0) { barrier(); } B = 2; }", set()),
+    "barrier_in_loop_then_access": (
+        _LOOP + "barrier(); } A = 1; }", {(0, 0)}),
+    "loop_two_barriers": (
+        _LOOP + "A = 1; barrier(); B = 2; barrier(); } }",
+        {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3),
+         (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)}),
+    "loop_without_barrier": (
+        _LOOP + "A = 1; B = 2; } }", {(0, 0), (0, 1), (1, 0), (1, 1)}),
+    "loop_one_barrier": (
+        _LOOP + "A = 1; barrier(); B = 2; } }",
+        {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
+         (2, 0), (2, 1), (2, 2)}),
+    "loop_self_pair": (
+        _LOOP + "A = 1; barrier(); } }", {(0, 0), (0, 1), (1, 0), (1, 1)}),
+    "read_back_straight_line": (
+        _TWO + "A = 1; barrier(); t = A; B = t; }", {(0, 1), (1, 2)}),
+    "read_back_same_phase": (
+        _TWO + "A = 1; t = A; barrier(); }", {(0, 1)}),
+    "read_back_branch_dependent_barrier": (
+        _TWO + "A = 1; if (MYPROC == 0) { barrier(); } t = A; }",
+        {(0, 1), (1, 2)}),
+    "read_back_after_barrier_loop": (
+        _TWO + "A = 1; for (int j = 0; j < 3; j = j + 1) { barrier(); }"
+        " t = A; }", {(0, 1), (1, 1), (1, 2)}),
+    "read_back_loop_two_barriers": (
+        _LOOP + "A = 1; barrier(); t = A; barrier(); } }",
+        {(0, 0), (0, 1), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3),
+         (2, 1), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)}),
+    "read_back_loop_one_barrier": (
+        _LOOP + "A = 1; barrier(); t = A; } }",
+        {(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)}),
+    "read_back_loop_self_pair": (
+        _LOOP + "A = A + 1; barrier(); } }",
+        {(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARRIER_CASES))
+def test_barrier_delay_set(name):
+    """§5.2 as users see it: the delay set around barriers, recorded
+    before the barrier analysis was folded into the D1 closure."""
+    source, expected = BARRIER_CASES[name]
+    assert analyze(source, AnalysisLevel.SYNC).delays_by_index == expected
+
+
 class TestLockRegions:
     SOURCE = """
     shared lock_t l;
