@@ -6,9 +6,12 @@ Assembles the full analysis of the paper:
   synchronization operations are just conflicting memory accesses, no
   precedence information.  This is the baseline the paper improves on.
 
-* ``AnalysisLevel.SYNC`` — the paper's contribution (§5): the six-step
-  refinement using post-wait matching, barrier phase intervals and lock
-  guards to orient conflict edges and prune back-path searches.
+* ``AnalysisLevel.SYNC`` — the paper's contribution (§5): post→wait
+  edges and the sync-involving delay set D1, closed into a precedence
+  relation, orient conflict edges and prune back-path searches (the
+  Figure 6 rule), and lock guards exclude accesses (§5.3).  Barriers
+  (§5.2) need no analysis of their own: D1's [access, barrier] and
+  [barrier, access] delays, closed, order barrier-separated accesses.
 
 The result bundles everything downstream passes need: the delay set as
 instruction-uid pairs, the precedence relation, local (same-processor)
@@ -27,7 +30,6 @@ from repro.analysis.conflicts import (
     local_dependence_pairs,
 )
 from repro.analysis.cycle.spmd import BackPathEngine
-from repro.analysis.sync.barriers import BarrierPhases, BarrierSegments
 from repro.analysis.sync.locks import LockGuards
 from repro.analysis.sync.postwait import match_post_wait
 from repro.analysis.sync.precedence import PrecedenceRelation
@@ -165,43 +167,22 @@ def analyze_function(
         precedence = PrecedenceRelation(accesses)
         for post, wait in match_post_wait(accesses):
             precedence.add(post, wait)
-        phases = BarrierPhases(accesses)
-        precedence.add_rows(phases.ordered_rows())
         # "R is expanded to include the transitive closure of itself
-        # and D1."
+        # and D1."  D1 holds every [access, barrier] and [barrier,
+        # access] delay, so the closure orders barrier-separated
+        # accesses (§5.2) and already contains every edge the paper's
+        # step-4 dominator rule would derive from D1 anchors.
         precedence.add_pairs(d1)
         precedence.transitive_close()
 
-        # Step 4: the dominator refinement, to fixpoint.
-        precedence.refine_with_dominators(d1, dominators)
-
-    # Step 5: orient conflict edges implied by the precedence.
+    # Step 5: orient conflict edges implied by the precedence.  Edge
+    # a2 -> a1 is removed for every [a1, a2] in R: row a2 loses exactly
+    # its R-predecessors, so the transpose rows are the removal masks.
+    # R orders a pair separated by barriers around a loop both ways, so
+    # both directions of its conflict edge go.
     with perf.pass_timer("analysis.orient"):
         oriented = conflicts.copy()
-        access_list = list(accesses)
-        # Edge a2 -> a1 is removed for every [a1, a2] in R: row a2 loses
-        # exactly its R-predecessors, so the transpose rows are the
-        # removal masks.
         oriented.remove_directions(precedence.predecessor_masks())
-
-        # §5.2: drop conflict edges between barrier-separated data
-        # accesses.  Their instances never share a global phase, and D1
-        # (already computed, with the full conflict set) anchors each
-        # access to its phase boundaries with [access, barrier] delays.
-        # Separation is symmetric and we mask every non-sync access's
-        # row, so both directions of each pair are cleared.
-        segments = BarrierSegments(accesses)
-        sep_rows = segments.separated_rows()
-        data_mask = 0
-        for a in access_list:
-            if not a.is_sync:
-                data_mask |= 1 << a.index
-        oriented.remove_directions(
-            [
-                sep_rows[a.index] & data_mask if not a.is_sync else 0
-                for a in access_list
-            ]
-        )
 
     # Step 6: final delay set over P ∪ C1 with access pruning.
     with perf.pass_timer("analysis.final-delays"):

@@ -2,32 +2,26 @@
 
 ``R`` is a set of ordered access pairs [a1, a2] such that a1 is
 guaranteed to complete before a2 is initiated (Definition 4).  It is
-seeded with direct post→wait edges and barrier-phase orderings, merged
-with the initial sync-only delay set ``D1``, transitively closed, and
-then grown by the paper's dominator rule (§5.1 step 4):
+seeded with direct post→wait edges, merged with the initial sync-only
+delay set ``D1``, and transitively closed.
 
-    if a1 dominates b1, b2 dominates a2,
-       [a1, b1] ∈ D1, [b2, a2] ∈ D1, and [b1, b2] ∈ R,
-    then [a1, a2] ∈ R.
-
-The domination requirements make the *dynamic instances* line up: when
-b1 executes, a1 has executed (and the delay edge makes it complete);
-when a2 executes, b2 has executed before it.
+The paper's step 4 then grows ``R`` by a dominator rule: [a1, b1] and
+[b2, a2] in D1 with [b1, b2] in R give [a1, a2].  On a relation that
+already holds the closure of D1 that pair is in ``R`` by transitivity,
+so the rule is not implemented.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.accesses import Access, AccessSet
-from repro.ir.dominators import DominatorTree
 
 
 class PrecedenceRelation:
     """Bitset-backed ordered-pair relation over an access set."""
 
     def __init__(self, accesses: AccessSet):
-        self._accesses = accesses
         self._n = len(accesses)
         self._rows: List[int] = [0] * self._n
         self._pred_masks: Optional[List[int]] = None  # lazy transpose
@@ -43,13 +37,6 @@ class PrecedenceRelation:
         for ai, bi in pairs:
             if ai != bi:
                 self._rows[ai] |= 1 << bi
-        self._pred_masks = None
-
-    def add_rows(self, rows: List[int]) -> None:
-        """Bulk union: ORs ``rows[i]`` into row ``i`` (kept irreflexive)."""
-        for i, extra in enumerate(rows):
-            if extra:
-                self._rows[i] |= extra & ~(1 << i)
         self._pred_masks = None
 
     def has(self, a: Access, b: Access) -> bool:
@@ -111,69 +98,3 @@ class PrecedenceRelation:
                     self._rows[i] = new_row
                     self._pred_masks = None
                     changed = True
-
-    # -- the §5.1 dominator refinement ---------------------------------------
-
-    def refine_with_dominators(
-        self,
-        d1: Set[Tuple[int, int]],
-        dominators: DominatorTree,
-    ) -> int:
-        """Applies step 4 until fixpoint; returns number of edges added.
-
-        ``d1`` is the initial (sync-involving) delay set as
-        (u.index, v.index) pairs with u before v.
-        """
-        accesses = list(self._accesses)
-        n = self._n
-
-        # d1_succ_dom[a1] = mask of b1 with [a1,b1] in D1 and a1 dom b1.
-        # Read transposed, row b2 is also the mask of a2 with
-        # [b2, a2] ∈ D1 and b2 dom a2 — so the inner loop produces every
-        # eligible a2 with one OR per reachable b2 instead of one
-        # membership probe per (a1, a2) pair.
-        d1_succ_dom = [0] * n
-        relevant_b2 = 0  # b2 values usable on the predecessor side
-        for u_index, v_index in d1:
-            u = accesses[u_index]
-            v = accesses[v_index]
-            if dominators.instr_dominates(u.uid, v.uid):
-                # Usable both as [a1, b1] (a1 dominating) and, read as
-                # [b2, a2], for the predecessor table (b2 dominating).
-                d1_succ_dom[u_index] |= 1 << v_index
-                relevant_b2 |= 1 << u_index
-
-        added = 0
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                b1_mask = d1_succ_dom[i]
-                if not b1_mask:
-                    continue
-                # Union of R rows over all candidate b1.
-                reach = 0
-                mask = b1_mask
-                while mask:
-                    low = mask & -mask
-                    reach |= self._rows[low.bit_length() - 1]
-                    mask ^= low
-                reach &= relevant_b2
-                if not reach:
-                    continue
-                # a2 candidates: successors (through D1-with-domination)
-                # of any b2 reachable from b1 in R.
-                candidates = 0
-                while reach:
-                    low = reach & -reach
-                    candidates |= d1_succ_dom[low.bit_length() - 1]
-                    reach ^= low
-                new_bits = candidates & ~self._rows[i] & ~(1 << i)
-                if new_bits:
-                    self._rows[i] |= new_bits
-                    self._pred_masks = None
-                    added += bin(new_bits).count("1")
-                    changed = True
-            if changed:
-                self.transitive_close()
-        return added

@@ -9,15 +9,15 @@ exact structure:
   its working set in *local* memory;
 * when column ``k`` is finalized its owner *publishes* it to the shared
   ``Cols`` array (a burst of remote writes) and posts ``done[k]``;
-* every processor (owner included — posting then waiting on your own
-  flag is the idiom that gives the §5.1 dominator rule its
-  ``b2 dominates a2`` leg) waits on ``done[k]``, gathers the column
-  (a burst of remote reads), and updates its own later columns locally.
+* every processor (owner included) waits on ``done[k]``, gathers the
+  column (a burst of remote reads), and updates its own later columns
+  locally.
 
 The analysis story: the delays [publish, post] and [wait, gather] are
-fundamental (they are in D1); the §5.1 refinement derives
-``publish R gather`` through the post→wait edge, orients the conflict
-edges, and thereby lets both the publish and the gather loops pipeline.
+fundamental (they are in D1); closing D1 with the post→wait edge gives
+``publish R gather`` (the paper's §5.1 derivation), which orients the
+conflict edges and thereby lets both the publish and the gather loops
+pipeline.
 """
 
 from __future__ import annotations

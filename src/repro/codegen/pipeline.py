@@ -8,8 +8,9 @@ module and the analyses across levels.  This module keeps the
 long-standing import points (``OptLevel``, ``CompiledProgram``,
 ``CodegenReport``, :func:`compile_module`) stable.
 
-Barrier alignment note (§5.2): the analysis orders accesses by barrier
-*phase intervals*, which is sound for every execution our runtime can
+Barrier alignment note (§5.2): the analysis orders barrier-separated
+accesses through the closure of D1's [access, barrier] and [barrier,
+access] delays, which is sound for every execution our runtime can
 produce (barrier episodes are global rendezvous; executions whose
 processors would disagree on barrier counts deadlock at the rendezvous
 instead of running on inconsistently).  The paper's two-version runtime

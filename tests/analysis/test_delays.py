@@ -48,6 +48,22 @@ class TestFigure1:
         assert has_delay(result, w_data, w_flag)
         assert has_delay(result, r_flag, r_data)
 
+    def test_exclusive_branches_keep_required_delays(self):
+        """Figure 1 with the reader in the ``else`` arm: no path joins
+        the two arms, but no barrier separates them either — they run
+        on different processors at the same time."""
+        source = """
+        shared int X; shared int Y;
+        void main() {
+          int u; int v;
+          if (MYPROC == 0) { X = 1; Y = 2; } else { v = Y; u = X; }
+        }
+        """
+        sas = analyze(source, AnalysisLevel.SAS)
+        sync = analyze(source, AnalysisLevel.SYNC)
+        assert sync.delays_by_index == sas.delays_by_index == {
+            (0, 1), (2, 3)}
+
 
 class TestFigure5:
     """The paper's headline example: sync analysis removes the

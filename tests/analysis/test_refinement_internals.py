@@ -1,10 +1,9 @@
-"""Direct tests of §5.1 refinement internals and engine options."""
+"""Direct tests of the precedence relation and engine options."""
 
-from repro.analysis.accesses import AccessKind, AccessSet
+from repro.analysis.accesses import AccessSet
 from repro.analysis.conflicts import ConflictSet
 from repro.analysis.cycle.spmd import BackPathEngine
 from repro.analysis.sync.precedence import PrecedenceRelation
-from repro.ir.dominators import DominatorTree
 from repro.ir.symrefine import refine_index_metadata
 from tests.analysis.general_backpath import GeneralBackPathFinder
 from tests.helpers import FIGURE_1, FIGURE_5, inlined
@@ -15,70 +14,6 @@ def build(source):
     refine_index_metadata(module.main)
     accesses = AccessSet(module.main)
     return module.main, accesses, ConflictSet(accesses)
-
-
-def find(accesses, kind, var):
-    return next(
-        a for a in accesses if a.kind is kind and a.var == var
-    )
-
-
-class TestDominatorRefinementRule:
-    """Step 4 in isolation: [a1,b1],[b2,a2] in D1, [b1,b2] in R,
-    with the required dominations, must yield [a1,a2] in R."""
-
-    def test_figure5_anchor_chain(self):
-        main, accesses, conflicts = build(FIGURE_5)
-        dominators = DominatorTree(main)
-        w_x = find(accesses, AccessKind.WRITE, "X")
-        post = find(accesses, AccessKind.POST, "F")
-        wait = find(accesses, AccessKind.WAIT, "F")
-        r_x = find(accesses, AccessKind.READ, "X")
-
-        d1 = {
-            (w_x.index, post.index),  # a1 -> b1 (a1 dominates b1)
-            (wait.index, r_x.index),  # b2 -> a2 (b2 dominates a2)
-        }
-        relation = PrecedenceRelation(accesses)
-        relation.add(post, wait)  # b1 R b2
-        relation.transitive_close()
-        added = relation.refine_with_dominators(d1, dominators)
-        assert added >= 1
-        assert relation.has(w_x, r_x)
-
-    def test_rule_requires_domination(self):
-        """Without 'a1 dominates b1' the edge must not be derived."""
-        source = """
-        shared int X;
-        shared flag_t F;
-        void main() {
-          int y;
-          if (MYPROC == 0) {
-            if (PROCS > 2) { X = 1; }
-            post(F);
-          } else {
-            wait(F);
-            y = X;
-          }
-        }
-        """
-        main, accesses, _conflicts = build(source)
-        dominators = DominatorTree(main)
-        w_x = find(accesses, AccessKind.WRITE, "X")
-        post = find(accesses, AccessKind.POST, "F")
-        wait = find(accesses, AccessKind.WAIT, "F")
-        r_x = find(accesses, AccessKind.READ, "X")
-        # The write does NOT dominate the post (conditional), so even
-        # with the D1 anchors present the rule must not fire from it...
-        d1 = {(w_x.index, post.index), (wait.index, r_x.index)}
-        relation = PrecedenceRelation(accesses)
-        relation.add(post, wait)
-        relation.transitive_close()
-        relation.refine_with_dominators(d1, dominators)
-        # ...but domination is about instances lining up: here the
-        # *write* side fails it.
-        assert not dominators.instr_dominates(w_x.uid, post.uid)
-        assert not relation.has(w_x, r_x)
 
 
 class TestEngineOptions:

@@ -1,0 +1,114 @@
+"""Teeth for the §5 refinements: each one is load-bearing.
+
+Every refinement ``analyze_function`` composes on top of Shasha–Snir
+must change some program's SYNC delay set when it is switched off by a
+one-line mutant; a refinement no program notices is dead analysis.
+Each row names the refinement, the mutant, the program that notices it
+and the delay-set size before and after.
+
+Post→wait precedence (§5.1) changes no delay set of the kernels or of
+the progen profiles (EXPERIMENTS.md §8 has the corpora).  It is kept
+as the paper's Figure 5 derivation, and its row asserts that
+derivation: without the post→wait edge, R loses W X → R X and Figure 5
+is analysed like Figure 1.
+
+The last row is a converse mutant, one that is too aggressive: locks
+that share *any* guard exclude each other's accesses.  It drops delays
+that SC needs.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from repro.analysis.accesses import AccessKind
+from repro.analysis.delays import AnalysisLevel, analyze_function
+from repro.analysis.sync.locks import LockGuards
+from repro.apps import APPS
+from repro.fuzz.progen import generate_program
+from tests.helpers import FIGURE_5, inlined
+
+
+def _mutant(old: str, new: str, function=analyze_function):
+    """``function`` with one line of its source rewritten."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(old) == 1, f"stale mutation anchor: {old!r}"
+    namespace = dict(function.__globals__)
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    return namespace[function.__name__]
+
+
+def _source(program):
+    if program == "barrier_misaligned/100":
+        return generate_program(100, "barrier_misaligned", 4).source
+    name, procs = program.split("@")
+    return APPS[name].source(int(procs))
+
+
+def _sync_delays(program, analyze=analyze_function):
+    function = inlined(_source(program)).main
+    return analyze(function, AnalysisLevel.SYNC).delays_by_index
+
+
+#: refinement -> (program, anchor, replacement, |D_SYNC| before, after).
+TEETH = {
+    "r3 D1 folded into R": (
+        "ocean@8", "precedence.add_pairs(d1)", "pass", 34, 65),
+    "r3 closure of R": (
+        "ocean@8", "precedence.transitive_close()", "pass", 34, 65),
+    "r5 conflict orientation": (
+        "ocean@8",
+        "oriented.remove_directions(precedence.predecessor_masks())",
+        "pass", 34, 46),
+    "r7 Figure 6: successors of u": (
+        "barrier_misaligned/100",
+        "mask = precedence.successors_mask(u.index)", "mask = 0",
+        423, 441),
+    "r7 Figure 6: predecessors of v": (
+        "barrier_misaligned/100",
+        "mask |= pred_masks[v.index]", "pass", 423, 441),
+    "r8 lock exclusion": (
+        "health@8", "mask |= guards.exclusion_mask(u, v)", "pass",
+        123, 131),
+}
+
+
+@pytest.mark.parametrize("refinement", sorted(TEETH))
+def test_switching_off_changes_the_delay_set(refinement):
+    program, old, new, before, after = TEETH[refinement]
+    delays = _sync_delays(program)
+    mutated = _sync_delays(program, _mutant(old, new))
+    assert (len(delays), len(mutated)) == (before, after)
+
+
+def test_post_wait_precedence_derives_figure_5():
+    mutant = _mutant("precedence.add(post, wait)", "pass")
+
+    def w_x_precedes_r_x(analyze):
+        result = analyze(inlined(FIGURE_5).main, AnalysisLevel.SYNC)
+        w_x, r_x = (
+            next(a for a in result.accesses
+                 if a.kind is kind and a.var == "X")
+            for kind in (AccessKind.WRITE, AccessKind.READ)
+        )
+        return result.precedence.has(w_x, r_x), result.delays_by_index
+
+    kept, delays = w_x_precedes_r_x(analyze_function)
+    lost, mutated = w_x_precedes_r_x(mutant)
+    assert (kept, lost) == (True, False)
+    # Without the edge, W X -> W Y and R Y -> R X are delayed again.
+    assert (len(delays), len(mutated)) == (4, 6)
+
+
+def test_union_of_lock_guards_drops_delays(monkeypatch):
+    """Converse mutant: accesses under *different* locks exclude each
+    other as if one lock guarded both."""
+    common = _mutant(
+        "return self.guards.get(a.index, frozenset()) & self.guards.get(",
+        "return self.guards.get(a.index, frozenset()) | self.guards.get(",
+        LockGuards.common_guards,
+    )
+    assert len(_sync_delays("health@8")) == 123
+    monkeypatch.setattr(LockGuards, "common_guards", common)
+    assert len(_sync_delays("health@8")) == 115

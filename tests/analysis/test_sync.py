@@ -1,14 +1,9 @@
-"""Synchronization analysis tests: post-wait, barriers, locks, R."""
+"""Synchronization analysis tests: post-wait, locks, R."""
 
 from repro.analysis.accesses import AccessKind, AccessSet
 from repro.analysis.conflicts import ConflictSet
 from repro.analysis.cycle.spmd import BackPathEngine
 from repro.analysis.delays import AnalysisLevel, analyze_function
-from repro.analysis.sync.barriers import (
-    UNBOUNDED,
-    BarrierPhases,
-    BarrierSegments,
-)
 from repro.analysis.sync.locks import LockGuards, guard_key_of
 from repro.analysis.sync.postwait import match_post_wait
 from repro.analysis.sync.precedence import PrecedenceRelation
@@ -105,123 +100,6 @@ class TestPrecedenceRelation:
         w_x = find(accesses, AccessKind.WRITE, "X")
         r_x = find(accesses, AccessKind.READ, "X")
         assert result.precedence.has(w_x, r_x)
-
-
-class TestBarrierPhases:
-    def test_straight_line_intervals(self):
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { A = 1; barrier(); B = 2; }"
-        )
-        phases = BarrierPhases(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert phases.intervals[a.index] == (0, 0)
-        assert phases.intervals[b.index] == (1, 1)
-        assert phases.definitely_ordered(a, b)
-        assert not phases.definitely_ordered(b, a)
-
-    def test_branch_dependent_barrier(self):
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { if (MYPROC == 0) { barrier(); } B = 2; }"
-        )
-        phases = BarrierPhases(accesses)
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert phases.intervals[b.index] == (0, 1)
-
-    def test_barrier_in_loop_unbounded(self):
-        fn, accesses = build(
-            "shared int A;\n"
-            "void main() { for (int i = 0; i < 3; i = i + 1) {"
-            " barrier(); } A = 1; }"
-        )
-        phases = BarrierPhases(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        assert phases.intervals[a.index][0] == 0
-        assert phases.intervals[a.index][1] is UNBOUNDED
-
-    def test_ordered_pairs_feed_r(self):
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { A = 1; barrier(); B = 2; }"
-        )
-        phases = BarrierPhases(accesses)
-        pairs = phases.ordered_pairs()
-        names = {(a.var, b.var) for a, b in pairs}
-        assert ("A", "B") in names
-
-
-class TestBarrierSegments:
-    def test_separated_across_barrier(self):
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { A = 1; barrier(); B = 2; }"
-        )
-        segments = BarrierSegments(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert segments.separated(a, b)
-
-    def test_same_phase_not_separated(self):
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { A = 1; B = 2; barrier(); }"
-        )
-        segments = BarrierSegments(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert not segments.separated(a, b)
-
-    def test_loop_phases_separated(self):
-        """Accesses in different inter-barrier regions of a loop body."""
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { for (int t = 0; t < 3; t = t + 1) {"
-            " A = 1; barrier(); B = 2; barrier(); } }"
-        )
-        segments = BarrierSegments(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert segments.separated(a, b)
-
-    def test_loop_without_barrier_not_separated(self):
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { for (int t = 0; t < 3; t = t + 1) {"
-            " A = 1; B = 2; } }"
-        )
-        segments = BarrierSegments(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert not segments.separated(a, b)
-
-    def test_single_barrier_in_loop_body_does_not_separate(self):
-        # A; barrier; B in a loop: B(t) and A(t+1) share a phase (the
-        # back edge crosses no barrier), so the pair genuinely races.
-        fn, accesses = build(
-            "shared int A; shared int B;\n"
-            "void main() { for (int t = 0; t < 3; t = t + 1) {"
-            " A = 1; barrier(); B = 2; } }"
-        )
-        segments = BarrierSegments(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        b = find(accesses, AccessKind.WRITE, "B")
-        assert not segments.separated(a, b)
-        # The forward direction alone is barrier-crossing...
-        assert not segments.barrier_free_path(a, b)
-        # ...but the loop-around path from B back to A is barrier-free.
-        assert segments.barrier_free_path(b, a)
-
-    def test_self_not_separated(self):
-        fn, accesses = build(
-            "shared int A;\n"
-            "void main() { for (int t = 0; t < 3; t = t + 1) {"
-            " A = 1; barrier(); } }"
-        )
-        segments = BarrierSegments(accesses)
-        a = find(accesses, AccessKind.WRITE, "A")
-        assert not segments.separated(a, a)
 
 
 class TestLockGuards:
