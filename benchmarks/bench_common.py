@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro import OptLevel
-from repro.codegen.pipeline import CompiledProgram
+from repro.pipeline import CompiledProgram
 from repro.runtime import CM5, MachineConfig
 from repro.runtime.simulator import SimulationResult
 

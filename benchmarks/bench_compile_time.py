@@ -155,21 +155,24 @@ def test_shared_session_pays(benchmark):
     assert cold_s / shared_s >= 1.3, "holding a session no longer pays"
 
 
-#: Ceiling on the frontend's share of a cold sweep's pass time.  Median
-#: of three sweeps (5 kernels + ladder-128, O0-O4; Python 3.11, x86-64
-#: VM): 0.41 with frozen-dataclass tokens/locations, a bisect per token
-#: and an ``isinstance`` chain per expression node; 0.35 with slots
+#: Ceiling on the frontend's share of a cold sweep's non-analysis pass
+#: time.  Median over five runs of the median of three sweeps
+#: (5 kernels + ladder-128, O0-O4; Python 3.11, 2-core x86-64 VM):
+#: 0.665 with frozen-dataclass tokens/locations, a bisect per token and
+#: an ``isinstance`` chain per expression node; 0.600 with slots
 #: tokens, a running line counter and type-keyed dispatch.  Midpoint.
-_FRONTEND_SHARE_BOUND = 0.38
+_FRONTEND_SHARE_BOUND = 0.63
 
 
 @pytest.mark.benchmark(group="compile-time")
 def test_frontend_share_of_cold_sweep(benchmark):
-    """``pass.parse`` + ``pass.lower`` against every pass of a cold sweep.
+    """``pass.parse`` + ``pass.lower`` against the non-analysis passes.
 
     Each of the five kernels and the 128-rung ladder compiles cold at
-    O0-O4, so the frontend runs once per level.  The share of the
-    summed pass time is a ratio of host times on one runner, so runner
+    O0-O4, so the frontend runs once per level.  The denominator is
+    every ``pass.*`` except ``pass.analysis-*``: an analysis change
+    (one that deletes a refinement, say) must not move a frontend
+    gate.  The share is a ratio of host times on one runner, so runner
     speed cancels; it asserts host time all the same, so CI's
     ``perf-gate`` job runs it, not tier-1.
     """
@@ -186,7 +189,8 @@ def test_frontend_share_of_cold_sweep(benchmark):
                         compile_source(source, level)
             seconds = {name: record.seconds
                        for name, record in profiler.passes.items()
-                       if name.startswith("pass.")}
+                       if name.startswith("pass.")
+                       and not name.startswith("pass.analysis-")}
             result.append((seconds["pass.parse"] + seconds["pass.lower"])
                           / sum(seconds.values()))
         return sorted(result)

@@ -17,8 +17,8 @@ Public entry points:
 """
 
 from repro.analysis.delays import AnalysisLevel, AnalysisResult
-from repro.codegen.pipeline import CompiledProgram, OptLevel
 from repro.compiler import analyze_source, compile_source, frontend
+from repro.pipeline import CompiledProgram, OptLevel
 
 __version__ = "1.0.0"
 

@@ -25,11 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.accesses import Access, AccessSet
-from repro.analysis.symbolic import (
-    VarDomain,
-    distinct_iterations_may_collide,
-    may_be_equal,
-)
+from repro.analysis.symbolic import VarDomain, may_be_equal
 from repro.ir.instructions import IndexMeta
 
 
@@ -199,8 +195,16 @@ def local_dependence_pairs(
     Code generation must preserve these regardless of the delay set: a
     put followed by a read of the same remote location on the *same*
     processor must not be reordered, or the processor could read its own
-    stale value.  Pairs are (earlier uid, later uid) with at least one
-    write; read-read pairs need no local ordering.
+    stale value.  Pairs are (earlier uid, later uid) of two *distinct*
+    accesses with at least one write; read-read pairs need no local
+    ordering.
+
+    An access is never paired with itself, not even a write in a loop
+    whose later iteration may hit the element an earlier one wrote:
+    every reader asks about two different instructions of one block.
+    Hoisting and get reuse compare an instruction with the ones above
+    it, and dead-put elimination compares a put with the ones after it,
+    so a ``(u, u)`` pair would never be read.
     """
     result: Set[Tuple[int, int]] = set()
     by_var: Dict[str, List[Access]] = {}
@@ -233,15 +237,6 @@ def local_dependence_pairs(
                 if _metas_may_collide(meta_a, key_b[0], True):
                     mask |= group_mask
             collide_masks[meta_a] = mask
-        #: meta -> may distinct iterations of one access collide?
-        self_collide: Dict[Optional[IndexMeta], bool] = {}
-        for meta in metas:
-            if meta is None or not meta.exprs:
-                self_collide[meta] = True
-            else:
-                self_collide[meta] = distinct_iterations_may_collide(
-                    tuple(meta.exprs), _domains(meta)
-                )
         for a in members:
             a_row = accesses.p_row(a)
             self_bit = 1 << a.index
@@ -255,12 +250,4 @@ def local_dependence_pairs(
                 candidates ^= low
                 b = access_by_index[low.bit_length() - 1]
                 result.add((a.uid, b.uid))
-            if a_row & self_bit and a.is_write:
-                # Loop-carried self-dependence: the two instances are
-                # *different iterations* on one processor, so the plain
-                # same-processor test (which allows equal loop indices)
-                # is too weak a question — use the distinct-iteration
-                # test instead.
-                if self_collide[a.meta]:
-                    result.add((a.uid, a.uid))
     return result

@@ -405,16 +405,15 @@ def _enumerate_solve_delta(
     return False
 
 
-#: Memo tables for the two entry-point feasibility tests.  The answers
-#: are purely mathematical functions of hashable immutable arguments
-#: (frozen SymExpr / VarDomain dataclasses), so the caches are safe to
-#: share across compilations; they are cleared wholesale if they ever
-#: exceed ``_CACHE_LIMIT`` entries.  Real programs repeat a handful of
-#: index shapes across hundreds of accesses, making these tests one of
-#: the hottest parts of conflict-set construction without the memo.
+#: Memo table for :func:`may_be_equal`.  The answers are purely
+#: mathematical functions of hashable immutable arguments (frozen
+#: SymExpr / VarDomain dataclasses), so the cache is safe to share
+#: across compilations; it is cleared wholesale if it ever exceeds
+#: ``_CACHE_LIMIT`` entries.  Real programs repeat a handful of index
+#: shapes across hundreds of accesses, making this test one of the
+#: hottest parts of conflict-set construction without the memo.
 _CACHE_LIMIT = 1 << 16
 _may_equal_cache: Dict[tuple, bool] = {}
-_distinct_iter_cache: Dict[tuple, bool] = {}
 _cache_hits = 0
 _cache_misses = 0
 
@@ -705,184 +704,3 @@ def _may_be_equal_affine(
     return _linear_feasible_unbounded(
         {s: c for s, c in base_coeffs.items() if c != 0}, diff.const
     )
-
-
-def distinct_iterations_may_collide(
-    forms: Tuple[SymExpr, ...],
-    loop_domains: Mapping[str, VarDomain],
-) -> bool:
-    """Memoized front end of :func:`_distinct_iterations_may_collide`."""
-    global _cache_hits, _cache_misses
-    key = (forms, _norm_domains(loop_domains))
-    cached = _distinct_iter_cache.get(key)
-    if cached is not None:
-        _cache_hits += 1
-        return cached
-    _cache_misses += 1
-    answer = _distinct_iterations_may_collide(forms, loop_domains)
-    if len(_distinct_iter_cache) >= _CACHE_LIMIT:
-        _distinct_iter_cache.clear()
-    _distinct_iter_cache[key] = answer
-    return answer
-
-
-def _distinct_iterations_may_collide(
-    forms: Tuple[SymExpr, ...],
-    loop_domains: Mapping[str, VarDomain],
-) -> bool:
-    """Can two *different iterations* of one access collide (same proc)?
-
-    Used for loop-carried self-dependences.  The two dynamic instances
-    run on the same processor (MYPROC and permutation terms cancel) and
-    differ in at least one *loop variable*; other symbols (locals the
-    program recomputes) may take any values — including equal ones —
-    between the two iterations.  Writing ``d_v = v_first - v_second``,
-    the index tuple collides iff some difference vector with a non-zero
-    loop-variable part zeroes every dimension (with the PROCS-scaled
-    parts handled per-dimension: ``base + PROCS*procs == 0`` needs
-    ``PROCS = -base/procs`` to be a legal processor count, or both
-    parts zero).
-    """
-    loop_vars = set(loop_domains)
-    base_rows: list = []
-    procs_rows: list = []
-    for form in forms:
-        if form is None:
-            return True
-        base: Dict[str, int] = {}
-        procs_part: Dict[str, int] = {}
-        for sym, coeff in form.terms:
-            if sym == MYPROC_SYM:
-                continue  # same processor: cancels
-            base[sym] = coeff
-        for sym, coeff in form.procs_terms:
-            if sym == MYPROC_SYM:
-                continue
-            procs_part[sym] = coeff
-        # perm terms and constants cancel between the two instances.
-        base_rows.append(base)
-        procs_rows.append(procs_part)
-
-    active = sorted(
-        {s for row in base_rows for s in row}
-        | {s for row in procs_rows for s in row}
-    )
-    active_loop = [s for s in active if s in loop_vars]
-    active_free = [s for s in active if s not in loop_vars]
-    if not active_loop:
-        # The index does not depend on the loop variables: distinct
-        # iterations can (and for constant indices, must) repeat it.
-        return True
-
-    # An enclosing loop variable that does NOT appear in the index can
-    # absorb the "different iteration" requirement on its own: two
-    # instances differing only in it touch the *same* element.  Any
-    # such variable with more than one possible value forces a may-
-    # collide answer.
-    for sym, domain in loop_domains.items():
-        if sym in active:
-            continue
-        if not domain.is_bounded or (domain.size or 2) > 1:
-            return True
-
-    # Rank shortcut: when each dimension is purely base or purely
-    # PROCS-scaled, a collision needs a kernel vector with a non-zero
-    # loop part; that is impossible exactly when the loop columns are
-    # independent of each other and of the free columns — i.e.
-    # rank([loop | free]) == #loop + rank(free).  Sound for unbounded
-    # loops (e.g. triangular ``for (i = k; ...)``).
-    if all(
-        not (base and procs)
-        for base, procs in zip(base_rows, procs_rows)
-    ):
-        matrix = []
-        for base, procs in zip(base_rows, procs_rows):
-            row_map = base if base else procs
-            matrix.append(
-                [row_map.get(s, 0) for s in active_loop]
-                + [row_map.get(s, 0) for s in active_free]
-            )
-        free_matrix = [row[len(active_loop):] for row in matrix]
-        full_rank = _rational_rank(matrix)
-        free_rank = _rational_rank(free_matrix) if active_free else 0
-        if full_rank == len(active_loop) + free_rank:
-            return False
-
-    # Exact enumeration over bounded loop-difference vectors; free
-    # symbols absorb any residual their gcd divides.
-    spans = []
-    total = 1
-    for sym in active_loop:
-        domain = loop_domains.get(sym, VarDomain())
-        if not domain.is_bounded:
-            return True  # unbounded loop: conservative
-        span = domain.hi - domain.lo
-        spans.append(range(-span, span + 1))
-        total *= 2 * span + 1
-        if total > _ENUM_LIMIT:
-            return True  # too large to enumerate: conservative
-
-    for d in itertools.product(*spans):
-        if all(x == 0 for x in d):
-            continue
-        collides = True
-        for base, procs_part in zip(base_rows, procs_rows):
-            b = sum(base.get(s, 0) * dv for s, dv in zip(active_loop, d))
-            p = sum(
-                procs_part.get(s, 0) * dv
-                for s, dv in zip(active_loop, d)
-            )
-            free_base = [base.get(s, 0) for s in active_free]
-            free_procs = [procs_part.get(s, 0) for s in active_free]
-            if any(free_procs) or (p != 0 and any(free_base)):
-                # Mixed free/PROCS residuals: be conservative for this
-                # dimension (assume it can be zeroed).
-                continue
-            if p == 0:
-                g = _gcd_all(free_base)
-                if g == 0:
-                    if b != 0:
-                        collides = False
-                        break
-                elif b % g != 0:
-                    collides = False
-                    break
-            else:
-                # Need PROCS = -b / p, an integer >= 2.
-                if b % p != 0 or -(b // p) < 2:
-                    collides = False
-                    break
-        if collides:
-            return True
-    return False
-
-
-def _rational_rank(matrix) -> int:
-    """Rank over the rationals (exact, via Fraction elimination)."""
-    from fractions import Fraction
-
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        for r in range(pivot_row + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[pivot_row])
-                ]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == len(rows):
-            break
-    return rank

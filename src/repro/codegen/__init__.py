@@ -1,7 +1,7 @@
 """Code generation and optimization (§6 and §7 of the paper).
 
-Passes (applied by :mod:`repro.codegen.pipeline` according to the
-optimization level):
+Passes (run by :mod:`repro.pipeline` according to the optimization
+level):
 
 * :mod:`repro.codegen.splitphase` — blocking accesses become
   ``get``/``put`` plus an adjacent ``sync_ctr``;
@@ -12,11 +12,3 @@ optimization level):
 * :mod:`repro.codegen.oneway` — ``put``s whose syncs all reach a
   barrier become acknowledgement-free ``store``s.
 """
-
-from repro.codegen.pipeline import (
-    CompiledProgram,
-    OptLevel,
-    compile_module,
-)
-
-__all__ = ["OptLevel", "CompiledProgram", "compile_module"]

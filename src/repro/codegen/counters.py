@@ -10,9 +10,9 @@ wait for the union of their outstanding operations — which is always
 unrelated pipelines, so we only merge counters whose live (pending)
 ranges never overlap.
 
-Liveness here is the same forward may-analysis the verifier uses: a
-counter is live from an initiation tagged with it to the syncs naming
-it.  Live sets and interference rows are packed ints (DESIGN.md §7),
+A counter's live range comes from the same forward may-analysis the
+verifier uses: a counter is live from an initiation tagged with it to
+the syncs naming it.  Live sets and interference rows are packed ints (DESIGN.md §7),
 one bit per counter in counter-id order.  Interfering counters get
 distinct colors by first-fit coloring in counter-id order.
 """

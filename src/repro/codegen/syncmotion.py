@@ -204,9 +204,3 @@ def place_syncs(
 
     _apply_insertions(function, insertions)
     return placements
-
-
-#: Backwards-compatible name: the pipeline historically called the
-#: iterative sinking algorithm; the frontier placement computes the same
-#: fixpoint directly.
-sink_syncs = place_syncs

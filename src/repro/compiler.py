@@ -25,11 +25,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.delays import AnalysisLevel, AnalysisResult
-from repro.codegen.pipeline import CompiledProgram, OptLevel
 from repro.ir.cfg import Module
 from repro.ir.lowering import lower_program
 from repro.lang import parse_and_check
-from repro.pipeline.session import CompilationSession, PipelineOptions
+from repro.pipeline import (
+    CompilationSession,
+    CompiledProgram,
+    OptLevel,
+    PipelineOptions,
+)
 
 
 def frontend(source: str, filename: str = "<input>") -> Module:
@@ -60,6 +64,20 @@ def compile_source(
 ) -> CompiledProgram:
     """Compiles MiniSplit source at the given optimization level."""
     session = open_session(source, filename, options)
+    return session.compile(opt_level, in_place=True)
+
+
+def compile_module(
+    module: Module,
+    opt_level: OptLevel = OptLevel.O3,
+    clone: bool = True,
+) -> CompiledProgram:
+    """Inlines, analyzes and optimizes an IR ``module`` at ``opt_level``.
+
+    With ``clone=True`` (default) the input module is left untouched;
+    with ``clone=False`` the session compiles it in place.
+    """
+    session = CompilationSession(module=module, clone_input=clone)
     return session.compile(opt_level, in_place=True)
 
 

@@ -1,12 +1,13 @@
-"""Intermediate representation: instructions, CFG, and sequential analyses.
+"""Intermediate representation: instructions, CFG, dominators, inlining.
 
 This package provides the standard compiler substrate the paper assumes
 as input to its parallel analyses: a CFG per function, dominator trees,
-reaching definitions / def-use chains, liveness, and function inlining.
+and function inlining.  Register def-use is read per instruction
+(``Instr.defined_temp`` / ``Instr.used_temps``) by the codegen passes
+that need it.
 """
 
 from repro.ir.cfg import BasicBlock, Function, Module
-from repro.ir.defuse import DefUseInfo, compute_def_use
 from repro.ir.dominators import DominatorTree, reverse_postorder
 from repro.ir.inline import check_no_recursion, inline_all
 from repro.ir.instructions import (
@@ -24,7 +25,6 @@ from repro.ir.instructions import (
     Temp,
     UnOpKind,
 )
-from repro.ir.liveness import Liveness
 from repro.ir.lowering import lower_program
 
 __all__ = [
@@ -49,7 +49,4 @@ __all__ = [
     "check_no_recursion",
     "DominatorTree",
     "reverse_postorder",
-    "compute_def_use",
-    "DefUseInfo",
-    "Liveness",
 ]

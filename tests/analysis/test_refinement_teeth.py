@@ -12,9 +12,11 @@ as the paper's Figure 5 derivation, and its row asserts that
 derivation: without the post→wait edge, R loses W X → R X and Figure 5
 is analysed like Figure 1.
 
-The last row is a converse mutant, one that is too aggressive: locks
-that share *any* guard exclude each other's accesses.  It drops delays
-that SC needs.
+The last rows are converse mutants, ones that are too aggressive.  Each
+drops delays that SC needs: locks that share *any* guard exclude each
+other's accesses; every pair of MYPROC-dependent index forms is claimed
+disjoint; step 5 drops both directions of a conflict edge that R orders
+either way.
 """
 
 import inspect
@@ -22,12 +24,26 @@ import textwrap
 
 import pytest
 
+from repro.analysis import conflicts
 from repro.analysis.accesses import AccessKind
 from repro.analysis.delays import AnalysisLevel, analyze_function
+from repro.analysis.symbolic import may_be_equal
 from repro.analysis.sync.locks import LockGuards
 from repro.apps import APPS
 from repro.fuzz.progen import generate_program
-from tests.helpers import FIGURE_5, inlined
+from tests.helpers import FIGURE_5, delay_pairs, inlined
+
+#: A causality chain: processor 0 writes A then B, processor 1 reads B
+#: and posts, processor 2 waits and reads A.  SC needs [W A, W B], and
+#: the only cycle behind it crosses the post -> wait conflict edge in
+#: the direction R orders it.
+CAUSAL_CHAIN = """shared int A; shared int B; shared flag_t f;
+void main() {
+  if (MYPROC == 0) { A = 1; B = 1; }
+  else { if (MYPROC == 1) { int b = B; post(f); }
+  else { wait(f); int a = A; } }
+}
+"""
 
 
 def _mutant(old: str, new: str, function=analyze_function):
@@ -112,3 +128,38 @@ def test_union_of_lock_guards_drops_delays(monkeypatch):
     assert len(_sync_delays("health@8")) == 123
     monkeypatch.setattr(LockGuards, "common_guards", common)
     assert len(_sync_delays("health@8")) == 115
+
+
+def test_myproc_forms_claimed_disjoint_drops_delays(monkeypatch):
+    """Converse mutant: any two MYPROC-dependent index forms are taken
+    to be disjoint across processors, so ``A[MYPROC]`` no longer
+    conflicts with ``A[MYPROC + 1]``."""
+    disjoint = _mutant(
+        "    cached = _may_equal_cache.get(key)",
+        "    cached = False if not same_processor and all("
+        "MYPROC_SYM in f.symbols() or f.perm_terms for f in (left, right)"
+        ") else _may_equal_cache.get(key)",
+        may_be_equal,
+    )
+    assert len(_sync_delays("ocean@8")) == 34
+    monkeypatch.setattr(conflicts, "may_be_equal", disjoint)
+    assert len(_sync_delays("ocean@8")) == 6
+
+
+def test_orienting_both_directions_drops_a_causality_delay():
+    """Converse mutant: step 5 drops both directions of a conflict edge
+    whenever R orders the pair in either direction."""
+    mutant = _mutant(
+        "oriented.remove_directions(precedence.predecessor_masks())",
+        "oriented.remove_directions([p | precedence.successors_mask(i)"
+        " for i, p in enumerate(precedence.predecessor_masks())])",
+    )
+
+    def delays(analyze):
+        return delay_pairs(
+            analyze(inlined(CAUSAL_CHAIN).main, AnalysisLevel.SYNC))
+
+    kept, mutated = delays(analyze_function), delays(mutant)
+    assert ("write A", "write B") in kept
+    assert sorted(set(kept) - set(mutated)) == [("write A", "write B")]
+    assert (len(kept), len(mutated)) == (3, 2)

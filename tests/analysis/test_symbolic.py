@@ -7,7 +7,6 @@ from repro.analysis.symbolic import (
     OPAQUE,
     SymExpr,
     VarDomain,
-    distinct_iterations_may_collide,
     may_be_equal,
 )
 from repro.apps import ALL_APPS, get_app
@@ -186,67 +185,6 @@ class TestMayBeEqualSameProcessor:
         # (p+1)%P != (p+2)%P for P > 1: disjoint.
         assert not may_be_equal(
             SymExpr.perm(1), SymExpr.perm(2), same_processor=True
-        )
-
-
-class TestDistinctIterations:
-    def test_loop_indexed_disjoint(self):
-        assert not distinct_iterations_may_collide(
-            (sym("i"),), {"i": VarDomain(0, 7)}
-        )
-
-    def test_constant_index_collides(self):
-        assert distinct_iterations_may_collide((SymExpr.constant(0),), {})
-
-    def test_strided_collision(self):
-        # A[2*i] vs A[2*j]: i != j => different, but A[i/2 rounding]...
-        # 2*i == 2*j forces i == j: disjoint.
-        assert not distinct_iterations_may_collide(
-            (sym("i").scale(2),), {"i": VarDomain(0, 7)}
-        )
-
-    def test_two_vars_can_collide(self):
-        # A[i + j]: (i,j)=(0,1) vs (1,0) collide.
-        domains = {"i": VarDomain(0, 3), "j": VarDomain(0, 3)}
-        assert distinct_iterations_may_collide(
-            (sym("i") + sym("j"),), domains
-        )
-
-    def test_matrix_diagonal_disjoint(self):
-        # (i, i) across iterations: needs d_i = 0 twice.
-        assert not distinct_iterations_may_collide(
-            (sym("i"), sym("i")), {"i": VarDomain(0, 7)}
-        )
-
-    def test_rank_shortcut_with_unbounded_triangular_loop(self):
-        # (i, k) with i unbounded: full rank => disjoint.
-        domains = {"i": VarDomain(), "k": VarDomain(0, 15)}
-        assert not distinct_iterations_may_collide(
-            (sym("i"), sym("k")), domains
-        )
-
-    def test_myproc_cancels(self):
-        # Same processor: A[MYPROC*8 + i] self-collision needs d_i = 0.
-        assert not distinct_iterations_may_collide(
-            (MY.scale(8) + sym("i"),), {"i": VarDomain(0, 7)}
-        )
-
-    def test_free_symbol_collides(self):
-        # A non-loop local may repeat a value between iterations.
-        assert distinct_iterations_may_collide(
-            (sym("c"),), {}
-        )
-
-    def test_opaque_dimension_collides(self):
-        assert distinct_iterations_may_collide(
-            (None,), {}
-        )
-
-    def test_guarded_cyclic_column_disjoint(self):
-        # Cols[i][MYPROC + PROCS*g]: full rank over (i, g).
-        k = MY + SymExpr.procs().multiply(sym("g"))
-        assert not distinct_iterations_may_collide(
-            (sym("i"), k), {"i": VarDomain(), "g": VarDomain()}
         )
 
 

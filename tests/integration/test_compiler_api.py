@@ -9,7 +9,7 @@ from repro import (
     compile_source,
     frontend,
 )
-from repro.codegen.pipeline import compile_module
+from repro.compiler import compile_module
 from repro.errors import (
     AnalysisError,
     LexError,

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.analysis.delays import AnalysisLevel, analyze_function
 from repro.analysis.symbolic import SymExpr
 from repro.ir.cfg import Module
+from repro.ir.inline import inline_all
 from repro.ir.instructions import Opcode
 from tests.helpers import frontend
 
@@ -209,6 +211,33 @@ class TestIndexMetadata:
     def test_no_guard_outside_if(self):
         module = frontend("shared int X; void main() { X = 1; }")
         assert shared_accesses(module)[0].index_meta.proc_guard is None
+
+    @pytest.mark.parametrize("index", ["-MYPROC + 7", "-(MYPROC - 7)"])
+    def test_negated_index_matches_subtraction(self, index):
+        # Unary minus keeps the index affine: the reversed-processor
+        # exchange below is analysed exactly as with ``7 - MYPROC``.
+        # An opaque index would add each write's self-conflict (4
+        # conflicts, not 2).
+        source = (
+            "shared double A[8]; shared double B[8];\n"
+            "void main() {\n"
+            "  A[INDEX] = 1.0; double x = A[MYPROC];\n"
+            "  B[INDEX] = 1.0; double y = B[MYPROC];\n"
+            "}\n"
+        )
+
+        def observe(text):
+            module = frontend(source.replace("INDEX", text))
+            result = analyze_function(
+                inline_all(module).main, AnalysisLevel.SYNC
+            )
+            form = shared_accesses(module)[0].index_meta.exprs[0]
+            return (form, sorted(result.delays_by_index),
+                    result.stats.conflict_pairs)
+
+        form, delays, conflicts = observe(index)
+        assert (form, delays, conflicts) == observe("7 - MYPROC")
+        assert (len(delays), conflicts) == (2, 2)
 
     def test_non_constant_guard_ignored(self):
         module = frontend(

@@ -11,8 +11,7 @@ import pytest
 from benchmarks.bench_compile_time import _program_for
 from repro import OptLevel, frontend
 from repro.apps import ALL_APPS
-from repro.codegen.pipeline import compile_module
-from repro.compiler import open_session
+from repro.compiler import compile_module, open_session
 from repro.fuzz.progen import generate_program
 
 

@@ -1,7 +1,8 @@
 """AST pretty-printer: renders a program back to MiniSplit source.
 
-Used by tooling and by the parser roundtrip property test
-(``parse(print(parse(s)))`` must equal ``parse(s)`` structurally).
+The parser's round-trip oracle (``parse(print(parse(s)))`` must equal
+``parse(s)`` structurally), used by ``tests/lang/test_printer.py`` and
+the property tests.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.lang import ast, parse, parse_and_check
-from repro.lang.printer import print_expr, print_program
+from tests.lang.printer import print_expr, print_program
 from tests.helpers import FIGURE_1, FIGURE_5
 
 

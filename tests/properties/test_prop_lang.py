@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.errors import LexError, ParseError, ReproError, TypeError_
 from repro.lang import parse, parse_and_check, tokenize
-from repro.lang.printer import print_program
+from tests.lang.printer import print_program
 from repro.lang.tokens import TokenKind
 
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(

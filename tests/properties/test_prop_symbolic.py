@@ -12,7 +12,6 @@ from repro.analysis.symbolic import (
     MYPROC_SYM,
     SymExpr,
     VarDomain,
-    distinct_iterations_may_collide,
     may_be_equal,
 )
 
@@ -112,32 +111,6 @@ class TestMayBeEqualSoundness:
         if lhs == rhs:
             assert may_be_equal(
                 left, right, DOMAINS, DOMAINS, same_processor=True
-            )
-
-
-class TestDistinctIterationSoundness:
-    @given(
-        form=sym_exprs(),
-        values_a=assignments,
-        values_b=assignments,
-        procs=st.integers(min_value=2, max_value=6),
-        p=st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=400, deadline=None)
-    def test_claimed_disjoint_never_collides(
-        self, form, values_a, values_b, procs, p
-    ):
-        if values_a == values_b:
-            return  # same iteration vector: not a distinct pair
-        p %= procs
-        lhs = evaluate(form, values_a, p, procs)
-        rhs = evaluate(form, values_b, p, procs)
-        if lhs is None or rhs is None:
-            return
-        if lhs == rhs:
-            assert distinct_iterations_may_collide((form,), DOMAINS), (
-                f"{form}: {values_a} vs {values_b} both give {lhs} "
-                f"(p={p}, PROCS={procs})"
             )
 
 

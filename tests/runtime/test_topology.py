@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import DeadlockError
 from repro.runtime import CM5, run_module
 from repro.runtime.machine import (
     BARRIER_TOPOLOGIES,
@@ -169,3 +170,17 @@ class TestTimingSignatures:
         # central (the default) is the seed barrier bit-for-bit: under
         # the seed event loop it must not move a single cycle.
         assert_parity(inlined(RELAY), 8, CM5)
+
+
+class TestTreeForensics:
+    def test_deadlock_report_names_the_partial_combine(self):
+        # Only processor 0 reaches the barrier.  Under a fan-in-2 tree
+        # on 4 processors, node 0 needs itself and its two children, so
+        # it combines 1 of 3 arrivals and no subtree completes.
+        machine = CM5.with_barrier_topology("tree", 2)
+        with pytest.raises(DeadlockError) as caught:
+            run("void main() { if (MYPROC == 0) { barrier(); } }",
+                procs=4, machine=machine)
+        text = str(caught.value)
+        assert "tree fan-in 2, 0/4 subtrees combined" in text
+        assert "barrier partial combines: node 0: 1/3" in text
