@@ -144,10 +144,9 @@ def _runtime_error_exit(exc: BaseException, verbose: bool) -> int:
 
         traceback.print_exc(file=sys.stderr)
     else:
-        from repro.errors import DeadlockError
+        from repro.errors import DeadlockError, error_summary
 
-        first = str(exc).splitlines()[0]
-        print(f"repro: error: {first}", file=sys.stderr)
+        print(f"repro: error: {error_summary(exc)}", file=sys.stderr)
         if isinstance(exc, DeadlockError) and exc.report:
             print(
                 "repro: re-run with --verbose for the full deadlock "
@@ -371,26 +370,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Pool workers resolve the store from the environment; keep
         # them pointed at the same root the daemon serves from.
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-    chaos = None
-    if args.chaos:
-        from repro.serve.chaos import ServeFaultPlan
-
-        try:
-            chaos = ServeFaultPlan.parse(
-                args.chaos, seed=args.chaos_seed
-            )
-        except ValueError as exc:
-            return _runtime_error_exit(exc, args.verbose)
     config = ServeConfig(
-        socket_path=args.socket,
-        cache_dir=args.cache_dir,
-        max_entries=args.max_entries,
-        max_bytes=args.max_bytes,
-        batch_window=args.batch_window,
-        jobs=args.jobs,
-        drain_timeout=args.drain_timeout,
-        max_pending=args.max_pending,
-        chaos=chaos,
+        socket_path=args.socket, cache_dir=args.cache_dir, jobs=args.jobs
     )
     try:
         asyncio.run(serve(config))
@@ -488,7 +469,7 @@ def _client_retry_hint(exc: Any, args: argparse.Namespace) -> str:
     if exc.code == "overloaded":
         return (
             f"the daemon shed this request (pending queue full); "
-            f"retry in {wait} or raise serve --max-pending"
+            f"retry in {wait} or widen serve --jobs"
         )
     if exc.code == "transport":
         return (
@@ -703,41 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
              "~/.cache/repro-compile)",
     )
     serve.add_argument(
-        "--max-entries", type=int, default=None, metavar="N",
-        help="LRU budget: evict down to N store entries after a put",
-    )
-    serve.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
-        help="LRU budget: evict down to N total store bytes after a put",
-    )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.002, metavar="S",
-        help="seconds to coalesce cache misses into one pool batch "
-             "(0 disables batching; default 0.002)",
-    )
-    serve.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="compile-pool width for a batch (0/1 = in-process; "
              "default auto)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="S",
-        help="seconds to wait for in-flight requests on shutdown",
-    )
-    serve.add_argument(
-        "--max-pending", type=int, default=256, metavar="N",
-        help="admission control: refuse (overloaded) once N artifact "
-             "requests are queued for the compile path (default 256)",
-    )
-    serve.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject seeded faults for resilience drills, e.g. "
-             "'refuse=0.05,garble=0.1,crash.mid_batch=0.01' "
-             "(grammar: repro.serve.chaos)",
-    )
-    serve.add_argument(
-        "--chaos-seed", type=int, default=0, metavar="N",
-        help="RNG seed for the --chaos fault plan (default 0)",
     )
     serve.add_argument(
         "--verbose", action="store_true",

@@ -141,3 +141,10 @@ class DeadlockError(RuntimeFault):
 
 class ConsistencyViolation(ReproError):
     """A trace was determined not to be sequentially consistent."""
+
+
+def error_summary(exc: BaseException) -> str:
+    """A one-line diagnostic: the first line of ``str(exc)``, or the
+    exception's type name when that is empty."""
+    lines = str(exc).splitlines()
+    return lines[0] if lines and lines[0] else type(exc).__name__

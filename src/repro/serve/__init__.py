@@ -2,31 +2,26 @@
 
 * :mod:`repro.serve.store` — the content-addressed, sharded, LRU
   artifact store every compile entry point shares
-  (:class:`ArtifactCache`), with sha256 digest verification and
-  quarantine of corrupt entries;
+  (:class:`ArtifactCache`): one self-verifying file per entry (a
+  sha256 header, then the blob) and quarantine of corrupt entries;
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire
   protocol (spec: docs/SERVING.md);
 * :mod:`repro.serve.daemon` — the asyncio unix-socket daemon with
   in-flight request deduplication, pool batching and admission
   control;
 * :mod:`repro.serve.client` — the blocking Python client with split
-  timeouts and retries with decorrelated jitter;
-* :mod:`repro.serve.chaos` — seeded fault injection for the stack
-  (:class:`ServeFaultPlan`, the ``repro serve --chaos`` plan).
+  timeouts and retries with decorrelated jitter.
+
+Seeded fault injection (the chaos oracle) is test code:
+``tests/serve/chaos_harness.py``.
 """
 
-from repro.serve.chaos import ChaosCrash, ServeFaultPlan
 from repro.serve.client import (
     RetryPolicy,
     ServeClient,
     ServeError,
 )
-from repro.serve.daemon import (
-    ServeConfig,
-    Server,
-    ServerThread,
-    serve,
-)
+from repro.serve.daemon import ServeConfig, Server, serve
 from repro.serve.protocol import (
     CLIENT_ERROR_CODES,
     ERROR_CODES,
@@ -45,7 +40,6 @@ from repro.serve.store import (
 __all__ = [
     "ArtifactCache",
     "CLIENT_ERROR_CODES",
-    "ChaosCrash",
     "ERROR_CODES",
     "OPS",
     "PROTOCOL_VERSION",
@@ -54,9 +48,7 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "ServeError",
-    "ServeFaultPlan",
     "Server",
-    "ServerThread",
     "artifact_key",
     "code_fingerprint",
     "default_cache",

@@ -12,34 +12,36 @@ results out of the content-addressed :class:`~repro.serve.store
    await one future; N clients compiling the same kernel trigger
    exactly one underlying compile (``serve.dedup_hits`` counts the
    coalesced ones).
-3. **Batching onto the compile pool** — cache misses are collected for
-   ``batch_window`` seconds and dispatched as one batch to
+3. **Batching onto the compile pool** — the dispatcher takes the first
+   queued miss plus every miss already queued behind it, with no
+   timer, and hands them as one batch to
    :func:`repro.perf.parallel.compile_batch`, which fans distinct jobs
    across the crash-tolerant worker pool (``jobs`` pool width; 0/1
    compiles on the batch thread) and returns a verdict per job.
+   Misses that queue while a batch runs form the next batch.
 
 Responses are written per-request as they complete, so clients may
 pipeline many requests over one connection.  Graceful shutdown (the
 ``shutdown`` op, or SIGINT/SIGTERM via :func:`serve`) stops accepting,
-drains in-flight work for up to ``drain_timeout`` seconds, and removes
-the socket.  The wire protocol and operational notes are documented in
-docs/SERVING.md.
+drains in-flight work for up to :data:`DRAIN_TIMEOUT` seconds, and
+removes the socket.  The wire protocol and operational notes are
+documented in docs/SERVING.md.
 
 Degradation under stress is graceful and *typed*, never silent:
 
-* **Admission control** — at most ``max_pending`` artifact requests
-  may wait for the compile path; excess requests are refused with an
-  ``overloaded`` error carrying a ``retry_after_ms`` hint instead of
-  queueing without bound.
+* **Admission control** — at most :data:`MAX_PENDING` artifact
+  requests may wait for the compile path; excess requests are refused
+  with an ``overloaded`` error carrying a ``retry_after_ms`` hint
+  instead of queueing without bound.
 * **Wedged pool** — a pool worker that keeps a batch waiting past
   :func:`repro.perf.parallel.job_timeout` is killed and the batch
   finishes in-process (``compile.pool.timeouts`` /
   ``.serial_fallbacks``); the next batch gets a fresh pool.
-* **Chaos hooks** — a seeded :class:`repro.serve.chaos.ServeFaultPlan`
-  (the ``chaos`` config field / ``repro serve --chaos``) injects
-  connection refusals, mid-frame disconnects, truncated/garbled
-  frames, stalled reads, and daemon crash-at-phase faults for
-  resilience drills; ``None`` (the default) is zero-overhead.
+
+Fault injection lives with the tests: ``tests/serve/chaos_harness.py``
+subclasses :class:`Server`, overriding the two no-op seams
+(:meth:`Server._checkpoint`, :meth:`Server._write_frame`) plus
+``_handle_client`` and ``_compile``.
 """
 
 from __future__ import annotations
@@ -50,54 +52,33 @@ import contextlib
 import hashlib
 import os
 import pickle
-import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import error_summary
 from repro.perf.profiler import Profiler, profiled
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
-from repro.serve.store import (
-    ArtifactCache,
-    default_cache,
-    set_default_cache,
-)
+from repro.serve.store import ArtifactCache, set_default_cache
+
+#: Admission control: artifact requests queued for the compile path
+#: before new ones are refused with ``overloaded``.
+MAX_PENDING = 256
+#: Seconds a graceful shutdown waits for in-flight requests.
+DRAIN_TIMEOUT = 10.0
 
 
 @dataclass
 class ServeConfig:
-    """Daemon configuration (mirrors the ``repro serve`` flags)."""
+    """Daemon configuration (mirrors the ``repro serve`` flags).  Store
+    budgets come from the store's own environment
+    (``$REPRO_CACHE_MAX_ENTRIES`` / ``$REPRO_CACHE_MAX_BYTES``)."""
 
     socket_path: str
     cache_dir: Optional[str] = None
-    max_entries: Optional[int] = None
-    max_bytes: Optional[int] = None
-    #: Seconds a dispatch waits to coalesce further cache misses into
-    #: one pool batch.  0 disables batching (dispatch immediately).
-    batch_window: float = 0.002
     #: Compile-pool width for a batch (None = auto, 0/1 = in-process).
     jobs: Optional[int] = 0
-    drain_timeout: float = 10.0
-    #: Admission control: maximum artifact requests queued for the
-    #: compile path before new ones are refused with ``overloaded``.
-    max_pending: int = 256
-    #: A seeded :class:`repro.serve.chaos.ServeFaultPlan` injecting
-    #: transport/daemon faults (resilience drills); None = no chaos.
-    chaos: Optional[Any] = None
-
-
-class ChaosCrash(BaseException):
-    """An injected daemon crash (chaos testing).
-
-    A ``BaseException`` so no ``except Exception`` recovery path can
-    accidentally swallow the simulated death: the daemon's event loop
-    is already being torn down when this is raised.
-    """
-
-    def __init__(self, phase: str) -> None:
-        self.phase = phase
-        super().__init__(f"injected daemon crash at phase {phase!r}")
 
 
 class Server:
@@ -109,11 +90,7 @@ class Server:
         cache: Optional[ArtifactCache] = None,
     ) -> None:
         self.config = config
-        self.cache = cache or ArtifactCache(
-            root=config.cache_dir,
-            max_entries=config.max_entries,
-            max_bytes=config.max_bytes,
-        )
+        self.cache = cache or ArtifactCache(root=config.cache_dir)
         from repro.perf.parallel import cache_enabled, job_timeout
 
         # A malformed $REPRO_COMPILE_TIMEOUT fails startup, not the
@@ -123,15 +100,12 @@ class Server:
         #: (in-flight dedup still applies, nothing touches disk).
         self.cache_enabled = cache_enabled()
         self.profiler = Profiler()
-        self.chaos = config.chaos
         self._inflight: Dict[str, asyncio.Future] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
-        self._writers: set = set()
         self._closing = False
-        self._crashed = False
         self._done: Optional[asyncio.Event] = None
         self._started = time.monotonic()
         self._prev_default: Optional[ArtifactCache] = None
@@ -140,8 +114,6 @@ class Server:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._loop = loop
         self._queue = asyncio.Queue()
         self._done = asyncio.Event()
         # In-process compiles (pool fallbacks, jobs=0) must hit this
@@ -218,40 +190,10 @@ class Server:
         finally:
             probe.close()
 
-    # -- injected crashes (chaos) ------------------------------------------
-
-    def _maybe_crash(self, phase: str) -> None:
-        """Raises :class:`ChaosCrash` if the fault plan says to die here.
-
-        Callable from the loop thread or a batch thread.  The crash is
-        abrupt by design: the listener and every open connection are
-        torn down and the loop stopped, with no drain and no socket
-        unlink — exactly what a SIGKILL'd daemon leaves behind.
-        """
-        if self.chaos is None or not self.chaos.crash_at(phase):
-            return
-        self._count(f"serve.chaos.crash.{phase}")
-        self.crash()
-        raise ChaosCrash(phase)
-
-    def crash(self) -> None:
-        """Abrupt death: abort connections, close the listener, stop
-        the loop.  Thread-safe and idempotent."""
-        if self._crashed:
-            return
-        self._crashed = True
-        loop = self._loop
-
-        def abort() -> None:
-            if self._server is not None:
-                self._server.close()
-            for writer in list(self._writers):
-                with contextlib.suppress(Exception):
-                    writer.transport.abort()
-            loop.stop()
-
-        with contextlib.suppress(RuntimeError):
-            loop.call_soon_threadsafe(abort)
+    def _checkpoint(self, phase: str) -> None:
+        """A no-op seam at ``pre_cache_put`` (batch thread),
+        ``mid_batch`` and ``mid_drain`` (loop thread), for fault
+        injection to override."""
 
     def begin_shutdown(self) -> None:
         """Starts the graceful drain (idempotent, loop thread only)."""
@@ -265,14 +207,14 @@ class Server:
             if self._server is not None:
                 self._server.close()
                 await self._server.wait_closed()
-            self._maybe_crash("mid_drain")
+            self._checkpoint("mid_drain")
             pending = [
                 future for future in self._inflight.values()
                 if not future.done()
             ]
             if pending:
                 await asyncio.wait(
-                    pending, timeout=self.config.drain_timeout
+                    pending, timeout=DRAIN_TIMEOUT
                 )
             if self._dispatcher is not None:
                 self._dispatcher.cancel()
@@ -295,16 +237,8 @@ class Server:
     # -- connection handling -----------------------------------------------
 
     async def _handle_client(self, reader, writer) -> None:
-        if self.chaos is not None and self.chaos.refuse_connection():
-            # Injected connection refusal: hang up before reading a
-            # byte, the way an out-of-fds or dying daemon would.
-            self._count("serve.chaos.refused")
-            with contextlib.suppress(Exception):
-                writer.close()
-            return
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        self._writers.add(writer)
         write_lock = asyncio.Lock()
         line_tasks: set = set()
         try:
@@ -330,7 +264,6 @@ class Server:
                 line_task.cancel()
             with contextlib.suppress(Exception):
                 writer.close()
-            self._writers.discard(writer)
             self._conn_tasks.discard(task)
 
     async def _handle_line(self, line, writer, write_lock) -> None:
@@ -347,46 +280,22 @@ class Server:
             )
         except Exception as exc:  # noqa: BLE001 - must answer the client
             response = protocol.error_response(
-                request_id, "internal", str(exc).splitlines()[0]
+                request_id, "internal", error_summary(exc)
             )
         await self._send_response(writer, write_lock, response)
 
     async def _send_response(self, writer, write_lock, response) -> None:
-        """Writes one response frame, with chaos-injected transport
-        faults (stalls, truncation, garbling, disconnects) applied."""
         data = protocol.encode(response)
-        action = "deliver"
-        if self.chaos is not None:
-            action, arg = self.chaos.response_action(len(data))
         async with write_lock:
             try:
-                if action == "stall":
-                    # A stalled read from the client's point of view:
-                    # the frame arrives, but late.
-                    self._count("serve.chaos.stalled")
-                    await asyncio.sleep(arg)
-                elif action == "disconnect":
-                    # Mid-frame disconnect, zero bytes delivered.
-                    self._count("serve.chaos.disconnected")
-                    writer.transport.abort()
-                    return
-                elif action == "truncate":
-                    # Partial frame, then a hard cut: the client must
-                    # treat the half-line as a transport failure.
-                    self._count("serve.chaos.truncated")
-                    writer.write(data[: max(1, int(arg))])
-                    await writer.drain()
-                    writer.transport.abort()
-                    return
-                elif action == "garble":
-                    # Flip bytes inside the frame (newline preserved):
-                    # the client sees undecodable JSON.
-                    self._count("serve.chaos.garbled")
-                    data = self.chaos.garble_frame(data)
-                writer.write(data)
-                await writer.drain()
+                await self._write_frame(writer, data)
             except (ConnectionError, RuntimeError):
                 pass  # client went away; nothing to tell it
+
+    async def _write_frame(self, writer, data: bytes) -> None:
+        """Writes one response frame (a seam for fault injection)."""
+        writer.write(data)
+        await writer.drain()
 
     async def _respond(self, request: Dict[str, Any]) -> Dict[str, Any]:
         op = request["op"]
@@ -416,10 +325,9 @@ class Server:
         return protocol.ok_response(request["id"], payload)
 
     def _retry_after_ms(self) -> int:
-        """The hint sent with retryable refusals: roughly one batch
-        window plus a share of the current backlog."""
-        backlog = self._queue.qsize() if self._queue is not None else 0
-        return int(self.config.batch_window * 1000) + 50 + 10 * backlog
+        """The hint sent with retryable refusals: a base backoff plus a
+        share of the current backlog."""
+        return 50 + 10 * self._queue.qsize()
 
     # -- artifact serving --------------------------------------------------
 
@@ -467,15 +375,12 @@ class Server:
         if future is not None:
             self._count("serve.dedup_hits")
         else:
-            if (
-                self.config.max_pending
-                and self._queue.qsize() >= self.config.max_pending
-            ):
+            if self._queue.qsize() >= MAX_PENDING:
                 self._count("serve.overloaded")
                 raise ProtocolError(
                     "overloaded",
                     f"pending queue is full "
-                    f"({self.config.max_pending} requests); "
+                    f"({MAX_PENDING} requests); "
                     "retry after the hinted backoff",
                     retry_after_ms=self._retry_after_ms(),
                 )
@@ -492,30 +397,19 @@ class Server:
 
     async def _dispatch_loop(self) -> None:
         while True:
-            first = await self._queue.get()
-            batch: List[Tuple[str, Dict[str, Any]]] = [first]
-            if self.config.batch_window > 0:
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + self.config.batch_window
-                while True:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(), remaining
-                        ))
-                    except asyncio.TimeoutError:
-                        break
+            batch: List[Tuple[str, Dict[str, Any]]] = [
+                await self._queue.get()
+            ]
+            while not self._queue.empty():
+                batch.append(self._queue.get_nowait())
+            self._checkpoint("mid_batch")
+            self._count("serve.batches")
+            self._count("serve.batched_requests", len(batch))
             try:
-                self._maybe_crash("mid_batch")
-                self._count("serve.batches")
-                self._count("serve.batched_requests", len(batch))
                 results = await asyncio.to_thread(self._run_batch, batch)
-            except ChaosCrash:
-                # crash() has already torn the loop down; swallowing
-                # here just keeps the dead dispatcher task quiet.
-                return
+            except Exception as exc:  # noqa: BLE001 - keep dispatching
+                error = ProtocolError("internal", error_summary(exc))
+                results = {key: error for key, _request in batch}
             for key, outcome in results.items():
                 future = self._inflight.pop(key, None)
                 if future is None or future.done():
@@ -569,23 +463,18 @@ class Server:
         """
         from repro.perf.parallel import compile_batch
 
-        job_fn = None
-        if self.chaos is not None:
-            job_fn = self.chaos.wedged_job()
-            if job_fn is not None:
-                self._count("serve.chaos.wedged")
-        return compile_batch(jobs, self.config.jobs, False, job_fn)
+        return compile_batch(jobs, self.config.jobs, False)
 
     def _settle(self, key: str, op: str, outcome: Any) -> Any:
         """One finished job's reply: an exception becomes a typed
         error; a value (``compile``'s program, else the payload dict)
-        is pickled, stored — crash hook, then ``put_bytes`` — and the
+        is pickled, stored — checkpoint, then ``put_bytes`` — and the
         payload shaped from the very bytes stored."""
         if isinstance(outcome, Exception):
             code = protocol.error_code_for(outcome) or "internal"
-            return ProtocolError(code, str(outcome).splitlines()[0])
+            return ProtocolError(code, error_summary(outcome))
         blob = pickle.dumps(outcome)
-        self._maybe_crash("pre_cache_put")
+        self._checkpoint("pre_cache_put")
         if self.cache_enabled:
             self.cache.put_bytes(key, blob)
         return _compile_payload(outcome, blob) if op == "compile" \
@@ -666,7 +555,7 @@ class Server:
             "batches": counters.get("serve.batches", 0),
             "batched_requests": counters.get("serve.batched_requests", 0),
             "overloaded": counters.get("serve.overloaded", 0),
-            "max_pending": self.config.max_pending,
+            "max_pending": MAX_PENDING,
             "cache": self.cache.stats(),
             "counters": counters,
         }
@@ -718,77 +607,3 @@ async def serve(config: ServeConfig) -> None:
         with contextlib.suppress(NotImplementedError, RuntimeError):
             loop.add_signal_handler(signum, server.begin_shutdown)
     await server.wait_done()
-
-
-class ServerThread:
-    """A daemon on a background thread (tests, benches, embedding).
-
-    ``start()`` blocks until the socket is accepting; ``stop()`` drains
-    gracefully; ``kill()`` stops the event loop abruptly — the
-    simulated daemon crash (no drain, no socket cleanup) the restart
-    tests recover from.
-    """
-
-    def __init__(
-        self,
-        config: ServeConfig,
-        cache: Optional[ArtifactCache] = None,
-    ) -> None:
-        self.config = config
-        self._cache = cache
-        self.server: Optional[Server] = None
-        self.error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-
-    def start(self) -> "ServerThread":
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("repro serve thread failed to start")
-        if self.error is not None:
-            raise self.error
-        return self
-
-    def _run(self) -> None:
-        previous = default_cache()
-        try:
-            asyncio.run(self._main())
-        except RuntimeError:
-            # loop.stop() via kill(): asyncio.run aborts mid-future.
-            pass
-        except BaseException as exc:  # noqa: BLE001 - surfaced in start()
-            self.error = exc
-        finally:
-            set_default_cache(previous)
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self.server = Server(self.config, cache=self._cache)
-        self._loop = asyncio.get_running_loop()
-        await self.server.start()
-        self._ready.set()
-        await self.server.wait_done()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self.server.begin_shutdown)
-        self._thread.join(timeout)
-
-    def kill(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self._thread.is_alive():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
-        # A real crash closes the listening fd with the process; here
-        # the process survives, so close it by hand — through the
-        # socket object, or its finalizer would later close the same fd
-        # *number* under whoever reuses it.  The socket *file* is
-        # deliberately left behind for stale-socket recovery tests.
-        if self.server is not None and self.server._server is not None:
-            for sock in self.server._server.sockets:
-                with contextlib.suppress(OSError):
-                    sock._sock.close()

@@ -18,22 +18,21 @@ the compile pool, ``compile_with_cache`` — shares:
   (256 shards), so no single directory grows unboundedly and shard
   scans stay cheap.
 
-* **LRU eviction.**  A hit bumps the entry's mtime; when
-  ``max_entries``/``max_bytes`` budgets are set (``REPRO_CACHE_MAX_ENTRIES``
-  / ``REPRO_CACHE_MAX_BYTES``), a put evicts oldest-mtime entries until
-  the store is back under budget.  With no budget configured — the
-  default — puts never scan the store, so the unbounded case has zero
-  eviction overhead.
+* **LRU eviction.**  A hit bumps the entry's mtime; when the
+  ``REPRO_CACHE_MAX_ENTRIES`` / ``REPRO_CACHE_MAX_BYTES`` budgets are
+  set, a put evicts oldest-mtime entries until the store is back under
+  budget (blob bytes; headers are not counted).  With no budget
+  configured — the default — puts never scan the store, so the
+  unbounded case has zero eviction overhead.
 
-* **Integrity.**  Every put also records the blob's SHA-256 in a
-  ``.blob.sum`` sidecar; every read re-hashes the blob and compares.
-  A mismatch — bit rot, a torn write from a crashed process, injected
-  corruption — *quarantines* the entry (blob and sidecar moved to
-  ``root/quarantine/``) and reports a miss, so a corrupt artifact is
-  recompiled transparently and can never be served, and the bad bytes
-  are preserved for forensics instead of being re-read forever.
-  A blob with no sidecar is damage too (puts write the sidecar first,
-  and every key hashes the store schema) and takes the same path.
+* **Integrity.**  An entry is one file: a ``sha256:<hex>\n`` header
+  line, then the blob, written together by one atomic replace; every
+  read re-hashes the blob and compares it with the header from the
+  same read.  A mismatch — bit rot, truncation, injected corruption —
+  *quarantines* the entry (the file moves to ``root/quarantine/``) and
+  reports a miss, so a corrupt artifact is recompiled transparently
+  and can never be served, and the bad bytes are preserved for
+  forensics instead of being re-read forever.
 
 * **Telemetry.**  Hits, misses, puts, evictions, corruption
   detections and quarantines are counted on the store instance *and*
@@ -49,6 +48,7 @@ without locks; the worst case is a recomputation, never corruption.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -58,7 +58,10 @@ import threading
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Bump to invalidate every existing entry on key/format changes.
-STORE_SCHEMA = 2
+STORE_SCHEMA = 3
+
+#: Length of the ``sha256:<64 hex>\n`` header that leads every entry.
+HEADER_BYTES = 72
 
 _fingerprint: Optional[str] = None
 
@@ -89,6 +92,10 @@ def code_fingerprint() -> str:
             )
     _fingerprint = digest.hexdigest()
     return _fingerprint
+
+
+def _header(blob: bytes) -> bytes:
+    return b"sha256:" + hashlib.sha256(blob).hexdigest().encode() + b"\n"
 
 
 def default_root() -> str:
@@ -139,21 +146,11 @@ def artifact_key(kind: str, **parts: Any) -> str:
 class ArtifactCache:
     """A sharded, LRU-evicting, content-addressed blob store on disk."""
 
-    def __init__(
-        self,
-        root: Optional[str] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_root()
-        self.max_entries = (
-            max_entries if max_entries is not None
-            else _env_int("REPRO_CACHE_MAX_ENTRIES")
-        )
-        self.max_bytes = (
-            max_bytes if max_bytes is not None
-            else _env_int("REPRO_CACHE_MAX_BYTES")
-        )
+        #: LRU budgets, from the environment of every entry point.
+        self.max_entries = _env_int("REPRO_CACHE_MAX_ENTRIES")
+        self.max_bytes = _env_int("REPRO_CACHE_MAX_BYTES")
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -171,10 +168,6 @@ class ArtifactCache:
         """``root/<shard>/<rest>.blob`` — shard = first two hex chars."""
         return os.path.join(self.root, key[:2], f"{key[2:]}.blob")
 
-    def digest_path_for(self, key: str) -> str:
-        """The ``.blob.sum`` sidecar holding the blob's SHA-256 hex."""
-        return self.path_for(key) + ".sum"
-
     def quarantine_dir(self) -> str:
         return os.path.join(self.root, "quarantine")
 
@@ -184,23 +177,18 @@ class ArtifactCache:
         """The verified blob for ``key``, or None (miss).
 
         A hit refreshes LRU order.  The blob is re-hashed and compared
-        with its digest sidecar; a mismatch — or a missing sidecar —
-        quarantines the entry and reports a miss.  The comparison is
-        retried once to tolerate racing an in-progress overwrite or
-        eviction (blob and sidecar are replaced, and unlinked, one
-        after the other).
+        with the header read with it; a mismatch quarantines the entry
+        and reports a miss.
         """
         path = self.path_for(key)
-        for _attempt in range(2):
-            try:
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                self._count("misses")
-                return None
-            if hashlib.sha256(data).hexdigest() == self._read_digest(key):
-                break
-        else:
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            self._count("misses")
+            return None
+        blob = data[HEADER_BYTES:]
+        if data[:HEADER_BYTES] != _header(blob):
             self._count("corrupt")
             self.quarantine(key)
             self._count("misses")
@@ -210,46 +198,30 @@ class ArtifactCache:
         except OSError:
             pass
         self._count("hits")
-        return data
-
-    def _read_digest(self, key: str) -> Optional[str]:
-        try:
-            with open(self.digest_path_for(key), "r",
-                      encoding="ascii") as handle:
-                return handle.read().strip() or None
-        except (OSError, UnicodeDecodeError):
-            return None  # lost or unreadable: matches no blob
+        return blob
 
     def put_bytes(self, key: str, data: bytes) -> None:
-        """Atomically stores ``data`` plus its digest sidecar; evicts
-        if a budget is exceeded."""
-        shard = os.path.dirname(self.path_for(key))
+        """Atomically stores the header and ``data`` as one file;
+        evicts if a budget is exceeded."""
+        path = self.path_for(key)
+        shard = os.path.dirname(path)
         try:
             os.makedirs(shard, exist_ok=True)
-            self._write_atomic(
-                shard, self.digest_path_for(key),
-                hashlib.sha256(data).hexdigest().encode("ascii"),
-            )
-            self._write_atomic(shard, self.path_for(key), data)
+            fd, tmp_path = tempfile.mkstemp(dir=shard, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(_header(data))
+                    handle.write(data)
+                os.replace(tmp_path, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp_path)
+                raise
         except OSError:
             return  # read-only or full filesystem: caching is best-effort
         self._count("puts")
         if self.max_entries is not None or self.max_bytes is not None:
             self.evict_to_budget()
-
-    @staticmethod
-    def _write_atomic(shard: str, path: str, data: bytes) -> None:
-        fd, tmp_path = tempfile.mkstemp(dir=shard, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
 
     # -- quarantine --------------------------------------------------------
 
@@ -261,7 +233,6 @@ class ArtifactCache:
         overwrites it.  Races (another process quarantining or
         evicting the same entry) are benign: a missing file is fine.
         """
-        moved = False
         quarantine = self.quarantine_dir()
         try:
             os.makedirs(quarantine, exist_ok=True)
@@ -269,19 +240,10 @@ class ArtifactCache:
                 self.path_for(key),
                 os.path.join(quarantine, f"{key}.blob"),
             )
-            moved = True
         except OSError:
-            pass
-        try:
-            os.replace(
-                self.digest_path_for(key),
-                os.path.join(quarantine, f"{key}.blob.sum"),
-            )
-        except OSError:
-            pass
-        if moved:
-            self._count("quarantined")
-        return moved
+            return False
+        self._count("quarantined")
+        return True
 
     def quarantined_entries(self) -> int:
         """How many blobs sit in the quarantine directory."""
@@ -303,7 +265,7 @@ class ArtifactCache:
             return pickle.loads(data)
         except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
-            # The digest matched but the payload does not unpickle:
+            # The header matched but the payload does not unpickle:
             # quarantine it rather than re-reading the bad bytes on
             # every future request.
             self._count("corrupt")
@@ -316,7 +278,7 @@ class ArtifactCache:
     # -- enumeration & eviction --------------------------------------------
 
     def iter_entries(self) -> Iterator[Tuple[str, float, int]]:
-        """Yields (path, mtime, size) for every stored blob."""
+        """Yields (path, mtime, blob size) for every stored entry."""
         try:
             shards = sorted(os.listdir(self.root))
         except OSError:
@@ -337,7 +299,9 @@ class ArtifactCache:
                     stat = os.stat(path)
                 except OSError:
                     continue  # concurrently evicted
-                yield path, stat.st_mtime, stat.st_size
+                yield path, stat.st_mtime, max(
+                    0, stat.st_size - HEADER_BYTES
+                )
 
     def evict_to_budget(self) -> int:
         """Removes oldest-mtime entries until within budget.
@@ -366,10 +330,6 @@ class ArtifactCache:
                 os.unlink(path)
             except OSError:
                 pass  # another process won the race
-            try:
-                os.unlink(path + ".sum")
-            except OSError:
-                pass  # another process won the race
             count -= 1
             total -= size
             evicted += 1
@@ -379,11 +339,8 @@ class ArtifactCache:
 
     def clear(self) -> None:
         for path, _mtime, _size in list(self.iter_entries()):
-            for victim in (path, path + ".sum"):
-                try:
-                    os.unlink(victim)
-                except OSError:
-                    pass
+            with contextlib.suppress(OSError):
+                os.unlink(path)
 
     # -- telemetry ---------------------------------------------------------
 

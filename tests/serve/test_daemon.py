@@ -12,7 +12,18 @@ import pytest
 from repro import OptLevel, compile_source
 from repro.apps import get_app
 from repro.fuzz.litmus import lb_program, mp_program, sb_program
-from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread
+from repro.serve import (
+    RetryPolicy,
+    ServeClient,
+    ServeConfig,
+    ServeError,
+    Server,
+)
+from tests.serve.chaos_harness import (
+    ChaosServer,
+    ServeFaultPlan,
+    ServerThread,
+)
 
 SB = sb_program(2).source
 MP = mp_program(2).source
@@ -22,6 +33,24 @@ APP = get_app("em3d").source(4)
 BAD_SOURCE = "int x = ; this does not parse"
 
 
+def pipelined(socket_path, requests):
+    """Sends ``requests`` in one write on one connection, so they queue
+    together and form one batch; returns {index: response}."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(120)
+    sock.connect(socket_path)
+    try:
+        sock.sendall(b"".join(
+            json.dumps({"id": index, **request}).encode() + b"\n"
+            for index, request in enumerate(requests)
+        ))
+        with sock.makefile("rb") as handle:
+            responses = [json.loads(handle.readline()) for _ in requests]
+    finally:
+        sock.close()
+    return {response["id"]: response for response in responses}
+
+
 @pytest.fixture
 def socket_path(tmp_path):
     return str(tmp_path / "repro.sock")
@@ -29,11 +58,10 @@ def socket_path(tmp_path):
 
 @pytest.fixture
 def server(socket_path, isolated_cache_dir):
-    thread = ServerThread(ServeConfig(
+    thread = ServerThread(Server(ServeConfig(
         socket_path=socket_path,
         cache_dir=isolated_cache_dir,
-        batch_window=0.0,
-    ))
+    )))
     thread.start()
     try:
         yield thread
@@ -60,7 +88,7 @@ class TestBasics:
 
     def test_live_socket_is_not_stolen(self, server, socket_path):
         second = ServerThread(
-            ServeConfig(socket_path=socket_path)
+            Server(ServeConfig(socket_path=socket_path))
         )
         with pytest.raises(OSError, match="live daemon"):
             second.start()
@@ -220,39 +248,18 @@ class TestErrors:
             assert client.ping()["pong"] is True
 
     def test_bad_source_in_batch_does_not_fail_neighbors(
-        self, socket_path, isolated_cache_dir
+        self, server, socket_path
     ):
-        """A wide batch window coalesces a good and a bad compile into
-        one batch; the bad one must get its own verdict."""
-        thread = ServerThread(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            batch_window=0.25,
-        ))
-        thread.start()
-        try:
-            outcomes = {}
-
-            def run(name, source):
-                with ServeClient(socket_path) as client:
-                    try:
-                        outcomes[name] = client.compile(source, opt="O0")
-                    except ServeError as exc:
-                        outcomes[name] = exc
-
-            threads = [
-                threading.Thread(target=run, args=("good", SB)),
-                threading.Thread(target=run, args=("bad", BAD_SOURCE)),
-            ]
-            for worker in threads:
-                worker.start()
-            for worker in threads:
-                worker.join(timeout=120)
-            assert isinstance(outcomes["bad"], ServeError)
-            assert outcomes["bad"].code == "compile_error"
-            assert outcomes["good"]["opt"] == "O0"
-        finally:
-            thread.stop()
+        """A good and a bad compile pipelined in one write queue
+        together and form one batch; the bad one must get its own
+        verdict."""
+        responses = pipelined(socket_path, [
+            {"op": "compile", "source": SB, "opt": "O0"},
+            {"op": "compile", "source": BAD_SOURCE, "opt": "O0"},
+        ])
+        assert responses[0]["result"]["opt"] == "O0"
+        assert responses[1]["error"]["code"] == "compile_error"
+        assert server.server.profiler.counters.get("serve.batches") == 1
 
     def test_bad_source_in_pooled_batch_compiles_neighbors_once(
         self, socket_path, isolated_cache_dir
@@ -260,40 +267,20 @@ class TestErrors:
         """Through the pool (jobs=2) a bad source is still only its own
         request's verdict: the finished neighbours are kept, not thrown
         away and recompiled in-process."""
-        thread = ServerThread(ServeConfig(
+        thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            batch_window=0.5,
             jobs=2,
-        ))
+        )))
         thread.start()
         try:
-            sources = {"sb": SB, "mp": MP, "bad": BAD_SOURCE}
-            outcomes = {}
-            barrier = threading.Barrier(len(sources))
-
-            def run(name):
-                with ServeClient(socket_path) as client:
-                    barrier.wait(timeout=30)
-                    try:
-                        outcomes[name] = client.compile(
-                            sources[name], opt="O0"
-                        )
-                    except ServeError as exc:
-                        outcomes[name] = exc
-
-            workers = [
-                threading.Thread(target=run, args=(name,))
-                for name in sources
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=120)
-            assert isinstance(outcomes["bad"], ServeError)
-            assert outcomes["bad"].code == "compile_error"
-            assert outcomes["sb"]["artifact_sha256"]
-            assert outcomes["mp"]["artifact_sha256"]
+            responses = pipelined(socket_path, [
+                {"op": "compile", "source": source, "opt": "O0"}
+                for source in (SB, MP, BAD_SOURCE)
+            ])
+            assert responses[0]["result"]["artifact_sha256"]
+            assert responses[1]["result"]["artifact_sha256"]
+            assert responses[2]["error"]["code"] == "compile_error"
             counters = thread.server.profiler.counters
             assert counters.get("serve.batches") == 1
             assert counters.get("compile.pool.jobs") == 3
@@ -304,18 +291,65 @@ class TestErrors:
             thread.stop()
 
 
+class TestDispatcher:
+    def test_exception_without_message_is_internal_and_next_miss_answers(
+        self, server, socket_path, monkeypatch
+    ):
+        """An exception whose text is empty still gets a one-line
+        ``internal`` verdict, and the dispatcher keeps serving."""
+        import repro
+
+        analyze_source = repro.analyze_source
+
+        def failing_on_mp(source, level):
+            if source == MP:
+                raise AssertionError()
+            return analyze_source(source, level)
+
+        monkeypatch.setattr(repro, "analyze_source", failing_on_mp)
+        with ServeClient(
+            socket_path, timeout=10.0, retry=RetryPolicy(max_attempts=1)
+        ) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.analyze(MP)
+            assert excinfo.value.code == "internal"
+            assert excinfo.value.message == "AssertionError"
+            assert client.analyze(SB)["level"] == "sync"
+
+    def test_failed_batch_settles_internal_and_dispatch_goes_on(
+        self, server, socket_path, monkeypatch
+    ):
+        compile_jobs = server.server._compile
+        calls = []
+
+        def broken_once(jobs):
+            calls.append(jobs)
+            if len(calls) == 1:
+                raise RuntimeError("batch machinery broke")
+            return compile_jobs(jobs)
+
+        monkeypatch.setattr(server.server, "_compile", broken_once)
+        with ServeClient(
+            socket_path, timeout=10.0, retry=RetryPolicy(max_attempts=1)
+        ) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.compile(SB, opt="O0")
+            assert excinfo.value.code == "internal"
+            assert excinfo.value.message == "batch machinery broke"
+            assert client.compile(SB, opt="O0")["cached"] is False
+
+
 class TestDedup:
     def test_concurrent_identical_requests_compile_once(
         self, socket_path, isolated_cache_dir
     ):
         """N concurrent identical compiles -> exactly one compile."""
         clients = 8
-        thread = ServerThread(ServeConfig(
+        thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            batch_window=0.3,
             jobs=0,
-        ))
+        )))
         thread.start()
         try:
             barrier = threading.Barrier(clients)
@@ -362,9 +396,8 @@ class TestCrashRecovery:
         config = ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            batch_window=0.0,
         )
-        first = ServerThread(config)
+        first = ServerThread(Server(config))
         first.start()
         try:
             with ServeClient(socket_path) as client:
@@ -377,11 +410,10 @@ class TestCrashRecovery:
         import os
 
         assert os.path.exists(socket_path), "crash leaves a stale socket"
-        second = ServerThread(ServeConfig(
+        second = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            batch_window=0.0,
-        ))
+        )))
         second.start()  # must reclaim the stale socket
         try:
             with ServeClient(socket_path) as client:
@@ -402,10 +434,10 @@ class TestCrashRecovery:
         import gc
 
         def start(name):
-            return ServerThread(ServeConfig(
+            return ServerThread(Server(ServeConfig(
                 socket_path=str(tmp_path / name),
                 cache_dir=isolated_cache_dir,
-            )).start()
+            ))).start()
 
         first = start("a.sock")
         first.kill()
@@ -425,10 +457,10 @@ class TestShutdown:
     ):
         import os
 
-        thread = ServerThread(ServeConfig(
+        thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-        ))
+        )))
         thread.start()
         with ServeClient(socket_path) as client:
             assert client.shutdown() == {"draining": True}
@@ -439,11 +471,10 @@ class TestShutdown:
     def test_work_after_shutdown_is_rejected(
         self, socket_path, isolated_cache_dir
     ):
-        thread = ServerThread(ServeConfig(
+        thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            drain_timeout=5.0,
-        ))
+        )))
         thread.start()
         try:
             with ServeClient(socket_path) as client:
@@ -463,10 +494,10 @@ class TestMemoryOnlyMode:
         self, socket_path, isolated_cache_dir, monkeypatch
     ):
         monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
-        thread = ServerThread(ServeConfig(
+        thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-        ))
+        )))
         thread.start()
         try:
             with ServeClient(socket_path) as client:
@@ -481,41 +512,29 @@ class TestMemoryOnlyMode:
 
 class TestAdmissionControl:
     def test_overloaded_when_pending_queue_fills(
-        self, socket_path, isolated_cache_dir
+        self, socket_path, isolated_cache_dir, monkeypatch
     ):
         """Excess work is shed with a typed error + retry hint, not
         queued without bound."""
-        thread = ServerThread(ServeConfig(
+        monkeypatch.setattr("repro.serve.daemon.MAX_PENDING", 2)
+        thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            batch_window=0.0,
-            max_pending=2,
-        ))
+        )))
         thread.start()
         try:
             # Pipeline one slow compile (occupies the batch worker)
             # plus many distinct fast ones over a raw connection; once
             # two are pending, the rest must be refused.
             sources = [APP] + [SB + "\n" * i for i in range(1, 11)]
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(socket_path)
-            sock.settimeout(120)
-            handle = sock.makefile("rwb")
-            for index, source in enumerate(sources):
-                handle.write(json.dumps({
-                    "id": index, "op": "compile",
-                    "source": source, "opt": "O0",
-                }).encode() + b"\n")
-            handle.flush()
-            outcomes = {}
-            for _ in sources:
-                response = json.loads(handle.readline().decode())
-                if response["ok"]:
-                    outcomes[response["id"]] = "ok"
-                else:
-                    outcomes[response["id"]] = response["error"]
-            handle.close()
-            sock.close()
+            responses = pipelined(socket_path, [
+                {"op": "compile", "source": source, "opt": "O0"}
+                for source in sources
+            ])
+            outcomes = {
+                index: "ok" if response["ok"] else response["error"]
+                for index, response in responses.items()
+            }
             shed = [
                 error for error in outcomes.values()
                 if error != "ok"
@@ -531,62 +550,29 @@ class TestAdmissionControl:
         finally:
             thread.stop()
 
-    def test_zero_max_pending_disables_shedding(
-        self, socket_path, isolated_cache_dir
-    ):
-        thread = ServerThread(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            batch_window=0.0,
-            max_pending=0,
-        ))
-        thread.start()
-        try:
-            with ServeClient(socket_path) as client:
-                assert client.compile(SB, opt="O0")["cached"] is False
-        finally:
-            thread.stop()
-
 
 class TestWatchdog:
     def test_wedged_pool_trips_watchdog_and_goes_serial(
         self, socket_path, isolated_cache_dir, monkeypatch
     ):
-        from repro.serve.chaos import ServeFaultPlan
-
         monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "0.2")
-        thread = ServerThread(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            batch_window=0.2,
-            jobs=2,
-            chaos=ServeFaultPlan(wedge=1.0, wedge_seconds=1.5, seed=0),
+        thread = ServerThread(ChaosServer(
+            ServeConfig(
+                socket_path=socket_path,
+                cache_dir=isolated_cache_dir,
+                jobs=2,
+            ),
+            ServeFaultPlan(wedge=1.0, wedge_seconds=1.5, seed=0),
         ))
         thread.start()
         try:
-            results = {}
-
-            def compile_one(name, source):
-                with ServeClient(socket_path) as client:
-                    results[name] = client.compile(source, opt="O0")
-
-            workers = [
-                threading.Thread(
-                    target=compile_one, args=("sb", SB)
-                ),
-                threading.Thread(
-                    target=compile_one, args=("mp", MP)
-                ),
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-            assert set(results) == {"sb", "mp"}, (
-                "the serial fallback must still answer every request"
-            )
-            for result in results.values():
-                assert result["artifact_sha256"]
+            responses = pipelined(socket_path, [
+                {"op": "compile", "source": SB, "opt": "O0"},
+                {"op": "compile", "source": MP, "opt": "O0"},
+            ])
+            for response in responses.values():
+                # The serial fallback must still answer every request.
+                assert response["result"]["artifact_sha256"]
             with ServeClient(socket_path) as client:
                 stats = client.stats()
             assert stats["counters"].get("serve.chaos.wedged", 0) >= 1
@@ -607,7 +593,9 @@ class TestWatchdog:
     ):
         """``repro serve`` drains on SIGTERM, and its forked pool
         workers share that handler's wakeup fd: killing the wedged
-        workers must not read as a shutdown request."""
+        workers must not read as a shutdown request.  The daemon is the
+        real CLI with a wedging :class:`ChaosServer` installed
+        (``tests/serve/wedged_serve.py``)."""
         import os
         import subprocess
         import sys
@@ -616,16 +604,19 @@ class TestWatchdog:
         import repro
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
+        repo = os.path.dirname(src)
         daemon = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "serve",
+                sys.executable, "-m", "tests.serve.wedged_serve", "serve",
                 "--socket", socket_path,
                 "--cache-dir", isolated_cache_dir,
-                "--jobs", "2", "--batch-window", "0.3",
-                "--chaos", "wedge=1:1.5",
+                "--jobs", "2",
             ],
+            cwd=repo,
             env=dict(
-                os.environ, PYTHONPATH=src, REPRO_COMPILE_TIMEOUT="0.2"
+                os.environ,
+                PYTHONPATH=os.pathsep.join([src, repo]),
+                REPRO_COMPILE_TIMEOUT="0.2",
             ),
             stderr=subprocess.DEVNULL,
         )
@@ -634,21 +625,14 @@ class TestWatchdog:
             while not os.path.exists(socket_path):
                 assert time_module.monotonic() < deadline
                 time_module.sleep(0.05)
-            results = {}
-
-            def compile_one(name, source):
-                with ServeClient(socket_path) as client:
-                    results[name] = client.compile(source, opt="O0")
-
-            workers = [
-                threading.Thread(target=compile_one, args=("sb", SB)),
-                threading.Thread(target=compile_one, args=("mp", MP)),
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-            assert set(results) == {"sb", "mp"}
+            with ServeClient(socket_path) as client:
+                client.ping()  # listening, not just bound
+            responses = pipelined(socket_path, [
+                {"op": "compile", "source": SB, "opt": "O0"},
+                {"op": "compile", "source": MP, "opt": "O0"},
+            ])
+            for response in responses.values():
+                assert response["result"]["artifact_sha256"]
             time_module.sleep(0.3)  # a drain would have begun by now
             with ServeClient(socket_path) as client:
                 stats = client.stats()
@@ -679,20 +663,19 @@ class TestSocketRace:
         import os
 
         # The crash: a daemon dies without unlinking its socket.
-        crashed = ServerThread(ServeConfig(
+        crashed = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-        ))
+        )))
         crashed.start()
         crashed.kill()
         assert os.path.exists(socket_path)
 
         contenders = [
-            ServerThread(ServeConfig(
+            ServerThread(Server(ServeConfig(
                 socket_path=socket_path,
                 cache_dir=isolated_cache_dir,
-                batch_window=0.0,
-            ))
+            )))
             for _ in range(2)
         ]
         failures = {}
@@ -733,10 +716,10 @@ class TestSocketRace:
     def test_start_against_live_daemon_fails_cleanly(
         self, server, socket_path, isolated_cache_dir
     ):
-        second = ServerThread(ServeConfig(
+        second = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-        ))
+        )))
         with pytest.raises(OSError, match="live daemon"):
             second.start()
         # The incumbent is untouched.
@@ -795,3 +778,9 @@ class TestCliFailurePaths:
         assert main(["serve", "--socket", socket_path]) == 2
         err = capsys.readouterr().err
         assert "repro: error: $REPRO_CACHE_MAX_ENTRIES" in err
+
+    def test_error_exit_names_an_exception_without_message(self, capsys):
+        from repro.cli import _runtime_error_exit
+
+        assert _runtime_error_exit(AssertionError(), verbose=False) == 2
+        assert capsys.readouterr().err == "repro: error: AssertionError\n"

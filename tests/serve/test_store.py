@@ -8,6 +8,7 @@ import pytest
 
 from repro.perf import Profiler, profiled
 from repro.serve.store import (
+    HEADER_BYTES,
     ArtifactCache,
     artifact_key,
     default_cache,
@@ -15,8 +16,8 @@ from repro.serve.store import (
 )
 
 
-def make_cache(tmp_path, **kwargs):
-    return ArtifactCache(root=str(tmp_path / "store"), **kwargs)
+def make_cache(tmp_path):
+    return ArtifactCache(root=str(tmp_path / "store"))
 
 
 class TestKeys:
@@ -125,8 +126,9 @@ class TestSharding:
 
 
 class TestEviction:
-    def test_lru_order_oldest_mtime_goes_first(self, tmp_path):
-        cache = make_cache(tmp_path, max_entries=2)
+    def test_lru_order_oldest_mtime_goes_first(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "2")
+        cache = make_cache(tmp_path)
         k1, k2, k3 = "1" * 64, "2" * 64, "3" * 64
         cache.put_bytes(k1, b"one")
         cache.put_bytes(k2, b"two")
@@ -141,8 +143,9 @@ class TestEviction:
         assert cache.get_bytes(k3) == b"three"
         assert cache.evictions == 1
 
-    def test_max_bytes_budget(self, tmp_path):
-        cache = make_cache(tmp_path, max_bytes=100)
+    def test_max_bytes_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "100")
+        cache = make_cache(tmp_path)
         for index in range(5):
             key = str(index) * 64
             cache.put_bytes(key, b"x" * 40)
@@ -187,32 +190,53 @@ class TestEviction:
         assert list(cache.iter_entries()) == []
 
 
+def stored_compile_entry():
+    """(cache, key, file bytes) of one compile entry written through the
+    real store-fronted compile path."""
+    from repro.fuzz.litmus import sb_program
+    from repro.perf.parallel import cache_key, compile_with_cache
+
+    source = sb_program(2).source
+    compile_with_cache(source, "O0")
+    cache = default_cache()
+    key = cache_key(source, "O0")
+    with open(cache.path_for(key), "rb") as handle:
+        return cache, key, source, handle.read()
+
+
 class TestIntegrity:
-    def test_put_writes_digest_sidecar(self, tmp_path):
+    def test_entry_is_one_file_with_a_sha256_header(self, tmp_path):
         cache = make_cache(tmp_path)
         key = "a1" + "0" * 62
         cache.put_bytes(key, b"payload")
-        with open(cache.digest_path_for(key)) as handle:
-            recorded = handle.read().strip()
-        assert recorded == hashlib.sha256(b"payload").hexdigest()
+        digest = hashlib.sha256(b"payload").hexdigest()
+        with open(cache.path_for(key), "rb") as handle:
+            assert handle.read() == (
+                b"sha256:" + digest.encode() + b"\n" + b"payload"
+            )
+        shard = os.path.dirname(cache.path_for(key))
+        assert os.listdir(shard) == [os.path.basename(cache.path_for(key))]
+        assert cache.stats()["bytes"] == len(b"payload")
 
     def test_bitflip_is_detected_and_quarantined(self, tmp_path):
         cache = make_cache(tmp_path)
         key = "b2" + "0" * 62
         cache.put_bytes(key, b"correct bytes")
+        with open(cache.path_for(key), "rb") as handle:
+            header = handle.read()[:HEADER_BYTES]
+        tampered = header + b"tampered bytes"
         with open(cache.path_for(key), "wb") as handle:
-            handle.write(b"tampered bytes")
+            handle.write(tampered)
         assert cache.get_bytes(key) is None
         # The bad bytes moved to quarantine — off the serving path,
         # preserved for forensics, never re-read as a live entry.
         assert not os.path.exists(cache.path_for(key))
-        assert not os.path.exists(cache.digest_path_for(key))
         assert cache.quarantined_entries() == 1
         quarantined = os.path.join(
             cache.quarantine_dir(), f"{key}.blob"
         )
         with open(quarantined, "rb") as handle:
-            assert handle.read() == b"tampered bytes"
+            assert handle.read() == tampered
         assert (cache.corrupt, cache.quarantined) == (1, 1)
 
     def test_truncated_blob_is_detected(self, tmp_path):
@@ -239,47 +263,49 @@ class TestIntegrity:
         """Satellite fix: a corrupt blob must not be re-read forever."""
         cache = make_cache(tmp_path)
         key = "e5" + "0" * 62
-        cache.put(key, [1, 2, 3])
-        # Overwrite blob AND sidecar consistently: the digest matches,
-        # but the payload cannot unpickle.
-        bad = b"\x80\x05 garbage that will not unpickle"
-        with open(cache.path_for(key), "wb") as handle:
-            handle.write(bad)
-        with open(cache.digest_path_for(key), "w") as handle:
-            handle.write(hashlib.sha256(bad).hexdigest())
+        # The header matches, but the payload cannot unpickle.
+        cache.put_bytes(key, b"\x80\x05 garbage that will not unpickle")
         assert cache.get(key) is None
         assert not os.path.exists(cache.path_for(key))
         assert cache.quarantined_entries() == 1
         assert cache.corrupt == 1
 
-    def test_blob_without_sidecar_is_quarantined(self, tmp_path):
-        """Puts write the sidecar first and no pre-sidecar entry is
-        addressable by a current key, so a bare blob is damage."""
-        cache = make_cache(tmp_path)
-        key = "f6" + "0" * 62
-        cache.put_bytes(key, b"payload")
-        os.unlink(cache.digest_path_for(key))
-        assert cache.get_bytes(key) is None
-        assert cache.corrupt == 1
-        assert cache.misses == 1
-        assert cache.quarantined_entries() == 1
-        assert not os.path.exists(cache.path_for(key))
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_every_damaged_compile_entry_is_quarantined_then_recompiled(
+        self, isolated_cache_dir, damage
+    ):
+        """Flipping any single byte of a stored compile entry (header
+        or body), or cutting it to any shorter length, is a quarantine
+        and a miss — never a served payload — and the next compile
+        recompiles and re-stores the entry."""
+        from repro import OptLevel, compile_source
+        from repro.perf.parallel import compile_with_cache
 
-    def test_eviction_removes_sidecars(self, tmp_path):
-        cache = make_cache(tmp_path, max_entries=1)
-        k1, k2 = "1" * 64, "2" * 64
-        cache.put_bytes(k1, b"one")
-        os.utime(cache.path_for(k1), (1000, 1000))
-        cache.put_bytes(k2, b"two")
-        assert not os.path.exists(cache.path_for(k1))
-        assert not os.path.exists(cache.digest_path_for(k1))
-
-    def test_clear_removes_sidecars(self, tmp_path):
-        cache = make_cache(tmp_path)
-        key = "3" * 64
-        cache.put_bytes(key, b"x")
-        cache.clear()
-        assert not os.path.exists(cache.digest_path_for(key))
+        cache, key, source, good = stored_compile_entry()
+        path = cache.path_for(key)
+        damaged_copies = (
+            (good[:index] + bytes([good[index] ^ 0xFF]) + good[index + 1:]
+             for index in range(len(good)))
+            if damage == "flip"
+            else (good[:length] for length in range(len(good)))
+        )
+        count = 0
+        for bad in damaged_copies:
+            with open(path, "wb") as handle:
+                handle.write(bad)
+            assert cache.get(key) is None, f"served damaged copy {count}"
+            assert not os.path.exists(path)
+            count += 1
+        assert count == len(good)
+        assert cache.quarantined == cache.corrupt == count
+        with profiled(Profiler()) as prof:
+            program = compile_with_cache(source, "O0")
+        assert prof.counters["compile.pool.jobs"] == 1
+        assert program.pretty() == compile_source(
+            source, OptLevel.O0
+        ).pretty()
+        # The recompile re-stored a verified entry.
+        assert cache.get(key).pretty() == program.pretty()
 
     def test_quarantine_is_invisible_to_entry_scans(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -315,9 +341,10 @@ class TestTelemetry:
         assert (cache.hits, cache.misses, cache.puts) == (1, 1, 1)
         assert cache.hit_rate() == 0.5
 
-    def test_profiler_counters_mirrored(self, tmp_path):
+    def test_profiler_counters_mirrored(self, tmp_path, monkeypatch):
         """artifact_store.* counters surface in --profile JSON."""
-        cache = make_cache(tmp_path, max_entries=1)
+        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "1")
+        cache = make_cache(tmp_path)
         with profiled(Profiler()) as prof:
             cache.get_bytes("d" * 64)          # miss
             cache.put_bytes("d" * 64, b"v")    # put
