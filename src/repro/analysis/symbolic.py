@@ -20,22 +20,23 @@ impossible), with two distinguished symbols:
 * loop variables — carry a static range when the enclosing loop is a
   recognized counted loop.
 
-Anything non-affine (division, modulus, products of symbols other than
-``PROCS``-scaling, calls, values read from shared memory) makes the form
-:data:`OPAQUE`, which conflicts with everything on the same variable.
+Anything non-affine (division, a modulus other than ``(MYPROC + c) %
+PROCS``, products of symbols other than ``PROCS``-scaling, calls, values
+read from shared memory) makes the form :data:`OPAQUE`, which conflicts
+with everything on the same variable.
 
-The feasibility test implemented by :func:`may_be_equal` is *sound in the
-conservative direction*: it only answers "disjoint" when the two
-accesses provably never collide on distinct processors, for every legal
-``PROCS >= 2`` and every iteration-variable assignment.
+:func:`may_be_equal` builds ``left - right == 0`` as one integer system
+(:func:`_system`) and one solver decides it (:func:`_solvable`).  It is
+*sound in the conservative direction*: it only answers "disjoint" when
+the two accesses provably never collide on distinct processors, for
+every legal ``PROCS >= 2`` and every iteration-variable assignment.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 #: The distinguished symbol for the executing processor's id.
 MYPROC_SYM = "MYPROC"
@@ -91,15 +92,6 @@ class SymExpr:
 
     # -- views ---------------------------------------------------------------
 
-    def term_map(self) -> Dict[str, int]:
-        return dict(self.terms)
-
-    def procs_term_map(self) -> Dict[str, int]:
-        return dict(self.procs_terms)
-
-    def perm_map(self) -> Dict[int, int]:
-        return dict(self.perm_terms)
-
     @property
     def has_procs_part(self) -> bool:
         return self.procs_const != 0 or bool(self.procs_terms)
@@ -120,31 +112,16 @@ class SymExpr:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "SymExpr") -> "SymExpr":
-        terms = self.term_map()
-        for sym, coeff in other.terms:
-            terms[sym] = terms.get(sym, 0) + coeff
-        procs_terms = self.procs_term_map()
-        for sym, coeff in other.procs_terms:
-            procs_terms[sym] = procs_terms.get(sym, 0) + coeff
-        perms = self.perm_map()
-        for shift, coeff in other.perm_terms:
-            perms[shift] = perms.get(shift, 0) + coeff
         return SymExpr(
             const=self.const + other.const,
-            terms=SymExpr._normalize(terms),
+            terms=_merge(self.terms, other.terms),
             procs_const=self.procs_const + other.procs_const,
-            procs_terms=SymExpr._normalize(procs_terms),
-            perm_terms=SymExpr._normalize(perms),
+            procs_terms=_merge(self.procs_terms, other.procs_terms),
+            perm_terms=_merge(self.perm_terms, other.perm_terms),
         )
 
     def __neg__(self) -> "SymExpr":
-        return SymExpr(
-            const=-self.const,
-            terms=tuple((sym, -coeff) for sym, coeff in self.terms),
-            procs_const=-self.procs_const,
-            procs_terms=tuple((sym, -coeff) for sym, coeff in self.procs_terms),
-            perm_terms=tuple((s, -coeff) for s, coeff in self.perm_terms),
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "SymExpr") -> "SymExpr":
         return self + (-other)
@@ -175,56 +152,36 @@ class SymExpr:
             return other.scale(self.const)
         if other.is_constant:
             return self.scale(other.const)
-        left_is_procs = (
-            self.procs_const != 0
-            and not self.terms
-            and not self.procs_terms
-            and not self.perm_terms
-            and self.const == 0
-        )
-        right_is_procs = (
-            other.procs_const != 0
-            and not other.terms
-            and not other.procs_terms
-            and not other.perm_terms
-            and other.const == 0
-        )
-        if left_is_procs and not other.has_procs_part \
-                and not other.perm_terms:
-            scaled = other.scale(self.procs_const)
-            return SymExpr(
-                const=0,
-                terms=(),
-                procs_const=scaled.const,
-                procs_terms=scaled.terms,
-            )
-        if right_is_procs and not self.has_procs_part \
-                and not self.perm_terms:
-            scaled = self.scale(other.procs_const)
-            return SymExpr(
-                const=0,
-                terms=(),
-                procs_const=scaled.const,
-                procs_terms=scaled.terms,
-            )
+        for procs, form in ((self, other), (other, self)):
+            if procs.procs_const != 0 \
+                    and procs == SymExpr(procs_const=procs.procs_const) \
+                    and not form.has_procs_part and not form.perm_terms:
+                scaled = form.scale(procs.procs_const)
+                return SymExpr(procs_const=scaled.const,
+                               procs_terms=scaled.terms)
         return None
 
-    def rename(self, suffix: str, keep: Iterable[str] = (MYPROC_SYM,)) -> "SymExpr":
-        """Renames all symbols apart (except ``keep``) for pairwise tests."""
-        kept = set(keep)
+    def modulo(self, other: "SymExpr") -> Optional["SymExpr"]:
+        """``self % other``; None unless it folds or is a permutation term.
 
-        def name(sym: str) -> str:
-            return sym if sym in kept else f"{sym}#{suffix}"
-
-        return SymExpr(
-            const=self.const,
-            terms=tuple((name(sym), coeff) for sym, coeff in self.terms),
-            procs_const=self.procs_const,
-            procs_terms=tuple(
-                (name(sym), coeff) for sym, coeff in self.procs_terms
-            ),
-            perm_terms=self.perm_terms,
-        )
+        Constants fold to C's remainder, which takes the dividend's sign,
+        as the runtime computes it.  ``(MYPROC + c + k·PROCS) % PROCS`` is
+        ``perm(c)``: the remainder drops the PROCS multiple for the
+        non-negative operand values of well-formed index code.
+        ``perm(c) % PROCS`` is the perm itself.
+        """
+        if self.is_constant and other.is_constant and other.const != 0:
+            a, b = self.const, other.const
+            return SymExpr.constant(a - int(a / b) * b)
+        if other != SymExpr.procs():
+            return None
+        if self.terms == ((MYPROC_SYM, 1),) and not self.procs_terms \
+                and not self.perm_terms:
+            return SymExpr.perm(self.const)
+        if len(self.perm_terms) == 1 \
+                and self == SymExpr.perm(self.perm_terms[0][0]):
+            return self
+        return None
 
     def rename_map(self, mapping: Mapping[str, str]) -> "SymExpr":
         """Renames symbols via an explicit map (used by the inliner)."""
@@ -278,6 +235,14 @@ class SymExpr:
         return " + ".join(parts)
 
 
+def _merge(a: Tuple[Tuple, ...], b: Tuple[Tuple, ...]) -> Tuple[Tuple, ...]:
+    """The sum of two (key, coeff) term tuples, normalized."""
+    merged = dict(a)
+    for key, coeff in b:
+        merged[key] = merged.get(key, 0) + coeff
+    return SymExpr._normalize(merged)
+
+
 #: Sentinel for non-affine index expressions.
 OPAQUE = None
 MaybeSymExpr = Optional[SymExpr]
@@ -303,106 +268,6 @@ class VarDomain:
         if not self.is_bounded:
             return None
         return max(0, self.hi - self.lo + 1)
-
-
-def _gcd_all(values: Iterable[int]) -> int:
-    result = 0
-    for value in values:
-        result = gcd(result, abs(value))
-    return result
-
-
-def _linear_feasible_unbounded(coeffs: Dict[str, int], const: int) -> bool:
-    """Is ``Σ c·v + const = 0`` solvable with every v ranging over Z?"""
-    live = {sym: c for sym, c in coeffs.items() if c != 0}
-    if not live:
-        return const == 0
-    return const % _gcd_all(live.values()) == 0
-
-
-def _linear_feasible_delta(
-    coeffs: Dict[str, int], const: int, delta_sym: str
-) -> bool:
-    """Feasibility of ``Σ c·v + const = 0`` over Z with ``delta_sym != 0``.
-
-    All variables range over all of Z except ``delta_sym`` which must be
-    non-zero.  Sound and complete for these (enlarged) domains.
-    """
-    c_delta = coeffs.get(delta_sym, 0)
-    others = {s: c for s, c in coeffs.items() if s != delta_sym and c != 0}
-    if c_delta == 0:
-        return _linear_feasible_unbounded(others, const)
-    if not others:
-        # c_delta * delta = -const with delta != 0.
-        return const != 0 and const % c_delta == 0
-    g_others = _gcd_all(others.values())
-    # Need t != 0 with g_others | (const + c_delta * t).  The congruence
-    # c_delta * t = -const (mod g_others) is solvable iff
-    # gcd(c_delta, g_others) | const, and when solvable the solution set
-    # is periodic, so a non-zero t always exists.
-    return const % gcd(c_delta, g_others) == 0
-
-
-def _enumerate_feasible(
-    coeffs: Dict[str, int],
-    const: int,
-    domains: Dict[str, VarDomain],
-    forbid_zero: Optional[str],
-) -> Optional[bool]:
-    """Exact enumeration when every domain is bounded and small.
-
-    Returns True/False, or None when enumeration is not applicable.
-    """
-    syms = [s for s, c in coeffs.items() if c != 0]
-    total = 1
-    for sym in syms:
-        domain = domains.get(sym, VarDomain())
-        if not domain.is_bounded:
-            return None
-        total *= domain.size
-        if total > _ENUM_LIMIT:
-            return None
-    ranges = [
-        range(domains[sym].lo, domains[sym].hi + 1) for sym in syms
-    ]
-    for values in itertools.product(*ranges):
-        assignment = dict(zip(syms, values))
-        if forbid_zero is not None and assignment.get(forbid_zero, 1) == 0:
-            continue
-        if sum(coeffs[s] * v for s, v in assignment.items()) + const == 0:
-            return True
-    return False
-
-
-def _enumerate_solve_delta(
-    coeffs: Dict[str, int],
-    const: int,
-    domains: Dict[str, VarDomain],
-    c_delta: int,
-) -> Optional[bool]:
-    """Exact test with bounded vars plus an unbounded non-zero delta.
-
-    Feasible iff some assignment of the bounded variables leaves a
-    residual ``r`` with ``c_delta | r`` and ``r / c_delta != 0``.
-    Returns None when any participating variable is unbounded.
-    """
-    syms = [s for s, c in coeffs.items() if c != 0]
-    total = 1
-    for sym in syms:
-        domain = domains.get(sym, VarDomain())
-        if not domain.is_bounded:
-            return None
-        total *= domain.size
-        if total > _ENUM_LIMIT:
-            return None
-    ranges = [range(domains[sym].lo, domains[sym].hi + 1) for sym in syms]
-    for values in itertools.product(*ranges):
-        residual = const + sum(
-            coeffs[s] * v for s, v in zip(syms, values)
-        )
-        if residual % c_delta == 0 and residual // c_delta != 0:
-            return True
-    return False
 
 
 #: Memo table for :func:`may_be_equal`.  The answers are purely
@@ -466,241 +331,118 @@ def may_be_equal(
         _cache_hits += 1
         return cached
     _cache_misses += 1
-    if left.perm_terms or right.perm_terms:
-        answer = _may_be_equal_perm(
-            left, right, left_domains, right_domains, same_processor
-        )
-    else:
-        answer = _may_be_equal_affine(
-            left, right, left_domains, right_domains, same_processor
-        )
+    system = _system(
+        left, right, left_domains or {}, right_domains or {}, same_processor
+    )
+    answer = system is None or _solvable(*system)
     if len(_may_equal_cache) >= _CACHE_LIMIT:
         _may_equal_cache.clear()
     _may_equal_cache[key] = answer
     return answer
 
 
-def _decompose_proc_term(form: SymExpr):
-    """Splits ``form`` into one processor-dependent term plus a rest.
-
-    Returns (shift, coeff, rest) where the processor term is
-    ``coeff * (MYPROC + shift) % PROCS`` (a bare ``MYPROC`` is shift 0 —
-    ``MYPROC < PROCS`` makes them identical), or None when the form has
-    several processor-dependent terms or a PROCS part (conservative).
-    """
-    base = form.term_map()
-    my_coeff = base.pop(MYPROC_SYM, 0)
-    if form.has_procs_part:
-        return None
-    proc_terms = []
-    if my_coeff:
-        proc_terms.append((0, my_coeff))
-    proc_terms.extend(form.perm_terms)
-    if len(proc_terms) > 1:
-        return None
-    shift, coeff = proc_terms[0] if proc_terms else (0, 0)
-    rest = SymExpr(
-        const=form.const, terms=SymExpr._normalize(base)
-    )
-    return shift, coeff, rest
-
-
-def _may_be_equal_perm(
+def _system(
     left: SymExpr,
     right: SymExpr,
-    left_domains: Optional[Mapping[str, VarDomain]],
-    right_domains: Optional[Mapping[str, VarDomain]],
+    left_domains: Mapping[str, VarDomain],
+    right_domains: Mapping[str, VarDomain],
     same_processor: bool,
-) -> bool:
-    """Collision test when permutation terms are involved.
+) -> Optional[tuple]:
+    """``left - right == 0`` as one integer system; None for "may collide".
 
-    The key fact: ``(MYPROC + c) % PROCS`` is a *bijection* of the
-    processor id, so for a common shift distinct processors yield
-    distinct values.  Distinct shifts prove nothing on their own —
-    ``PROCS`` may divide the shift difference (e.g. shifts 0 and 2 with
-    two processors), so those cases admit both behaviors.
+    Returns ``(coeffs, const, domains, nonzero)`` for
+    ``Σ coeffs[v]·v + const == 0``.  Symbols are renamed apart per side
+    as ``(side, symbol)`` and keep their side's domain.
+
+    Each side has at most one *processor term* ``c·((MYPROC + s) %
+    PROCS)`` (two or more may collide); a bare ``MYPROC`` is shift 0,
+    since ``MYPROC < PROCS``.  Its value in ``[0, PROCS)``, PROCS
+    unbounded, becomes a variable free over Z, and the two sides'
+    variables ``x_l`` / ``x_r`` are related in one of three ways:
+
+    * *equal* — one shift on one processor: ``x_l = x_r``;
+    * *different* — one shift on two processors (a shift is a bijection
+      of the processor id), or shifts one apart on one processor (no
+      ``PROCS >= 2`` divides 1): ``x_l = x_r + d`` with ``d != 0``;
+    * *unrelated* — anything else; ``PROCS`` may divide a larger shift
+      difference, so the values may or may not coincide.
     """
-    decomposed_l = _decompose_proc_term(left)
-    decomposed_r = _decompose_proc_term(right)
-    if decomposed_l is None or decomposed_r is None:
-        return True
-    shift_l, coeff_l, rest_l = decomposed_l
-    shift_r, coeff_r, rest_r = decomposed_r
-
-    my = SymExpr.symbol(MYPROC_SYM)
-
-    if coeff_l and coeff_r:
-        left2 = rest_l + my.scale(coeff_l)
-        right2 = rest_r + my.scale(coeff_r)
-        if same_processor:
-            if shift_l == shift_r:
-                # Same shift on the same processor: identical value —
-                # MYPROC cancels like a shared symbol.
-                return _may_be_equal_affine(
-                    left2, right2, left_domains, right_domains, True
-                )
-            # Distinct shifts on one processor give distinct values
-            # only when PROCS does not divide the shift difference.  A
-            # difference of +-1 is safe (no PROCS >= 2 divides it); any
-            # larger difference is divided by itself, so for unknown
-            # PROCS both the "values differ" (p != q-like) and "values
-            # equal" behaviors must be admitted.
-            if coeff_l == coeff_r:
-                differ = _may_be_equal_affine(
-                    left2, right2, left_domains, right_domains, False
-                )
-                if abs(shift_l - shift_r) == 1:
-                    return differ
-                return differ or _may_be_equal_affine(
-                    left2, right2, left_domains, right_domains, True
-                )
-            return True
-        if shift_l == shift_r:
-            # Bijection: p != q  =>  perm values differ.
-            return _may_be_equal_affine(
-                left2, right2, left_domains, right_domains, False
-            )
-        # Different shifts across processors: the values may or may not
-        # coincide — allow both.
-        return _may_be_equal_affine(
-            left2, right2, left_domains, right_domains, False
-        ) or _may_be_equal_affine(
-            left2, right2, left_domains, right_domains, True
-        )
-
-    # At most one side is processor-dependent: replace its perm value by
-    # a fresh non-negative symbol (its [0, PROCS) range is unbounded
-    # above for the purposes of a sound disjointness claim).
-    left_domains = dict(left_domains or {})
-    right_domains = dict(right_domains or {})
-    left2, right2 = rest_l, rest_r
-    if coeff_l:
-        left2 = rest_l + SymExpr.symbol("#perm").scale(coeff_l)
-        left_domains["#perm"] = VarDomain(lo=0)
-    if coeff_r:
-        right2 = rest_r + SymExpr.symbol("#perm").scale(coeff_r)
-        right_domains["#perm"] = VarDomain(lo=0)
-    return _may_be_equal_affine(
-        left2, right2, left_domains, right_domains, True
-    )
+    proc_terms = []
+    for form in (left, right):
+        my_coeff = dict(form.terms).get(MYPROC_SYM, 0)
+        terms = list(form.perm_terms) + ([(0, my_coeff)] if my_coeff else [])
+        if len(terms) > 1:
+            return None
+        proc_terms.append(terms[0] if terms else (0, 0))
+    (shift_l, c_l), (shift_r, c_r) = proc_terms
+    coeffs: Dict[object, int] = {}
+    domains: Dict[object, VarDomain] = {}
+    for side, form, sign, side_domains in (
+        ("L", left, 1, left_domains), ("R", right, -1, right_domains)
+    ):
+        for sym, coeff in form.terms:
+            if sym != MYPROC_SYM:
+                coeffs[side, sym] = sign * coeff
+                if sym in side_domains:
+                    domains[side, sym] = side_domains[sym]
+    const = left.const - right.const
+    nonzero = None
+    both = c_l != 0 and c_r != 0
+    if both and same_processor and shift_l == shift_r:
+        coeffs["x"] = c_l - c_r
+    elif both and (shift_l == shift_r
+                   or same_processor and abs(shift_l - shift_r) == 1):
+        # c_l·x_l - c_r·x_r with x_l = x_r + d.
+        coeffs["d"], coeffs["x"], nonzero = c_l, c_l - c_r, "d"
+    else:
+        coeffs["x_l"], coeffs["x_r"] = c_l, -c_r
+    coeffs = {v: c for v, c in coeffs.items() if c != 0}
+    if left.procs_terms or right.procs_terms \
+            or left.procs_const != right.procs_const:
+        # PROCS·A + B == 0.  With B = ±d, 0 < |d| < PROCS, PROCS | B
+        # forces B == 0: the system without the PROCS part.  Any other
+        # B may collide.
+        if const != 0 or coeffs not in ({"d": 1}, {"d": -1}):
+            return None
+    return coeffs, const, domains, nonzero
 
 
-def _may_be_equal_affine(
-    left: SymExpr,
-    right: SymExpr,
-    left_domains: Optional[Mapping[str, VarDomain]] = None,
-    right_domains: Optional[Mapping[str, VarDomain]] = None,
-    same_processor: bool = False,
+def _solvable(
+    coeffs: Mapping[object, int],
+    const: int,
+    domains: Mapping[object, VarDomain],
+    nonzero: Optional[object],
 ) -> bool:
-    """The affine-core feasibility test (no permutation terms)."""
+    """Has ``Σ coeffs[v]·v + const == 0`` an integer solution?
 
-    left_domains = dict(left_domains or {})
-    right_domains = dict(right_domains or {})
-
-    # MYPROC inside a PROCS-scaled term: give up (conservative).
-    if dict(left.procs_terms).get(MYPROC_SYM, 0) or dict(
-        right.procs_terms
-    ).get(MYPROC_SYM, 0):
-        return True
-
-    # The left side runs on processor p, the right on q: split the
-    # MYPROC coefficients out per side before differencing (they must
-    # NOT cancel — p and q are different variables).
-    c_left = dict(left.terms).get(MYPROC_SYM, 0)
-    c_right = dict(right.terms).get(MYPROC_SYM, 0)
-
-    def _without_myproc(form: SymExpr) -> SymExpr:
-        return SymExpr(
-            const=form.const,
-            terms=tuple(
-                (s, c) for s, c in form.terms if s != MYPROC_SYM
-            ),
-            procs_const=form.procs_const,
-            procs_terms=form.procs_terms,
-        )
-
-    left_r = _without_myproc(left).rename("L")
-    right_r = _without_myproc(right).rename("R")
-    domains: Dict[str, VarDomain] = {}
-    for sym, dom in left_domains.items():
-        domains[f"{sym}#L"] = dom
-    for sym, dom in right_domains.items():
-        domains[f"{sym}#R"] = dom
-
-    diff = left_r - right_r
-
-    base = diff.term_map()
-    procs_part = diff.procs_term_map()
-    procs_const = diff.procs_const
-
-    if same_processor:
-        # p == q = s: contribution (c_left - c_right) * s, s in [0, PROCS).
-        delta_sym = None
-        base_coeffs = dict(base)
-        if c_left != c_right:
-            base_coeffs["#proc"] = c_left - c_right
-            domains["#proc"] = VarDomain(lo=0)
-    else:
-        # Substitute p = q + delta (delta != 0, q = s >= 0):
-        # c_left*p - c_right*q = c_left*delta + (c_left - c_right)*s.
-        base_coeffs = dict(base)
-        if c_left != c_right:
-            base_coeffs["#proc"] = c_left - c_right
-            domains["#proc"] = VarDomain(lo=0)
-        delta_sym = "#delta" if c_left != 0 else None
-        if delta_sym is not None:
-            base_coeffs[delta_sym] = c_left
-        if (
-            not base_coeffs
-            and not procs_part
-            and procs_const == 0
-        ):
-            # Indices are constants: any two distinct processors collide
-            # iff the constant difference is zero.
-            return diff.const == 0
-
-    has_procs = procs_const != 0 or any(c != 0 for c in procs_part.values())
-    if has_procs:
-        # diff = PROCS*A + B.  Sound special case: B == c*delta with
-        # |c| == 1 and no constant — then B = +-(p-q) in (-PROCS, PROCS),
-        # so diff == 0 forces p == q: disjoint.
-        non_delta = {s: c for s, c in base_coeffs.items()
-                     if s != delta_sym and c != 0}
-        if (
-            delta_sym is not None
-            and not non_delta
-            and diff.const == 0
-            and abs(base_coeffs.get(delta_sym, 0)) == 1
-        ):
-            return False
-        return True  # anything else with a PROCS part: conservative
-
-    # Pure base part.  Try exact bounded enumeration first.
-    if delta_sym is not None and delta_sym in base_coeffs:
-        # delta = p - q with p, q in [0, PROCS); PROCS is unbounded
-        # above, so delta ranges over all non-zero integers.  Enumerate
-        # the bounded variables and solve for delta: the residual r must
-        # satisfy c_delta * delta = -r with integer delta != 0.
-        exact = _enumerate_solve_delta(
-            {s: c for s, c in base_coeffs.items()
-             if s != delta_sym and c != 0},
-            diff.const,
-            domains,
-            base_coeffs[delta_sym],
-        )
-    else:
-        exact = _enumerate_feasible(
-            {s: c for s, c in base_coeffs.items() if c != 0},
-            diff.const,
-            domains,
-            forbid_zero=None,
-        )
-    if exact is not None:
-        return exact
-
-    # Enlarged-domain test (sound for disjointness claims).
-    if delta_sym is not None:
-        return _linear_feasible_delta(base_coeffs, diff.const, delta_sym)
-    return _linear_feasible_unbounded(
-        {s: c for s, c in base_coeffs.items() if c != 0}, diff.const
+    Bounded variables are enumerated exactly while their box has at most
+    ``_ENUM_LIMIT`` points.  Every other variable ranges over Z, a sound
+    enlargement, except ``nonzero``, which ranges over the non-zero
+    integers; the residual each box point leaves is decided by one gcd
+    test.
+    """
+    bounded = sorted(
+        (v for v in coeffs if v in domains and domains[v].is_bounded),
+        key=lambda v: domains[v].size,
     )
+    box = 1
+    residuals = {const}
+    free = dict(coeffs)
+    for var in bounded:
+        box *= domains[var].size
+        if box > _ENUM_LIMIT:
+            break
+        coeff = free.pop(var)
+        values = range(domains[var].lo, domains[var].hi + 1)
+        residuals = {r + coeff * v for r in residuals for v in values}
+    c_nonzero = free.pop(nonzero, 0)
+    g = 0
+    for coeff in free.values():
+        g = gcd(g, coeff)
+    if c_nonzero and not g:
+        # c·d == -r with d != 0.
+        return any(r != 0 and r % c_nonzero == 0 for r in residuals)
+    # Beside other free variables the solution set in d is periodic, so
+    # a non-zero d exists whenever any solution does.
+    g = gcd(g, c_nonzero)
+    return any((r % g if g else r) == 0 for r in residuals)

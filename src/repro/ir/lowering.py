@@ -215,6 +215,8 @@ class FunctionLowerer:
             return left - right
         if expr.op is ast.BinaryOp.MUL:
             return left.multiply(right)
+        if expr.op is ast.BinaryOp.MOD:
+            return left.modulo(right)
         return OPAQUE
 
     def _const_value(self, expr: ast.Expr) -> Optional[int]:
@@ -239,7 +241,7 @@ class FunctionLowerer:
             if op is ast.BinaryOp.DIV and right != 0:
                 return int(left / right)
             if op is ast.BinaryOp.MOD and right != 0:
-                return left % right
+                return left - int(left / right) * right
         return None
 
     # -- entry point ---------------------------------------------------------

@@ -14,12 +14,15 @@ symbols that name *single-assignment* temps by symbolically evaluating
 their defining instruction chain, recognizing:
 
 * constants, moves, ``+``/``-``/``*`` arithmetic;
-* ``(MYPROC + c) % PROCS`` — the permutation form
-  (:meth:`repro.analysis.symbolic.SymExpr.perm`).
+* ``%``, by the rule lowering also uses
+  (:meth:`repro.analysis.symbolic.SymExpr.modulo`): constants fold and
+  ``(MYPROC + c) % PROCS`` is the permutation form.
 
 Multi-assignment temps (loop variables, conditionally assigned values)
-stay opaque symbols, which is always sound.  The pass rewrites
-``IndexMeta`` in place and is idempotent.
+stay opaque symbols, which is always sound: at the access a temp's own
+name, and inside another temp's def chain a fresh name per def, since
+the temp may be reassigned between that def and the access.  The pass
+rewrites ``IndexMeta`` in place and is idempotent.
 """
 
 from __future__ import annotations
@@ -50,8 +53,15 @@ class _Resolver:
         self._cache: Dict[str, SymExpr] = {}
         self._in_progress: Set[str] = set()
 
-    def resolve_symbol(self, name: str) -> SymExpr:
-        """The symbolic value of a temp; falls back to the symbol itself."""
+    def resolve_symbol(self, name: str,
+                       reader: Optional[str] = None) -> SymExpr:
+        """The symbolic value of a temp; falls back to a symbol.
+
+        ``reader`` is the temp whose def reads ``name`` (None at the
+        access itself).  A multiply-assigned temp may hold another value
+        there than at the access, so it becomes the fresh symbol
+        ``name@reader``, one per def, and is never cached.
+        """
         if name == MYPROC_SYM:
             return SymExpr.symbol(MYPROC_SYM)
         if name == "PROCS":
@@ -61,32 +71,33 @@ class _Resolver:
             return cached
         defs = self._defs.get(name, [])
         if len(defs) != 1 or name in self._in_progress:
-            result = SymExpr.symbol(name)
-        else:
-            self._in_progress.add(name)
-            resolved = self._eval_instr(defs[0])
-            self._in_progress.discard(name)
-            result = resolved if resolved is not None else SymExpr.symbol(name)
+            return SymExpr.symbol(
+                name if reader is None else f"{name}@{reader}")
+        self._in_progress.add(name)
+        resolved = self._eval_instr(defs[0], name)
+        self._in_progress.discard(name)
+        result = resolved if resolved is not None else SymExpr.symbol(name)
         self._cache[name] = result
         return result
 
-    def _eval_operand(self, operand: Operand) -> Optional[SymExpr]:
+    def _eval_operand(self, operand: Operand,
+                      reader: str) -> Optional[SymExpr]:
         if isinstance(operand, Const):
             if isinstance(operand.value, int):
                 return SymExpr.constant(operand.value)
             return None
-        return self.resolve_symbol(operand.name)
+        return self.resolve_symbol(operand.name, reader)
 
-    def _eval_instr(self, instr: Instr) -> Optional[SymExpr]:
+    def _eval_instr(self, instr: Instr, reader: str) -> Optional[SymExpr]:
         if instr.op is Opcode.CONST:
             if isinstance(instr.value, int):
                 return SymExpr.constant(instr.value)
             return None
         if instr.op is Opcode.MOVE:
-            return self._eval_operand(instr.src)
+            return self._eval_operand(instr.src, reader)
         if instr.op is Opcode.BINOP:
-            left = self._eval_operand(instr.lhs)
-            right = self._eval_operand(instr.rhs)
+            left = self._eval_operand(instr.lhs, reader)
+            right = self._eval_operand(instr.rhs, reader)
             if left is None or right is None:
                 return None
             if instr.binop is BinOpKind.ADD:
@@ -96,55 +107,15 @@ class _Resolver:
             if instr.binop is BinOpKind.MUL:
                 return left.multiply(right)
             if instr.binop is BinOpKind.MOD:
-                return _eval_mod(left, right)
+                return left.modulo(right)
             return None
         return None
 
 
-def _eval_mod(left: SymExpr, right: SymExpr) -> Optional[SymExpr]:
-    """Recognizes ``(MYPROC + c) % PROCS`` and constant folds."""
-    if left.is_constant and right.is_constant and right.const != 0:
-        # C-style truncated remainder; operands here are non-negative in
-        # well-formed index code, where it matches Python's %.
-        return SymExpr.constant(left.const - (left.const // right.const)
-                                * right.const)
-    right_is_procs = (
-        right.procs_const == 1
-        and not right.terms
-        and not right.procs_terms
-        and not right.perm_terms
-        and right.const == 0
-    )
-    if not right_is_procs:
-        return None
-    # left must be MYPROC + c (+ k*PROCS, which mod PROCS drops for the
-    # non-negative operand values well-formed index code produces).
-    if (
-        left.terms == ((MYPROC_SYM, 1),)
-        and not left.procs_terms
-        and not left.perm_terms
-    ):
-        return SymExpr.perm(left.const)
-    # (perm(c) + d) % PROCS with d == 0 is the perm itself.
-    if (
-        not left.terms
-        and not left.procs_terms
-        and left.procs_const == 0
-        and len(left.perm_terms) == 1
-        and left.const == 0
-        and left.perm_terms[0][1] == 1
-    ):
-        return SymExpr.perm(left.perm_terms[0][0])
-    return None
-
-
 def _substitute(expr: SymExpr, resolver: _Resolver) -> SymExpr:
     """Rewrites an index form by resolving its symbols."""
-    result = SymExpr.constant(expr.const)
-    if expr.procs_const:
-        result = result + SymExpr.procs().scale(expr.procs_const)
-    for shift, coeff in expr.perm_terms:
-        result = result + SymExpr.perm(shift).scale(coeff)
+    result = SymExpr(const=expr.const, procs_const=expr.procs_const,
+                     perm_terms=expr.perm_terms)
     for sym, coeff in expr.terms:
         resolved = resolver.resolve_symbol(sym)
         result = result + resolved.scale(coeff)

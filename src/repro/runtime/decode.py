@@ -415,9 +415,11 @@ class _RunCompiler:
             raise RuntimeFault(f"cannot fuse {ins}")
 
     def bail(self, ins: Instr, index: int) -> None:
-        """Body of an ``if``: settles the run's partial cost and hands
-        ``ins`` to its ``OPS`` handler, which blocks or proceeds."""
+        """Body of an ``if``: counts the bail in ``sim.bails``, settles
+        the run's partial cost and hands ``ins`` to its ``OPS`` handler,
+        which blocks or proceeds."""
         handler = self.const(self.sim.processor_class.OPS[ins.op])
+        self.emit(f"    sim.bails[{ins.op.value!r}] += 1")
         if self.cost:
             self.emit(f"    proc.clock += {self.cost}")
         self.emit(f"    proc.instructions += {self.count + 1}")

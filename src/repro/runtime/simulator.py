@@ -36,6 +36,7 @@ under a fault plan the network's ``Transport`` keeps that FIFO.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -174,6 +175,9 @@ class Simulator:
             ExecutionTrace(num_procs) if trace else None
         )
         self.outstanding_stores = 0
+        #: bails out of a fused run to an ``OPS`` handler, by opcode
+        #: (counted on the bail path only; the fused path pays nothing)
+        self.bails: Counter = Counter()
         self.store_sync_waiters: List[int] = []
         #: traced lock/unlock records awaiting their pairing serial, by
         #: pid (a processor has at most one such operation in flight)

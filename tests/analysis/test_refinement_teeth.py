@@ -12,6 +12,12 @@ as the paper's Figure 5 derivation, and its row asserts that
 derivation: without the post→wait edge, R loses W X → R X and Figure 5
 is analysed like Figure 1.
 
+r9, symbolic index disjointness, has rows for the pieces of its one
+integer system (``symbolic._system`` / ``symbolic._solvable``): the
+*different* relation, box enumeration, and the bijection of a shift
+other than 0.  Each runs with an empty ``may_be_equal`` memo, so no
+answer of the unmutated code leaks into the mutant's.
+
 The last rows are converse mutants, ones that are too aggressive.  Each
 drops delays that SC needs: locks that share *any* guard exclude each
 other's accesses; every pair of MYPROC-dependent index forms is claimed
@@ -24,7 +30,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import conflicts
+from repro.analysis import conflicts, symbolic
 from repro.analysis.accesses import AccessKind
 from repro.analysis.delays import AnalysisLevel, analyze_function
 from repro.analysis.symbolic import may_be_equal
@@ -90,12 +96,42 @@ TEETH = {
 }
 
 
+#: The programs r9's rows run, and their |D_SYNC| unmutated.
+R9_PROGRAMS = ("cholesky@8", "em3d@8", "epithelial@8", "ocean@8")
+R9_BEFORE = (12, 66, 62, 34)
+
+#: r9 piece -> (function in ``symbolic``, anchor, replacement,
+#: |D_SYNC| of ``R9_PROGRAMS`` after).
+R9_TEETH = {
+    "r9 different relation": (
+        "_system", "elif both and (shift_l == shift_r",
+        "elif False and (shift_l == shift_r", (13, 92, 82, 46)),
+    "r9 box enumeration": (
+        "_solvable", "if box > _ENUM_LIMIT:", "if True:",
+        (12, 92, 82, 46)),
+    "r9 bijection of a non-zero shift": (
+        "_system", "elif both and (shift_l == shift_r",
+        "elif both and (shift_l == shift_r == 0", (12, 66, 63, 34)),
+}
+
+
 @pytest.mark.parametrize("refinement", sorted(TEETH))
 def test_switching_off_changes_the_delay_set(refinement):
     program, old, new, before, after = TEETH[refinement]
     delays = _sync_delays(program)
     mutated = _sync_delays(program, _mutant(old, new))
     assert (len(delays), len(mutated)) == (before, after)
+
+
+@pytest.mark.parametrize("piece", sorted(R9_TEETH))
+def test_switching_off_an_r9_piece_changes_the_delay_set(piece, monkeypatch):
+    name, old, new, after = R9_TEETH[piece]
+    before = tuple(len(_sync_delays(p)) for p in R9_PROGRAMS)
+    monkeypatch.setattr(
+        symbolic, name, _mutant(old, new, getattr(symbolic, name)))
+    monkeypatch.setattr(symbolic, "_may_equal_cache", {})
+    mutated = tuple(len(_sync_delays(p)) for p in R9_PROGRAMS)
+    assert (before, mutated) == (R9_BEFORE, after)
 
 
 def test_post_wait_precedence_derives_figure_5():

@@ -60,11 +60,6 @@ class TestArithmetic:
         assert expr.perm_terms == ((1, 8),)
         assert (expr - expr).is_constant
 
-    def test_rename_keeps_myproc(self):
-        expr = (MY + sym("i")).rename("L")
-        assert "MYPROC" in dict(expr.terms)
-        assert "i#L" in dict(expr.terms)
-
     def test_rename_map(self):
         expr = sym("old").rename_map({"old": "new"})
         assert dict(expr.terms) == {"new": 1}

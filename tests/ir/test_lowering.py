@@ -239,6 +239,33 @@ class TestIndexMetadata:
         assert (form, delays, conflicts) == observe("7 - MYPROC")
         assert (len(delays), conflicts) == (2, 2)
 
+    def test_inline_mod_procs_matches_temp(self):
+        # Lowering and symrefine share one ``% PROCS`` rule: the
+        # neighbor index written inline is the permutation form a temp
+        # resolves to.  An opaque index would add the write's
+        # self-conflict (2 conflicts, not 1).
+        source = (
+            "shared int A[64];\n"
+            "void main() { DECL A[INDEX] = 1; int a = A[MYPROC]; }\n"
+        )
+
+        def observe(decl, index):
+            module = frontend(
+                source.replace("DECL", decl).replace("INDEX", index))
+            result = analyze_function(
+                inline_all(module).main, AnalysisLevel.SYNC
+            )
+            return (sorted(result.delays_by_index),
+                    result.stats.conflict_pairs)
+
+        inline = observe("", "(MYPROC + 1) % PROCS")
+        assert inline == observe("int nb = (MYPROC + 1) % PROCS;", "nb")
+        assert inline[1] == 1
+        module = frontend(source.replace("DECL", "").replace(
+            "INDEX", "(MYPROC + 1) % PROCS"))
+        form = shared_accesses(module)[0].index_meta.exprs[0]
+        assert form == SymExpr.perm(1)
+
     def test_non_constant_guard_ignored(self):
         module = frontend(
             "shared int X; void main() {"

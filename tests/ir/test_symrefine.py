@@ -3,7 +3,8 @@
 from repro.analysis.symbolic import SymExpr
 from repro.ir.instructions import Opcode
 from repro.ir.symrefine import refine_index_metadata
-from tests.helpers import frontend, inlined
+from repro import OptLevel
+from tests.helpers import analyze, delay_pairs, inlined, run_and_snapshot
 
 
 def refined_write_exprs(source):
@@ -53,6 +54,20 @@ class TestPermRecognition:
         assert exprs[0].is_constant
         assert exprs[0].const == 5
 
+    def test_negative_const_mod_folds_like_the_runtime(self):
+        # C's remainder takes the dividend's sign: (0 - 7) % 4 is -3,
+        # so both forms write A[1], inline and through a temp.
+        for body in ("int k = (0 - 7) % 4; A[k + 4] = 1.0;",
+                     "A[(0 - 7) % 4 + 4] = 1.0;"):
+            (exprs,) = refined_write_exprs(
+                "shared double A[8];\nvoid main() { " + body + " }")
+            assert exprs[0] == SymExpr.constant(1)
+        _result, snapshot = run_and_snapshot(
+            "shared int A[8];\n"
+            "void main() { if (MYPROC == 0) { A[(0 - 7) % 4 + 4] = 1; } }",
+            OptLevel.O0, 2)
+        assert snapshot["A"][1] == 1
+
     def test_multi_def_stays_symbol(self):
         (exprs,) = refined_write_exprs(
             "shared double A[8];\n"
@@ -61,6 +76,22 @@ class TestPermRecognition:
         )
         # k has two definitions (the implicit init counts as a MOVE).
         assert not exprs[0].perm_terms
+
+    def test_reassigned_operand_is_not_the_access_value(self):
+        # ``nb`` holds j's value at its def (5); j is 7 at the access,
+        # so the write is A[0] and conflicts with the read of A[0].
+        source = (
+            "shared int A[8]; shared int F;\n"
+            "void main() { int j = 5; int nb = j; j = 7;\n"
+            "  if (MYPROC == 0) { A[INDEX] = 1; F = 1; }\n"
+            "  else { int f = F; int a = A[0]; } }"
+        )
+        exprs = refined_write_exprs(source.replace("INDEX", "nb - j + 2"))
+        assert not exprs[0][0].is_constant
+        delays = delay_pairs(analyze(source.replace("INDEX", "nb - j + 2")))
+        assert delays == delay_pairs(analyze(source.replace("INDEX", "0")))
+        assert ("write A", "write F") in delays
+        assert ("read F", "read A") in delays
 
     def test_chain_through_moves(self):
         (exprs,) = refined_write_exprs(

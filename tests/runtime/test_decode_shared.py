@@ -590,6 +590,37 @@ def test_profile_shows_the_decode_run_split():
     assert 0 < steps and profile.counters["decode.code_memo_hits"] <= steps
 
 
+# -- optimized code is on the fast path --------------------------------------
+
+#: The two fast-path kernels at 64 processors.
+FAST_PATH_KERNELS = (
+    ("ocean", ocean.scaled_source(64, 4, 1)),
+    ("em3d", em3d.scaled_source(64, 8, 2)),
+)
+
+
+def test_optimized_code_bails_no_more_per_message():
+    """The structural half of the fast-path claim, in exact counts.  A
+    bail leaves a fused run for an ``OPS`` handler: O0's blocking remote
+    reads all bail, while O3's split-phase accesses issue from the run
+    and only a ``sync_ctr`` that must wait bails."""
+    expected = {
+        "ocean": (({"read_shared": 1008}, 2400), ({"sync_ctr": 126}, 2400)),
+        "em3d": (({"read_shared": 2048}, 5248), ({"sync_ctr": 256}, 5248)),
+    }
+    for name, source in FAST_PATH_KERNELS:
+        observed = []
+        for level in (OptLevel.O0, O3):
+            simulator = Simulator(compile_source(source, level).module, 64,
+                                  CM5)
+            messages = simulator.run().total_messages
+            observed.append((dict(simulator.bails), messages))
+        assert tuple(observed) == expected[name], name
+        (base, base_messages), (fast, fast_messages) = observed
+        assert sum(fast.values()) * base_messages \
+            <= sum(base.values()) * fast_messages
+
+
 # -- host time: optimized code is on the fast path -------------------------
 
 
@@ -616,10 +647,7 @@ def test_optimized_code_runs_on_the_fast_path():
     issues from its run and the run goes on, optimized code must beat
     O0 on both (~0.85x and ~0.75x)."""
     ratios = {}
-    for name, source in (
-        ("ocean", ocean.scaled_source(64, 4, 1)),
-        ("em3d", em3d.scaled_source(64, 8, 2)),
-    ):
+    for name, source in FAST_PATH_KERNELS:
         (base, base_messages), (fast, fast_messages) = _run_seconds(
             [compile_source(source, level) for level in (OptLevel.O0, O3)],
             64)
