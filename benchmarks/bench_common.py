@@ -47,18 +47,6 @@ def compile_cached(source: str, level: OptLevel) -> CompiledProgram:
     return _compile_cache[key]
 
 
-def warm_compile_cache(
-    jobs, processes=None
-) -> Dict[Tuple[str, OptLevel], CompiledProgram]:
-    """Pre-fills the compile cache for (source, level) jobs in parallel."""
-    from repro.perf.parallel import compile_many
-
-    programs = compile_many(jobs, processes=processes)
-    for (source, level), program in zip(jobs, programs):
-        _compile_cache[(source, level)] = program
-    return _compile_cache
-
-
 def run_cached(
     source: str,
     level: OptLevel,

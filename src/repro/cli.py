@@ -14,7 +14,7 @@
     repro fuzz [--iterations N | --budget-seconds S] [--seed 0]
                [--profile mixed|sync_heavy|lock_heavy|...|all]
                [--verify-passes]
-    repro serve --socket /tmp/repro.sock [--cache-dir DIR] [--jobs N]
+    repro serve --socket /tmp/repro.sock [--cache-dir DIR]
     repro client ping|stats|shutdown --socket /tmp/repro.sock
     repro client compile|analyze|simulate prog.ms --socket ...
 
@@ -26,7 +26,6 @@ module by ``tests/serve/test_docs_sync.py``).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, List, Optional
 
@@ -366,18 +365,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.daemon import ServeConfig, serve
 
-    if args.cache_dir:
-        # Pool workers resolve the store from the environment; keep
-        # them pointed at the same root the daemon serves from.
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-    config = ServeConfig(
-        socket_path=args.socket, cache_dir=args.cache_dir, jobs=args.jobs
-    )
+    config = ServeConfig(socket_path=args.socket, cache_dir=args.cache_dir)
     try:
         asyncio.run(serve(config))
     except (OSError, ValueError) as exc:
-        # A busy socket, or a malformed $REPRO_COMPILE_TIMEOUT /
-        # $REPRO_CACHE_MAX_* read at startup.
+        # A busy socket, or a malformed $REPRO_CACHE_MAX_* read at
+        # startup.
         return _runtime_error_exit(exc, args.verbose)
     return 0
 
@@ -469,7 +462,7 @@ def _client_retry_hint(exc: Any, args: argparse.Namespace) -> str:
     if exc.code == "overloaded":
         return (
             f"the daemon shed this request (pending queue full); "
-            f"retry in {wait} or widen serve --jobs"
+            f"retry in {wait} or send fewer requests at once"
         )
     if exc.code == "transport":
         return (
@@ -683,10 +676,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="artifact-store root (default $REPRO_CACHE_DIR or "
              "~/.cache/repro-compile)",
     )
+    # Ignored; ROADMAP item 10 (benchmark-only) removes it.
     serve.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="compile-pool width for a batch (0/1 = in-process; "
-             "default auto)",
+        help="accepted and ignored (every compile runs in-process)",
     )
     serve.add_argument(
         "--verbose", action="store_true",

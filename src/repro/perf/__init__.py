@@ -1,9 +1,9 @@
-"""Performance infrastructure: pass-level profiling and parallel compiles.
+"""Performance infrastructure: pass-level profiling and store-fronted compiles.
 
 * :mod:`repro.perf.profiler` — wall-time/counter instrumentation for the
   analysis and codegen pipelines (the ``--profile`` CLI flag).
-* :mod:`repro.perf.parallel` — multiprocessing compile fan-out plus the
-  on-disk compile cache that lets repeated bench/CLI runs skip analysis.
+* :mod:`repro.perf.parallel` — the compile path in front of the on-disk
+  compile cache that lets repeated bench/CLI runs skip analysis.
 """
 
 from repro.perf.profiler import (
@@ -12,7 +12,6 @@ from repro.perf.profiler import (
     current,
     pass_timer,
     profiled,
-    record_event,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "current",
     "pass_timer",
     "profiled",
-    "record_event",
 ]

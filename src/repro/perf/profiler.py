@@ -25,7 +25,6 @@ JSON schema (``Profiler.to_dict``)::
       "total_seconds": 0.123,
       "passes":   {"analysis.conflict-set": {"seconds": 0.05, "calls": 1}},
       "counters": {"engine.closures": 42, "engine.masked_row_hits": 17},
-      "events":   [{"name": "compile.pool.fallback", "detail": "..."}],
       "pass_events": [
         {"pass": "analysis-sync", "pipeline": "O3", "seconds": 0.04,
          "cached": false, "mutates_ir": false}
@@ -33,13 +32,11 @@ JSON schema (``Profiler.to_dict``)::
     }
 
 Counters are cumulative over the profiler's lifetime; nested or repeated
-passes accumulate into one entry per name.  ``events`` records discrete
-degradation incidents — compile-pool worker deaths, timeouts, serial
-fallbacks — that a counter alone would flatten into noise.
-``pass_events`` is the compile driver's structured stream: one entry
-per pipeline stage *in execution order*, including memo hits (``cached:
-true``, zero seconds), so a multi-level compile's reuse of the frontend
-and the analyses is directly visible.
+passes accumulate into one entry per name.  ``pass_events`` is the
+compile driver's structured stream: one entry per pipeline stage *in
+execution order*, including memo hits (``cached: true``, zero seconds),
+so a multi-level compile's reuse of the frontend and the analyses is
+directly visible.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ class Profiler:
     def __init__(self) -> None:
         self.passes: Dict[str, PassRecord] = {}
         self.counters: Dict[str, int] = {}
-        self.events: List[Dict[str, str]] = []
         self.pass_events: List[dict] = []
         self._started = time.perf_counter()
 
@@ -87,10 +83,6 @@ class Profiler:
         for name, amount in counters.items():
             self.count(name, amount)
 
-    def record_event(self, name: str, detail: str = "") -> None:
-        """Logs a discrete incident (worker crash, fallback, ...)."""
-        self.events.append({"name": name, "detail": detail})
-
     def record_pass(self, event: dict) -> None:
         """Appends one compile-driver event to the structured stream."""
         self.pass_events.append(event)
@@ -106,7 +98,6 @@ class Profiler:
                 for name, record in sorted(self.passes.items())
             },
             "counters": dict(sorted(self.counters.items())),
-            "events": list(self.events),
             "pass_events": list(self.pass_events),
         }
 
@@ -155,10 +146,3 @@ def count(name: str, amount: int = 1) -> None:
     profiler = current()
     if profiler is not None:
         profiler.count(name, amount)
-
-
-def record_event(name: str, detail: str = "") -> None:
-    """Logs an incident on the active profiler (no-op without one)."""
-    profiler = current()
-    if profiler is not None:
-        profiler.record_event(name, detail)

@@ -7,7 +7,7 @@
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire
   protocol (spec: docs/SERVING.md);
 * :mod:`repro.serve.daemon` — the asyncio unix-socket daemon with
-  in-flight request deduplication, pool batching and admission
+  in-flight request deduplication, miss batching and admission
   control;
 * :mod:`repro.serve.client` — the blocking Python client with split
   timeouts and retries with decorrelated jitter.

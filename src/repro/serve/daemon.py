@@ -7,17 +7,15 @@ results out of the content-addressed :class:`~repro.serve.store
 
 1. **Cross-process cache** — the request's content address is probed
    first; a hit answers without compiling anything, including entries
-   written by earlier daemon runs, pool workers, or plain CLI runs.
+   written by earlier daemon runs or plain CLI runs.
 2. **In-flight deduplication** — concurrent requests for the same key
    await one future; N clients compiling the same kernel trigger
    exactly one underlying compile (``serve.dedup_hits`` counts the
    coalesced ones).
-3. **Batching onto the compile pool** — the dispatcher takes the first
-   queued miss plus every miss already queued behind it, with no
-   timer, and hands them as one batch to
-   :func:`repro.perf.parallel.compile_batch`, which fans distinct jobs
-   across the crash-tolerant worker pool (``jobs`` pool width; 0/1
-   compiles on the batch thread) and returns a verdict per job.
+3. **Batching** — the dispatcher takes the first queued miss plus every
+   miss already queued behind it, with no timer, and hands them as one
+   batch to :func:`repro.perf.parallel.compile_batch`, which compiles
+   the distinct jobs on the batch thread and returns a verdict per job.
    Misses that queue while a batch runs form the next batch.
 
 Responses are written per-request as they complete, so clients may
@@ -33,15 +31,11 @@ Degradation under stress is graceful and *typed*, never silent:
   requests may wait for the compile path; excess requests are refused
   with an ``overloaded`` error carrying a ``retry_after_ms`` hint
   instead of queueing without bound.
-* **Wedged pool** — a pool worker that keeps a batch waiting past
-  :func:`repro.perf.parallel.job_timeout` is killed and the batch
-  finishes in-process (``compile.pool.timeouts`` /
-  ``.serial_fallbacks``); the next batch gets a fresh pool.
 
 Fault injection lives with the tests: ``tests/serve/chaos_harness.py``
 subclasses :class:`Server`, overriding the two no-op seams
 (:meth:`Server._checkpoint`, :meth:`Server._write_frame`) plus
-``_handle_client`` and ``_compile``.
+``_handle_client``.
 """
 
 from __future__ import annotations
@@ -77,8 +71,6 @@ class ServeConfig:
 
     socket_path: str
     cache_dir: Optional[str] = None
-    #: Compile-pool width for a batch (None = auto, 0/1 = in-process).
-    jobs: Optional[int] = 0
 
 
 class Server:
@@ -91,11 +83,8 @@ class Server:
     ) -> None:
         self.config = config
         self.cache = cache or ArtifactCache(root=config.cache_dir)
-        from repro.perf.parallel import cache_enabled, job_timeout
+        from repro.perf.parallel import cache_enabled
 
-        # A malformed $REPRO_COMPILE_TIMEOUT fails startup, not the
-        # first pooled batch.
-        job_timeout()
         #: False under ``REPRO_COMPILE_CACHE=0``: memory-only serving
         #: (in-flight dedup still applies, nothing touches disk).
         self.cache_enabled = cache_enabled()
@@ -116,8 +105,8 @@ class Server:
     async def start(self) -> None:
         self._queue = asyncio.Queue()
         self._done = asyncio.Event()
-        # In-process compiles (pool fallbacks, jobs=0) must hit this
-        # store, not an environment-derived one.
+        # In-process compiles (simulate's compile_with_cache) must hit
+        # this store, not an environment-derived one.
         self._prev_default = set_default_cache(self.cache)
         # Everything on the loop thread (cache probes, bookkeeping)
         # counts against the daemon's own profiler.
@@ -334,8 +323,8 @@ class Server:
     def _key_for(self, request: Dict[str, Any]) -> str:
         op = request["op"]
         if op == "compile":
-            # perf.parallel's own derivation: daemon, pool workers and
-            # plain CLI runs share one set of entries.
+            # perf.parallel's own derivation: the daemon and plain CLI
+            # runs share one set of entries.
             from repro.perf.parallel import cache_key
 
             return cache_key(request["source"], request["opt"])
@@ -457,13 +446,11 @@ class Server:
         """A batch of store misses through
         :func:`~repro.perf.parallel.compile_batch`, a verdict per job.
         The loop thread probed the store and :meth:`_settle` does the
-        put, so the batch runs with the store off.  A wedged or dead
-        pool worker is the pool's to handle: it records the fault on the
-        active profiler — ours — and rescues the batch in-process.
+        put, so the batch runs with the store off.
         """
         from repro.perf.parallel import compile_batch
 
-        return compile_batch(jobs, self.config.jobs, False)
+        return compile_batch(jobs, use_cache=False)
 
     def _settle(self, key: str, op: str, outcome: Any) -> Any:
         """One finished job's reply: an exception becomes a typed
@@ -579,7 +566,7 @@ def _payload_from_blob(op: str, blob: bytes) -> Optional[Dict[str, Any]]:
     """Rebuilds a response payload from a cached blob (None = corrupt).
 
     Compile entries store the pickled ``CompiledProgram`` itself — the
-    exact bytes ``compile_with_cache`` and the pool workers write — so
+    exact bytes ``compile_with_cache`` writes — so
     the served artifact is byte-identical to the stored one.  Analyze
     and simulate entries store their (JSON-able) payload dict pickled.
     """

@@ -1,8 +1,8 @@
 """Content-addressed, cross-process artifact store.
 
 The store generalizes the original flat ``$REPRO_CACHE_DIR`` compile
-cache into the substrate every compile entry point — ``repro serve``,
-the compile pool, ``compile_with_cache`` — shares:
+cache into the substrate every compile entry point — ``repro serve``
+and ``compile_with_cache`` / ``compile_many`` — shares:
 
 * **Content addressing.**  A key is a SHA-256 over a canonical JSON
   rendering of the artifact's *inputs*: the artifact kind (``compile``,
@@ -11,8 +11,8 @@ the compile pool, ``compile_with_cache`` — shares:
   store schema, ``repro.__version__``, and a fingerprint of the
   installed compiler sources.  Same inputs ⇒ same key, in every
   process, on every machine running the same compiler — which is what
-  makes the cache safely shareable between the daemon, pool workers,
-  and plain CLI runs.
+  makes the cache safely shareable between the daemon and plain CLI
+  runs.
 
 * **Sharding.**  Entries live under ``root/<first two hex chars>/``
   (256 shards), so no single directory grows unboundedly and shard

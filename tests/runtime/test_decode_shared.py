@@ -18,6 +18,7 @@ text is compiled twice, and a split-phase access does not end its run.
 
 import dataclasses
 import inspect
+import os
 import re
 import time
 
@@ -639,13 +640,21 @@ def _run_seconds(programs, procs):
     return list(zip(best, messages))
 
 
+@pytest.mark.skipif(
+    os.environ.get("REPRO_HOST_TIMING") != "1",
+    reason="host-time ratio: set REPRO_HOST_TIMING=1 (CI's perf-gate does)",
+)
 def test_optimized_code_runs_on_the_fast_path():
     """A ratio of two runs on one host, so runner speed cancels: before
     get/put/store/sync_ctr fused, ocean@64 at O3 took 2.46x its O0 host
     time for the same messages (em3d@64 1.71x); with the local-home
     case fused, 1.07x (1.04x).  Now that a remote split-phase access
     issues from its run and the run goes on, optimized code must beat
-    O0 on both (~0.85x and ~0.75x)."""
+    O0 on both (~0.85x and ~0.75x).  Host noise moves the ratio by a
+    few hundredths between runs, so it runs only under
+    ``REPRO_HOST_TIMING=1``; the exact bail counts of
+    ``test_optimized_code_bails_no_more_per_message`` pin the
+    structural claim every run."""
     ratios = {}
     for name, source in FAST_PATH_KERNELS:
         (base, base_messages), (fast, fast_messages) = _run_seconds(

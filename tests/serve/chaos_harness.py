@@ -1,16 +1,16 @@
 """Seeded fault injection for the serve stack, and a supervised daemon.
 
 The chaos oracle (``test_chaos.py``) drives the real daemon through
-the faults a deployment meets — unix sockets, the daemon's lifecycle,
-the compile pool and the on-disk artifact store — from a
+the faults a deployment meets — unix sockets, the daemon's lifecycle
+and the on-disk artifact store — from a
 :class:`ServeFaultPlan`, a deterministic function of one seed:
 identical (plan, workload) pairs replay the exact same fault schedule,
 so every chaos failure is a one-command repro.
 
 :class:`ChaosServer` is a :class:`repro.serve.daemon.Server` that acts
 on a plan through the daemon's own seams: ``_checkpoint`` (crashes),
-``_write_frame`` (transport faults), ``_handle_client`` (refusals) and
-``_compile`` (pool wedges).  :class:`ServerThread` runs any server on a
+``_write_frame`` (transport faults) and ``_handle_client``
+(refusals).  :class:`ServerThread` runs any server on a
 background thread; :class:`ChaosHarness` supervises one under chaos.
 
 Fault classes
@@ -25,9 +25,6 @@ Fault classes
   socket unlink) at ``pre_cache_put``, ``mid_batch`` or ``mid_drain``,
   exactly what SIGKILL leaves behind; :class:`ChaosHarness` restarts
   it.
-* **Pool wedge** — the batch's pool workers sleep long enough to trip
-  the pool timeout (``$REPRO_COMPILE_TIMEOUT``), forcing the
-  in-process fallback.
 * **Store rot** — entries on disk are bit-flipped or truncated between
   requests; the store's header check must quarantine them.
 
@@ -93,8 +90,6 @@ class ServeFaultPlan:
     crash: Dict[str, float] = field(default_factory=dict)
     corrupt_blob: float = 0.0
     truncate_blob: float = 0.0
-    wedge: float = 0.0
-    wedge_seconds: float = 0.0
     #: seconds after :meth:`start_clock` at which faults stop firing
     #: (0 = only :meth:`heal_now` heals).
     heal_after: float = 0.0
@@ -178,15 +173,6 @@ class ServeFaultPlan:
     def crash_at(self, phase: str) -> bool:
         return self._roll(self.crash.get(phase, 0.0))
 
-    def pool_wedge_seconds(self) -> float:
-        return self.wedge_seconds if self._roll(self.wedge) else 0.0
-
-    def wedged_job(self) -> Optional["WedgedJob"]:
-        """The job function for one pool batch under a ``wedge`` fault
-        (None = no fault this batch: the real job function)."""
-        seconds = self.pool_wedge_seconds()
-        return WedgedJob(seconds) if seconds > 0 else None
-
     # -- store-side queries (driven by the harness) ------------------------
 
     def blob_fault(self) -> Optional[str]:
@@ -242,32 +228,11 @@ class ServeFaultPlan:
             parts.append(f"corrupt_blob={self.corrupt_blob:g}")
         if self.truncate_blob:
             parts.append(f"truncate_blob={self.truncate_blob:g}")
-        if self.wedge:
-            parts.append(f"wedge={self.wedge:g}:{self.wedge_seconds:g}")
         if self.heal_after:
             parts.append(f"heal_after={self.heal_after:g}")
         if not parts:
             parts.append("no-faults")
         return ",".join(parts)
-
-
-@dataclass(frozen=True)
-class WedgedJob:
-    """A compile job that hangs for ``seconds`` first — in a pool
-    worker only, where the pool's timeout can see it; the in-process
-    fallback that rescues the batch runs it without the sleep.
-    Picklable, so the pool can ship it to its workers."""
-
-    seconds: float
-
-    def __call__(self, job):
-        import multiprocessing
-
-        from repro.perf.parallel import compile_job
-
-        if multiprocessing.parent_process() is not None:
-            time.sleep(self.seconds)
-        return compile_job(job)
 
 
 class ChaosServer(Server):
@@ -370,17 +335,6 @@ class ChaosServer(Server):
             self._count("serve.chaos.garbled")
             data = self.plan.garble_frame(data)
         await super()._write_frame(writer, data)
-
-    # -- the compile pool --------------------------------------------------
-
-    def _compile(self, jobs):
-        job_fn = self.plan.wedged_job()
-        if job_fn is None:
-            return super()._compile(jobs)
-        from repro.perf.parallel import compile_batch
-
-        self._count("serve.chaos.wedged")
-        return compile_batch(jobs, self.config.jobs, False, job_fn)
 
 
 class ServerThread:

@@ -130,7 +130,6 @@ def run_schedule(seed, tmp_path, identity):
     config = ServeConfig(
         socket_path=str(tmp_path / f"chaos-{seed}.sock"),
         cache_dir=cache_dir,
-        jobs=0,
     )
     cache = ArtifactCache(root=cache_dir)
     harness = ChaosHarness(config, plan, cache=cache).start()
@@ -222,15 +221,13 @@ class TestFaultPlan:
     def test_heal_now_silences_every_fault(self):
         plan = ServeFaultPlan(
             refuse=1.0, disconnect=1.0, garble=1.0, stall=1.0,
-            crash={"mid_batch": 1.0}, corrupt_blob=1.0, wedge=1.0,
-            wedge_seconds=9.0,
+            crash={"mid_batch": 1.0}, corrupt_blob=1.0,
         )
         assert plan.refuse_connection()
         plan.heal_now()
         assert not plan.refuse_connection()
         assert plan.response_action(64) == ("deliver", 0)
         assert not plan.crash_at("mid_batch")
-        assert plan.pool_wedge_seconds() == 0.0
         assert plan.blob_fault() is None
 
     def test_heal_after_clock(self):
@@ -282,9 +279,8 @@ class TestChaosOracle:
             if budget and time.monotonic() - started > budget:
                 break
         assert completed >= 1
-        # No leaked serve threads: wedged pool threads sleep a
-        # bounded time, crashed daemons' threads exit with their
-        # loops.  Give stragglers a moment to unwind.
+        # No leaked serve threads: crashed daemons' threads exit with
+        # their loops.  Give stragglers a moment to unwind.
         deadline = time.monotonic() + 30
         while (
             len(serve_threads()) > threads_before
@@ -316,7 +312,6 @@ class TestChaosOracle:
         config = ServeConfig(
             socket_path=str(tmp_path / "fixed.sock"),
             cache_dir=cache_dir,
-            jobs=0,
         )
         cache = ArtifactCache(root=cache_dir)
         harness = ChaosHarness(config, plan, cache=cache).start()
@@ -348,7 +343,6 @@ class TestChaosOracle:
         config = ServeConfig(
             socket_path=str(tmp_path / "rot.sock"),
             cache_dir=cache_dir,
-            jobs=0,
         )
         cache = ArtifactCache(root=cache_dir)
         harness = ChaosHarness(config, plan, cache=cache).start()
@@ -382,7 +376,6 @@ class TestChaosOracle:
         config = ServeConfig(
             socket_path=str(tmp_path / "crash.sock"),
             cache_dir=cache_dir,
-            jobs=0,
         )
         cache = ArtifactCache(root=cache_dir)
         harness = ChaosHarness(config, plan, cache=cache).start()

@@ -19,11 +19,7 @@ from repro.serve import (
     ServeError,
     Server,
 )
-from tests.serve.chaos_harness import (
-    ChaosServer,
-    ServeFaultPlan,
-    ServerThread,
-)
+from tests.serve.chaos_harness import ServerThread
 
 SB = sb_program(2).source
 MP = mp_program(2).source
@@ -250,45 +246,20 @@ class TestErrors:
     def test_bad_source_in_batch_does_not_fail_neighbors(
         self, server, socket_path
     ):
-        """A good and a bad compile pipelined in one write queue
-        together and form one batch; the bad one must get its own
-        verdict."""
+        """A bad source pipelined between good ones queues with them and
+        forms one batch; it gets its own verdict, and each neighbour is
+        compiled exactly once."""
         responses = pipelined(socket_path, [
-            {"op": "compile", "source": SB, "opt": "O0"},
-            {"op": "compile", "source": BAD_SOURCE, "opt": "O0"},
+            {"op": "compile", "source": source, "opt": "O0"}
+            for source in (SB, MP, BAD_SOURCE)
         ])
+        assert responses[0]["result"]["artifact_sha256"]
+        assert responses[1]["result"]["artifact_sha256"]
         assert responses[0]["result"]["opt"] == "O0"
-        assert responses[1]["error"]["code"] == "compile_error"
-        assert server.server.profiler.counters.get("serve.batches") == 1
-
-    def test_bad_source_in_pooled_batch_compiles_neighbors_once(
-        self, socket_path, isolated_cache_dir
-    ):
-        """Through the pool (jobs=2) a bad source is still only its own
-        request's verdict: the finished neighbours are kept, not thrown
-        away and recompiled in-process."""
-        thread = ServerThread(Server(ServeConfig(
-            socket_path=socket_path,
-            cache_dir=isolated_cache_dir,
-            jobs=2,
-        )))
-        thread.start()
-        try:
-            responses = pipelined(socket_path, [
-                {"op": "compile", "source": source, "opt": "O0"}
-                for source in (SB, MP, BAD_SOURCE)
-            ])
-            assert responses[0]["result"]["artifact_sha256"]
-            assert responses[1]["result"]["artifact_sha256"]
-            assert responses[2]["error"]["code"] == "compile_error"
-            counters = thread.server.profiler.counters
-            assert counters.get("serve.batches") == 1
-            assert counters.get("compile.pool.jobs") == 3
-            # Every compile ran in a pool worker, none in the daemon.
-            assert counters.get("pipeline.compiles", 0) == 0
-            assert "compile.pool.serial_fallbacks" not in counters
-        finally:
-            thread.stop()
+        assert responses[2]["error"]["code"] == "compile_error"
+        counters = server.server.profiler.counters
+        assert counters.get("serve.batches") == 1
+        assert counters.get("compile.jobs") == 3
 
 
 class TestDispatcher:
@@ -348,7 +319,6 @@ class TestDedup:
         thread = ServerThread(Server(ServeConfig(
             socket_path=socket_path,
             cache_dir=isolated_cache_dir,
-            jobs=0,
         )))
         thread.start()
         try:
@@ -374,7 +344,7 @@ class TestDedup:
 
             counters = thread.server.profiler.counters
             # The load-bearing assertion: one underlying compile.
-            assert counters.get("compile.pool.jobs", 0) == 1
+            assert counters.get("compile.jobs", 0) == 1
             assert counters.get("pipeline.compiles", 0) == 1
             # Every other request either joined the in-flight future
             # (dedup) or arrived after the blob landed (cache hit).
@@ -421,7 +391,7 @@ class TestCrashRecovery:
             assert warm["cached"] is True
             assert warm["artifact_sha256"] == cold["artifact_sha256"]
             counters = second.server.profiler.counters
-            assert counters.get("compile.pool.jobs", 0) == 0
+            assert counters.get("compile.jobs", 0) == 0
         finally:
             second.stop()
 
@@ -551,104 +521,6 @@ class TestAdmissionControl:
             thread.stop()
 
 
-class TestWatchdog:
-    def test_wedged_pool_trips_watchdog_and_goes_serial(
-        self, socket_path, isolated_cache_dir, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "0.2")
-        thread = ServerThread(ChaosServer(
-            ServeConfig(
-                socket_path=socket_path,
-                cache_dir=isolated_cache_dir,
-                jobs=2,
-            ),
-            ServeFaultPlan(wedge=1.0, wedge_seconds=1.5, seed=0),
-        ))
-        thread.start()
-        try:
-            responses = pipelined(socket_path, [
-                {"op": "compile", "source": SB, "opt": "O0"},
-                {"op": "compile", "source": MP, "opt": "O0"},
-            ])
-            for response in responses.values():
-                # The serial fallback must still answer every request.
-                assert response["result"]["artifact_sha256"]
-            with ServeClient(socket_path) as client:
-                stats = client.stats()
-            assert stats["counters"].get("serve.chaos.wedged", 0) >= 1
-            # The pool's own telemetry reaches the daemon's profiler.
-            assert stats["counters"].get("compile.pool.timeouts", 0) >= 1
-            assert stats["counters"].get(
-                "compile.pool.serial_fallbacks", 0
-            ) >= 1
-            assert not [
-                worker for worker in threading.enumerate()
-                if worker.name == "repro-serve-pool-batch"
-            ], "no helper thread is left behind a wedged batch"
-        finally:
-            thread.stop()
-
-    def test_watchdog_trip_does_not_drain_the_cli_daemon(
-        self, socket_path, isolated_cache_dir
-    ):
-        """``repro serve`` drains on SIGTERM, and its forked pool
-        workers share that handler's wakeup fd: killing the wedged
-        workers must not read as a shutdown request.  The daemon is the
-        real CLI with a wedging :class:`ChaosServer` installed
-        (``tests/serve/wedged_serve.py``)."""
-        import os
-        import subprocess
-        import sys
-        import time as time_module
-
-        import repro
-
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        repo = os.path.dirname(src)
-        daemon = subprocess.Popen(
-            [
-                sys.executable, "-m", "tests.serve.wedged_serve", "serve",
-                "--socket", socket_path,
-                "--cache-dir", isolated_cache_dir,
-                "--jobs", "2",
-            ],
-            cwd=repo,
-            env=dict(
-                os.environ,
-                PYTHONPATH=os.pathsep.join([src, repo]),
-                REPRO_COMPILE_TIMEOUT="0.2",
-            ),
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time_module.monotonic() + 30
-            while not os.path.exists(socket_path):
-                assert time_module.monotonic() < deadline
-                time_module.sleep(0.05)
-            with ServeClient(socket_path) as client:
-                client.ping()  # listening, not just bound
-            responses = pipelined(socket_path, [
-                {"op": "compile", "source": SB, "opt": "O0"},
-                {"op": "compile", "source": MP, "opt": "O0"},
-            ])
-            for response in responses.values():
-                assert response["result"]["artifact_sha256"]
-            time_module.sleep(0.3)  # a drain would have begun by now
-            with ServeClient(socket_path) as client:
-                stats = client.stats()
-                counters = stats["counters"]
-                assert counters.get("compile.pool.timeouts", 0) >= 1
-                assert counters.get("compile.pool.serial_fallbacks", 0) >= 1
-                assert stats["draining"] is False
-                assert client.compile(LB, opt="O0")["artifact_sha256"]
-                client.shutdown()
-            assert daemon.wait(timeout=30) == 0
-        finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(timeout=30)
-
-
 class TestSocketRace:
     def test_two_daemons_racing_a_stale_socket(
         self, socket_path, isolated_cache_dir
@@ -754,20 +626,6 @@ class TestCliFailurePaths:
         ])
         assert code == 2
         assert "repro: error: max_attempts" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "inf"])
-    def test_serve_rejects_malformed_compile_timeout(
-        self, socket_path, monkeypatch, capsys, value
-    ):
-        import os
-
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", value)
-        assert main(["serve", "--socket", socket_path]) == 2
-        err = capsys.readouterr().err
-        assert "repro: error: $REPRO_COMPILE_TIMEOUT" in err
-        assert not os.path.exists(socket_path), "nothing was bound"
 
     def test_serve_rejects_malformed_store_budget(
         self, socket_path, monkeypatch, capsys

@@ -38,7 +38,7 @@ class TestKeys:
             artifact_key("simulate", source="s", seed=0, procs=4)
 
     def test_matches_compile_pool_derivation(self, isolated_cache_dir):
-        """The pool and the daemon must share one key space."""
+        """perf.parallel and the daemon must share one key space."""
         from repro.perf.parallel import cache_key
 
         assert cache_key("prog", "O3") == artifact_key(
@@ -300,7 +300,7 @@ class TestIntegrity:
         assert cache.quarantined == cache.corrupt == count
         with profiled(Profiler()) as prof:
             program = compile_with_cache(source, "O0")
-        assert prof.counters["compile.pool.jobs"] == 1
+        assert prof.counters["compile.jobs"] == 1
         assert program.pretty() == compile_source(
             source, OptLevel.O0
         ).pretty()
@@ -405,8 +405,8 @@ class TestDefaultCache:
     def test_every_compile_face_writes_the_same_entry(
         self, isolated_cache_dir, tmp_path, monkeypatch
     ):
-        """compile_with_cache and compile_many (serial and pooled) are
-        one store-fronted path: one key, one program."""
+        """compile_with_cache and compile_many are one store-fronted
+        path: one key, one program."""
         from repro.fuzz.litmus import mp_program, sb_program
         from repro.perf.parallel import (
             cache_key,
@@ -415,16 +415,14 @@ class TestDefaultCache:
         )
 
         sb, mp = sb_program(2).source, mp_program(2).source
-        pair = [(sb, "O3"), (mp, "O3")]  # two misses: the pool runs
+        pair = [(sb, "O3"), (mp, "O3")]
         faces = {
             "with_cache": lambda: compile_with_cache(sb, "O3"),
-            "many_serial": lambda: compile_many(pair, processes=0)[0],
-            "many_pool": lambda: compile_many(pair, processes=2)[0],
+            "many": lambda: compile_many(pair)[0],
         }
         texts = set()
         for name, face in faces.items():
-            # A fresh store per face, found through the environment so
-            # pool workers agree on it under any start method.
+            # A fresh store per face, found through the environment.
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
             set_default_cache(None)
             with profiled(Profiler()) as prof:
@@ -433,8 +431,7 @@ class TestDefaultCache:
             assert cache.get(cache_key(sb, "O3")) is not None, name
             stored = len(list(cache.iter_entries()))
             assert stored == (2 if name.startswith("many") else 1), name
-            assert prof.counters["compile.pool.jobs"] == stored, name
-            assert "compile.pool.serial_fallbacks" not in prof.counters
+            assert prof.counters["compile.jobs"] == stored, name
         assert len(texts) == 1
 
     def test_pickled_program_round_trip(self, isolated_cache_dir):
