@@ -17,9 +17,10 @@ text is compiled twice, and a split-phase access does not end its run.
 """
 
 import dataclasses
+import gc
 import inspect
-import os
 import re
+import statistics
 import time
 
 import pytest
@@ -625,43 +626,50 @@ def test_optimized_code_bails_no_more_per_message():
 # -- host time: optimized code is on the fast path -------------------------
 
 
-def _run_seconds(programs, procs):
-    """[(best host seconds of five runs, messages)] per program; the
-    programs' runs alternate, so a load spike hits both sides."""
-    best, messages = [None] * len(programs), [None] * len(programs)
-    for _ in range(5):
-        for k, program in enumerate(programs):
-            simulator = Simulator(program.module, procs, CM5)
-            start = time.perf_counter()
-            result = simulator.run()
-            seconds = time.perf_counter() - start
-            best[k] = seconds if best[k] is None else min(best[k], seconds)
+def _paired_ratio(base, fast, procs, pairs=21):
+    """(median over ``pairs`` back-to-back runs of fast/base host
+    seconds, [base messages, fast messages]).  Each pair runs both
+    programs within ~0.1 s, in alternating order, with the collector
+    quiet during each timed run, so a load spike or a collection lands
+    in a few pairs, and the median drops them."""
+    ratios, messages = [], [None, None]
+    for pair in range(pairs):
+        seconds = [None, None]
+        for k in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            simulator = Simulator((base, fast)[k].module, procs, CM5)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                result = simulator.run()
+                seconds[k] = time.perf_counter() - start
+            finally:
+                gc.enable()
             messages[k] = result.total_messages
-    return list(zip(best, messages))
+        ratios.append(seconds[1] / seconds[0])
+    return statistics.median(ratios), messages
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_HOST_TIMING") != "1",
-    reason="host-time ratio: set REPRO_HOST_TIMING=1 (CI's perf-gate does)",
-)
 def test_optimized_code_runs_on_the_fast_path():
     """A ratio of two runs on one host, so runner speed cancels: before
     get/put/store/sync_ctr fused, ocean@64 at O3 took 2.46x its O0 host
     time for the same messages (em3d@64 1.71x); with the local-home
     case fused, 1.07x (1.04x).  Now that a remote split-phase access
     issues from its run and the run goes on, optimized code must beat
-    O0 on both (~0.85x and ~0.75x).  Host noise moves the ratio by a
-    few hundredths between runs, so it runs only under
-    ``REPRO_HOST_TIMING=1``; the exact bail counts of
+    O0 on both (~0.89x and ~0.75x).  Single pairs on a shared 2-core
+    host read 0.6x to 1.3x for ocean, and a best-of-five ratio read
+    above 0.95 in about one window in ten; the median of 21 alternating
+    pairs stayed within 0.88-0.93 (EXPERIMENTS.md, "Why ocean's O3/O0
+    host ratio spreads").  The exact bail counts of
     ``test_optimized_code_bails_no_more_per_message`` pin the
-    structural claim every run."""
+    structural claim apart from the host."""
     ratios = {}
     for name, source in FAST_PATH_KERNELS:
-        (base, base_messages), (fast, fast_messages) = _run_seconds(
-            [compile_source(source, level) for level in (OptLevel.O0, O3)],
+        ratio, (base_messages, fast_messages) = _paired_ratio(
+            *[compile_source(source, level) for level in (OptLevel.O0, O3)],
             64)
-        ratios[name] = fast / base
-        print(f"{name}@64 O3/O0 host time {ratios[name]:.2f} "
+        ratios[name] = ratio
+        print(f"{name}@64 O3/O0 host time {ratio:.2f} "
               f"({fast_messages} vs {base_messages} messages)")
         if name == "ocean":
             assert fast_messages == base_messages
