@@ -6,7 +6,7 @@
     repro compile program.ms [--opt O0..O4] [--emit]
               [--verify-each-pass] [--print-after-pass PASS]
     repro run program.ms [--opt O3] [--procs 8] [--machine cm5] [--seed 0]
-              [--barrier-topology central|sense|tree] [--tree-fanin K]
+              [--barrier-topology central|tree]
               [--memory-model sc|tso|pso] [--drain-seed 0] [--strip-delays]
               [--faults drop=0.1,dup=0.05] [--fault-seed 0] [--verbose]
     repro passes
@@ -38,7 +38,6 @@ from repro.runtime.machine import (
     get_machine,
     validate_barrier_topology,
     validate_memory_model,
-    validate_tree_fanin,
 )
 
 
@@ -183,19 +182,14 @@ def _print_fault_summary(result) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # Validate every schedule knob before compiling anything: a typo'd
-    # machine, memory model, barrier topology, tree fan-in or
-    # processor count (with or without --faults) gets the one-line
-    # exit-2 diagnostic, never a traceback.
+    # machine, memory model, barrier topology or processor count (with
+    # or without --faults) gets the one-line exit-2 diagnostic, never a
+    # traceback.
     try:
         plan = _parse_faults(args)
         machine = get_machine(args.machine)
         model = validate_memory_model(args.memory_model)
         topology = validate_barrier_topology(args.barrier_topology)
-        fanin = args.tree_fanin
-        if topology == "tree":
-            fanin = validate_tree_fanin(
-                machine.tree_fanin if fanin is None else fanin
-            )
         if args.procs > machine.max_procs:
             raise ValueError(
                 f"{args.procs} processors exceeds the {machine.name} "
@@ -207,8 +201,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if model != "sc":
         machine = machine.with_memory_model(model, args.drain_seed)
-    if topology != machine.barrier_topology or fanin is not None:
-        machine = machine.with_barrier_topology(topology, fanin)
+    if topology != machine.barrier_topology:
+        machine = machine.with_barrier_topology(topology)
     program = compile_source(
         _read_source(args.source), OptLevel(args.opt),
         filename=args.source, options=_pipeline_options(args),
@@ -540,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="barrier synchronization topology "
              f"({', '.join(BARRIER_TOPOLOGIES)}; default central, "
              "the seed-identical rendezvous)",
-    )
-    run.add_argument(
-        "--tree-fanin", type=int, default=None, metavar="K",
-        help="combining-tree fan-in for --barrier-topology tree "
-             "(power of two >= 2; default the machine model's, 4)",
     )
     run.add_argument(
         "--memory-model", default="sc", metavar="MODEL",

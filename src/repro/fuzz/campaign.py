@@ -130,8 +130,8 @@ class FuzzConfig:
     procs_choices: Tuple[int, ...] = (2, 3, 4)
     phase_range: Tuple[int, int] = (3, 5)
     #: Barrier topology every schedule's machine runs ("central" =
-    #: the seed rendezvous; "sense"/"tree" exercise the scalable
-    #: topologies against the same snapshot/SC oracles).
+    #: the seed rendezvous; "tree" exercises the combining tree against
+    #: the same snapshot/SC oracles).
     barrier_topology: str = "central"
     sc_step_limit: int = 20_000
     failures_dir: str = "fuzz-failures"

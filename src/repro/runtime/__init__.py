@@ -20,7 +20,6 @@ from repro.runtime.machine import (
     MachineConfig,
     get_machine,
     validate_barrier_topology,
-    validate_tree_fanin,
 )
 from repro.runtime.memory import GlobalMemory
 from repro.runtime.network import (
@@ -31,7 +30,6 @@ from repro.runtime.network import (
     MsgKind,
     Network,
     NetworkStats,
-    StallWindow,
 )
 from repro.runtime.simulator import (
     ProcState,
@@ -41,9 +39,7 @@ from repro.runtime.simulator import (
     run_module,
 )
 from repro.runtime.topology import (
-    BarrierTopology,
     CentralBarrier,
-    SenseBarrier,
     TreeBarrier,
     build_topology,
 )
@@ -58,10 +54,7 @@ __all__ = [
     "DASH",
     "BARRIER_TOPOLOGIES",
     "validate_barrier_topology",
-    "validate_tree_fanin",
-    "BarrierTopology",
     "CentralBarrier",
-    "SenseBarrier",
     "TreeBarrier",
     "build_topology",
     "CalendarQueue",
@@ -72,7 +65,6 @@ __all__ = [
     "FaultPlan",
     "LinkPartition",
     "LinkStats",
-    "StallWindow",
     "Message",
     "MsgKind",
     "Simulator",

@@ -39,11 +39,10 @@ MEMORY_MODELS: Tuple[str, ...] = ("sc", "tso", "pso")
 #: Barrier synchronization topologies (Mellor-Crummey & Scott):
 #: ``central`` is the seed's single-coordinator rendezvous with a
 #: serialized release (cost grows linearly in the processor count);
-#: ``sense`` is a sense-reversing barrier whose release is one flag
-#: flip (flat cost); ``tree`` is a combining tree of fan-in
-#: ``tree_fanin`` whose arrive/release traffic cascades through the
-#: network in logarithmic depth.  See :mod:`repro.runtime.topology`.
-BARRIER_TOPOLOGIES: Tuple[str, ...] = ("central", "sense", "tree")
+#: ``tree`` is a combining tree of fan-in 4 whose arrive/release
+#: traffic cascades through the network in logarithmic depth.  See
+#: :mod:`repro.runtime.topology`.
+BARRIER_TOPOLOGIES: Tuple[str, ...] = ("central", "tree")
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,8 @@ class MachineConfig:
     #: None derives an adversarial window from the remote latency.
     drain_window: Optional[Tuple[int, int]] = None
     #: Which barrier synchronization structure the runtime builds:
-    #: "central" (seed-identical rendezvous), "sense" (sense-reversing,
-    #: flat release) or "tree" (combining tree of fan-in `tree_fanin`).
+    #: "central" (seed-identical rendezvous) or "tree" (combining tree).
     barrier_topology: str = "central"
-    #: Fan-in of the combining-tree barrier; must be a power of two >= 2.
-    tree_fanin: int = 4
     #: Largest configuration the preset models; the simulator and the
     #: CLI refuse larger ``--procs`` values.
     max_procs: int = 1024
@@ -121,15 +117,11 @@ class MachineConfig:
             drain_window=drain_window,
         )
 
-    def with_barrier_topology(
-        self, topology: str, tree_fanin: Optional[int] = None,
-    ) -> "MachineConfig":
+    def with_barrier_topology(self, topology: str) -> "MachineConfig":
         """The same machine with a different barrier structure."""
-        topology = validate_barrier_topology(topology)
-        fanin = self.tree_fanin if tree_fanin is None else tree_fanin
-        if topology == "tree":
-            fanin = validate_tree_fanin(fanin)
-        return replace(self, barrier_topology=topology, tree_fanin=fanin)
+        return replace(
+            self, barrier_topology=validate_barrier_topology(topology),
+        )
 
     @property
     def effective_drain_window(self) -> Tuple[int, int]:
@@ -220,11 +212,3 @@ def validate_barrier_topology(name: str) -> str:
         ) from None
     return topology
 
-
-def validate_tree_fanin(fanin: int) -> int:
-    """Checks a combining-tree fan-in: a power of two, at least 2."""
-    if fanin < 2 or fanin & (fanin - 1):
-        raise ValueError(
-            f"tree fan-in {fanin} is not a power of two >= 2"
-        )
-    return fanin

@@ -38,17 +38,16 @@ cycles.
 Fault-plan spec grammar (the CLI's ``--faults`` string)::
 
     spec      := item (',' item)*
-    item      := 'drop=P' | 'drop.KIND=P'        # drop probability
-               | 'dup=P'  | 'dup.KIND=P'         # duplication probability
+    item      := 'drop=P'                        # drop probability
+               | 'dup=P'                         # duplication probability
                | 'spike=P:CYCLES'                # latency spike
                | 'partition=A-B@START+DURATION'  # temporary link outage
-               | 'stall=PID@START+DURATION'      # processor stall window
                | 'retry_cap=N'                   # retransmission budget
                | 'seed=N'                        # fault RNG seed
 
-where ``KIND`` is a lower-case :class:`MsgKind` value (``store_req``,
-``put_req``, ``net_ack``, ...), probabilities are floats in [0, 1] and
-times are cycles.  Example: ``drop=0.1,dup=0.05,drop.store_req=0.2,
+where probabilities are floats in [0, 1] that apply to every message
+kind (transport acks included), and cycles, durations and the retry
+cap are non-negative integers.  Example: ``drop=0.1,dup=0.05,
 spike=0.02:2000,partition=0-1@1000+5000``.
 """
 
@@ -58,7 +57,7 @@ import enum
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.errors import NetworkFault
 from repro.runtime.trace import MemEvent
@@ -154,70 +153,28 @@ class LinkPartition:
 
 
 @dataclass(frozen=True)
-class StallWindow:
-    """A window during which one processor's core makes no progress.
-
-    The network interface keeps servicing traffic (active-message
-    handlers run in the NI, not the stalled core); only the core's
-    resumption is pushed past the window's end.
-    """
-
-    pid: int
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic description of what the network breaks.
 
-    Probabilities apply per physical transmission: a retransmitted
-    envelope rolls the dice again.  ``drop``/``duplicate`` are the
-    defaults for every :class:`MsgKind`; the ``*_by_kind`` maps
-    override per kind.  All randomness is drawn from one RNG seeded
-    with ``seed``, so identical (plan, program, machine seed) triples
-    replay byte-for-byte.
+    Probabilities apply per physical transmission, to every
+    :class:`MsgKind` alike: a retransmitted envelope rolls the dice
+    again.  All randomness is drawn from one RNG seeded with ``seed``,
+    so identical (plan, program, machine seed) triples replay
+    byte-for-byte.
     """
 
     drop: float = 0.0
     duplicate: float = 0.0
-    drop_by_kind: Mapping[MsgKind, float] = field(default_factory=dict)
-    dup_by_kind: Mapping[MsgKind, float] = field(default_factory=dict)
     #: probability / magnitude of an extra latency spike per copy
     spike_prob: float = 0.0
     spike_cycles: int = 0
     partitions: Tuple[LinkPartition, ...] = ()
-    stalls: Tuple[StallWindow, ...] = ()
     #: maximum retransmissions per envelope before NetworkFault
     retry_cap: int = 10
     seed: int = 0
 
-    # -- queries ----------------------------------------------------------
-
-    def drop_prob(self, kind: MsgKind) -> float:
-        return self.drop_by_kind.get(kind, self.drop)
-
-    def dup_prob(self, kind: MsgKind) -> float:
-        return self.dup_by_kind.get(kind, self.duplicate)
-
     def partitioned(self, src: int, dst: int, now: int) -> bool:
         return any(p.covers(src, dst, now) for p in self.partitions)
-
-    def stalled_until(self, pid: int, time: int) -> int:
-        """The earliest cycle >= ``time`` at which ``pid`` may run."""
-        moved = True
-        while moved:  # windows may abut or overlap
-            moved = False
-            for window in self.stalls:
-                if window.pid == pid and window.start <= time < window.end:
-                    time = window.end
-                    moved = True
-        return time
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        from dataclasses import replace
-
-        return replace(self, seed=seed)
 
     # -- parsing ----------------------------------------------------------
 
@@ -225,10 +182,7 @@ class FaultPlan:
     def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
         """Parses the ``--faults`` grammar documented in the module."""
         kwargs: Dict[str, object] = {"seed": seed}
-        drop_by_kind: Dict[MsgKind, float] = {}
-        dup_by_kind: Dict[MsgKind, float] = {}
         partitions: List[LinkPartition] = []
-        stalls: List[StallWindow] = []
         for raw in spec.split(","):
             item = raw.strip()
             if not item:
@@ -243,34 +197,26 @@ class FaultPlan:
             value = value.strip()
             try:
                 if key == "drop":
-                    kwargs["drop"] = _prob(value, item)
+                    kwargs["drop"] = _prob(value)
                 elif key == "dup":
-                    kwargs["duplicate"] = _prob(value, item)
-                elif key.startswith("drop."):
-                    drop_by_kind[_kind(key[5:])] = _prob(value, item)
-                elif key.startswith("dup."):
-                    dup_by_kind[_kind(key[4:])] = _prob(value, item)
+                    kwargs["duplicate"] = _prob(value)
                 elif key == "spike":
                     prob, _, cycles = value.partition(":")
-                    kwargs["spike_prob"] = _prob(prob, item)
-                    kwargs["spike_cycles"] = int(cycles or "0")
+                    kwargs["spike_prob"] = _prob(prob)
+                    kwargs["spike_cycles"] = _count(
+                        cycles or "0", "spike cycles",
+                    )
                 elif key == "partition":
                     link, _, window = value.partition("@")
                     a, _, b = link.partition("-")
                     start, _, duration = window.partition("+")
                     begin = int(start)
                     partitions.append(LinkPartition(
-                        int(a), int(b), begin, begin + int(duration)
-                    ))
-                elif key == "stall":
-                    pid, _, window = value.partition("@")
-                    start, _, duration = window.partition("+")
-                    begin = int(start)
-                    stalls.append(StallWindow(
-                        int(pid), begin, begin + int(duration)
+                        int(a), int(b), begin,
+                        begin + _count(duration, "partition duration"),
                     ))
                 elif key == "retry_cap":
-                    kwargs["retry_cap"] = int(value)
+                    kwargs["retry_cap"] = _count(value, "retry_cap")
                 elif key == "seed":
                     kwargs["seed"] = int(value)
                 else:
@@ -279,49 +225,42 @@ class FaultPlan:
                 raise ValueError(
                     f"bad fault item {item!r}: {exc}"
                 ) from None
-        kwargs["drop_by_kind"] = drop_by_kind
-        kwargs["dup_by_kind"] = dup_by_kind
         kwargs["partitions"] = tuple(partitions)
-        kwargs["stalls"] = tuple(stalls)
         return cls(**kwargs)  # type: ignore[arg-type]
 
     def describe(self) -> str:
         """The plan as a ``--faults`` spec that parses back to it."""
-        parts = [f"drop={self.drop:g}", f"dup={self.duplicate:g}"]
-        for kind, prob in sorted(self.drop_by_kind.items(),
-                                 key=lambda kv: kv[0].value):
-            parts.append(f"drop.{kind.value}={prob:g}")
-        for kind, prob in sorted(self.dup_by_kind.items(),
-                                 key=lambda kv: kv[0].value):
-            parts.append(f"dup.{kind.value}={prob:g}")
-        if self.spike_prob:
-            parts.append(f"spike={self.spike_prob:g}:{self.spike_cycles}")
+        parts = [f"drop={_num(self.drop)}", f"dup={_num(self.duplicate)}"]
+        if self.spike_prob or self.spike_cycles:
+            parts.append(
+                f"spike={_num(self.spike_prob)}:{self.spike_cycles}"
+            )
         for p in self.partitions:
             parts.append(
                 f"partition={p.a}-{p.b}@{p.start}+{p.heal - p.start}"
             )
-        for s in self.stalls:
-            parts.append(f"stall={s.pid}@{s.start}+{s.end - s.start}")
         parts.append(f"retry_cap={self.retry_cap}")
         parts.append(f"seed={self.seed}")
         return ",".join(parts)
 
 
-def _prob(text: str, _item: str = "") -> float:
+def _prob(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"probability {value} outside [0, 1]")
     return value
 
 
-def _kind(name: str) -> MsgKind:
-    try:
-        return MsgKind(name.lower())
-    except ValueError:
-        known = ", ".join(k.value for k in MsgKind)
-        raise ValueError(
-            f"unknown message kind {name!r} (known: {known})"
-        ) from None
+def _count(text: str, what: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{what} {value} is negative")
+    return value
+
+
+def _num(value: float) -> str:
+    """The shortest text that parses back to ``value`` exactly."""
+    return repr(value).removesuffix(".0")
 
 
 # -- statistics --------------------------------------------------------------
@@ -456,7 +395,7 @@ class Network:
             lstats = self.link_stats[link] = LinkStats()
         lstats.sent += 1
         copies = 1
-        if self._frng.random() < plan.dup_prob(msg.kind):
+        if self._frng.random() < plan.duplicate:
             copies = 2
             stats.record_duplicate(msg.kind)
             lstats.duplicated += 1
@@ -467,7 +406,7 @@ class Network:
                 lstats.partition_drops += 1
                 lstats.dropped += 1
                 continue
-            if self._frng.random() < plan.drop_prob(msg.kind):
+            if self._frng.random() < plan.drop:
                 stats.record_drop(msg.kind)
                 lstats.dropped += 1
                 continue

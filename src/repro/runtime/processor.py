@@ -101,9 +101,7 @@ class Processor:
         #: barriers this processor has executed (the per-proc
         #: generation serial the precedence oracle pairs arrivals by)
         self.barrier_no = 0
-        module = sim.module
-        main = module.functions[sim.entry]
-        self.frames: List[_Frame] = [self._make_frame(main, None)]
+        self.frames: List[_Frame] = [self._make_frame(sim.module.main, None)]
 
     def _make_frame(self, function: Function,
                     result_dest: Optional[Temp]) -> _Frame:

@@ -51,7 +51,7 @@ from repro.runtime.memory import GlobalMemory, StoreBuffers
 from repro.runtime.network import FaultPlan, Message, MsgKind, Network, Transport
 from repro.runtime.processor import _SYNC_REQUEST, Processor, ProcState, _land
 from repro.runtime.sync_objects import FlagTable, LockTable
-from repro.runtime.topology import BarrierTopology, build_topology
+from repro.runtime.topology import CentralBarrier, TreeBarrier, build_topology
 from repro.runtime.trace import ExecutionTrace, SyncRecord
 
 Value = Union[int, float]
@@ -134,7 +134,6 @@ class Simulator:
         machine: MachineConfig,
         seed: int = 0,
         trace: bool = False,
-        entry: str = "main",
         max_cycles: int = 500_000_000,
         fault_plan: Optional[FaultPlan] = None,
         delay_fences: Optional[frozenset] = None,
@@ -147,10 +146,8 @@ class Simulator:
         self.module = module
         self.num_procs = num_procs
         self.machine = machine
-        self.entry = entry
         self.max_cycles = max_cycles
         self.memory = GlobalMemory(module, num_procs)
-        self.fault_plan = fault_plan
         #: instruction uids that must drain the store buffer before
         #: executing (targets of compiler-placed delay edges)
         self.delay_fences: frozenset = delay_fences or frozenset()
@@ -170,7 +167,9 @@ class Simulator:
         )
         self.flags = FlagTable()
         self.locks = LockTable()
-        self.topology: BarrierTopology = build_topology(machine, self)
+        self.topology: Union[CentralBarrier, TreeBarrier] = build_topology(
+            machine, self,
+        )
         self.trace: Optional[ExecutionTrace] = (
             ExecutionTrace(num_procs) if trace else None
         )
@@ -240,8 +239,6 @@ class Simulator:
         self._deliver(self.network.send(msg, now), msg)
 
     def schedule_resume(self, pid: int, time: int) -> None:
-        if self.fault_plan is not None:
-            time = self.fault_plan.stalled_until(pid, time)
         self._push(time, ("resume", pid))
 
     def schedule_drain(self, pid: int, entry_id: int, time: int) -> None:

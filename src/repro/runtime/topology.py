@@ -1,4 +1,4 @@
-"""Pluggable barrier synchronization topologies.
+"""Barrier synchronization topologies.
 
 The seed simulator hard-wired one barrier: every processor sends a
 ``BARRIER_ARRIVE`` to node 0, which, once all have arrived *and* every
@@ -10,51 +10,43 @@ Mellor-Crummey & Scott's scalable barriers eliminate, and at the
 (4,136 cycles per release at 1024 procs on the CM-5 model vs. a flat
 40).
 
-This module extracts the barrier into a strategy object selected by
-:attr:`MachineConfig.barrier_topology`:
+:attr:`MachineConfig.barrier_topology` selects one of two strategy
+objects:
 
 ``central``
     The seed rendezvous, bit-for-bit: same messages, same release
     formula, same store-drain gate.  The topology tests pin it
     against the test-side reference engine.
 
-``sense``
-    A sense-reversing barrier: arrivals are unchanged (every processor
-    still notifies the coordinator), but the release is modeled as a
-    single sense-flag flip — ``barrier_base`` cycles, independent of
-    the processor count.  Release notifications still travel the
-    (fault-injectable) network.
-
 ``tree``
-    A combining tree of fan-in ``tree_fanin`` (node ``i``'s parent is
-    ``(i - 1) // fanin``).  A processor's own arrival combines locally
+    A combining tree of fan-in :data:`FANIN` (node ``i``'s parent is
+    ``(i - 1) // FANIN``).  A processor's own arrival combines locally
     at its node; when a node has heard from its own processor and every
     child subtree it sends one combined ``BARRIER_ARRIVE`` up.  The
-    root's completion gates on store drain like the others, then the
-    release cascades back down the tree, so both phases cost
-    ``O(log_fanin P)`` network hops instead of ``O(P)`` serialized
-    work.  Combining and forwarding steal ``remote_handle`` cycles from
-    the node's CPU (active-message style), matching how the simulator
+    root's completion gates on store drain like the central one, then
+    the release cascades back down the tree, so both phases cost
+    ``O(log P)`` network hops instead of ``O(P)`` serialized work.
+    Combining and forwarding steal ``remote_handle`` cycles from the
+    node's CPU (active-message style), matching how the simulator
     charges every other handler.
 
-All barrier traffic flows through ``Simulator.send`` and therefore
-composes with jitter, fault plans (drop/duplicate/partition) and the
-reliability protocol unchanged; the store-drain gate (the implicit
-``all_store_sync``) is preserved by every topology.  Because a barrier
-release never carries data, topologies differ only in *timing*:
-deterministic programs produce identical final snapshots under all
-three (a property the topology tests assert).
+Both expose the same entry points (``local_arrive``, ``on_arrive``,
+``on_release``, ``maybe_release``) and forensics (``pending_release``,
+``generation``, ``describe_block``, ``forensics``).  All barrier
+traffic flows through ``Simulator.send`` and therefore composes with
+jitter, fault plans (drop/duplicate/partition) and the reliability
+protocol unchanged; the store-drain gate (the implicit
+``all_store_sync``) is preserved by both.  Because a barrier release
+never carries data, the topologies differ only in *timing*:
+deterministic programs produce identical final snapshots under both
+(a property the topology tests assert).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Union
 
-from repro.runtime.machine import (
-    MachineConfig,
-    validate_barrier_topology,
-    validate_tree_fanin,
-)
+from repro.runtime.machine import MachineConfig, validate_barrier_topology
 from repro.runtime.network import Message, MsgKind
 from repro.runtime.sync_objects import BarrierState
 
@@ -62,53 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.simulator import Simulator
 
 
-class BarrierTopology:
-    """Strategy interface the simulator delegates barrier traffic to."""
-
-    name = "abstract"
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-
-    # -- the four entry points --------------------------------------------
-
-    def local_arrive(self, pid: int, now: int) -> None:
-        """Processor ``pid`` executed a BARRIER opcode at ``now`` (its
-        ``send_overhead`` is already charged)."""
-        raise NotImplementedError
-
-    def on_arrive(self, arrival: int, msg: Message) -> None:
-        """A ``BARRIER_ARRIVE`` message landed at ``msg.dst``."""
-        raise NotImplementedError
-
-    def on_release(self, arrival: int, msg: Message) -> None:
-        """A ``BARRIER_RELEASE`` message landed at ``msg.dst``."""
-        raise NotImplementedError
-
-    def maybe_release(self, now: int) -> None:
-        """Called whenever the store-drain gate opens (all one-way
-        stores drained); fires the pending release, if any."""
-        raise NotImplementedError
-
-    # -- forensics ---------------------------------------------------------
-
-    @property
-    def pending_release(self) -> bool:
-        raise NotImplementedError
-
-    def generation(self) -> int:
-        raise NotImplementedError
-
-    def describe_block(self) -> str:
-        """One line for ``_describe_block_reason``."""
-        raise NotImplementedError
-
-    def forensics(self) -> List[str]:
-        """Lines for the deadlock report's sync-object section."""
-        raise NotImplementedError
+#: Fan-in of the combining-tree barrier.
+FANIN = 4
 
 
-class CentralBarrier(BarrierTopology):
+class CentralBarrier:
     """The seed's central rendezvous, extracted verbatim.
 
     Release cost is ``barrier_base + barrier_per_proc * num_procs``
@@ -117,10 +67,8 @@ class CentralBarrier(BarrierTopology):
     anchor for every differential test.
     """
 
-    name = "central"
-
     def __init__(self, sim: "Simulator"):
-        super().__init__(sim)
+        self.sim = sim
         self.state = BarrierState(sim.num_procs)
 
     def local_arrive(self, pid: int, now: int) -> None:
@@ -179,47 +127,25 @@ class CentralBarrier(BarrierTopology):
         ]
 
 
-class SenseBarrier(CentralBarrier):
-    """Sense-reversing variant: arrivals as central, flat release.
+class TreeBarrier:
+    """Combining-tree barrier of fan-in :data:`FANIN` (MCS tree barrier).
 
-    Mellor-Crummey & Scott's sense-reversing barrier releases by
-    flipping one shared sense flag that every spinner observes, so the
-    release carries no per-processor serialization.  Here that means
-    the release fires ``barrier_base`` cycles after the last arrival
-    (and after stores drain) with *no* ``barrier_per_proc`` term.
-    """
-
-    name = "sense"
-
-    def _release_time(self, now: int) -> int:
-        return (
-            max(now, self.state.last_arrival_time)
-            + self.sim.machine.barrier_base
-        )
-
-
-class TreeBarrier(BarrierTopology):
-    """Combining-tree barrier of fan-in ``k`` (MCS tree barrier).
-
-    Node ``i``'s parent is ``(i - 1) // k``; its children are
-    ``k*i + 1 .. k*i + k`` (clipped to the machine size).  Arrivals
-    combine upward: a node reports to its parent once its own
+    Node ``i``'s parent is ``(i - 1) // FANIN``; its children are
+    ``FANIN*i + 1 .. FANIN*i + FANIN`` (clipped to the machine size).
+    Arrivals combine upward: a node reports to its parent once its own
     processor and all child subtrees have arrived.  The release
     cascades downward from the root after the store-drain gate opens.
     Both directions are real network messages, so faults and jitter
     apply per hop.
     """
 
-    name = "tree"
-
-    def __init__(self, sim: "Simulator", fanin: int):
-        super().__init__(sim)
-        self.fanin = validate_tree_fanin(fanin)
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
         n = sim.num_procs
         self.parent = [0] * n
         self.children: List[List[int]] = [[] for _ in range(n)]
         for node in range(1, n):
-            parent = (node - 1) // fanin
+            parent = (node - 1) // FANIN
             self.parent[node] = parent
             self.children[parent].append(node)
         #: arrivals a node needs before reporting up: its own processor
@@ -312,7 +238,7 @@ class TreeBarrier(BarrierTopology):
         )
         return (
             f"barrier generation {self._generation} "
-            f"(tree fan-in {self.fanin}, {done}/{self.sim.num_procs} "
+            f"(tree fan-in {FANIN}, {done}/{self.sim.num_procs} "
             "subtrees combined)"
         )
 
@@ -323,8 +249,8 @@ class TreeBarrier(BarrierTopology):
             if 0 < self.count[node] < self.needed[node]
         ]
         lines = [
-            f"  barrier[{self.name}]: generation {self._generation}, "
-            f"fan-in {self.fanin}, pending_release={self._pending}"
+            f"  barrier[tree]: generation {self._generation}, "
+            f"fan-in {FANIN}, pending_release={self._pending}"
         ]
         if partial:
             lines.append(
@@ -333,11 +259,10 @@ class TreeBarrier(BarrierTopology):
         return lines
 
 
-def build_topology(machine: MachineConfig, sim: "Simulator") -> BarrierTopology:
+def build_topology(
+    machine: MachineConfig, sim: "Simulator",
+) -> Union[CentralBarrier, TreeBarrier]:
     """Instantiates the barrier strategy ``machine`` selects."""
-    topology = validate_barrier_topology(machine.barrier_topology)
-    if topology == "central":
-        return CentralBarrier(sim)
-    if topology == "sense":
-        return SenseBarrier(sim)
-    return TreeBarrier(sim, machine.tree_fanin)
+    if validate_barrier_topology(machine.barrier_topology) == "tree":
+        return TreeBarrier(sim)
+    return CentralBarrier(sim)

@@ -166,10 +166,19 @@ class TestRunWithFaults:
         assert outputs[0] != outputs[1]
 
     def test_bad_fault_spec_exits_two(self, program_file, capsys):
-        assert main(["run", program_file, "--faults", "drop=7"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert "outside [0, 1]" in err
+        for spec, reason in [
+            ("drop=7", "outside [0, 1]"),
+            ("spike=1:-100", "spike cycles -100 is negative"),
+            # keys of removed modes: stall windows, per-kind rates
+            ("stall=1@5+10", "unknown fault key 'stall'"),
+            ("drop.store_req=0.3", "unknown fault key 'drop.store_req'"),
+            ("dup.net_ack=0.2", "unknown fault key 'dup.net_ack'"),
+        ]:
+            assert main(["run", program_file, "--faults", spec]) == 2, spec
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error:"), spec
+            assert err.count("\n") == 1, err
+            assert reason in err, err
 
     def test_retry_cap_exhaustion_one_line_diagnostic(
         self, program_file, capsys
@@ -265,11 +274,11 @@ class TestPipelineDebugFlags:
 
 
 class TestRuntimeFlags:
-    """--barrier-topology / --tree-fanin / --procs limits."""
+    """--barrier-topology / --procs limits."""
 
     def test_run_under_each_topology(self, program_file, capsys):
         outputs = []
-        for topology in ("central", "sense", "tree"):
+        for topology in ("central", "tree"):
             assert main([
                 "run", program_file, "--procs", "4",
                 "--barrier-topology", topology,
@@ -278,30 +287,15 @@ class TestRuntimeFlags:
         assert all("cycles" in out for out in outputs)
 
     def test_unknown_topology_exits_two(self, program_file, capsys):
-        assert main([
-            "run", program_file, "--barrier-topology", "mesh",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert "unknown barrier topology 'mesh'" in err
-        assert "central" in err and "tree" in err
-
-    def test_non_power_of_two_fanin_exits_two(self, program_file, capsys):
-        assert main([
-            "run", program_file, "--barrier-topology", "tree",
-            "--tree-fanin", "3",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert "not a power of two" in err
-
-    def test_fanin_without_tree_is_ignored(self, program_file, capsys):
-        # --tree-fanin only matters under --barrier-topology tree; a
-        # bogus value with the default central topology must not trip.
-        assert main([
-            "run", program_file, "--procs", "2", "--tree-fanin", "3",
-        ]) == 0
-        assert "cycles" in capsys.readouterr().out
+        for name in ("mesh", "sense"):
+            assert main([
+                "run", program_file, "--barrier-topology", name,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error:")
+            assert err.count("\n") == 1, err
+            assert f"unknown barrier topology '{name}'" in err
+            assert "(known: central, tree)" in err
 
     def test_procs_over_machine_limit_exits_two(self, program_file, capsys):
         assert main([
@@ -339,9 +333,11 @@ class TestRuntimeFlags:
         assert payload["totals"]["runs"] > 0
 
     def test_fuzz_unknown_topology_exits_two(self, capsys):
-        assert main([
-            "fuzz", "--iterations", "1", "--barrier-topology", "ring",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error:")
-        assert "unknown barrier topology 'ring'" in err
+        for name in ("ring", "sense"):
+            assert main([
+                "fuzz", "--iterations", "1", "--barrier-topology", name,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error:")
+            assert err.count("\n") == 1, err
+            assert f"unknown barrier topology '{name}'" in err

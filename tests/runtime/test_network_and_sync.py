@@ -1,9 +1,17 @@
 """Network model and synchronization-object tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RuntimeFault
-from repro.runtime.network import FaultPlan, Message, MsgKind, Network
+from repro.runtime.network import (
+    FaultPlan,
+    LinkPartition,
+    Message,
+    MsgKind,
+    Network,
+)
 from repro.runtime.sync_objects import BarrierState, FlagTable, LockTable
 
 
@@ -62,15 +70,26 @@ class TestNetwork:
             )
 
 
-def test_fault_plan_describe_parses_back_to_the_same_plan():
+_PROBS = st.floats(min_value=0.0, max_value=1.0)
+_CYCLES = st.integers(min_value=0, max_value=10**9)
+_PARTITIONS = st.builds(
+    lambda a, b, start, duration: LinkPartition(a, b, start, start + duration),
+    st.integers(0, 1023), st.integers(0, 1023), _CYCLES, _CYCLES,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    FaultPlan, drop=_PROBS, duplicate=_PROBS, spike_prob=_PROBS,
+    spike_cycles=_CYCLES,
+    partitions=st.lists(_PARTITIONS, max_size=3).map(tuple),
+    retry_cap=st.integers(min_value=0, max_value=64),
+    seed=st.integers(min_value=-2**63, max_value=2**63),
+))
+def test_fault_plan_describe_parses_back_to_the_same_plan(plan):
     # ``repro run --faults`` prints this string as its "fault plan:"
     # line; pasting it back must give the same plan, seed included.
-    plan = FaultPlan.parse(
-        "drop=0.1,dup=0.05,drop.store_req=0.3,dup.net_ack=0.2,"
-        "spike=0.05:2000,partition=0-1@100+50,stall=1@5+10,retry_cap=7,"
-        "seed=9"
-    )
-    assert "seed=9" in plan.describe()
+    assert f"seed={plan.seed}" in plan.describe()
     assert FaultPlan.parse(plan.describe()) == plan
 
 

@@ -4,15 +4,11 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.runtime import CM5, run_module
-from repro.runtime.machine import (
-    BARRIER_TOPOLOGIES,
-    validate_barrier_topology,
-    validate_tree_fanin,
-)
+from repro.runtime.machine import BARRIER_TOPOLOGIES, validate_barrier_topology
 from repro.runtime.network import FaultPlan
 from repro.runtime.topology import (
+    FANIN,
     CentralBarrier,
-    SenseBarrier,
     TreeBarrier,
     build_topology,
 )
@@ -47,8 +43,8 @@ RELAY = (
 
 
 class TestTreeMath:
-    def _tree(self, procs, fanin):
-        machine = CM5.with_barrier_topology("tree", fanin)
+    def _tree(self, procs):
+        machine = CM5.with_barrier_topology("tree")
         result = run(RELAY, procs=procs, machine=machine)
         assert result.cycles > 0
         # Rebuild the structure the run used to inspect its shape.
@@ -58,31 +54,25 @@ class TestTreeMath:
         return build_topology(machine, sim)
 
     def test_parent_child_inverse(self):
-        tree = self._tree(8, 2)
+        tree = self._tree(8)
         assert isinstance(tree, TreeBarrier)
         for node in range(1, 8):
-            assert tree.parent[node] == (node - 1) // 2
+            assert tree.parent[node] == (node - 1) // FANIN
             assert node in tree.children[tree.parent[node]]
 
     def test_needed_counts_cover_all_procs(self):
         # Every processor is counted exactly once: by itself at its
         # own node.  Summing (needed - children) over nodes must give
         # the machine size.
-        tree = self._tree(8, 4)
+        tree = self._tree(8)
         assert sum(
             tree.needed[n] - len(tree.children[n]) for n in range(8)
         ) == 8
 
-    def test_non_power_of_two_fanin_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            validate_tree_fanin(3)
-        with pytest.raises(ValueError, match="power of two"):
-            validate_tree_fanin(1)
-        assert validate_tree_fanin(8) == 8
-
     def test_unknown_topology_rejected(self):
-        with pytest.raises(KeyError, match="unknown barrier topology"):
-            validate_barrier_topology("mesh")
+        for name in ("mesh", "sense"):
+            with pytest.raises(KeyError, match="unknown barrier topology"):
+                validate_barrier_topology(name)
 
     def test_builder_dispatch(self):
         from repro.runtime.simulator import Simulator
@@ -90,7 +80,6 @@ class TestTreeMath:
         module = inlined(RELAY)
         for name, cls in [
             ("central", CentralBarrier),
-            ("sense", SenseBarrier),
             ("tree", TreeBarrier),
         ]:
             machine = CM5.with_barrier_topology(name)
@@ -139,13 +128,6 @@ class TestSnapshotIdentity:
         for result in results.values():
             assert result.snapshot() == base
 
-    def test_tree_fanin_choice_is_timing_only(self):
-        snaps = []
-        for fanin in (2, 4, 8):
-            machine = CM5.with_barrier_topology("tree", fanin)
-            snaps.append(run(RELAY, machine=machine).snapshot())
-        assert snaps[0] == snaps[1] == snaps[2]
-
 
 class TestEngineParity:
     """Every topology is cycle-identical under the test-side seed loop
@@ -158,14 +140,6 @@ class TestEngineParity:
 
 
 class TestTimingSignatures:
-    def test_sense_releases_faster_than_central(self):
-        # The sense-reversing release is a flat barrier_base flip while
-        # central serializes barrier_per_proc work per processor, so on
-        # a barrier-bound program sense must finish strictly earlier.
-        central = run(RELAY, machine=CM5.with_barrier_topology("central"))
-        sense = run(RELAY, machine=CM5.with_barrier_topology("sense"))
-        assert sense.cycles < central.cycles
-
     def test_central_matches_seed_formula(self):
         # central (the default) is the seed barrier bit-for-bit: under
         # the seed event loop it must not move a single cycle.
@@ -174,13 +148,14 @@ class TestTimingSignatures:
 
 class TestTreeForensics:
     def test_deadlock_report_names_the_partial_combine(self):
-        # Only processor 0 reaches the barrier.  Under a fan-in-2 tree
-        # on 4 processors, node 0 needs itself and its two children, so
-        # it combines 1 of 3 arrivals and no subtree completes.
-        machine = CM5.with_barrier_topology("tree", 2)
+        # Only processor 0 reaches the barrier.  Under the fan-in-4
+        # tree on 4 processors, node 0 needs itself and its three
+        # children, so it combines 1 of 4 arrivals and no subtree
+        # completes.
+        machine = CM5.with_barrier_topology("tree")
         with pytest.raises(DeadlockError) as caught:
             run("void main() { if (MYPROC == 0) { barrier(); } }",
                 procs=4, machine=machine)
         text = str(caught.value)
-        assert "tree fan-in 2, 0/4 subtrees combined" in text
-        assert "barrier partial combines: node 0: 1/3" in text
+        assert "tree fan-in 4, 0/4 subtrees combined" in text
+        assert "barrier partial combines: node 0: 1/4" in text

@@ -65,7 +65,7 @@ def test_timeout_strictly_exceeds_the_worst_round_trip():
 
 
 def test_duplicate_is_suppressed_and_counted():
-    transport, net, sim = make(FaultPlan(dup_by_kind={MsgKind.PUT_REQ: 1.0}))
+    transport, net, sim = make(FaultPlan(duplicate=1.0))
     put = Message(MsgKind.PUT_REQ, src=0, dst=1, value=7)
     transport.send(put, 0)
     copies = take(sim, "data")
@@ -74,9 +74,15 @@ def test_duplicate_is_suppressed_and_counted():
         transport.handle(*event)
     assert delivered(sim) == [put]
     assert net.stats.duplicates_suppressed == 1
-    # Both copies are acked: a retransmitting sender may have lost the
-    # first ack.
-    assert len(take(sim, "ack")) == 2
+    # Both copies are acked (a retransmitting sender may have lost the
+    # first ack), and the wire duplicates each ack as well.
+    acks = take(sim, "ack")
+    assert len(acks) == 4
+    for event in acks:
+        transport.handle(*event)
+    assert transport.forensics() == ["  unacked envelopes: none"]
+    assert net.stats.retry_histogram == {1: 1}
+    assert net.stats.total_duplicates == 3  # the envelope and both acks
 
 
 def test_out_of_order_envelopes_are_held_then_released_in_order_once():

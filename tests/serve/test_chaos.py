@@ -21,6 +21,7 @@ import os
 import pickle
 import threading
 import time
+import types
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.serve import protocol
 from repro.serve.client import RetryPolicy, ServeClient, ServeError
 from repro.serve.daemon import ServeConfig
 from repro.serve.store import ArtifactCache
+from tests.serve import chaos_harness
 from tests.serve.chaos_harness import ChaosHarness, ServeFaultPlan
 
 SB = sb_program(2).source
@@ -230,11 +232,17 @@ class TestFaultPlan:
         assert not plan.crash_at("mid_batch")
         assert plan.blob_fault() is None
 
-    def test_heal_after_clock(self):
-        plan = ServeFaultPlan(refuse=1.0, heal_after=0.05)
+    def test_heal_after_clock(self, monkeypatch):
+        # The plan reads a fake clock, so a host that stalls between
+        # two statements can neither heal it early nor late.
+        now = [0.0]
+        monkeypatch.setattr(chaos_harness, "time",
+                            types.SimpleNamespace(monotonic=lambda: now[0]))
+        plan = ServeFaultPlan(refuse=1.0, heal_after=0.5)
         plan.start_clock()
+        now[0] = 0.25
         assert plan.refuse_connection()
-        time.sleep(0.06)
+        now[0] = 0.5
         assert not plan.refuse_connection()
 
     def test_garble_preserves_frame_shape(self):
