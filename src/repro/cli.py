@@ -183,8 +183,9 @@ def _print_fault_summary(result) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Validate every schedule knob before compiling anything: a typo'd
     # machine, memory model, barrier topology or processor count (with
-    # or without --faults) gets the one-line exit-2 diagnostic, never a
-    # traceback.
+    # or without --faults), or a partition between processors the run
+    # lacks, gets the one-line exit-2 diagnostic, never a traceback or
+    # a silently fault-free run.
     try:
         plan = _parse_faults(args)
         machine = get_machine(args.machine)
@@ -195,6 +196,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{args.procs} processors exceeds the {machine.name} "
                 f"model's limit of {machine.max_procs}"
             )
+        for part in plan.partitions if plan is not None else ():
+            if max(part.a, part.b) >= args.procs:
+                raise ValueError(
+                    f"partition {part.a}-{part.b} names a processor "
+                    f"outside 0..{args.procs - 1}"
+                )
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"repro: error: {message}", file=sys.stderr)

@@ -129,7 +129,7 @@ class DeadlockError(RuntimeFault):
 
     ``report`` holds the multi-line forensics dump (per-processor
     blocked reason and program counter, pending sync-object state,
-    in-flight message counts); the exception string leads with a
+    undrained stores and unacked envelopes); the exception string leads with a
     one-line summary so log greps stay readable.
     """
 

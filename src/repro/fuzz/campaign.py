@@ -362,8 +362,8 @@ def _profile_is_weak(name: str) -> bool:
     return profile is not None and profile.weak
 
 
-def _make_schedules(rng: random.Random, config: FuzzConfig
-                    ) -> List[Schedule]:
+def _make_schedules(rng: random.Random, config: FuzzConfig,
+                    procs: int) -> List[Schedule]:
     schedules = [
         Schedule(
             net_seed=rng.getrandbits(16),
@@ -390,7 +390,7 @@ def _make_schedules(rng: random.Random, config: FuzzConfig
                 # leaves ~10 post-heal attempts for the worst outage
                 # generated here — a legitimate NetworkFault would
                 # otherwise surface as a false campaign failure).
-                a, b = rng.sample(range(4), 2)
+                a, b = rng.sample(range(procs), 2)
                 start = rng.randrange(0, 5000)
                 duration = rng.randrange(2000, 12000)
                 spec += f",partition={a}-{b}@{start}+{duration},retry_cap=16"
@@ -624,7 +624,7 @@ def run_campaign(
         program = generate_program(
             gen_seed, config.profile, procs, num_phases
         )
-        schedules = _make_schedules(rng, config)
+        schedules = _make_schedules(rng, config, program.procs)
         failure = check_program(program, schedules, config, stats)
         stats.programs += 1
         if failure is not None:

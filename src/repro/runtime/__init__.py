@@ -32,7 +32,6 @@ from repro.runtime.network import (
     NetworkStats,
 )
 from repro.runtime.simulator import (
-    ProcState,
     Processor,
     SimulationResult,
     Simulator,
@@ -69,7 +68,6 @@ __all__ = [
     "MsgKind",
     "Simulator",
     "Processor",
-    "ProcState",
     "SimulationResult",
     "run_module",
     "ExecutionTrace",

@@ -113,7 +113,3 @@ class LinkChannels:
             self._payloads[link] = ("link", ring)
         ring.append(msg)
         return self._payloads[link]
-
-    def pending(self) -> int:
-        """In-flight messages across all rings (forensics)."""
-        return sum(len(ring) for ring in self._rings.values())

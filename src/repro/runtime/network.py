@@ -97,14 +97,15 @@ class Message:
 
     ``var``/``flat`` name the element the requester resolved and
     bounds-checked, and the home applies; ``dest_temp``/``counter`` a
-    get's destination and the synchronizing counter; ``local_array``/
-    ``local_flat`` a fused get's landing pad; ``tag`` correlates
-    blocking requests and replies; ``event`` is a traced read's
-    MemEvent, riding request and reply until the value lands.
+    get's destination and the synchronizing counter (a reply without
+    one wakes its destination, which is parked at the request);
+    ``local_array``/``local_flat`` a fused get's landing pad; ``event``
+    is a traced read's MemEvent, riding request and reply until the
+    value lands.
     """
 
     __slots__ = ("kind", "src", "dst", "var", "flat", "value", "dest_temp",
-                 "counter", "local_array", "local_flat", "tag", "event")
+                 "counter", "local_array", "local_flat", "event")
 
     def __init__(self, kind: MsgKind, src: int, dst: int,
                  var: Optional[str] = None, flat: int = 0,
@@ -112,7 +113,7 @@ class Message:
                  dest_temp: Optional[str] = None,
                  counter: Optional[int] = None,
                  local_array: Optional[str] = None,
-                 local_flat: Optional[int] = None, tag: int = 0,
+                 local_flat: Optional[int] = None,
                  event: Optional[MemEvent] = None) -> None:
         self.kind = kind
         self.src = src
@@ -124,7 +125,6 @@ class Message:
         self.counter = counter
         self.local_array = local_array
         self.local_flat = local_flat
-        self.tag = tag
         self.event = event
 
     def __repr__(self) -> str:
@@ -144,6 +144,13 @@ class LinkPartition:
     #: outage window [start, heal) in cycles
     start: int
     heal: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.start <= self.heal:
+            raise ValueError(
+                f"partition window [{self.start}, {self.heal}) needs "
+                "0 <= start <= heal"
+            )
 
     def covers(self, src: int, dst: int, now: int) -> bool:
         return (
@@ -172,6 +179,14 @@ class FaultPlan:
     #: maximum retransmissions per envelope before NetworkFault
     retry_cap: int = 10
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # The bounds ``parse`` applies, for plans built directly too: a
+        # negative spike, say, would schedule an event into the past.
+        for prob in (self.drop, self.duplicate, self.spike_prob):
+            _prob(prob)
+        _count(self.spike_cycles, "spike cycles")
+        _count(self.retry_cap, "retry_cap")
 
     def partitioned(self, src: int, dst: int, now: int) -> bool:
         return any(p.covers(src, dst, now) for p in self.partitions)
@@ -244,14 +259,14 @@ class FaultPlan:
         return ",".join(parts)
 
 
-def _prob(text: str) -> float:
+def _prob(text: Union[str, float]) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"probability {value} outside [0, 1]")
     return value
 
 
-def _count(text: str, what: str) -> int:
+def _count(text: Union[str, int], what: str) -> int:
     value = int(text)
     if value < 0:
         raise ValueError(f"{what} {value} is negative")
@@ -284,8 +299,8 @@ class NetworkStats:
     messages_by_kind: Dict[MsgKind, int] = field(default_factory=dict)
     total_messages: int = 0
     #: fault-injection accounting (all zero on a perfect network)
-    drops_by_kind: Dict[MsgKind, int] = field(default_factory=dict)
-    duplicates_by_kind: Dict[MsgKind, int] = field(default_factory=dict)
+    drops: int = 0
+    duplicates: int = 0
     retransmits: int = 0
     duplicates_suppressed: int = 0
     spikes: int = 0
@@ -297,14 +312,6 @@ class NetworkStats:
         self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
         self.total_messages += 1
 
-    def record_drop(self, kind: MsgKind) -> None:
-        self.drops_by_kind[kind] = self.drops_by_kind.get(kind, 0) + 1
-
-    def record_duplicate(self, kind: MsgKind) -> None:
-        self.duplicates_by_kind[kind] = (
-            self.duplicates_by_kind.get(kind, 0) + 1
-        )
-
     def record_retries(self, attempts: int) -> None:
         self.retry_histogram[attempts] = (
             self.retry_histogram.get(attempts, 0) + 1
@@ -313,19 +320,11 @@ class NetworkStats:
     def count(self, kind: MsgKind) -> int:
         return self.messages_by_kind.get(kind, 0)
 
-    @property
-    def total_drops(self) -> int:
-        return sum(self.drops_by_kind.values())
-
-    @property
-    def total_duplicates(self) -> int:
-        return sum(self.duplicates_by_kind.values())
-
     def fault_summary(self) -> Dict[str, object]:
         """The reliability-protocol counters as plain JSON-able data."""
         return {
-            "drops": self.total_drops,
-            "duplicates_injected": self.total_duplicates,
+            "drops": self.drops,
+            "duplicates_injected": self.duplicates,
             "duplicates_suppressed": self.duplicates_suppressed,
             "retransmits": self.retransmits,
             "latency_spikes": self.spikes,
@@ -358,7 +357,6 @@ class Network:
         self._frng = random.Random(plan.seed if plan is not None else 0)
         self.stats = NetworkStats()
         self.link_stats: Dict[Tuple[int, int], LinkStats] = {}
-        self.in_flight = 0
 
     def send(self, msg: Message, now: int) -> int:
         """Accounts for a message injection; returns its delivery time."""
@@ -372,7 +370,6 @@ class Network:
             arrival = floor + 1  # point-to-point FIFO
         self._last_delivery[pair] = arrival
         self.stats.record(msg.kind)
-        self.in_flight += 1
         return arrival
 
     def transmit(self, msg: Message, now: int,
@@ -397,7 +394,7 @@ class Network:
         copies = 1
         if self._frng.random() < plan.duplicate:
             copies = 2
-            stats.record_duplicate(msg.kind)
+            stats.duplicates += 1
             lstats.duplicated += 1
         arrivals: List[int] = []
         for _ in range(copies):
@@ -407,7 +404,7 @@ class Network:
                 lstats.dropped += 1
                 continue
             if self._frng.random() < plan.drop:
-                stats.record_drop(msg.kind)
+                stats.drops += 1
                 lstats.dropped += 1
                 continue
             delay = self._wire
@@ -418,12 +415,7 @@ class Network:
                 stats.spikes += 1
             arrivals.append(now + delay)
             lstats.delivered_copies += 1
-            self.in_flight += 1
         return arrivals
-
-    def delivered(self) -> None:
-        """Marks one message as delivered (simulator bookkeeping)."""
-        self.in_flight -= 1
 
     def describe_link(self, link: Tuple[int, int]) -> str:
         """One line of per-link fault forensics for error messages."""
@@ -499,7 +491,6 @@ class Transport:
         if what == "timer":
             self._on_timeout(now, payload[2], payload[3])
             return
-        self.network.delivered()
         if what == "data":
             self._on_envelope(now, payload[2], payload[3])
         else:

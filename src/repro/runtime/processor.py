@@ -13,7 +13,6 @@ the home.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -47,6 +46,10 @@ _FENCE_OPCODES = frozenset(
     }
 )
 
+#: Blocking opcodes that re-execute on wake instead of resuming past
+#: themselves: they re-check their condition and fall through.
+_RECHECK_OPCODES = frozenset({Opcode.SYNC_CTR, Opcode.STORE_SYNC})
+
 #: Request kind of each homed synchronization opcode.
 _SYNC_REQUEST = {
     Opcode.POST: MsgKind.POST_REQ,
@@ -54,12 +57,6 @@ _SYNC_REQUEST = {
     Opcode.LOCK: MsgKind.LOCK_REQ,
     Opcode.UNLOCK: MsgKind.UNLOCK_REQ,
 }
-
-
-class ProcState(enum.Enum):
-    READY = "ready"
-    BLOCKED = "blocked"
-    DONE = "done"
 
 
 @dataclass
@@ -94,8 +91,9 @@ class Processor:
         self.stolen = 0
         #: cycles spent stalled on remote completions / synchronization
         self.wait_cycles = 0
-        self.state = ProcState.READY
-        self.block_reason: Optional[Tuple] = None
+        #: the instruction this processor is parked at, if any: the one
+        #: record of why it waits (a finished processor has no frames)
+        self.blocked_on: Optional[Instr] = None
         self.counters: Dict[int, int] = {}
         self.instructions = 0
         #: barriers this processor has executed (the per-proc
@@ -163,15 +161,8 @@ class Processor:
         every loop crosses a block boundary (a step), so a runaway
         program still faults.
         """
-        if now > self.clock:
-            # The gap between our last local work and the wake event is
-            # stall time (waiting on replies, flags, locks, barriers).
-            self.wait_cycles += now - self.clock
-            self.clock = now
         self.clock += self.stolen
         self.stolen = 0
-        self.state = ProcState.READY
-        self.block_reason = None
         max_cycles = self.sim.max_cycles
         frames = self.frames
         while True:
@@ -220,7 +211,7 @@ class Processor:
         offset, every bounds check) once, trace, then serve it here if
         it is homed here or send one request.  The opcodes differ only
         in read-vs-write and in how completion is observed: a blocking
-        tag, a sync counter, or (``store``) nothing but the global
+        reply, a sync counter, or (``store``) nothing but the global
         outstanding-store count.
 
         Store-atomicity under TSO/PSO: a locally-homed write enters
@@ -285,18 +276,16 @@ class Processor:
                 src=self.pid, dst=owner, var=var, flat=flat,
                 value=memory.coerce(var, value),
             )
-        if blocking:
-            msg.tag = sim.new_tag()
-        elif op is Opcode.STORE:
+        if op is Opcode.STORE:
             sim.outstanding_stores += 1
-        else:
+        elif not blocking:
             counter = msg.counter = instr.counter
             self.counters[counter] = self.counters.get(counter, 0) + 1
             if reads:
                 _land(frame, dest, instr.local_array, local_flat, PENDING)
         sim.send(msg, self.clock)
         if blocking:
-            self._block(("reply", msg.tag), instr)
+            self._block(instr)
             return False
         frame.index += 1
         return True
@@ -317,7 +306,7 @@ class Processor:
 
     def _sync_ctr(self, instr: Instr, frame: _Frame) -> bool:
         if self.counters.get(instr.counter, 0):
-            self._block(("counter", instr.counter), instr)
+            self._block(instr)
             return False
         self.clock += self.sim.machine.cpu_op
         frame.index += 1
@@ -326,7 +315,7 @@ class Processor:
     def _store_sync(self, instr: Instr, frame: _Frame) -> bool:
         sim = self.sim
         if sim.outstanding_stores:
-            self._block(("store_sync",), instr)
+            self._block(instr)
             sim.store_sync_waiters.append(self.pid)
             return False
         self.clock += sim.machine.cpu_op
@@ -340,9 +329,9 @@ class Processor:
 
         The operation itself is :meth:`Simulator.home_sync`, called
         directly when the object is homed here and by the home's
-        message handler otherwise.  ``post`` and ``unlock`` are
-        acknowledged (blocking tag); a ``wait`` or ``lock`` that cannot
-        proceed parks until the home grants it.
+        message handler otherwise.  A remote ``post`` or ``unlock``
+        parks until its acknowledgement; a ``wait`` or ``lock`` that
+        cannot proceed parks until the home grants it.
         """
         sim = self.sim
         op = instr.op
@@ -358,18 +347,12 @@ class Processor:
                 self.clock += sim.machine.local_access
                 frame.index += 1
                 return True
-            self._block((op.value, key), instr)
+            self._block(instr)
             return False
         self.clock += sim.machine.send_overhead
-        msg = Message(_SYNC_REQUEST[op], src=self.pid, dst=owner,
-                      var=instr.var, flat=flat)
-        if op is Opcode.POST or op is Opcode.UNLOCK:
-            msg.tag = sim.new_tag()
-            reason: Tuple = ("reply", msg.tag)
-        else:
-            reason = (op.value, key)
-        sim.send(msg, self.clock)
-        self._block(reason, instr)
+        sim.send(Message(_SYNC_REQUEST[op], src=self.pid, dst=owner,
+                         var=instr.var, flat=flat), self.clock)
+        self._block(instr)
         return False
 
     def _barrier(self, instr: Instr, frame: _Frame) -> bool:
@@ -381,7 +364,7 @@ class Processor:
         self.barrier_no += 1
         self.clock += sim.machine.send_overhead
         sim.topology.local_arrive(self.pid, self.clock)
-        self._block(("barrier",), instr)
+        self._block(instr)
         return False
 
     # -- call / return ----------------------------------------------------------
@@ -404,8 +387,6 @@ class Processor:
         self.frames.pop()
         self.clock += self.sim.machine.cpu_op
         if not self.frames:
-            self.state = ProcState.DONE
-            self.sim.proc_finished(self)
             return False
         if dest is not None:
             self.set_reg(dest, result)
@@ -433,18 +414,23 @@ class Processor:
 
     # -- blocking/waking ---------------------------------------------------------
 
-    def _block(self, reason: Tuple, instr: Instr) -> None:
-        self.state = ProcState.BLOCKED
-        self.block_reason = reason
-        # The instruction completes when we are woken: the wake path
-        # advances past it (sync_ctr & co. re-check on resume instead).
-        if reason[0] in ("reply", "wait", "lock", "barrier"):
+    def _block(self, instr: Instr) -> None:
+        self.blocked_on = instr
+        # The instruction completes when we are woken, so resume past
+        # it — except sync_ctr and all_store_sync, which re-check.
+        if instr.op not in _RECHECK_OPCODES:
             self.frames[-1].index += 1
 
     def wake(self, time: int) -> None:
-        if self.state is not ProcState.BLOCKED:
+        """Releases the processor at ``time``.  A parked processor's
+        clock stands still (handlers charge ``stolen``), so the gap up
+        to ``time`` is stall, charged here while ``blocked_on`` still
+        names its cause."""
+        if self.blocked_on is None:
             raise RuntimeFault(f"P{self.pid}: waking a non-blocked processor")
-        self.state = ProcState.READY
-        self.block_reason = None
-        self.sim.schedule_resume(self.pid, max(time, self.clock))
+        if time > self.clock:
+            self.wait_cycles += time - self.clock
+            self.clock = time
+        self.blocked_on = None
+        self.sim.schedule_resume(self.pid, self.clock)
 

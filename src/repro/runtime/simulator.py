@@ -4,7 +4,8 @@ Every virtual processor executes the program's ``main`` with its own
 registers, local arrays and cycle clock.  Shared accesses route through
 the distributed memory model (:mod:`repro.runtime.memory`) and the
 network (:mod:`repro.runtime.network`); synchronization uses the homed
-flag/lock/barrier state (:mod:`repro.runtime.sync_objects`).
+flag/lock state (:mod:`repro.runtime.sync_objects`) and a barrier
+topology (:mod:`repro.runtime.topology`).
 
 Timing model (see :mod:`repro.runtime.machine` for the constants):
 
@@ -35,7 +36,6 @@ under a fault plan the network's ``Transport`` keeps that FIFO.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -49,7 +49,7 @@ from repro.runtime.events import CalendarQueue, LinkChannels
 from repro.runtime.machine import MachineConfig, validate_memory_model
 from repro.runtime.memory import GlobalMemory, StoreBuffers
 from repro.runtime.network import FaultPlan, Message, MsgKind, Network, Transport
-from repro.runtime.processor import _SYNC_REQUEST, Processor, ProcState, _land
+from repro.runtime.processor import _SYNC_REQUEST, Processor, _land
 from repro.runtime.sync_objects import FlagTable, LockTable
 from repro.runtime.topology import CentralBarrier, TreeBarrier, build_topology
 from repro.runtime.trace import ExecutionTrace, SyncRecord
@@ -92,7 +92,7 @@ class SimulationResult:
 
     @property
     def drops(self) -> int:
-        return self.network.stats.total_drops
+        return self.network.stats.drops
 
     @property
     def duplicates_suppressed(self) -> int:
@@ -199,8 +199,6 @@ class Simulator:
         self.procs = [
             self.processor_class(pid, self) for pid in range(num_procs)
         ]
-        self._tags = itertools.count(1)
-        self._done_count = 0
         self._handlers: Dict[MsgKind, Callable[[int, Message], None]] = {
             MsgKind.GET_REQ: self._on_get_req,
             MsgKind.GET_REPLY: self._on_get_reply,
@@ -230,9 +228,6 @@ class Simulator:
             perf.count("decode.code_memo_hits", hits)
         return code
 
-    def new_tag(self) -> int:
-        return next(self._tags)
-
     def _send_perfect(self, msg: Message, now: int) -> None:
         """``send`` on the perfect network; ``_deliver`` is looked up per
         call, so the reference engine's rebinding takes effect."""
@@ -252,9 +247,6 @@ class Simulator:
         self._calendar.push(
             arrival, self._links.enqueue((msg.src, msg.dst), msg)
         )
-
-    def proc_finished(self, proc: Processor) -> None:
-        self._done_count += 1
 
     # -- home-side synchronization ----------------------------------------------
 
@@ -331,7 +323,6 @@ class Simulator:
                 local_array=msg.local_array,
                 local_flat=msg.local_flat,
                 counter=msg.counter,
-                tag=msg.tag,
                 event=msg.event,
             ),
             arrival + machine.remote_handle,
@@ -360,7 +351,7 @@ class Simulator:
         else:
             self.send(
                 Message(MsgKind.PUT_ACK, src=msg.dst, dst=msg.src,
-                        counter=msg.counter, tag=msg.tag),
+                        counter=msg.counter),
                 arrival + machine.remote_handle,
             )
 
@@ -371,11 +362,8 @@ class Simulator:
         proceeds = self.home_sync(op, (msg.var, msg.flat), msg.src, served)
         self.procs[msg.dst].stolen += self.machine.remote_handle
         if proceeds:
-            self.send(
-                Message(_SYNC_REPLY[op], src=msg.dst, dst=msg.src,
-                        tag=msg.tag),
-                served,
-            )
+            self.send(Message(_SYNC_REPLY[op], src=msg.dst, dst=msg.src),
+                      served)
 
     def _on_completion(self, arrival: int, msg: Message) -> None:
         """GET_REPLY / PUT_ACK / WAIT_GRANT / LOCK_GRANT: one remote
@@ -395,10 +383,12 @@ class Simulator:
                 f"P{proc.pid}: counter {counter} completion underflow"
             )
         proc.counters[counter] = count - 1
+        instr = proc.blocked_on
         if (
-            proc.state is ProcState.BLOCKED
-            and proc.block_reason == ("counter", counter)
-            and proc.counters[counter] == 0
+            instr is not None
+            and instr.op is Opcode.SYNC_CTR
+            and instr.counter == counter
+            and count == 1
         ):
             # The sync_ctr re-executes on wake and now falls through.
             proc.wake(arrival + self.machine.recv_overhead)
@@ -417,53 +407,52 @@ class Simulator:
     # -- deadlock forensics ---------------------------------------------------------
 
     def _describe_block_reason(self, proc: Processor) -> str:
-        """A human-readable account of why ``proc`` is parked."""
-        reason = proc.block_reason
-        if reason is None:
+        """A human-readable account of why ``proc`` is parked, read off
+        the instruction it blocked at.  The frame's registers are as
+        they were at issue, so the element resolves again."""
+        instr = proc.blocked_on
+        if instr is None:
             return "nothing (ready)"
-        kind = reason[0]
-        if kind == "counter":
-            outstanding = proc.counters.get(reason[1], 0)
+        op = instr.op
+        if op is Opcode.SYNC_CTR:
+            outstanding = proc.counters.get(instr.counter, 0)
             return (
-                f"sync_ctr #{reason[1]} "
+                f"sync_ctr #{instr.counter} "
                 f"({outstanding} completion(s) outstanding)"
             )
-        if kind == "store_sync":
+        if op is Opcode.STORE_SYNC:
             return (
                 f"all_store_sync ({self.outstanding_stores} one-way "
                 "store(s) undrained)"
             )
-        if kind == "reply":
-            return f"a reply with tag {reason[1]}"
-        if kind == "wait":
-            var, flat = reason[1]
-            return f"wait {var}[{flat}]"
-        if kind == "lock":
-            var, flat = reason[1]
-            holder = self.locks.holder(reason[1])
-            held = f" held by P{holder}" if holder is not None else ""
-            return f"lock {var}[{flat}]{held}"
-        if kind == "barrier":
+        if op is Opcode.BARRIER:
             return self.topology.describe_block()
-        return repr(reason)
+        key = (instr.var, self.memory.resolve(
+            instr.var, proc.indices_of(instr))[1])
+        element = f"{key[0]}[{key[1]}]"
+        if op is Opcode.WAIT:
+            return f"wait {element}"
+        if op is Opcode.LOCK:
+            holder = self.locks.holder(key)
+            held = f" held by P{holder}" if holder is not None else ""
+            return f"lock {element}{held}"
+        return f"a reply to {op.value} {element}"
 
     def deadlock_report(self) -> str:
         """Multi-line forensics: processors, sync objects, network."""
         lines = ["processors:"]
         for proc in self.procs:
-            if proc.state is ProcState.DONE:
+            if not proc.frames:
                 lines.append(
                     f"  P{proc.pid}: done "
                     f"(clock {proc.clock}, {proc.instructions} instrs)"
                 )
                 continue
-            if proc.frames:
-                frame = proc.frames[-1]
-                pc = f"{frame.function.name}:{frame.block}+{frame.index}"
-            else:
-                pc = "<no frame>"
+            frame = proc.frames[-1]
+            pc = f"{frame.function.name}:{frame.block}+{frame.index}"
+            state = "ready" if proc.blocked_on is None else "blocked"
             lines.append(
-                f"  P{proc.pid}: {proc.state.value} at {pc} on "
+                f"  P{proc.pid}: {state} at {pc} on "
                 f"{self._describe_block_reason(proc)} "
                 f"(clock {proc.clock}, {proc.instructions} instrs)"
             )
@@ -488,9 +477,6 @@ class Simulator:
         lines.extend(self.topology.forensics())
         lines.append("network:")
         lines.append(
-            f"  in-flight message copies: {self.network.in_flight}"
-        )
-        lines.append(
             f"  outstanding one-way stores: {self.outstanding_stores}"
         )
         if self.transport is not None:
@@ -509,7 +495,6 @@ class Simulator:
             self.schedule_resume(pid, 0)
         calendar = self._calendar
         procs = self.procs
-        network = self.network
         weak = self.weak
         while calendar.times:
             time, batch = calendar.pop_batch()
@@ -519,11 +504,10 @@ class Simulator:
                 i += 1
                 tag = payload[0]
                 if tag == "link":
-                    network.delivered()
                     self._handle_message(time, payload[1].popleft())
                 elif tag == "resume":
                     proc = procs[payload[1]]
-                    if proc.state is not ProcState.DONE:
+                    if proc.frames:
                         proc.advance(time)
                 elif tag == "drain":
                     weak.drain(payload[1], payload[2])
@@ -533,11 +517,11 @@ class Simulator:
         return self._finish()
 
     def _finish(self) -> SimulationResult:
-        if self._done_count != self.num_procs:
+        if any(p.frames for p in self.procs):
             blocked = [
                 f"P{p.pid} blocked on {self._describe_block_reason(p)}"
                 for p in self.procs
-                if p.state is ProcState.BLOCKED
+                if p.blocked_on is not None
             ]
             raise DeadlockError(
                 "simulation stalled with no events pending: "

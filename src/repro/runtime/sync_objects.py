@@ -1,20 +1,18 @@
-"""Runtime state for flags, locks and the barrier.
+"""Runtime state for flags and locks.
 
-These implement the synchronization constructs of §2/§5:
+These implement the homed synchronization constructs of §2/§5:
 
 * **flags** — post/wait event variables.  Posting twice on the same
   element raises (the paper's footnote 2 makes it illegal, and our
   analysis relies on it).  Flags are not consumed by waits.
 * **locks** — FIFO mutual-exclusion queues, homed on the owning node.
-* **barrier** — a central coordinator that releases a generation once
-  every processor has arrived *and* all one-way stores have drained
-  (the implicit ``all_store_sync`` that makes put→store conversion
-  legal, §6).
+
+Barrier state lives with the barrier topologies
+(:mod:`repro.runtime.topology`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import RuntimeFault
@@ -45,10 +43,6 @@ class FlagTable:
 
     def add_waiter(self, key: ObjKey, pid: int) -> None:
         self._waiters.setdefault(key, []).append(pid)
-
-    def reset(self, key: ObjKey) -> None:
-        """Clears a flag (used between phases by some kernels)."""
-        self._posted.discard(key)
 
     def posted_keys(self) -> List[ObjKey]:
         """Every posted flag element (deadlock forensics)."""
@@ -117,32 +111,3 @@ class LockTable:
             for key, holder in sorted(self._holder.items())
             if holder is not None
         }
-
-
-@dataclass
-class BarrierState:
-    """Central barrier coordinator state."""
-
-    num_procs: int
-    generation: int = 0
-    arrived: Set[int] = field(default_factory=set)
-    last_arrival_time: int = 0
-    #: set once everyone arrived but stores are still draining
-    pending_release: bool = False
-
-    def arrive(self, pid: int, now: int) -> bool:
-        """Registers an arrival; True when this completes the rendezvous."""
-        if pid in self.arrived:
-            raise RuntimeFault(
-                f"processor {pid} arrived twice at barrier generation "
-                f"{self.generation}"
-            )
-        self.arrived.add(pid)
-        self.last_arrival_time = max(self.last_arrival_time, now)
-        return len(self.arrived) == self.num_procs
-
-    def release(self) -> None:
-        self.generation += 1
-        self.arrived.clear()
-        self.last_arrival_time = 0
-        self.pending_release = False

@@ -31,8 +31,10 @@ objects:
     charges every other handler.
 
 Both expose the same entry points (``local_arrive``, ``on_arrive``,
-``on_release``, ``maybe_release``) and forensics (``pending_release``,
-``generation``, ``describe_block``, ``forensics``).  All barrier
+``on_release``, ``maybe_release``), the same state (``generation``;
+``pending``, set once everyone arrived but stores are still draining;
+``last_arrival``, the time the rendezvous completed) and forensics
+(``describe_block``, ``forensics``).  All barrier
 traffic flows through ``Simulator.send`` and therefore composes with
 jitter, fault plans (drop/duplicate/partition) and the reliability
 protocol unchanged; the store-drain gate (the implicit
@@ -44,11 +46,11 @@ deterministic programs produce identical final snapshots under both
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Union
+from typing import TYPE_CHECKING, List, Set, Union
 
+from repro.errors import RuntimeFault
 from repro.runtime.machine import MachineConfig, validate_barrier_topology
 from repro.runtime.network import Message, MsgKind
-from repro.runtime.sync_objects import BarrierState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.simulator import Simulator
@@ -69,7 +71,10 @@ class CentralBarrier:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.state = BarrierState(sim.num_procs)
+        self.generation = 0
+        self.arrived: Set[int] = set()
+        self.last_arrival = 0
+        self.pending = False
 
     def local_arrive(self, pid: int, now: int) -> None:
         self.sim.send(
@@ -77,8 +82,15 @@ class CentralBarrier:
         )
 
     def on_arrive(self, arrival: int, msg: Message) -> None:
-        if self.state.arrive(msg.src, arrival):
-            self.state.pending_release = True
+        if msg.src in self.arrived:
+            raise RuntimeFault(
+                f"processor {msg.src} arrived twice at barrier generation "
+                f"{self.generation}"
+            )
+        self.arrived.add(msg.src)
+        self.last_arrival = max(self.last_arrival, arrival)
+        if len(self.arrived) == self.sim.num_procs:
+            self.pending = True
             self.sim._check_store_drain(arrival)
 
     def on_release(self, arrival: int, msg: Message) -> None:
@@ -88,13 +100,13 @@ class CentralBarrier:
     def _release_time(self, now: int) -> int:
         machine = self.sim.machine
         return (
-            max(now, self.state.last_arrival_time)
+            max(now, self.last_arrival)
             + machine.barrier_base
             + machine.barrier_per_proc * self.sim.num_procs
         )
 
     def maybe_release(self, now: int) -> None:
-        if not self.state.pending_release:
+        if not self.pending:
             return
         sim = self.sim
         release_time = self._release_time(now)
@@ -103,27 +115,22 @@ class CentralBarrier:
                 Message(MsgKind.BARRIER_RELEASE, src=0, dst=pid),
                 release_time,
             )
-        self.state.release()
-
-    @property
-    def pending_release(self) -> bool:
-        return self.state.pending_release
-
-    def generation(self) -> int:
-        return self.state.generation
+        self.generation += 1
+        self.arrived.clear()
+        self.last_arrival = 0
+        self.pending = False
 
     def describe_block(self) -> str:
         return (
-            f"barrier generation {self.state.generation} "
-            f"({len(self.state.arrived)}/{self.sim.num_procs} arrived)"
+            f"barrier generation {self.generation} "
+            f"({len(self.arrived)}/{self.sim.num_procs} arrived)"
         )
 
     def forensics(self) -> List[str]:
-        state = self.state
         return [
-            f"  barrier: generation {state.generation}, "
-            f"arrived {sorted(state.arrived) or '[]'}, "
-            f"pending_release={state.pending_release}"
+            f"  barrier: generation {self.generation}, "
+            f"arrived {sorted(self.arrived) or '[]'}, "
+            f"pending_release={self.pending}"
         ]
 
 
@@ -152,9 +159,9 @@ class TreeBarrier:
         #: plus one combined report per child subtree
         self.needed = [len(kids) + 1 for kids in self.children]
         self.count = [0] * n
-        self._generation = 0
-        self._pending = False
-        self._root_time = 0
+        self.generation = 0
+        self.pending = False
+        self.last_arrival = 0
 
     # -- arrival phase -----------------------------------------------------
 
@@ -173,8 +180,8 @@ class TreeBarrier:
         if self.count[node] < self.needed[node]:
             return
         if node == 0:
-            self._root_time = max(self._root_time, now)
-            self._pending = True
+            self.last_arrival = max(self.last_arrival, now)
+            self.pending = True
             self.sim._check_store_drain(now)
         else:
             self.sim.send(
@@ -187,17 +194,17 @@ class TreeBarrier:
     # -- release phase -----------------------------------------------------
 
     def maybe_release(self, now: int) -> None:
-        if not self._pending:
+        if not self.pending:
             return
         sim = self.sim
-        release_time = max(now, self._root_time) + sim.machine.barrier_base
+        release_time = max(now, self.last_arrival) + sim.machine.barrier_base
         # Reset the root *before* any release message leaves: no
         # generation-g+1 arrival can exist yet, and once releases are
         # in flight a child subtree may race its next arrival past the
         # root's own (jitter makes single hops non-monotonic).
-        self._generation += 1
-        self._pending = False
-        self._root_time = 0
+        self.generation += 1
+        self.pending = False
+        self.last_arrival = 0
         self.count[0] = 0
         sim.send(
             Message(MsgKind.BARRIER_RELEASE, src=0, dst=0), release_time,
@@ -224,20 +231,13 @@ class TreeBarrier:
 
     # -- forensics ---------------------------------------------------------
 
-    @property
-    def pending_release(self) -> bool:
-        return self._pending
-
-    def generation(self) -> int:
-        return self._generation
-
     def describe_block(self) -> str:
         done = sum(
             1 for node in range(self.sim.num_procs)
             if self.count[node] >= self.needed[node]
         )
         return (
-            f"barrier generation {self._generation} "
+            f"barrier generation {self.generation} "
             f"(tree fan-in {FANIN}, {done}/{self.sim.num_procs} "
             "subtrees combined)"
         )
@@ -249,8 +249,8 @@ class TreeBarrier:
             if 0 < self.count[node] < self.needed[node]
         ]
         lines = [
-            f"  barrier[tree]: generation {self._generation}, "
-            f"fan-in {FANIN}, pending_release={self._pending}"
+            f"  barrier[tree]: generation {self.generation}, "
+            f"fan-in {FANIN}, pending_release={self.pending}"
         ]
         if partial:
             lines.append(

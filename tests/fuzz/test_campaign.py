@@ -264,6 +264,29 @@ class TestFaultyProfile:
         assert "stalled" in stats.failures[0]["detail"]
         assert "blocked on" in stats.failures[0]["detail"]
 
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_partitions_name_two_of_the_programs_processors(self, procs):
+        # A partition naming a processor the program lacks partitions
+        # nothing: the lossy twin would silently run fault-free there.
+        import random
+
+        from repro.fuzz.campaign import _make_schedules
+        from repro.runtime.network import FaultPlan
+
+        rng = random.Random(procs)
+        config = FuzzConfig(profile="faulty", schedules_per_program=2)
+        partitions = [
+            part
+            for _ in range(200)
+            for schedule in _make_schedules(rng, config, procs)
+            if schedule.faults
+            for part in FaultPlan.parse(schedule.faults).partitions
+        ]
+        assert partitions
+        for part in partitions:
+            assert part.a != part.b
+            assert {part.a, part.b} <= set(range(procs))
+
     def test_schedule_dict_round_trips_fault_fields(self):
         from repro.fuzz.campaign import Schedule
 
@@ -289,7 +312,7 @@ class TestWeakProfile:
         config = FuzzConfig(
             profile="weak_memory", schedules_per_program=2
         )
-        schedules = _make_schedules(random.Random(0), config)
+        schedules = _make_schedules(random.Random(0), config, procs=2)
         assert len(schedules) == 6
         models = [s.memory_model for s in schedules]
         assert models.count("sc") == 2

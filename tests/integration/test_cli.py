@@ -173,6 +173,10 @@ class TestRunWithFaults:
             ("stall=1@5+10", "unknown fault key 'stall'"),
             ("drop.store_req=0.3", "unknown fault key 'drop.store_req'"),
             ("dup.net_ack=0.2", "unknown fault key 'dup.net_ack'"),
+            # processor 8 does not exist at the default 8 processors:
+            # the run would silently be fault-free
+            ("partition=5-8@0+100000",
+             "partition 5-8 names a processor outside 0..7"),
         ]:
             assert main(["run", program_file, "--faults", spec]) == 2, spec
             err = capsys.readouterr().err

@@ -25,20 +25,15 @@ import itertools
 from repro.errors import RuntimeFault
 from repro.ir.instructions import Opcode, UnOpKind
 from repro.runtime.decode import _binop, _intrinsic
-from repro.runtime.simulator import Processor, ProcState, Simulator
+from repro.runtime.simulator import Processor, Simulator
 
 
 class ReferenceProcessor(Processor):
     """Per-instruction interpreter loop + local-opcode dispatch."""
 
     def advance(self, now):
-        if now > self.clock:
-            self.wait_cycles += now - self.clock
-            self.clock = now
         self.clock += self.stolen
         self.stolen = 0
-        self.state = ProcState.READY
-        self.block_reason = None
         sim = self.sim
         while True:
             if self.clock > sim.max_cycles:
@@ -147,11 +142,10 @@ class ReferenceSimulator(Simulator):
             tag = payload[0]
             if tag == "resume":
                 proc = self.procs[payload[1]]
-                if proc.state is ProcState.DONE:
+                if not proc.frames:
                     continue
                 proc.advance(time)
             elif tag == "deliver":
-                self.network.delivered()
                 self._handle_message(time, payload[1])
             elif tag == "drain":
                 self.weak.drain(payload[1], payload[2])

@@ -85,6 +85,6 @@ class TestLinkChannels:
         a = links.enqueue((0, 1), "x")
         b = links.enqueue((1, 0), "y")
         assert a is not b
-        assert links.pending() == 2
+        assert list(a[1]) == ["x"] and list(b[1]) == ["y"]
         a[1].popleft()
-        assert links.pending() == 1
+        assert list(b[1]) == ["y"]

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import DeadlockError
-from repro.runtime import CM5, run_module
+from repro.errors import DeadlockError, RuntimeFault
+from repro.runtime import CM5, Simulator, run_module
 from repro.runtime.machine import BARRIER_TOPOLOGIES, validate_barrier_topology
-from repro.runtime.network import FaultPlan
+from repro.runtime.network import FaultPlan, Message, MsgKind
 from repro.runtime.topology import (
     FANIN,
     CentralBarrier,
@@ -85,6 +85,43 @@ class TestTreeMath:
             machine = CM5.with_barrier_topology(name)
             sim = Simulator(module, 8, machine)
             assert isinstance(build_topology(machine, sim), cls)
+
+
+class TestCentralBarrier:
+    @staticmethod
+    def _barrier(procs):
+        sim = Simulator(inlined("void main() { }"), procs, CM5)
+        return sim, sim.topology
+
+    @staticmethod
+    def _arrive(barrier, pid, now):
+        barrier.on_arrive(now, Message(MsgKind.BARRIER_ARRIVE, src=pid, dst=0))
+
+    def test_rendezvous_completes(self):
+        sim, barrier = self._barrier(3)
+        sim.outstanding_stores = 1  # an undrained store holds the release
+        self._arrive(barrier, 0, 5)
+        self._arrive(barrier, 2, 9)
+        assert not barrier.pending
+        self._arrive(barrier, 1, 7)
+        assert barrier.pending
+        assert barrier.last_arrival == 9
+
+    def test_double_arrival_raises(self):
+        _, barrier = self._barrier(2)
+        self._arrive(barrier, 0, 0)
+        with pytest.raises(RuntimeFault, match="arrived twice"):
+            self._arrive(barrier, 0, 1)
+
+    def test_release_resets_generation(self):
+        _, barrier = self._barrier(2)
+        self._arrive(barrier, 0, 0)
+        self._arrive(barrier, 1, 0)  # no stores pending: released at once
+        assert barrier.generation == 1
+        assert barrier.arrived == set()
+        assert not barrier.pending and barrier.last_arrival == 0
+        self._arrive(barrier, 0, 3)  # the new generation accepts again
+        assert not barrier.pending
 
 
 class TestSnapshotIdentity:

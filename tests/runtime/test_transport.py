@@ -82,7 +82,7 @@ def test_duplicate_is_suppressed_and_counted():
         transport.handle(*event)
     assert transport.forensics() == ["  unacked envelopes: none"]
     assert net.stats.retry_histogram == {1: 1}
-    assert net.stats.total_duplicates == 3  # the envelope and both acks
+    assert net.stats.duplicates == 3  # the envelope and both acks
 
 
 def test_out_of_order_envelopes_are_held_then_released_in_order_once():
