@@ -26,6 +26,7 @@ module by ``tests/serve/test_docs_sync.py``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, List, Optional
 
@@ -73,12 +74,24 @@ def _add_pipeline_debug(parser: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_options(args: argparse.Namespace):
-    """PipelineOptions from the debug flags (None = environment only)."""
+    """PipelineOptions from the debug flags (None = environment only).
+
+    Raises ``ValueError`` for a ``--print-after-pass`` name the pass
+    table does not have.
+    """
     verify = getattr(args, "verify_each_pass", False)
     prints = tuple(getattr(args, "print_after_pass", None) or ())
     if not verify and not prints:
         return None
-    from repro.pipeline import PipelineOptions
+    from repro.pipeline import PASSES, PipelineOptions
+
+    known = [*PASSES, "all"]
+    for name in prints:
+        if name not in known:
+            raise ValueError(
+                f"unknown pass {name!r} for --print-after-pass "
+                f"(known: {', '.join(known)})"
+            )
 
     options = PipelineOptions.from_env()
     options.verify_each_pass = options.verify_each_pass or verify
@@ -113,9 +126,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    try:
+        options = _pipeline_options(args)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     program = compile_source(
         _read_source(args.source), OptLevel(args.opt),
-        filename=args.source, options=_pipeline_options(args),
+        filename=args.source, options=options,
     )
     report = program.report
     print(f"opt level:          {program.opt_level.value}")
@@ -188,6 +206,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # a silently fault-free run.
     try:
         plan = _parse_faults(args)
+        options = _pipeline_options(args)
         machine = get_machine(args.machine)
         model = validate_memory_model(args.memory_model)
         topology = validate_barrier_topology(args.barrier_topology)
@@ -212,7 +231,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         machine = machine.with_barrier_topology(topology)
     program = compile_source(
         _read_source(args.source), OptLevel(args.opt),
-        filename=args.source, options=_pipeline_options(args),
+        filename=args.source, options=options,
     )
     if args.strip_delays:
         program = program.without_delay_fences()
@@ -296,6 +315,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"repro: error: {exc.args[0]}", file=sys.stderr)
         return 2
+    levels = tuple(args.levels.split(","))
+    known = [lvl.value for lvl in OptLevel]
+    unknown = [level for level in levels if level not in known]
+    if unknown:
+        print(f"repro: error: unknown optimization level {unknown[0]!r} "
+              f"in --levels (known: {', '.join(known)})", file=sys.stderr)
+        return 2
 
     profiles = (
         sorted(PROFILES) if args.profile == "all" else [args.profile]
@@ -324,7 +350,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             budget_seconds=budget,
             schedules_per_program=args.schedules,
             barrier_topology=topology,
-            levels=tuple(args.levels.split(",")),
+            levels=levels,
             sc_step_limit=args.step_limit,
             failures_dir=args.failures_dir,
             max_failures=args.max_failures,
@@ -745,19 +771,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: What a shell reports for a process that SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # ``fuzz`` reuses the --profile name for its generator profile (a
-    # string); only the boolean store_true flag means perf profiling.
-    if getattr(args, "profile", False) is True:
-        from repro.perf import profiled
+    try:
+        # ``fuzz`` reuses the --profile name for its generator profile
+        # (a string); only the boolean store_true flag means perf
+        # profiling.
+        if getattr(args, "profile", False) is True:
+            from repro.perf import profiled
 
-        with profiled() as prof:
+            with profiled() as prof:
+                status = args.func(args)
+            print(prof.to_json())
+        else:
             status = args.func(args)
-        print(prof.to_json())
-        return status
-    return args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro passes | head -1``): stop
+        # quietly, and point stdout at /dev/null so the interpreter's
+        # own flush at exit does not report the same broken pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

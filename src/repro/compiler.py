@@ -51,9 +51,7 @@ def open_session(
     Frontend, inlining, and delay-set analyses run at most once per
     session and are reused by every ``compile``/``analyze`` call on it.
     """
-    return CompilationSession(
-        source=source, filename=filename, options=options
-    )
+    return CompilationSession(source, filename, options)
 
 
 def compile_source(
@@ -64,20 +62,6 @@ def compile_source(
 ) -> CompiledProgram:
     """Compiles MiniSplit source at the given optimization level."""
     session = open_session(source, filename, options)
-    return session.compile(opt_level, in_place=True)
-
-
-def compile_module(
-    module: Module,
-    opt_level: OptLevel = OptLevel.O3,
-    clone: bool = True,
-) -> CompiledProgram:
-    """Inlines, analyzes and optimizes an IR ``module`` at ``opt_level``.
-
-    With ``clone=True`` (default) the input module is left untouched;
-    with ``clone=False`` the session compiles it in place.
-    """
-    session = CompilationSession(module=module, clone_input=clone)
     return session.compile(opt_level, in_place=True)
 
 

@@ -21,22 +21,17 @@ library code can call them unconditionally.
 JSON schema (``Profiler.to_dict``)::
 
     {
-      "version": 3,
+      "version": 4,
       "total_seconds": 0.123,
       "passes":   {"analysis.conflict-set": {"seconds": 0.05, "calls": 1}},
-      "counters": {"engine.closures": 42, "engine.masked_row_hits": 17},
-      "pass_events": [
-        {"pass": "analysis-sync", "pipeline": "O3", "seconds": 0.04,
-         "cached": false, "mutates_ir": false}
-      ]
+      "counters": {"engine.closures": 42, "engine.masked_row_hits": 17}
     }
 
 Counters are cumulative over the profiler's lifetime; nested or repeated
-passes accumulate into one entry per name.  ``pass_events`` is the
-compile driver's structured stream: one entry per pipeline stage *in
-execution order*, including memo hits (``cached: true``, zero seconds),
-so a multi-level compile's reuse of the frontend and the analyses is
-directly visible.
+passes accumulate into one entry per name.  The compile driver times
+each stage it runs as ``pass.<stage>`` and counts each memo hit as
+``pipeline.cached.<stage>``, so a multi-level compile's reuse of the
+frontend and the analyses is directly visible.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 
 @dataclass
@@ -61,7 +56,6 @@ class Profiler:
     def __init__(self) -> None:
         self.passes: Dict[str, PassRecord] = {}
         self.counters: Dict[str, int] = {}
-        self.pass_events: List[dict] = []
         self._started = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
@@ -83,22 +77,17 @@ class Profiler:
         for name, amount in counters.items():
             self.count(name, amount)
 
-    def record_pass(self, event: dict) -> None:
-        """Appends one compile-driver event to the structured stream."""
-        self.pass_events.append(event)
-
     # -- reporting ---------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "version": 3,
+            "version": 4,
             "total_seconds": time.perf_counter() - self._started,
             "passes": {
                 name: {"seconds": record.seconds, "calls": record.calls}
                 for name, record in sorted(self.passes.items())
             },
             "counters": dict(sorted(self.counters.items())),
-            "pass_events": list(self.pass_events),
         }
 
     def to_json(self, indent: int = 2) -> str:

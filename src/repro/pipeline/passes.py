@@ -3,16 +3,18 @@
 Each :data:`PASSES` entry wraps one transformation function as a
 :class:`Pass` working on a :class:`LevelRun` — the working module,
 the level's :class:`MotionConstraints`, the split-phase bookkeeping
-and the :class:`CodegenReport` being filled in.  Which entries a level
-runs, and in what order, is the ``PIPELINES`` table in
-:mod:`repro.pipeline.specs`; the driver that times them and applies
-the debug hooks is :class:`~repro.pipeline.session.CompilationSession`.
+and the :class:`CodegenReport` being filled in.  The levels are
+cumulative (§8), so the table is also the level table: each pass names
+the first level that runs it, and a level runs, in table order, every
+pass its rank admits (:func:`level_passes`).  The driver that times
+them and applies the debug hooks is
+:class:`~repro.pipeline.session.CompilationSession`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.codegen.constraints import MotionConstraints
 from repro.codegen.counters import coalesce_counters
@@ -30,7 +32,7 @@ from repro.codegen.splitphase import (
 from repro.codegen.syncmotion import place_syncs
 from repro.codegen.verify import verify_compiled
 from repro.ir.cfg import Function, Module
-from repro.pipeline.program import CodegenReport
+from repro.pipeline.program import CodegenReport, OptLevel
 
 
 @dataclass
@@ -53,9 +55,11 @@ class LevelRun:
 
 @dataclass(frozen=True)
 class Pass:
-    """One codegen stage of the ``PIPELINES`` table."""
+    """One codegen stage of the :data:`PASSES` table."""
 
     name: str
+    #: The lowest level that runs this pass; every higher level does too.
+    first: OptLevel
     run: Callable[[LevelRun], None]
     description: str
     #: True for passes that rewrite the working IR; drives the
@@ -109,25 +113,64 @@ def _verify(run: LevelRun) -> None:
     verify_compiled(run.main)
 
 
+#: Every pass in execution order.
 PASSES: Dict[str, Pass] = {
     pass_.name: pass_
     for pass_ in (
-        Pass("split-phase", _split_phase,
+        Pass("split-phase", OptLevel.O1, _split_phase,
              "blocking accesses -> split-phase get/put + sync_ctr (§6)"),
-        Pass("communication-elim", _communication_elim,
+        Pass("communication-elim", OptLevel.O4, _communication_elim,
              "redundant-get and dead-put elimination (§7)"),
-        Pass("fuse-gets", _fuse_gets,
+        Pass("fuse-gets", OptLevel.O1, _fuse_gets,
              "get t; sync; buf[i] = t  ->  get(&buf[i], ...); sync"),
-        Pass("hoist-gets", _hoist_gets,
+        Pass("hoist-gets", OptLevel.O2, _hoist_gets,
              "hoists get initiations above earlier code (prefetch)"),
-        Pass("sync-placement", _sync_placement,
+        Pass("sync-placement", OptLevel.O1, _sync_placement,
              "sinks each sync_ctr to its delay/def-use frontier (§6)"),
-        Pass("one-way", _one_way,
+        Pass("one-way", OptLevel.O3, _one_way,
              "put -> store where every sync sits at a barrier (§6)"),
-        Pass("coalesce-counters", _coalesce_counters,
+        Pass("coalesce-counters", OptLevel.O1, _coalesce_counters,
              "interference-colors sync counters down to a small set"),
-        Pass("verify", _verify,
+        Pass("verify", OptLevel.O1, _verify,
              "static split-phase well-formedness check "
              "(pending-get dataflow)", mutates_ir=False),
     )
 }
+
+#: One line per level for ``repro passes``.
+LEVEL_DESCRIPTIONS: Dict[OptLevel, str] = {
+    OptLevel.O0: "blocking accesses, no reordering (naive but SC)",
+    OptLevel.O1: "split-phase pipelining under the Shasha–Snir "
+                 "delay set (§4)",
+    OptLevel.O2: "pipelining under the synchronization-aware delay "
+                 "set (§5)",
+    OptLevel.O3: "O2 + put→store one-way conversion (§6)",
+    OptLevel.O4: "O3 + redundant-get and dead-put elimination (§7)",
+}
+
+
+def level_passes(level: OptLevel) -> List[Pass]:
+    """The passes ``level`` runs, in execution order."""
+    return [pass_ for pass_ in PASSES.values()
+            if pass_.first.rank <= level.rank]
+
+
+def describe_pipelines() -> str:
+    """Human-readable table dump for the ``repro passes`` command."""
+    lines: List[str] = ["registered pipelines:"]
+    for level, description in LEVEL_DESCRIPTIONS.items():
+        tag = level.analysis.name.lower()
+        stages = [
+            "parse", "lower", "inline", f"analysis-{tag}",
+            f"constraints-{tag}", "materialize-ir",
+            *(pass_.name for pass_ in level_passes(level)),
+        ]
+        lines.append(f"  {level.value}  (analysis: {tag})  — {description}")
+        lines.append("      " + " -> ".join(stages))
+    lines.append("")
+    lines.append("registered passes:")
+    width = max(len(name) for name in PASSES)
+    for name, pass_ in PASSES.items():
+        suffix = "; mutates IR" if pass_.mutates_ir else ""
+        lines.append(f"  {name.ljust(width)}  {pass_.description}{suffix}")
+    return "\n".join(lines)

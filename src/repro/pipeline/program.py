@@ -16,9 +16,9 @@ O3     O2 + put→store one-way conversion (§6) — "one-way communication"
 O4     O3 + redundant-get and dead-put elimination (§7)
 =====  =====================================================================
 
-How a level's passes are sequenced is data, not code: see
-:mod:`repro.pipeline.specs` for the declarative pipeline each level
-names, and :mod:`repro.pipeline.session` for the driver.
+Each level adds passes to the one below it: which level first runs a
+pass is a column of the pass table (:mod:`repro.pipeline.passes`), and
+:mod:`repro.pipeline.session` is the driver.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Optional
 
-from repro.analysis.delays import AnalysisResult
+from repro.analysis.delays import AnalysisLevel, AnalysisResult
 from repro.ir.cfg import Module
 
 
@@ -41,6 +41,15 @@ class OptLevel(enum.Enum):
     @property
     def rank(self) -> int:
         return int(self.value[1])
+
+    @property
+    def analysis(self) -> AnalysisLevel:
+        """The delay set the level pipelines against: the Shasha–Snir
+        one (§4) at O1, the sync-aware one (§5) everywhere else — O0
+        too, which runs no pass but still fences on its delays."""
+        if self is OptLevel.O1:
+            return AnalysisLevel.SAS
+        return AnalysisLevel.SYNC
 
 
 @dataclass

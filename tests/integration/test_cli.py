@@ -1,9 +1,16 @@
 """Command-line interface tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, main
 from tests.helpers import FIGURE_1
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -266,15 +273,53 @@ class TestPipelineDebugFlags:
         ]) == 0
         assert "cycles" in capsys.readouterr().out
 
-    def test_profile_emits_pass_events(self, program_file, capsys):
+    def test_print_after_unknown_pass_exits_two(self, program_file, capsys):
+        for command in ("compile", "run"):
+            assert main([
+                command, program_file, "--print-after-pass", "split-phase",
+                "--print-after-pass", "nosuch",
+            ]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert captured.err.startswith("repro: error: unknown pass "
+                                           "'nosuch' for --print-after-pass")
+            assert captured.err.count("\n") == 1, captured.err
+
+    def test_profile_emits_pass_timers(self, program_file, capsys):
         import json
 
         assert main(["compile", program_file, "--profile"]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
-        names = [e["pass"] for e in payload["pass_events"]]
-        assert "split-phase" in names
-        assert "analysis-sync" in names
+        assert payload["version"] == 4
+        assert "pass_events" not in payload
+        assert "pass.split-phase" in payload["passes"]
+        assert "pass.analysis-sync" in payload["passes"]
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early (``repro passes | head -1``)
+    gets no traceback on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["passes"],
+        ["run", "tests/data/sb.ms", "--procs", "2"],
+    ])
+    def test_closed_stdout_exits_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        # The reader is gone before the first line: every write the
+        # command makes hits a broken pipe, whatever the timing.
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv], cwd=REPO, env=env,
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE
 
 
 class TestRuntimeFlags:
@@ -335,6 +380,15 @@ class TestRuntimeFlags:
         payload = json.loads(capsys.readouterr().out)
         assert payload["totals"]["failures"] == 0
         assert payload["totals"]["runs"] > 0
+
+    def test_fuzz_unknown_level_exits_two(self, capsys):
+        assert main(["fuzz", "--iterations", "1", "--levels", "O1,O9"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "repro: error: unknown optimization level 'O9' in --levels "
+            "(known: O0, O1, O2, O3, O4)\n"
+        )
 
     def test_fuzz_unknown_topology_exits_two(self, capsys):
         for name in ("ring", "sense"):

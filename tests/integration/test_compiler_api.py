@@ -7,9 +7,8 @@ from repro import (
     OptLevel,
     analyze_source,
     compile_source,
-    frontend,
 )
-from repro.compiler import compile_module
+from repro.compiler import open_session
 from repro.errors import (
     AnalysisError,
     LexError,
@@ -45,23 +44,8 @@ class TestDeterminism:
 
 
 class TestModuleIsolation:
-    def test_compile_module_clone_leaves_input_untouched(self):
-        module = frontend(FIGURE_1)
-        before = str(module)
-        compile_module(module, OptLevel.O3, clone=True)
-        assert str(module) == before
-
-    def test_compile_module_in_place_mutates(self):
-        module = frontend(FIGURE_1)
-        before = str(module)
-        compile_module(module, OptLevel.O3, clone=False)
-        assert str(module) != before
-
     def test_one_module_many_levels(self):
-        module = frontend(FIGURE_1)
-        programs = [
-            compile_module(module, level) for level in OptLevel
-        ]
+        programs = open_session(FIGURE_1).compile_levels(list(OptLevel))
         snapshots = [
             p.run(2, CM5, seed=0).snapshot() for p in programs
         ]

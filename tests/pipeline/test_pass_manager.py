@@ -1,21 +1,31 @@
-"""Compile-driver behavior: stage order, events, debug hooks."""
+"""Compile-driver behavior: stage order, reuse, debug hooks.
+
+Stage order is read from the profiler: every executed stage is timed
+as ``pass.<stage>``, and ``prof.passes`` keeps the order the stages
+finished in.  A reuse is a ``pipeline.cached.<stage>`` count.
+"""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import CodegenError
 from repro.ir.instructions import Opcode
 from repro.perf import profiler as perf
 from repro.pipeline import (
     PASSES,
-    PIPELINES,
     CompilationSession,
     OptLevel,
     PipelineOptions,
-    full_pass_sequence,
+    describe_pipelines,
+    level_passes,
 )
 from tests.helpers import FIGURE_1, FIGURE_5
+
+#: The text ``repro passes`` prints, byte for byte.
+PASSES_TEXT = Path(__file__).parents[1] / "data" / "repro_passes.txt"
 
 #: A cold O3 in-place compile must run exactly this sequence.
 O3_COLD_SEQUENCE = [
@@ -35,77 +45,94 @@ O3_COLD_SEQUENCE = [
 ]
 
 
+def _stages(prof) -> list:
+    """The stages a profiled compile ran, in execution order."""
+    return [name[len("pass."):] for name in prof.passes
+            if name.startswith("pass.")]
+
+
+def _displayed_sequence(level: OptLevel) -> list:
+    """The stage line ``repro passes`` prints under ``level``."""
+    lines = describe_pipelines().splitlines()
+    header = next(i for i, line in enumerate(lines)
+                  if line.startswith(f"  {level.value}  "))
+    return lines[header + 1].strip().split(" -> ")
+
+
 class TestEventStream:
+    """(The class name predates the profiler-only telemetry; it is kept
+    so the test ids stay stable.)"""
+
     def test_cold_in_place_o3_sequence(self):
-        session = CompilationSession(source=FIGURE_1)
+        # Explicit empty options: no pass.verify-each-pass stage even
+        # when CI exports REPRO_VERIFY_EACH_PASS=1.
+        session = CompilationSession(FIGURE_1, options=PipelineOptions())
         with perf.profiled() as prof:
             session.compile(OptLevel.O3, in_place=True)
-        names = [e["pass"] for e in prof.pass_events]
-        assert names == O3_COLD_SEQUENCE
-        assert not any(e["cached"] for e in prof.pass_events)
+        assert _stages(prof) == O3_COLD_SEQUENCE
+        assert not any(name.startswith("pipeline.cached.")
+                       for name in prof.counters)
+        assert prof.counters["pipeline.artifact_misses"] == 3
 
     def test_shared_sweep_reuses_frontend_and_analysis(self):
-        session = CompilationSession(source=FIGURE_5)
+        session = CompilationSession(FIGURE_5)
         with perf.profiled() as prof:
             session.compile_levels(["O0", "O2", "O3"])
         for name in ("pass.parse", "pass.lower", "pass.inline",
                      "pass.analysis-sync", "pass.constraints-sync"):
             assert prof.passes[name].calls == 1, name
-        # Levels after the first record the reuse as cache-hit events.
-        cached = [
-            (e["pipeline"], e["pass"])
-            for e in prof.pass_events if e["cached"]
-        ]
-        assert ("O2", "analysis-sync") in cached
-        assert ("O3", "analysis-sync") in cached
-        assert prof.counters["pipeline.cached.analysis-sync"] == 2
+        # Levels after the first count the reuse of each prelude memo.
+        for stage in ("inline", "analysis-sync", "constraints-sync"):
+            assert prof.counters[f"pipeline.cached.{stage}"] == 2, stage
+        assert prof.counters["pipeline.artifact_hits"] == 6
+        assert prof.counters["pipeline.artifact_misses"] == 3
         assert prof.counters["pipeline.compiles"] == 3
-
-    def test_events_carry_structured_fields(self):
-        session = CompilationSession(source=FIGURE_1)
-        with perf.profiled() as prof:
-            session.compile(OptLevel.O1, in_place=True)
-        by_name = {e["pass"]: e for e in prof.pass_events}
-        split = by_name["split-phase"]
-        assert split["pipeline"] == "O1"
-        assert split["mutates_ir"] is True
-        assert split["seconds"] >= 0.0
-        assert split["cached"] is False
-        analysis = by_name["analysis-sas"]
-        assert analysis["pipeline"] == "O1"
-        assert analysis["mutates_ir"] is False
 
     @pytest.mark.parametrize("level", list(OptLevel))
     def test_displayed_sequence_is_the_executed_sequence(self, level):
-        """``repro passes`` prints ``full_pass_sequence``; the driver
-        runs its own chain.  A cold in-place compile ties the two."""
-        session = CompilationSession(source=FIGURE_5)
+        """``repro passes`` and the driver both read the one pass
+        table; a cold in-place compile ties the two."""
+        session = CompilationSession(FIGURE_5, options=PipelineOptions())
         with perf.profiled() as prof:
             session.compile(level, in_place=True)
-        executed = [e["pass"] for e in prof.pass_events if not e["cached"]]
-        assert executed == full_pass_sequence(PIPELINES[level])
+        assert _stages(prof) == _displayed_sequence(level)
+
+
+class TestPassTable:
+    def test_repro_passes_text_is_unchanged(self, capsys):
+        assert main(["passes"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == PASSES_TEXT.read_bytes()
+
+    def test_levels_are_cumulative(self):
+        levels = list(OptLevel)
+        assert level_passes(OptLevel.O0) == []
+        for lower, higher in zip(levels, levels[1:]):
+            added = [p for p in level_passes(higher)
+                     if p not in level_passes(lower)]
+            assert [p.first for p in added] == [higher] * len(added)
+        assert level_passes(OptLevel.O4) == list(PASSES.values())
+
+    def test_analysis_per_level(self):
+        from repro.analysis.delays import AnalysisLevel
+
+        assert [level.analysis for level in OptLevel] == [
+            AnalysisLevel.SYNC, AnalysisLevel.SAS, AnalysisLevel.SYNC,
+            AnalysisLevel.SYNC, AnalysisLevel.SYNC,
+        ]
 
 
 class TestScheduling:
-    def test_unknown_pass_rejected(self, monkeypatch):
-        spec = dataclasses.replace(
-            PIPELINES[OptLevel.O3], passes=("split-phase", "no-such-pass")
-        )
-        monkeypatch.setitem(PIPELINES, OptLevel.O3, spec)
-        session = CompilationSession(source=FIGURE_1)
-        with pytest.raises(CodegenError, match="unknown pass"):
-            session.compile(OptLevel.O3)
-
     def test_analysis_artifact_shared_with_compile(self):
         from repro.analysis.delays import AnalysisLevel
 
-        session = CompilationSession(source=FIGURE_1)
+        session = CompilationSession(FIGURE_1)
         analysis = session.analyze(AnalysisLevel.SYNC)
         program = session.compile(OptLevel.O3)
         assert program.analysis is analysis
 
     def test_cross_level_analysis_artifact_reuse_counter(self):
-        session = CompilationSession(source=FIGURE_5)
+        session = CompilationSession(FIGURE_5)
         with perf.profiled() as prof:
             session.compile(OptLevel.O3)   # analysis-sync (cold)
             session.compile(OptLevel.O1)   # analysis-sas reuses accesses
@@ -145,7 +172,7 @@ class TestDebugHooks:
     def test_verify_each_pass_names_the_corrupting_pass(self, monkeypatch):
         _patch_pass(monkeypatch, "fuse-gets", _corrupt_sync)
         options = PipelineOptions(verify_each_pass=True)
-        session = CompilationSession(source=FIGURE_1, options=options)
+        session = CompilationSession(FIGURE_1, options=options)
         with pytest.raises(CodegenError, match="after pass 'fuse-gets'"):
             session.compile(OptLevel.O3)
 
@@ -159,9 +186,7 @@ class TestDebugHooks:
         _patch_pass(monkeypatch, "fuse-gets", _corrupt_sync)
         # Explicit empty options: this test pins the *default* healing
         # behavior even when CI exports REPRO_VERIFY_EACH_PASS=1.
-        session = CompilationSession(
-            source=FIGURE_1, options=PipelineOptions()
-        )
+        session = CompilationSession(FIGURE_1, options=PipelineOptions())
         session.compile(OptLevel.O3)  # no error: final verify passes
 
     def test_late_corruption_caught_without_naming_culprit(
@@ -180,42 +205,39 @@ class TestDebugHooks:
         _patch_pass(monkeypatch, "coalesce-counters", drop_every_sync)
         # Explicit empty options: the generic-error half of this test
         # must hold even when CI exports REPRO_VERIFY_EACH_PASS=1.
-        session = CompilationSession(
-            source=FIGURE_1, options=PipelineOptions()
-        )
+        session = CompilationSession(FIGURE_1, options=PipelineOptions())
         with pytest.raises(CodegenError) as excinfo:
             session.compile(OptLevel.O3)
         assert "coalesce-counters" not in str(excinfo.value)
 
         options = PipelineOptions(verify_each_pass=True)
-        flagged = CompilationSession(source=FIGURE_1, options=options)
+        flagged = CompilationSession(FIGURE_1, options=options)
         with pytest.raises(CodegenError,
                            match="after pass 'coalesce-counters'"):
             flagged.compile(OptLevel.O3)
 
-    def test_print_after_pass_dumps_ir(self):
-        dumps = []
-        options = PipelineOptions(
-            print_after=("split-phase",), print_fn=dumps.append
-        )
-        session = CompilationSession(source=FIGURE_1, options=options)
+    def test_print_after_pass_dumps_ir(self, capsys):
+        options = PipelineOptions(print_after=("split-phase",))
+        session = CompilationSession(FIGURE_1, options=options)
         session.compile(OptLevel.O3)
-        assert len(dumps) == 1
-        assert "; IR after pass split-phase (O3)" in dumps[0]
-        assert "func main" in dumps[0]
+        out = capsys.readouterr().out
+        assert out.count("; IR after pass") == 1
+        assert out.startswith("; IR after pass split-phase (O3)\n")
+        assert "func main" in out
 
-    def test_print_after_all_dumps_every_mutating_pass(self):
-        dumps = []
-        options = PipelineOptions(
-            print_after=("all",), print_fn=dumps.append
-        )
-        session = CompilationSession(source=FIGURE_1, options=options)
+    def test_print_after_all_dumps_every_mutating_pass(self, capsys):
+        options = PipelineOptions(print_after=("all",))
+        session = CompilationSession(FIGURE_1, options=options)
         session.compile(OptLevel.O1)
         mutating = [
-            name for name in PIPELINES[OptLevel.O1].passes
-            if PASSES[name].mutates_ir
+            pass_.name for pass_ in level_passes(OptLevel.O1)
+            if pass_.mutates_ir
         ]
-        assert len(dumps) == len(mutating)
+        out = capsys.readouterr().out
+        assert [
+            line.split()[4] for line in out.splitlines()
+            if line.startswith("; IR after pass")
+        ] == mutating
 
     @pytest.mark.parametrize("level", ["O1", "O2", "O3", "O4"])
     def test_verify_each_pass_in_place_analyses_once(self, level):
@@ -224,7 +246,7 @@ class TestDebugHooks:
         whose uids no longer match.  The driver must ask exactly once,
         hooks on or off."""
         session = CompilationSession(
-            source=FIGURE_5, options=PipelineOptions(verify_each_pass=True)
+            FIGURE_5, options=PipelineOptions(verify_each_pass=True)
         )
         with perf.profiled() as prof:
             session.compile(level, in_place=True)
