@@ -73,7 +73,8 @@ class PipelineOptions:
     #: CI turns it on for whole test-suite runs).
     verify_each_pass: bool = False
     #: Pass names after which to print the working IR ("all" = every
-    #: mutating pass) — the ``--print-after-pass`` flag.
+    #: mutating pass; a named pass prints whether or not it mutates)
+    #: — the ``--print-after-pass`` flag.
     print_after: Tuple[str, ...] = ()
 
     @classmethod
@@ -81,8 +82,10 @@ class PipelineOptions:
         flag = os.environ.get("REPRO_VERIFY_EACH_PASS", "")
         return cls(verify_each_pass=flag not in ("", "0"))
 
-    def wants_print_after(self, pass_name: str) -> bool:
-        return "all" in self.print_after or pass_name in self.print_after
+    def wants_print_after(self, pass_: Pass) -> bool:
+        return pass_.name in self.print_after or (
+            pass_.mutates_ir and "all" in self.print_after
+        )
 
 
 def _memo_hit(stage: str) -> None:
@@ -207,10 +210,8 @@ class CompilationSession:
         """One codegen pass, timed, with the debug hooks applied."""
         with perf.pass_timer(f"pass.{pass_.name}"):
             pass_.run(run)
-        if not pass_.mutates_ir:
-            return
         options = self.options
-        if options.verify_each_pass:
+        if options.verify_each_pass and pass_.mutates_ir:
             with perf.pass_timer("pass.verify-each-pass"):
                 try:
                     verify_compiled(run.main)
@@ -219,7 +220,7 @@ class CompilationSession:
                         f"--verify-each-pass: IR invalid after pass "
                         f"{pass_.name!r} ({level.value}): {exc}"
                     )
-        if options.wants_print_after(pass_.name):
+        if options.wants_print_after(pass_):
             print(f"; IR after pass {pass_.name} ({level.value})\n"
                   f"{run.module}\n")
 

@@ -7,7 +7,9 @@ results out of the content-addressed :class:`~repro.serve.store
 
 1. **Cross-process cache** — the request's content address is probed
    first; a hit answers without compiling anything, including entries
-   written by earlier daemon runs or plain CLI runs.
+   written by earlier daemon runs or plain CLI runs.  A compile hit
+   sends the stored bytes with the small ``compile-reply`` entry
+   beside them and unpickles no program.
 2. **In-flight deduplication** — concurrent requests for the same key
    await one future; N clients compiling the same kernel trigger
    exactly one underlying compile (``serve.dedup_hits`` counts the
@@ -54,7 +56,7 @@ from repro.errors import error_summary
 from repro.perf.profiler import Profiler, profiled
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
-from repro.serve.store import ArtifactCache, set_default_cache
+from repro.serve.store import ArtifactCache, artifact_key, set_default_cache
 
 #: Admission control: artifact requests queued for the compile path
 #: before new ones are refused with ``overloaded``.
@@ -351,7 +353,7 @@ class Server:
         if self.cache_enabled:
             blob = self.cache.get_bytes(key)
             if blob is not None:
-                payload = _payload_from_blob(request["op"], blob)
+                payload = self._payload_from_blob(request, blob)
                 if payload is not None:
                     payload["cached"] = True
                     payload["cache_key"] = key
@@ -425,8 +427,8 @@ class Server:
                     (request["source"], request["opt"])
                     for _key, request in compiles
                 ])
-                for (key, _request), outcome in zip(compiles, outcomes):
-                    results[key] = self._settle(key, "compile", outcome)
+                for (key, request), outcome in zip(compiles, outcomes):
+                    results[key] = self._settle(key, request, outcome)
             for key, request in batch:
                 op = request["op"]
                 if op == "compile":
@@ -439,7 +441,7 @@ class Server:
                     outcome = run(request)
                 except Exception as exc:  # noqa: BLE001 - typed by _settle
                     outcome = exc
-                results[key] = self._settle(key, op, outcome)
+                results[key] = self._settle(key, request, outcome)
         return results
 
     def _compile(self, jobs: List[Tuple[str, str]]) -> List[Any]:
@@ -452,11 +454,14 @@ class Server:
 
         return compile_batch(jobs, use_cache=False)
 
-    def _settle(self, key: str, op: str, outcome: Any) -> Any:
+    def _settle(
+        self, key: str, request: Dict[str, Any], outcome: Any
+    ) -> Any:
         """One finished job's reply: an exception becomes a typed
         error; a value (``compile``'s program, else the payload dict)
         is pickled, stored — checkpoint, then ``put_bytes`` — and the
-        payload shaped from the very bytes stored."""
+        payload shaped from the very bytes stored.  A compile then
+        stores its ``compile-reply`` entry for the hit path."""
         if isinstance(outcome, Exception):
             code = protocol.error_code_for(outcome) or "internal"
             return ProtocolError(code, error_summary(outcome))
@@ -464,8 +469,38 @@ class Server:
         self._checkpoint("pre_cache_put")
         if self.cache_enabled:
             self.cache.put_bytes(key, blob)
-        return _compile_payload(outcome, blob) if op == "compile" \
-            else outcome
+        if request["op"] != "compile":
+            return outcome
+        fields = _reply_fields(outcome)
+        if self.cache_enabled:
+            self.cache.put(_reply_key(request), fields)
+        return _compile_payload(fields, blob)
+
+    def _payload_from_blob(
+        self, request: Dict[str, Any], blob: bytes
+    ) -> Optional[Dict[str, Any]]:
+        """Rebuilds a response payload from a cached blob (None = corrupt).
+
+        A compile blob (the pickled ``CompiledProgram``, as
+        ``compile_with_cache`` writes it) is sent as stored, with the
+        rest of the reply read from its ``compile-reply`` entry; only a
+        missing entry (a CLI-written blob, an evicted or quarantined
+        entry) costs an unpickle, and is written back.  No reply field
+        depends on instruction uids, so the entry fits any writer's
+        blob.  Analyze and simulate blobs are their payload dict.
+        """
+        if request["op"] != "compile":
+            value = _unpickle(blob)
+            return dict(value) if isinstance(value, dict) else None
+        reply_key = _reply_key(request)
+        fields = self.cache.get(reply_key)
+        if fields is None:
+            program = _unpickle(blob)
+            if program is None:
+                return None
+            fields = _reply_fields(program)
+            self.cache.put(reply_key, fields)
+        return _compile_payload(fields, blob)
 
     def _run_analyze(self, request: Dict[str, Any]) -> Dict[str, Any]:
         from repro import analyze_source
@@ -551,33 +586,37 @@ class Server:
 # -- payload shaping --------------------------------------------------------
 
 
-def _compile_payload(program, blob: bytes) -> Dict[str, Any]:
+def _reply_key(request: Dict[str, Any]) -> str:
+    return artifact_key(
+        "compile-reply", source=request["source"], level=request["opt"]
+    )
+
+
+def _reply_fields(program) -> Dict[str, Any]:
+    """A compile reply's fields other than the artifact."""
     return {
         "opt": program.opt_level.value,
         "report": asdict(program.report),
         "delay_fences": len(program.delay_fences),
+    }
+
+
+def _compile_payload(fields: Dict[str, Any], blob: bytes) -> Dict[str, Any]:
+    return {
+        **fields,
         "artifact": base64.b64encode(blob).decode("ascii"),
         "artifact_sha256": hashlib.sha256(blob).hexdigest(),
         "artifact_bytes": len(blob),
     }
 
 
-def _payload_from_blob(op: str, blob: bytes) -> Optional[Dict[str, Any]]:
-    """Rebuilds a response payload from a cached blob (None = corrupt).
-
-    Compile entries store the pickled ``CompiledProgram`` itself — the
-    exact bytes ``compile_with_cache`` writes — so
-    the served artifact is byte-identical to the stored one.  Analyze
-    and simulate entries store their (JSON-able) payload dict pickled.
-    """
+def _unpickle(blob: bytes) -> Any:
+    """The unpickled blob, or None: damaged bytes raise almost any
+    exception type, so every one means corrupt."""
     try:
-        value = pickle.loads(blob)
-    except (pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, ValueError):
+        return pickle.loads(blob)
+    except Exception:  # noqa: BLE001 - see above
         return None
-    if op == "compile":
-        return _compile_payload(value, blob)
-    return dict(value) if isinstance(value, dict) else None
 
 
 # -- entry points -----------------------------------------------------------

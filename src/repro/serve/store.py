@@ -263,11 +263,11 @@ class ArtifactCache:
             return None
         try:
             return pickle.loads(data)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
-            # The header matched but the payload does not unpickle:
-            # quarantine it rather than re-reading the bad bytes on
-            # every future request.
+        except Exception:  # noqa: BLE001 - any failure means corrupt
+            # The header matched but the payload does not unpickle
+            # (a damaged opcode stream raises almost any exception
+            # type): quarantine it rather than re-reading the bad
+            # bytes on every future request.
             self._count("corrupt")
             self.quarantine(key)
             return None

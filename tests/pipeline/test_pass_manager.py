@@ -225,6 +225,19 @@ class TestDebugHooks:
         assert out.startswith("; IR after pass split-phase (O3)\n")
         assert "func main" in out
 
+    def test_print_after_a_non_mutating_pass_dumps_the_final_ir(
+        self, capsys
+    ):
+        """``verify`` rewrites nothing, but naming it still prints:
+        the IR after it is the compiled program's."""
+        options = PipelineOptions(print_after=("verify",))
+        program = CompilationSession(FIGURE_1, options=options).compile(
+            OptLevel.O1
+        )
+        out = capsys.readouterr().out
+        header = "; IR after pass verify (O1)\n"
+        assert out == f"{header}{program.pretty()}\n\n"
+
     def test_print_after_all_dumps_every_mutating_pass(self, capsys):
         options = PipelineOptions(print_after=("all",))
         session = CompilationSession(FIGURE_1, options=options)

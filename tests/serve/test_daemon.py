@@ -2,6 +2,7 @@
 
 import base64
 import json
+import os
 import pickle
 import socket
 import threading
@@ -27,6 +28,16 @@ LB = lb_program(2).source
 APP = get_app("em3d").source(4)
 
 BAD_SOURCE = "int x = ; this does not parse"
+
+#: The reply fields a compile-reply entry holds.
+REPLY_FIELDS = ("opt", "report", "delay_fences")
+
+
+class RaisesOnLoad:
+    """Pickles fine; unpickling calls ``int(1, 2, 3)``: a TypeError."""
+
+    def __reduce__(self):
+        return (int, (1, 2, 3))
 
 
 def pipelined(socket_path, requests):
@@ -161,6 +172,97 @@ class TestByteIdentity:
         artifact = pickle.loads(base64.b64decode(served["artifact"]))
         assert program.pretty() == artifact.pretty()
         assert program.delay_fences == artifact.delay_fences
+
+
+class TestHitPath:
+    """A compile hit is the stored blob plus its ``compile-reply``
+    entry; the program is unpickled only to rebuild a missing entry."""
+
+    @staticmethod
+    def reply_key(source, opt):
+        from repro.serve.store import artifact_key
+
+        return artifact_key("compile-reply", source=source, level=opt)
+
+    def test_hit_unpickles_nothing(self, server, socket_path, monkeypatch):
+        import types
+
+        from repro.serve import daemon
+
+        def refuse(_blob):
+            raise AssertionError("a compile hit unpickled its blob")
+
+        with ServeClient(socket_path) as client:
+            cold = client.compile(MP, opt="O3")
+            monkeypatch.setattr(daemon, "pickle", types.SimpleNamespace(
+                loads=refuse, dumps=pickle.dumps,
+            ))
+            hit = client.compile(MP, opt="O3")
+        assert (cold["cached"], hit["cached"]) == (False, True)
+        for field in (*REPLY_FIELDS, "artifact", "artifact_sha256",
+                      "artifact_bytes"):
+            assert hit[field] == cold[field], field
+
+    def test_cli_written_entry_is_served_and_gains_a_reply_entry(
+        self, server, socket_path
+    ):
+        from repro.perf.parallel import compile_with_cache
+
+        cache = server.server.cache
+        key = self.reply_key(LB, "O1")
+        compile_with_cache(LB, "O1")  # the daemon's store is the default
+        assert cache.get_bytes(key) is None
+        with ServeClient(socket_path) as client:
+            hit = client.compile(LB, opt="O1")
+            assert hit["cached"] is True
+            assert cache.get(key) == {f: hit[f] for f in REPLY_FIELDS}
+            cache.clear()
+            cold = client.compile(LB, opt="O1")
+        assert cold["cached"] is False
+        for field in REPLY_FIELDS:
+            assert hit[field] == cold[field], field
+
+    def test_damaged_reply_entry_is_quarantined_and_rebuilt(
+        self, server, socket_path
+    ):
+        cache = server.server.cache
+        key = self.reply_key(SB, "O3")
+        with ServeClient(socket_path) as client:
+            cold = client.compile(SB, opt="O3")
+            path = cache.path_for(key)
+            with open(path, "rb") as handle:
+                data = bytearray(handle.read())
+            data[-1] ^= 0xFF
+            with open(path, "wb") as handle:
+                handle.write(data)
+            hit = client.compile(SB, opt="O3")
+        assert hit["cached"] is True
+        assert os.path.exists(
+            os.path.join(cache.quarantine_dir(), f"{key}.blob")
+        )
+        for field in (*REPLY_FIELDS, "artifact_sha256"):
+            assert hit[field] == cold[field], field
+        assert cache.get(key) == {f: cold[f] for f in REPLY_FIELDS}
+
+    def test_blob_raising_on_load_is_quarantined_and_recompiled(
+        self, server, socket_path
+    ):
+        """Any exception out of the unpickle means corrupt, not
+        ``internal`` on every later request for the key."""
+        from repro.perf.parallel import cache_key
+
+        cache = server.server.cache
+        key = cache_key(SB, "O0")
+        cache.put_bytes(key, pickle.dumps(RaisesOnLoad()))
+        with ServeClient(socket_path) as client:
+            fresh = client.compile(SB, opt="O0")
+            again = client.compile(SB, opt="O0")
+        assert fresh["cached"] is False
+        assert fresh["opt"] == "O0"
+        assert os.path.exists(
+            os.path.join(cache.quarantine_dir(), f"{key}.blob")
+        )
+        assert again["cached"] is True
 
 
 class TestOps:

@@ -20,6 +20,14 @@ def make_cache(tmp_path):
     return ArtifactCache(root=str(tmp_path / "store"))
 
 
+class RaisesOnLoad:
+    """Pickles fine; unpickling calls ``int(1, 2, 3)``: a TypeError,
+    which no unpickling-specific exception list names."""
+
+    def __reduce__(self):
+        return (int, (1, 2, 3))
+
+
 class TestKeys:
     def test_deterministic(self):
         a = artifact_key("compile", source="x", level="O3")
@@ -265,6 +273,17 @@ class TestIntegrity:
         key = "e5" + "0" * 62
         # The header matches, but the payload cannot unpickle.
         cache.put_bytes(key, b"\x80\x05 garbage that will not unpickle")
+        assert cache.get(key) is None
+        assert not os.path.exists(cache.path_for(key))
+        assert cache.quarantined_entries() == 1
+        assert cache.corrupt == 1
+
+    def test_blob_raising_any_exception_on_load_is_quarantined(
+        self, tmp_path
+    ):
+        cache = make_cache(tmp_path)
+        key = "e6" + "0" * 62
+        cache.put_bytes(key, pickle.dumps(RaisesOnLoad()))
         assert cache.get(key) is None
         assert not os.path.exists(cache.path_for(key))
         assert cache.quarantined_entries() == 1
