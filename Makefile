@@ -2,13 +2,10 @@
 
 PYTHON ?= python
 
-.PHONY: test bench serve-chaos fuzz fuzz-faults fuzz-weak examples smoke all
+.PHONY: test serve-chaos fuzz fuzz-faults fuzz-weak examples smoke all
 
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Full chaos oracle: 200 seeded fault schedules against the serve
 # stack, each asserting byte-identity-or-typed-error, no leaked
@@ -38,4 +35,4 @@ examples:
 smoke:
 	$(PYTHON) -m pytest tests/lang tests/ir tests/analysis tests/codegen tests/pipeline -q
 
-all: test bench
+all: test

@@ -1,7 +1,7 @@
 """Pytest bootstrap: make ``src/`` importable without installation.
 
 ``pip install -e .`` is the normal route; this fallback lets the test
-suite and benchmarks run from a plain checkout (or on machines where an
+suites run from a plain checkout (or on machines where an
 editable install is unavailable, e.g. offline environments without the
 ``wheel`` package).
 """

@@ -95,7 +95,8 @@ class Server:
         self._queue: Optional[asyncio.Queue] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
+        #: writer -> the task serving that connection
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._closing = False
         self._done: Optional[asyncio.Event] = None
         self._started = time.monotonic()
@@ -197,7 +198,6 @@ class Server:
         try:
             if self._server is not None:
                 self._server.close()
-                await self._server.wait_closed()
             self._checkpoint("mid_drain")
             pending = [
                 future for future in self._inflight.values()
@@ -211,8 +211,20 @@ class Server:
                 self._dispatcher.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
                     await self._dispatcher
-            for task in list(self._conn_tasks):
-                task.cancel()
+            # A request whose compile never ran gets no answer.
+            for future in self._inflight.values():
+                future.cancel()
+            # EOF on every connection: each handler returns on its own.
+            # (Cancelling one instead makes asyncio log a traceback.)
+            for writer in list(self._connections):
+                writer.close()
+            if self._connections:
+                await asyncio.wait(list(self._connections.values()),
+                                   timeout=DRAIN_TIMEOUT)
+            if self._server is not None:
+                # From Python 3.12 on, this waits for every connection
+                # to close, so it comes after the connections close.
+                await self._server.wait_closed()
             with contextlib.suppress(OSError):
                 os.unlink(self.config.socket_path)
         finally:
@@ -228,8 +240,7 @@ class Server:
     # -- connection handling -----------------------------------------------
 
     async def _handle_client(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
+        self._connections[writer] = asyncio.current_task()
         write_lock = asyncio.Lock()
         line_tasks: set = set()
         try:
@@ -255,7 +266,7 @@ class Server:
                 line_task.cancel()
             with contextlib.suppress(Exception):
                 writer.close()
-            self._conn_tasks.discard(task)
+            del self._connections[writer]
 
     async def _handle_line(self, line, writer, write_lock) -> None:
         request_id: Any = None

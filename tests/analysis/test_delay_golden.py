@@ -29,12 +29,11 @@ if __name__ == "__main__":
 
 import pytest
 
-from benchmarks.bench_compile_time import _program_for
 from repro.analysis.delays import AnalysisLevel
 from repro.apps import APPS
 from repro.compiler import open_session
 from repro.fuzz.progen import PROFILES, generate_program
-from tests.helpers import FIGURE_1, FIGURE_5
+from tests.helpers import FIGURE_1, FIGURE_5, barrier_ladder
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 GOLDEN_PATH = DATA / "delay_golden.json"
@@ -52,7 +51,7 @@ def _programs():
     programs["figure5"] = FIGURE_5
     programs["sb.ms"] = (DATA / "sb.ms").read_text()
     for size in (32, 64):
-        programs[f"ladder{size}"] = _program_for(size)
+        programs[f"ladder{size}"] = barrier_ladder(size)
     for profile in sorted(PROFILES):
         for seed in range(PROGEN_SEEDS):
             programs[f"{profile}/{seed}"] = generate_program(

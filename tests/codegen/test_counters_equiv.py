@@ -22,12 +22,12 @@ import inspect
 
 import pytest
 
-from benchmarks.bench_compile_time import _program_for
 from repro import OptLevel, compile_source
 from repro.apps import ALL_APPS
 from repro.codegen import counters
 from repro.fuzz.progen import generate_program
 from tests.codegen.counters_reference import coalesce_counters_reference
+from tests.helpers import barrier_ladder
 
 LEVELS = (OptLevel.O1, OptLevel.O2, OptLevel.O3, OptLevel.O4)
 PROFILES = ("mixed", "sync_heavy", "lock_heavy", "barrier_misaligned", "racy")
@@ -95,7 +95,7 @@ def test_generated_programs_match_reference(profile, monkeypatch):
 
 @pytest.mark.parametrize("size", [32, 64, 128])
 def test_barrier_ladder_matches_reference(size, monkeypatch):
-    source = _program_for(size)
+    source = barrier_ladder(size)
     assert _assert_allocators_match(source, monkeypatch, size) > size
 
 

@@ -98,3 +98,17 @@ void main() {
   else { wait(F); v = Y; u = X; }
 }
 """
+
+
+def barrier_ladder(size: int) -> str:
+    """A synthetic SPMD program with ~size accesses in barrier phases."""
+    lines = ["shared double A[%d];" % (size * 8), "void main() {",
+             "  int i;"]
+    for phase in range(size // 4):
+        for k in range(4):
+            lines.append(
+                f"  A[MYPROC * 8 + {k}] = A[MYPROC * 8 + {k}] + 1.0;"
+            )
+        lines.append("  barrier();")
+    lines.append("}")
+    return "\n".join(lines)

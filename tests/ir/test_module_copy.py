@@ -8,11 +8,11 @@ label/temp counters that carry over without being shared.
 
 import pytest
 
-from benchmarks.bench_compile_time import _program_for
 from repro import OptLevel, frontend
 from repro.apps import ALL_APPS
 from repro.compiler import open_session
 from repro.fuzz.progen import generate_program
+from tests.helpers import barrier_ladder
 
 
 SOURCES = {app.name: app.source(8) for app in ALL_APPS}
@@ -20,7 +20,7 @@ SOURCES.update(
     (f"progen{seed}", generate_program(seed, "mixed", 4, 8).source)
     for seed in range(16)
 )
-SOURCES["ladder64"] = _program_for(64)
+SOURCES["ladder64"] = barrier_ladder(64)
 
 
 def _modules(name):

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.bench_compile_time import _program_for
 from repro.apps import ALL_APPS
 from repro.errors import LexError
 from repro.fuzz.progen import PROFILES, generate_program
 from repro.lang import lexer
+from tests.helpers import barrier_ladder
 from tests.lang import lexer_reference
 
 #: seeds per profile; 7 profiles x 20 = 140 generated programs.
@@ -95,7 +95,7 @@ def test_generated_programs_match_reference(profile):
 
 @pytest.mark.parametrize("size", [32, 64, 128])
 def test_barrier_ladder_matches_reference(size):
-    assert len(_assert_lexers_match(_program_for(size), size)) > size
+    assert len(_assert_lexers_match(barrier_ladder(size), size)) > size
 
 
 def test_litmus_file_matches_reference():

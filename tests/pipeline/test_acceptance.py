@@ -1,22 +1,22 @@
 """The headline acceptance criterion for the pass-manager refactor.
 
-A shared-session O0–O4 sweep of the size-64 synthetic benchmark program
+A shared-session O0–O4 sweep of the size-64 barrier ladder
 re-runs the frontend, inlining, and each delay-set analysis at most
 once per required :class:`AnalysisLevel` — asserted via the profiler's
 pass counters — while producing delay sets and compiled modules
 byte-identical to per-level cold compiles.
 """
 
-from benchmarks.bench_compile_time import _program_for
 from repro import OptLevel, compile_source
 from repro.compiler import open_session
 from repro.perf import profiler as perf
+from tests.helpers import barrier_ladder
 
 ALL_LEVELS = tuple(OptLevel)
 
 
 def test_size64_sweep_shares_frontend_and_analysis():
-    source = _program_for(64)
+    source = barrier_ladder(64)
     with perf.profiled() as prof:
         session = open_session(source)
         programs = session.compile_levels(ALL_LEVELS)

@@ -250,7 +250,6 @@ class ChaosServer(Server):
     ) -> None:
         super().__init__(config, cache=cache)
         self.plan = plan
-        self._writers: set = set()
         self._crashed = False
 
     # -- crashes -----------------------------------------------------------
@@ -279,7 +278,7 @@ class ChaosServer(Server):
 
         def abort() -> None:
             self._server.close()
-            for writer in list(self._writers):
+            for writer in list(self._connections):
                 with contextlib.suppress(Exception):
                     writer.transport.abort()
             loop.stop()
@@ -303,11 +302,7 @@ class ChaosServer(Server):
             with contextlib.suppress(Exception):
                 writer.close()
             return
-        self._writers.add(writer)
-        try:
-            await super()._handle_client(reader, writer)
-        finally:
-            self._writers.discard(writer)
+        await super()._handle_client(reader, writer)
 
     async def _write_frame(self, writer, data: bytes) -> None:
         action, arg = self.plan.response_action(len(data))

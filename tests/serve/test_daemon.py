@@ -540,6 +540,45 @@ class TestShutdown:
         assert not thread._thread.is_alive()
         assert not os.path.exists(socket_path)
 
+    def test_graceful_shutdown_writes_nothing_to_stderr(
+        self, socket_path, isolated_cache_dir
+    ):
+        """``repro client shutdown`` on a daemon that served work: it
+        exits 0 and logs nothing, though the connection that asked for
+        the shutdown is still open when the drain ends, and an idle one
+        stays open throughout (it sees EOF)."""
+        import subprocess
+        import sys
+        import time
+
+        command = [sys.executable, "-m", "repro"]
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..", "src")))
+        daemon = subprocess.Popen(
+            command + ["serve", "--socket", socket_path, "--cache-dir",
+                       isolated_cache_dir],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            for _ in range(400):
+                if os.path.exists(socket_path) or daemon.poll() is not None:
+                    break
+                time.sleep(0.05)
+            with ServeClient(socket_path) as client, \
+                    socket.socket(socket.AF_UNIX) as idle:
+                assert client.ping()["pong"] is True
+                assert client.compile(SB)["cached"] is False
+                client.simulate(SB, procs=2)
+                idle.connect(socket_path)
+                subprocess.run(command + ["client", "shutdown", "--socket",
+                                          socket_path], env=env, check=True,
+                               stdout=subprocess.DEVNULL, timeout=60)
+                _out, stderr = daemon.communicate(timeout=60)
+                assert idle.recv(1) == b""
+        finally:
+            daemon.kill()
+            daemon.wait()
+        assert (stderr.decode(), daemon.returncode) == ("", 0)
+
     def test_work_after_shutdown_is_rejected(
         self, socket_path, isolated_cache_dir
     ):

@@ -191,7 +191,7 @@ class TestArchitecture:
     def test_module_map_paths_exist(self):
         text = (DOCS / "ARCHITECTURE.md").read_text(encoding="utf-8")
         paths = set(re.findall(
-            r"`((?:src|tests|benchmarks|docs|examples)/[^`*]*)`", text
+            r"`((?:src|tests|docs|examples)/[^`*]*)`", text
         ))
         assert paths, "ARCHITECTURE.md lost its module map"
         for path in sorted(paths):
