@@ -147,6 +147,22 @@ class TestSpecificShapes:
                                  cache=compiled_cache)
         assert pipelined.cycles < 0.8 * baseline.cycles
 
+    def test_epithelial_oneway_win(self, compiled_cache):
+        app = get_app("epithelial")
+        _p2, pipelined = run_app(app, OptLevel.O2, 8,
+                                 cache=compiled_cache)
+        _p3, oneway = run_app(app, OptLevel.O3, 8,
+                              cache=compiled_cache)
+        assert oneway.cycles < pipelined.cycles
+
+    def test_speedup_with_more_processors(self, compiled_cache):
+        """Figure 13's axis: the optimized kernel scales."""
+        app = get_app("epithelial")
+        _p, small = run_app(app, OptLevel.O3, 2, cache=compiled_cache)
+        _p, large = run_app(app, OptLevel.O3, 16, cache=compiled_cache)
+        # More processors => fewer cycles (strong scaling regime).
+        assert large.cycles < small.cycles
+
     def test_t3d_narrows_the_gap(self, compiled_cache):
         """Lower-latency machines gain less from pipelining (§8)."""
         app = get_app("em3d")
