@@ -14,10 +14,13 @@ The store lives under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-compile``; keys, sharding, eviction and integrity are
 :mod:`repro.serve.store`'s).  A key covers the source text, the level
 and a fingerprint of the installed compiler, so editing either the
-program or the compiler invalidates stale entries.  The daemon serves
-the same entries: a kernel compiled by a CLI or bench run is a hit for
-every later serve request, and vice versa.  Delete the directory to
-force a cold run; ``REPRO_COMPILE_CACHE=0`` disables the cache.
+program or the compiler invalidates stale entries.  An entry holds the
+reply it answers, ``<canonical JSON of its fields>\n<artifact>``: a
+compile's artifact is the pickled ``CompiledProgram``, and analyze and
+simulate entries have none.  So a kernel compiled by a CLI or bench run
+is a ``repro serve`` hit and vice versa, and only :func:`load_cached`
+unpickles a stored program.  Delete the directory to force a cold run;
+``REPRO_COMPILE_CACHE=0`` disables the cache.
 
 A compile that *raises* is that job's outcome: its neighbours in the
 batch keep theirs.
@@ -25,15 +28,19 @@ batch keep theirs.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import pickle
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.perf import profiler
-from repro.serve.store import code_fingerprint, default_cache
+from repro.serve.store import ArtifactCache, code_fingerprint, default_cache
 
 __all__ = [
     "cache_enabled", "code_fingerprint", "cache_key",
+    "compile_entry", "write_entry", "read_entry",
     "load_cached", "store_cached", "compile_batch",
     "compile_with_cache", "compile_many",
 ]
@@ -57,18 +64,68 @@ def cache_key(source: str, level: LevelLike) -> str:
     )
 
 
+def compile_entry(program) -> Tuple[Dict[str, Any], bytes]:
+    """A compile reply's fields and its artifact, the pickled program."""
+    artifact = pickle.dumps(program)
+    return {
+        "opt": program.opt_level.value,
+        "report": asdict(program.report),
+        "delay_fences": len(program.delay_fences),
+        "artifact_sha256": hashlib.sha256(artifact).hexdigest(),
+        "artifact_bytes": len(artifact),
+    }, artifact
+
+
+def write_entry(
+    cache: ArtifactCache, key: str, fields: Dict[str, Any],
+    artifact: bytes = b"",
+) -> None:
+    """Stores one entry, fields and artifact, by one atomic put."""
+    head = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    cache.put_bytes(key, head.encode() + b"\n" + artifact)
+
+
+def read_entry(
+    cache: ArtifactCache, key: str
+) -> Optional[Tuple[Dict[str, Any], bytes]]:
+    """(fields, artifact) stored under ``key``, or None: a miss, or an
+    entry that does not parse, which is quarantined."""
+    blob = cache.get_bytes(key)
+    if blob is None:
+        return None
+    head, _newline, artifact = blob.partition(b"\n")
+    try:
+        fields = json.loads(head)
+    except ValueError:
+        fields = None
+    if isinstance(fields, dict):
+        return fields, artifact
+    cache.quarantine(key)
+    return None
+
+
 def load_cached(source: str, level: LevelLike):
-    """The cached CompiledProgram for (source, level), or None."""
+    """The cached CompiledProgram for (source, level), or None.  Any
+    exception from the unpickle means corrupt (a damaged pickle raises
+    almost any type): the entry is quarantined, a miss."""
     if not cache_enabled():
         return None
-    return default_cache().get(cache_key(source, level))
+    key = cache_key(source, level)
+    entry = read_entry(default_cache(), key)
+    if entry is None:
+        return None
+    try:
+        return pickle.loads(entry[1])
+    except Exception:  # noqa: BLE001 - see above
+        default_cache().quarantine(key)
+        return None
 
 
 def store_cached(source: str, level: LevelLike, program) -> None:
     if not cache_enabled():
         return
-    default_cache().put_bytes(
-        cache_key(source, level), pickle.dumps(program)
+    write_entry(
+        default_cache(), cache_key(source, level), *compile_entry(program)
     )
 
 

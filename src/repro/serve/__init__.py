@@ -3,7 +3,9 @@
 * :mod:`repro.serve.store` — the content-addressed, sharded, LRU
   artifact store every compile entry point shares
   (:class:`ArtifactCache`): one self-verifying file per entry (a
-  sha256 header, then the blob) and quarantine of corrupt entries;
+  sha256 header, then the blob: the reply the entry answers, in
+  :mod:`repro.perf.parallel`'s format) and quarantine of corrupt
+  entries;
 * :mod:`repro.serve.protocol` — the newline-delimited JSON wire
   protocol (spec: docs/SERVING.md);
 * :mod:`repro.serve.daemon` — the asyncio unix-socket daemon with

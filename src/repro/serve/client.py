@@ -244,7 +244,11 @@ class ServeClient:
             raise ServeError(
                 "transport", f"garbled response frame: {exc}"
             ) from exc
-        if response.get("id") != request_id:
+        if response.get("id") is None and not response["ok"]:
+            # Sent before the daemon could read this line's id (a line
+            # over MAX_LINE_BYTES); the daemon closes the connection.
+            self.close()
+        elif response.get("id") != request_id:
             self.close()
             raise ServeError(
                 "transport",

@@ -7,9 +7,9 @@ results out of the content-addressed :class:`~repro.serve.store
 
 1. **Cross-process cache** — the request's content address is probed
    first; a hit answers without compiling anything, including entries
-   written by earlier daemon runs or plain CLI runs.  A compile hit
-   sends the stored bytes with the small ``compile-reply`` entry
-   beside them and unpickles no program.
+   written by earlier daemon runs or plain CLI runs.  An entry holds
+   the reply it answers (:func:`repro.perf.parallel.read_entry`), so
+   a hit reads one file and unpickles nothing.
 2. **In-flight deduplication** — concurrent requests for the same key
    await one future; N clients compiling the same kernel trigger
    exactly one underlying compile (``serve.dedup_hits`` counts the
@@ -45,9 +45,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
-import hashlib
 import os
-import pickle
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -56,7 +54,7 @@ from repro.errors import error_summary
 from repro.perf.profiler import Profiler, profiled
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
-from repro.serve.store import ArtifactCache, artifact_key, set_default_cache
+from repro.serve.store import ArtifactCache, set_default_cache
 
 #: Admission control: artifact requests queued for the compile path
 #: before new ones are refused with ``overloaded``.
@@ -247,8 +245,15 @@ class Server:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError,
-                        ValueError):
+                except ConnectionError:
+                    break
+                except ValueError:  # the line overran MAX_LINE_BYTES
+                    await self._send_response(
+                        writer, write_lock, protocol.error_response(
+                            None, "bad_request",
+                            f"line exceeds {protocol.MAX_LINE_BYTES} bytes",
+                        ),
+                    )
                     break
                 if not line:
                     break
@@ -360,19 +365,15 @@ class Server:
     async def _serve_artifact(
         self, request: Dict[str, Any]
     ) -> Dict[str, Any]:
+        from repro.perf.parallel import read_entry
+
         key = self._key_for(request)
-        if self.cache_enabled:
-            blob = self.cache.get_bytes(key)
-            if blob is not None:
-                payload = self._payload_from_blob(request, blob)
-                if payload is not None:
-                    payload["cached"] = True
-                    payload["cache_key"] = key
-                    return payload
-                # Digest matched but the payload would not rebuild:
-                # quarantine it so the recompile below overwrites a
-                # clean slate instead of racing a poisoned entry.
-                self.cache.quarantine(key)
+        entry = read_entry(self.cache, key) if self.cache_enabled else None
+        if entry is not None:
+            payload = _payload(*entry)
+            payload["cached"] = True
+            payload["cache_key"] = key
+            return payload
         future = self._inflight.get(key)
         if future is not None:
             self._count("serve.dedup_hits")
@@ -470,48 +471,21 @@ class Server:
     ) -> Any:
         """One finished job's reply: an exception becomes a typed
         error; a value (``compile``'s program, else the payload dict)
-        is pickled, stored — checkpoint, then ``put_bytes`` — and the
-        payload shaped from the very bytes stored.  A compile then
-        stores its ``compile-reply`` entry for the hit path."""
+        becomes an entry, stored — checkpoint, then one put — and the
+        payload is shaped from the very entry stored."""
+        from repro.perf.parallel import compile_entry, write_entry
+
         if isinstance(outcome, Exception):
             code = protocol.error_code_for(outcome) or "internal"
             return ProtocolError(code, error_summary(outcome))
-        blob = pickle.dumps(outcome)
+        fields, artifact = (
+            compile_entry(outcome) if request["op"] == "compile"
+            else (outcome, b"")
+        )
         self._checkpoint("pre_cache_put")
         if self.cache_enabled:
-            self.cache.put_bytes(key, blob)
-        if request["op"] != "compile":
-            return outcome
-        fields = _reply_fields(outcome)
-        if self.cache_enabled:
-            self.cache.put(_reply_key(request), fields)
-        return _compile_payload(fields, blob)
-
-    def _payload_from_blob(
-        self, request: Dict[str, Any], blob: bytes
-    ) -> Optional[Dict[str, Any]]:
-        """Rebuilds a response payload from a cached blob (None = corrupt).
-
-        A compile blob (the pickled ``CompiledProgram``, as
-        ``compile_with_cache`` writes it) is sent as stored, with the
-        rest of the reply read from its ``compile-reply`` entry; only a
-        missing entry (a CLI-written blob, an evicted or quarantined
-        entry) costs an unpickle, and is written back.  No reply field
-        depends on instruction uids, so the entry fits any writer's
-        blob.  Analyze and simulate blobs are their payload dict.
-        """
-        if request["op"] != "compile":
-            value = _unpickle(blob)
-            return dict(value) if isinstance(value, dict) else None
-        reply_key = _reply_key(request)
-        fields = self.cache.get(reply_key)
-        if fields is None:
-            program = _unpickle(blob)
-            if program is None:
-                return None
-            fields = _reply_fields(program)
-            self.cache.put(reply_key, fields)
-        return _compile_payload(fields, blob)
+            write_entry(self.cache, key, fields, artifact)
+        return _payload(fields, artifact)
 
     def _run_analyze(self, request: Dict[str, Any]) -> Dict[str, Any]:
         from repro import analyze_source
@@ -597,37 +571,13 @@ class Server:
 # -- payload shaping --------------------------------------------------------
 
 
-def _reply_key(request: Dict[str, Any]) -> str:
-    return artifact_key(
-        "compile-reply", source=request["source"], level=request["opt"]
-    )
-
-
-def _reply_fields(program) -> Dict[str, Any]:
-    """A compile reply's fields other than the artifact."""
-    return {
-        "opt": program.opt_level.value,
-        "report": asdict(program.report),
-        "delay_fences": len(program.delay_fences),
-    }
-
-
-def _compile_payload(fields: Dict[str, Any], blob: bytes) -> Dict[str, Any]:
-    return {
-        **fields,
-        "artifact": base64.b64encode(blob).decode("ascii"),
-        "artifact_sha256": hashlib.sha256(blob).hexdigest(),
-        "artifact_bytes": len(blob),
-    }
-
-
-def _unpickle(blob: bytes) -> Any:
-    """The unpickled blob, or None: damaged bytes raise almost any
-    exception type, so every one means corrupt."""
-    try:
-        return pickle.loads(blob)
-    except Exception:  # noqa: BLE001 - see above
-        return None
+def _payload(fields: Dict[str, Any], artifact: bytes) -> Dict[str, Any]:
+    """A reply from an entry: its fields, plus the artifact (if any)
+    in base64."""
+    payload = dict(fields)
+    if artifact:
+        payload["artifact"] = base64.b64encode(artifact).decode("ascii")
+    return payload
 
 
 # -- entry points -----------------------------------------------------------

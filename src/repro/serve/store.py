@@ -32,7 +32,9 @@ and ``compile_with_cache`` / ``compile_many`` — shares:
   *quarantines* the entry (the file moves to ``root/quarantine/``) and
   reports a miss, so a corrupt artifact is recompiled transparently
   and can never be served, and the bad bytes are preserved for
-  forensics instead of being re-read forever.
+  forensics instead of being re-read forever.  What a blob holds is
+  :mod:`repro.perf.parallel`'s; its reader quarantines a blob that
+  does not parse.
 
 * **Telemetry.**  Hits, misses, puts, evictions, corruption
   detections and quarantines are counted on the store instance *and*
@@ -52,13 +54,12 @@ import contextlib
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Bump to invalidate every existing entry on key/format changes.
-STORE_SCHEMA = 3
+STORE_SCHEMA = 4
 
 #: Length of the ``sha256:<64 hex>\n`` header that leads every entry.
 HEADER_BYTES = 72
@@ -189,7 +190,6 @@ class ArtifactCache:
             return None
         blob = data[HEADER_BYTES:]
         if data[:HEADER_BYTES] != _header(blob):
-            self._count("corrupt")
             self.quarantine(key)
             self._count("misses")
             return None
@@ -226,13 +226,15 @@ class ArtifactCache:
     # -- quarantine --------------------------------------------------------
 
     def quarantine(self, key: str) -> bool:
-        """Moves a corrupt entry to ``root/quarantine/`` for forensics.
+        """Counts a corrupt entry and moves it to ``root/quarantine/``
+        for forensics.
 
         Returns True if a blob was actually moved.  The entry stops
         being served immediately; the next request recompiles and
         overwrites it.  Races (another process quarantining or
         evicting the same entry) are benign: a missing file is fine.
         """
+        self._count("corrupt")
         quarantine = self.quarantine_dir()
         try:
             os.makedirs(quarantine, exist_ok=True)
@@ -252,28 +254,6 @@ class ArtifactCache:
         except OSError:
             return 0
         return sum(1 for name in names if name.endswith(".blob"))
-
-    # -- pickled objects ---------------------------------------------------
-
-    def get(self, key: str) -> Optional[Any]:
-        """Unpickles the blob for ``key``; a corrupt blob is
-        quarantined and reported as a miss."""
-        data = self.get_bytes(key)
-        if data is None:
-            return None
-        try:
-            return pickle.loads(data)
-        except Exception:  # noqa: BLE001 - any failure means corrupt
-            # The header matched but the payload does not unpickle
-            # (a damaged opcode stream raises almost any exception
-            # type): quarantine it rather than re-reading the bad
-            # bytes on every future request.
-            self._count("corrupt")
-            self.quarantine(key)
-            return None
-
-    def put(self, key: str, value: Any) -> None:
-        self.put_bytes(key, pickle.dumps(value))
 
     # -- enumeration & eviction --------------------------------------------
 

@@ -29,7 +29,7 @@ APP = get_app("em3d").source(4)
 
 BAD_SOURCE = "int x = ; this does not parse"
 
-#: The reply fields a compile-reply entry holds.
+#: The compile reply fields that depend on no instruction uid.
 REPLY_FIELDS = ("opt", "report", "delay_fences")
 
 
@@ -175,58 +175,54 @@ class TestByteIdentity:
 
 
 class TestHitPath:
-    """A compile hit is the stored blob plus its ``compile-reply``
-    entry; the program is unpickled only to rebuild a missing entry."""
-
-    @staticmethod
-    def reply_key(source, opt):
-        from repro.serve.store import artifact_key
-
-        return artifact_key("compile-reply", source=source, level=opt)
+    """A hit reads one store entry, the reply it answers, and sends it
+    as stored: no second entry, no unpickle, no put."""
 
     def test_hit_unpickles_nothing(self, server, socket_path, monkeypatch):
-        import types
+        requests = [
+            ("compile", {"opt": "O3"}),
+            ("analyze", {"level": "sync"}),
+            ("simulate", {"procs": 2, "seed": 3}),
+        ]
 
-        from repro.serve import daemon
-
-        def refuse(_blob):
-            raise AssertionError("a compile hit unpickled its blob")
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a hit unpickled its entry")
 
         with ServeClient(socket_path) as client:
-            cold = client.compile(MP, opt="O3")
-            monkeypatch.setattr(daemon, "pickle", types.SimpleNamespace(
-                loads=refuse, dumps=pickle.dumps,
-            ))
-            hit = client.compile(MP, opt="O3")
-        assert (cold["cached"], hit["cached"]) == (False, True)
-        for field in (*REPLY_FIELDS, "artifact", "artifact_sha256",
-                      "artifact_bytes"):
-            assert hit[field] == cold[field], field
+            cold = [client.request(op, source=MP, **params)
+                    for op, params in requests]
+            monkeypatch.setattr(pickle, "loads", refuse)
+            hits = [client.request(op, source=MP, **params)
+                    for op, params in requests]
+        for (op, _params), first, hit in zip(requests, cold, hits):
+            assert (first["cached"], hit["cached"]) == (False, True), op
+            assert {**hit, "cached": False} == first, op
 
-    def test_cli_written_entry_is_served_and_gains_a_reply_entry(
+    def test_cli_written_entry_is_served_with_no_put(
         self, server, socket_path
     ):
         from repro.perf.parallel import compile_with_cache
 
         cache = server.server.cache
-        key = self.reply_key(LB, "O1")
         compile_with_cache(LB, "O1")  # the daemon's store is the default
-        assert cache.get_bytes(key) is None
+        puts = cache.puts
         with ServeClient(socket_path) as client:
             hit = client.compile(LB, opt="O1")
             assert hit["cached"] is True
-            assert cache.get(key) == {f: hit[f] for f in REPLY_FIELDS}
+            assert cache.puts == puts
             cache.clear()
             cold = client.compile(LB, opt="O1")
         assert cold["cached"] is False
         for field in REPLY_FIELDS:
             assert hit[field] == cold[field], field
 
-    def test_damaged_reply_entry_is_quarantined_and_rebuilt(
+    def test_damaged_entry_is_quarantined_and_recompiled(
         self, server, socket_path
     ):
+        from repro.perf.parallel import cache_key
+
         cache = server.server.cache
-        key = self.reply_key(SB, "O3")
+        key = cache_key(SB, "O3")
         with ServeClient(socket_path) as client:
             cold = client.compile(SB, opt="O3")
             path = cache.path_for(key)
@@ -235,20 +231,21 @@ class TestHitPath:
             data[-1] ^= 0xFF
             with open(path, "wb") as handle:
                 handle.write(data)
+            fresh = client.compile(SB, opt="O3")
             hit = client.compile(SB, opt="O3")
-        assert hit["cached"] is True
+        assert (fresh["cached"], hit["cached"]) == (False, True)
         assert os.path.exists(
             os.path.join(cache.quarantine_dir(), f"{key}.blob")
         )
-        for field in (*REPLY_FIELDS, "artifact_sha256"):
-            assert hit[field] == cold[field], field
-        assert cache.get(key) == {f: cold[f] for f in REPLY_FIELDS}
+        for field in REPLY_FIELDS:
+            assert fresh[field] == cold[field], field
 
     def test_blob_raising_on_load_is_quarantined_and_recompiled(
         self, server, socket_path
     ):
-        """Any exception out of the unpickle means corrupt, not
-        ``internal`` on every later request for the key."""
+        """Bytes that are not an entry (here a bare pickle that raises
+        on load) are corrupt, not ``internal`` on every later request
+        for the key."""
         from repro.perf.parallel import cache_key
 
         cache = server.server.cache
@@ -263,6 +260,41 @@ class TestHitPath:
             os.path.join(cache.quarantine_dir(), f"{key}.blob")
         )
         assert again["cached"] is True
+
+    def test_one_entry_and_one_put_per_request(self, server, socket_path):
+        """Store deltas per request: a cold request is one miss, one
+        put and one new entry; a hit is one store hit and nothing
+        else.  The cold simulate's compile is the cold compile's entry,
+        a store hit."""
+        requests = [
+            ("compile", {"opt": "O3"}, 0),
+            ("analyze", {"level": "sync"}, 0),
+            ("simulate", {"opt": "O3", "procs": 2}, 1),
+        ]
+        names = ("entries", "puts", "hits", "misses")
+
+        def store(client):
+            stats = client.stats()["cache"]
+            return [stats[name] for name in names]
+
+        def delta(client, op, params):
+            before = store(client)
+            result = client.request(op, source=SB, **params)
+            after = store(client)
+            changes = {name: after[index] - before[index]
+                       for index, name in enumerate(names)}
+            return result["cached"], changes
+
+        with ServeClient(socket_path) as client:
+            for op, params, inner_hits in requests:
+                assert delta(client, op, params) == (False, {
+                    "entries": 1, "puts": 1, "hits": inner_hits,
+                    "misses": 1,
+                }), op
+            for op, params, _inner_hits in requests:
+                assert delta(client, op, params) == (True, {
+                    "entries": 0, "puts": 0, "hits": 1, "misses": 0,
+                }), op
 
 
 class TestOps:
@@ -336,6 +368,39 @@ class TestErrors:
         assert response["ok"] is False
         assert response["error"]["code"] == "parse_error"
         sock.close()
+
+    def test_oversize_line_is_answered_bad_request(
+        self, socket_path, isolated_cache_dir, monkeypatch
+    ):
+        """A line over MAX_LINE_BYTES is answered ``bad_request`` (its id
+        unread, so null) before the connection closes; the client
+        surfaces that without a retry."""
+        from repro.serve import protocol
+
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+        thread = ServerThread(Server(ServeConfig(
+            socket_path=socket_path, cache_dir=isolated_cache_dir,
+        ))).start()
+        try:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(30)
+            sock.connect(socket_path)
+            sock.sendall(protocol.encode(
+                {"id": 1, "op": "compile", "source": "x" * 10_000}
+            ))
+            with sock.makefile("rb") as handle:
+                response = json.loads(handle.readline())
+                assert handle.readline() == b""
+            sock.close()
+            assert (response["id"], response["ok"]) == (None, False)
+            assert response["error"]["code"] == "bad_request"
+            with ServeClient(socket_path) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.compile("x" * 10_000)
+                assert excinfo.value.code == "bad_request"
+                assert client.ping()["pong"] is True
+        finally:
+            thread.stop()
 
     def test_errors_do_not_poison_the_connection(
         self, server, socket_path

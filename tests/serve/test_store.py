@@ -1,6 +1,7 @@
 """The content-addressed artifact store: keys, shards, LRU, telemetry."""
 
 import hashlib
+import json
 import os
 import pickle
 
@@ -63,36 +64,46 @@ class TestBlobs:
         assert cache.get_bytes(key) == b"payload"
 
     def test_round_trip_objects(self, tmp_path):
-        cache = make_cache(tmp_path)
-        value = {"cycles": 12, "snapshot": [1.0, 2.0]}
-        cache.put("k" * 64, value)
-        assert cache.get("k" * 64) == value
+        """An entry is its fields and its artifact, with or without
+        one, in one blob: canonical JSON, a newline, the artifact."""
+        from repro.perf.parallel import read_entry, write_entry
 
-    def test_round_trip_compiled_program(self, tmp_path):
+        cache = make_cache(tmp_path)
+        fields = {"cycles": 12, "snapshot": {"A": [1.0, 2.0]}}
+        for key, artifact in (("k" * 64, b""), ("j" * 64, b"\n\x80\n")):
+            write_entry(cache, key, fields, artifact)
+            assert read_entry(cache, key) == (fields, artifact)
+            assert cache.get_bytes(key) == (
+                b'{"cycles":12,"snapshot":{"A":[1.0,2.0]}}\n' + artifact
+            )
+
+    def test_round_trip_compiled_program(self, isolated_cache_dir):
         """A compiled artifact, source locations included, survives
-        put/get unchanged."""
+        store_cached/load_cached unchanged."""
         from repro import OptLevel, compile_source
         from repro.apps import get_app
+        from repro.perf.parallel import load_cached, store_cached
 
         def locations(program):
             return [instr.location for _, _, instr
                     in program.module.main.instructions()]
 
         program = compile_source(get_app("ocean").source(4), OptLevel.O3)
-        cache = make_cache(tmp_path)
-        key = cache.key("compile", source="ocean@4", level="O3")
-        cache.put(key, program)
-        loaded = cache.get(key)
+        store_cached("ocean@4", "O3", program)
+        loaded = load_cached("ocean@4", "O3")
         assert loaded.pretty() == program.pretty()
         assert locations(loaded) == locations(program)
 
     def test_corrupt_blob_is_a_miss(self, tmp_path):
+        """A verified blob that is not an entry is quarantined."""
+        from repro.perf.parallel import read_entry
+
         cache = make_cache(tmp_path)
         key = "a" * 64
-        cache.put(key, [1, 2, 3])
-        with open(cache.path_for(key), "wb") as handle:
-            handle.write(b"\x80\x05 garbage that will not unpickle")
-        assert cache.get(key) is None
+        cache.put_bytes(key, b"\x80\x05 garbage that is not an entry")
+        assert read_entry(cache, key) is None
+        assert not os.path.exists(cache.path_for(key))
+        assert (cache.corrupt, cache.quarantined) == (1, 1)
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -198,13 +209,42 @@ class TestEviction:
         assert list(cache.iter_entries()) == []
 
 
+def assert_load_quarantines(artifact):
+    """A compile entry whose fields parse but whose ``artifact`` does
+    not load is quarantined by ``load_cached``, and recompiled."""
+    from repro.perf.parallel import (
+        cache_key,
+        compile_with_cache,
+        load_cached,
+        write_entry,
+    )
+
+    cache = default_cache()
+    source = sb_source()
+    key = cache_key(source, "O0")
+    write_entry(cache, key, {"opt": "O0"}, artifact)
+    with profiled(Profiler()) as prof:
+        program = compile_with_cache(source, "O0")
+    assert prof.counters["compile.jobs"] == 1
+    assert os.path.exists(
+        os.path.join(cache.quarantine_dir(), f"{key}.blob")
+    )
+    assert (cache.corrupt, cache.quarantined) == (1, 1)
+    assert load_cached(source, "O0").pretty() == program.pretty()
+
+
+def sb_source():
+    from repro.fuzz.litmus import sb_program
+
+    return sb_program(2).source
+
+
 def stored_compile_entry():
     """(cache, key, file bytes) of one compile entry written through the
     real store-fronted compile path."""
-    from repro.fuzz.litmus import sb_program
     from repro.perf.parallel import cache_key, compile_with_cache
 
-    source = sb_program(2).source
+    source = sb_source()
     compile_with_cache(source, "O0")
     cache = default_cache()
     key = cache_key(source, "O0")
@@ -267,27 +307,14 @@ class TestIntegrity:
         assert cache.get_bytes(key) == b"good again"
         assert cache.quarantined_entries() == 1
 
-    def test_unpicklable_blob_is_quarantined(self, tmp_path):
-        """Satellite fix: a corrupt blob must not be re-read forever."""
-        cache = make_cache(tmp_path)
-        key = "e5" + "0" * 62
-        # The header matches, but the payload cannot unpickle.
-        cache.put_bytes(key, b"\x80\x05 garbage that will not unpickle")
-        assert cache.get(key) is None
-        assert not os.path.exists(cache.path_for(key))
-        assert cache.quarantined_entries() == 1
-        assert cache.corrupt == 1
+    def test_unpicklable_blob_is_quarantined(self, isolated_cache_dir):
+        """A corrupt artifact must not be re-read forever."""
+        assert_load_quarantines(b"\x80\x05 garbage that will not unpickle")
 
     def test_blob_raising_any_exception_on_load_is_quarantined(
-        self, tmp_path
+        self, isolated_cache_dir
     ):
-        cache = make_cache(tmp_path)
-        key = "e6" + "0" * 62
-        cache.put_bytes(key, pickle.dumps(RaisesOnLoad()))
-        assert cache.get(key) is None
-        assert not os.path.exists(cache.path_for(key))
-        assert cache.quarantined_entries() == 1
-        assert cache.corrupt == 1
+        assert_load_quarantines(pickle.dumps(RaisesOnLoad()))
 
     @pytest.mark.parametrize("damage", ["flip", "truncate"])
     def test_every_damaged_compile_entry_is_quarantined_then_recompiled(
@@ -298,7 +325,7 @@ class TestIntegrity:
         and a miss — never a served payload — and the next compile
         recompiles and re-stores the entry."""
         from repro import OptLevel, compile_source
-        from repro.perf.parallel import compile_with_cache
+        from repro.perf.parallel import compile_with_cache, load_cached
 
         cache, key, source, good = stored_compile_entry()
         path = cache.path_for(key)
@@ -312,7 +339,9 @@ class TestIntegrity:
         for bad in damaged_copies:
             with open(path, "wb") as handle:
                 handle.write(bad)
-            assert cache.get(key) is None, f"served damaged copy {count}"
+            assert load_cached(source, "O0") is None, (
+                f"served damaged copy {count}"
+            )
             assert not os.path.exists(path)
             count += 1
         assert count == len(good)
@@ -324,7 +353,7 @@ class TestIntegrity:
             source, OptLevel.O0
         ).pretty()
         # The recompile re-stored a verified entry.
-        assert cache.get(key).pretty() == program.pretty()
+        assert load_cached(source, "O0").pretty() == program.pretty()
 
     def test_quarantine_is_invisible_to_entry_scans(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -397,11 +426,13 @@ class TestDefaultCache:
 
     def test_compile_cache_rides_the_store(self, isolated_cache_dir):
         """load_cached/store_cached round-trip through the store."""
+        from repro import OptLevel, compile_source
         from repro.perf.parallel import load_cached, store_cached
 
+        program = compile_source(sb_source(), OptLevel.O1)
         assert load_cached("src-text", "O1") is None
-        store_cached("src-text", "O1", {"fake": "program"})
-        assert load_cached("src-text", "O1") == {"fake": "program"}
+        store_cached("src-text", "O1", program)
+        assert load_cached("src-text", "O1").pretty() == program.pretty()
         root = default_cache().root
         blobs = [
             name
@@ -428,9 +459,9 @@ class TestDefaultCache:
         path: one key, one program."""
         from repro.fuzz.litmus import mp_program, sb_program
         from repro.perf.parallel import (
-            cache_key,
             compile_many,
             compile_with_cache,
+            load_cached,
         )
 
         sb, mp = sb_program(2).source, mp_program(2).source
@@ -447,11 +478,34 @@ class TestDefaultCache:
             with profiled(Profiler()) as prof:
                 texts.add(face().pretty())
             cache = default_cache()
-            assert cache.get(cache_key(sb, "O3")) is not None, name
+            assert load_cached(sb, "O3") is not None, name
             stored = len(list(cache.iter_entries()))
             assert stored == (2 if name.startswith("many") else 1), name
             assert prof.counters["compile.jobs"] == stored, name
         assert len(texts) == 1
+
+    def test_compile_entry_holds_the_reply_it_answers(
+        self, isolated_cache_dir
+    ):
+        """One file per compile: the reply's fields as canonical JSON,
+        a newline, then the pickled program they describe."""
+        from repro import OptLevel, compile_source
+
+        cache, _key, source, data = stored_compile_entry()
+        head, artifact = data[HEADER_BYTES:].split(b"\n", 1)
+        fields = json.loads(head)
+        assert sorted(fields) == [
+            "artifact_bytes", "artifact_sha256", "delay_fences", "opt",
+            "report",
+        ]
+        assert fields["artifact_sha256"] == hashlib.sha256(
+            artifact
+        ).hexdigest()
+        assert fields["artifact_bytes"] == len(artifact)
+        assert pickle.loads(artifact).pretty() == compile_source(
+            source, OptLevel.O0
+        ).pretty()
+        assert len(list(cache.iter_entries())) == 1
 
     def test_pickled_program_round_trip(self, isolated_cache_dir):
         cache = default_cache()
