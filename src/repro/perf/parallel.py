@@ -14,12 +14,13 @@ The store lives under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-compile``; keys, sharding, eviction and integrity are
 :mod:`repro.serve.store`'s).  A key covers the source text, the level
 and a fingerprint of the installed compiler, so editing either the
-program or the compiler invalidates stale entries.  An entry holds the
-reply it answers, ``<canonical JSON of its fields>\n<artifact>``: a
-compile's artifact is the pickled ``CompiledProgram``, and analyze and
-simulate entries have none.  So a kernel compiled by a CLI or bench run
-is a ``repro serve`` hit and vice versa, and only :func:`load_cached`
-unpickles a stored program.  Delete the directory to force a cold run;
+program or the compiler invalidates stale entries.  An entry is the
+reply's ``result`` minus ``cached`` and ``cache_key``, as one line of
+compact, sorted, ASCII JSON (a compile's pickle is base64 under
+``artifact``).  So a kernel compiled by a CLI or bench run is a
+``repro serve`` hit and vice versa; the daemon splices entries into
+replies unparsed, and only :func:`load_cached` parses and unpickles
+one.  Delete the directory to force a cold run;
 ``REPRO_COMPILE_CACHE=0`` disables the cache.
 
 A compile that *raises* is that job's outcome: its neighbours in the
@@ -28,6 +29,7 @@ batch keep theirs.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -40,7 +42,7 @@ from repro.serve.store import ArtifactCache, code_fingerprint, default_cache
 
 __all__ = [
     "cache_enabled", "code_fingerprint", "cache_key",
-    "compile_entry", "write_entry", "read_entry",
+    "make_entry", "compile_entry", "check_entry", "read_entry",
     "load_cached", "store_cached", "compile_batch",
     "compile_with_cache", "compile_many",
 ]
@@ -64,68 +66,61 @@ def cache_key(source: str, level: LevelLike) -> str:
     )
 
 
-def compile_entry(program) -> Tuple[Dict[str, Any], bytes]:
-    """A compile reply's fields and its artifact, the pickled program."""
+def make_entry(fields: Dict[str, Any], artifact: bytes = b"") -> bytes:
+    """An entry: ``fields``, plus ``artifact`` (if any) in base64, as
+    compact, sorted, ASCII JSON."""
+    if artifact:
+        fields = {**fields, "artifact": base64.b64encode(artifact).decode()}
+    return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode()
+
+
+def compile_entry(program) -> bytes:
+    """A compile reply's entry; its artifact is the pickled program."""
     artifact = pickle.dumps(program)
-    return {
+    return make_entry({
         "opt": program.opt_level.value,
         "report": asdict(program.report),
         "delay_fences": len(program.delay_fences),
         "artifact_sha256": hashlib.sha256(artifact).hexdigest(),
         "artifact_bytes": len(artifact),
-    }, artifact
+    }, artifact)
 
 
-def write_entry(
-    cache: ArtifactCache, key: str, fields: Dict[str, Any],
-    artifact: bytes = b"",
-) -> None:
-    """Stores one entry, fields and artifact, by one atomic put."""
-    head = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-    cache.put_bytes(key, head.encode() + b"\n" + artifact)
+def check_entry(blob: bytes) -> bytes:
+    """``blob`` if it is shaped as an entry, one line of ASCII that is
+    a non-empty ``{"…}`` (it splices), else ValueError."""
+    if (blob[:2] == b'{"' and blob[-1:] == b"}" and blob.isascii()
+            and b"\n" not in blob):
+        return blob
+    raise ValueError("not a store entry")
 
 
-def read_entry(
-    cache: ArtifactCache, key: str
-) -> Optional[Tuple[Dict[str, Any], bytes]]:
-    """(fields, artifact) stored under ``key``, or None: a miss, or an
-    entry that does not parse, which is quarantined."""
-    blob = cache.get_bytes(key)
-    if blob is None:
-        return None
-    head, _newline, artifact = blob.partition(b"\n")
-    try:
-        fields = json.loads(head)
-    except ValueError:
-        fields = None
-    if isinstance(fields, dict):
-        return fields, artifact
-    cache.quarantine(key)
-    return None
+def read_entry(cache: ArtifactCache, key: str) -> Optional[bytes]:
+    """The entry stored under ``key``, or None: a miss, or bytes that
+    are not an entry, which the store quarantines."""
+    return cache.get_bytes(key, check_entry)
 
 
 def load_cached(source: str, level: LevelLike):
     """The cached CompiledProgram for (source, level), or None.  Any
-    exception from the unpickle means corrupt (a damaged pickle raises
-    almost any type): the entry is quarantined, a miss."""
+    exception from the parse or the unpickle means corrupt (a damaged
+    pickle raises almost any type): the store quarantines the entry,
+    a miss."""
     if not cache_enabled():
         return None
-    key = cache_key(source, level)
-    entry = read_entry(default_cache(), key)
-    if entry is None:
-        return None
-    try:
-        return pickle.loads(entry[1])
-    except Exception:  # noqa: BLE001 - see above
-        default_cache().quarantine(key)
-        return None
+    return default_cache().get_bytes(cache_key(source, level), _unpickle)
+
+
+def _unpickle(entry: bytes):
+    artifact = json.loads(check_entry(entry))["artifact"]
+    return pickle.loads(base64.b64decode(artifact))
 
 
 def store_cached(source: str, level: LevelLike, program) -> None:
     if not cache_enabled():
         return
-    write_entry(
-        default_cache(), cache_key(source, level), *compile_entry(program)
+    default_cache().put_bytes(
+        cache_key(source, level), compile_entry(program)
     )
 
 

@@ -57,6 +57,9 @@ RETRYABLE_CODES = frozenset(
     {"transport", "shutting_down", "overloaded"}
 )
 
+#: Read buffer: a compile reply (~70 KB) is one read, not nine of 8 KiB.
+READ_BUFFER_BYTES = 256 * 1024
+
 
 class ServeError(ReproError):
     """An error response from the daemon, or a client-side failure.
@@ -149,7 +152,7 @@ class ServeClient:
             ) from exc
         sock.settimeout(self.timeout)
         self._sock = sock
-        self._file = sock.makefile("rwb")
+        self._file = sock.makefile("rwb", buffering=READ_BUFFER_BYTES)
         return self
 
     def close(self) -> None:

@@ -7,9 +7,10 @@ results out of the content-addressed :class:`~repro.serve.store
 
 1. **Cross-process cache** — the request's content address is probed
    first; a hit answers without compiling anything, including entries
-   written by earlier daemon runs or plain CLI runs.  An entry holds
-   the reply it answers (:func:`repro.perf.parallel.read_entry`), so
-   a hit reads one file and unpickles nothing.
+   written by earlier daemon runs or plain CLI runs.  An entry is the
+   reply's ``result`` as JSON (:mod:`repro.perf.parallel`), and every
+   artifact reply splices it in (:func:`_splice`): a hit reads and
+   verifies one file, and parses, encodes and unpickles nothing.
 2. **In-flight deduplication** — concurrent requests for the same key
    await one future; N clients compiling the same kernel trigger
    exactly one underlying compile (``serve.dedup_hits`` counts the
@@ -43,12 +44,12 @@ subclasses :class:`Server`, overriding the two no-op seams
 from __future__ import annotations
 
 import asyncio
-import base64
 import contextlib
+import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import error_summary
 from repro.perf.profiler import Profiler, profiled
@@ -292,7 +293,9 @@ class Server:
         await self._send_response(writer, write_lock, response)
 
     async def _send_response(self, writer, write_lock, response) -> None:
-        data = protocol.encode(response)
+        """Sends a reply: a spliced line, or a dict to encode."""
+        data = (response if isinstance(response, bytes)
+                else protocol.encode(response))
         async with write_lock:
             try:
                 await self._write_frame(writer, data)
@@ -304,7 +307,7 @@ class Server:
         writer.write(data)
         await writer.drain()
 
-    async def _respond(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _respond(self, request: Dict[str, Any]) -> Union[bytes, dict]:
         op = request["op"]
         self._count(f"serve.requests.{op}")
         if op == "ping":
@@ -328,8 +331,7 @@ class Server:
                 "daemon is draining; not accepting work",
                 retry_after_ms=self._retry_after_ms(),
             )
-        payload = await self._serve_artifact(request)
-        return protocol.ok_response(request["id"], payload)
+        return await self._serve_artifact(request)
 
     def _retry_after_ms(self) -> int:
         """The hint sent with retryable refusals: a base backoff plus a
@@ -362,18 +364,13 @@ class Server:
             drain_seed=request["drain_seed"],
         )
 
-    async def _serve_artifact(
-        self, request: Dict[str, Any]
-    ) -> Dict[str, Any]:
+    async def _serve_artifact(self, request: Dict[str, Any]) -> bytes:
         from repro.perf.parallel import read_entry
 
         key = self._key_for(request)
         entry = read_entry(self.cache, key) if self.cache_enabled else None
         if entry is not None:
-            payload = _payload(*entry)
-            payload["cached"] = True
-            payload["cache_key"] = key
-            return payload
+            return _splice(request["id"], key, True, entry)
         future = self._inflight.get(key)
         if future is not None:
             self._count("serve.dedup_hits")
@@ -393,10 +390,8 @@ class Server:
         # shield: one waiter's task being cancelled (a drained
         # connection) must not cancel the shared compile future out
         # from under the other waiters.
-        payload = dict(await asyncio.shield(future))
-        payload["cached"] = False
-        payload["cache_key"] = key
-        return payload
+        entry = await asyncio.shield(future)
+        return _splice(request["id"], key, False, entry)
 
     async def _dispatch_loop(self) -> None:
         while True:
@@ -427,7 +422,7 @@ class Server:
     def _run_batch(
         self, batch: List[Tuple[str, Dict[str, Any]]]
     ) -> Dict[str, Any]:
-        """key -> payload dict or :class:`ProtocolError`, per request."""
+        """key -> entry bytes or :class:`ProtocolError`, per request."""
         results: Dict[str, Any] = {}
         with profiled(self.profiler):
             compiles = [
@@ -471,21 +466,21 @@ class Server:
     ) -> Any:
         """One finished job's reply: an exception becomes a typed
         error; a value (``compile``'s program, else the payload dict)
-        becomes an entry, stored — checkpoint, then one put — and the
-        payload is shaped from the very entry stored."""
-        from repro.perf.parallel import compile_entry, write_entry
+        becomes an entry, stored — checkpoint, then one put — and
+        every waiter's reply splices the very entry stored."""
+        from repro.perf.parallel import compile_entry, make_entry
 
         if isinstance(outcome, Exception):
             code = protocol.error_code_for(outcome) or "internal"
             return ProtocolError(code, error_summary(outcome))
-        fields, artifact = (
+        entry = (
             compile_entry(outcome) if request["op"] == "compile"
-            else (outcome, b"")
+            else make_entry(outcome)
         )
         self._checkpoint("pre_cache_put")
         if self.cache_enabled:
-            write_entry(self.cache, key, fields, artifact)
-        return _payload(fields, artifact)
+            self.cache.put_bytes(key, entry)
+        return entry
 
     def _run_analyze(self, request: Dict[str, Any]) -> Dict[str, Any]:
         from repro import analyze_source
@@ -568,16 +563,18 @@ class Server:
         }
 
 
-# -- payload shaping --------------------------------------------------------
+# -- the artifact reply -----------------------------------------------------
 
 
-def _payload(fields: Dict[str, Any], artifact: bytes) -> Dict[str, Any]:
-    """A reply from an entry: its fields, plus the artifact (if any)
-    in base64."""
-    payload = dict(fields)
-    if artifact:
-        payload["artifact"] = base64.b64encode(artifact).decode("ascii")
-    return payload
+def _splice(request_id: Any, key: str, cached: bool, entry: bytes) -> bytes:
+    """An artifact reply's line: its two per-request fields open the
+    ``result``, and the entry's ``"…}`` (it opens ``{"``) closes it."""
+    return b"".join((
+        b'{"id":', json.dumps(request_id).encode(),
+        b',"ok":true,"result":{"cache_key":"', key.encode(),
+        b'","cached":', b"true," if cached else b"false,", entry[1:],
+        b"}\n",
+    ))
 
 
 # -- entry points -----------------------------------------------------------

@@ -33,8 +33,8 @@ and ``compile_with_cache`` / ``compile_many`` — shares:
   reports a miss, so a corrupt artifact is recompiled transparently
   and can never be served, and the bad bytes are preserved for
   forensics instead of being re-read forever.  What a blob holds is
-  :mod:`repro.perf.parallel`'s; its reader quarantines a blob that
-  does not parse.
+  :mod:`repro.perf.parallel`'s; a reader passes :meth:`get_bytes` its
+  parse, and a blob that does not parse is quarantined the same way.
 
 * **Telemetry.**  Hits, misses, puts, evictions, corruption
   detections and quarantines are counted on the store instance *and*
@@ -56,10 +56,10 @@ import json
 import os
 import tempfile
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 #: Bump to invalidate every existing entry on key/format changes.
-STORE_SCHEMA = 4
+STORE_SCHEMA = 5
 
 #: Length of the ``sha256:<64 hex>\n`` header that leads every entry.
 HEADER_BYTES = 72
@@ -174,12 +174,13 @@ class ArtifactCache:
 
     # -- raw bytes ---------------------------------------------------------
 
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        """The verified blob for ``key``, or None (miss).
+    def get_bytes(self, key: str, parse: Optional[Callable] = None) -> Any:
+        """The verified blob for ``key`` (``parse(blob)``, given a
+        ``parse``), or None (miss).
 
         A hit refreshes LRU order.  The blob is re-hashed and compared
-        with the header read with it; a mismatch quarantines the entry
-        and reports a miss.
+        with the header read with it; a mismatch, or any exception from
+        ``parse``, quarantines the entry and reports a miss.
         """
         path = self.path_for(key)
         try:
@@ -189,7 +190,11 @@ class ArtifactCache:
             self._count("misses")
             return None
         blob = data[HEADER_BYTES:]
-        if data[:HEADER_BYTES] != _header(blob):
+        try:
+            if data[:HEADER_BYTES] != _header(blob):
+                raise ValueError("digest mismatch")
+            value = blob if parse is None else parse(blob)
+        except Exception:  # noqa: BLE001 - a damaged pickle raises anything
             self.quarantine(key)
             self._count("misses")
             return None
@@ -198,7 +203,7 @@ class ArtifactCache:
         except OSError:
             pass
         self._count("hits")
-        return blob
+        return value
 
     def put_bytes(self, key: str, data: bytes) -> None:
         """Atomically stores the header and ``data`` as one file;

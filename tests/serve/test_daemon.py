@@ -1,6 +1,7 @@
 """End-to-end daemon tests: serving, dedup, caching, crash recovery."""
 
 import base64
+import hashlib
 import json
 import os
 import pickle
@@ -19,6 +20,7 @@ from repro.serve import (
     ServeConfig,
     ServeError,
     Server,
+    protocol,
 )
 from tests.serve.chaos_harness import ServerThread
 
@@ -32,6 +34,13 @@ BAD_SOURCE = "int x = ; this does not parse"
 #: The compile reply fields that depend on no instruction uid.
 REPLY_FIELDS = ("opt", "report", "delay_fences")
 
+#: One request of each artifact op.
+ARTIFACT_REQUESTS = {
+    "compile": {"op": "compile", "source": MP, "opt": "O3"},
+    "analyze": {"op": "analyze", "source": MP, "level": "sync"},
+    "simulate": {"op": "simulate", "source": MP, "procs": 2, "seed": 3},
+}
+
 
 class RaisesOnLoad:
     """Pickles fine; unpickling calls ``int(1, 2, 3)``: a TypeError."""
@@ -40,22 +49,54 @@ class RaisesOnLoad:
         return (int, (1, 2, 3))
 
 
-def pipelined(socket_path, requests):
-    """Sends ``requests`` in one write on one connection, so they queue
-    together and form one batch; returns {index: response}."""
+def raw_lines(socket_path, requests, timeout=10):
+    """Sends ``requests`` (each with its own id) in one write on one
+    connection, so they queue together and form one batch; returns
+    the reply lines, bytes as received, in arrival order."""
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(120)
+    sock.settimeout(timeout)
     sock.connect(socket_path)
     try:
         sock.sendall(b"".join(
-            json.dumps({"id": index, **request}).encode() + b"\n"
-            for index, request in enumerate(requests)
+            json.dumps(request).encode() + b"\n" for request in requests
         ))
         with sock.makefile("rb") as handle:
-            responses = [json.loads(handle.readline()) for _ in requests]
+            return [handle.readline() for _ in requests]
     finally:
         sock.close()
-    return {response["id"]: response for response in responses}
+
+
+def pipelined(socket_path, requests):
+    """:func:`raw_lines` with ids 0, 1, ...; returns {id: response}."""
+    lines = raw_lines(socket_path, [
+        {"id": index, **request} for index, request in enumerate(requests)
+    ])
+    return {response["id"]: response for response in map(json.loads, lines)}
+
+
+def expected_result(server, request, result, cached):
+    """The ``result`` a reply to ``request`` must carry, its values
+    computed in this process (a compile's artifact checked against a
+    cold compile and its own digest, then taken from ``result``)."""
+    request = protocol.validate_request(request)
+    if request["op"] == "compile":
+        cold = compile_source(request["source"], OptLevel(request["opt"]))
+        artifact = base64.b64decode(result["artifact"])
+        assert pickle.loads(artifact).pretty() == cold.pretty()
+        payload = {
+            "opt": request["opt"],
+            "report": asdict(cold.report),
+            "delay_fences": len(cold.delay_fences),
+            "artifact": result["artifact"],
+            "artifact_sha256": hashlib.sha256(artifact).hexdigest(),
+            "artifact_bytes": len(artifact),
+        }
+    elif request["op"] == "analyze":
+        payload = server._run_analyze(request)
+    else:
+        payload = server._run_simulate(request)
+    return {**payload, "cached": cached,
+            "cache_key": server._key_for(request)}
 
 
 @pytest.fixture
@@ -179,24 +220,29 @@ class TestHitPath:
     as stored: no second entry, no unpickle, no put."""
 
     def test_hit_unpickles_nothing(self, server, socket_path, monkeypatch):
+        """A hit of each op sends its entry as stored: no unpickle, no
+        base64 and no ``protocol.encode``."""
         requests = [
-            ("compile", {"opt": "O3"}),
-            ("analyze", {"level": "sync"}),
-            ("simulate", {"procs": 2, "seed": 3}),
+            {"id": op, **request}
+            for op, request in ARTIFACT_REQUESTS.items()
         ]
 
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("a hit unpickled its entry")
+        def results():
+            lines = raw_lines(socket_path, requests)
+            return {reply["id"]: reply["result"]
+                    for reply in map(json.loads, lines)}
 
-        with ServeClient(socket_path) as client:
-            cold = [client.request(op, source=MP, **params)
-                    for op, params in requests]
-            monkeypatch.setattr(pickle, "loads", refuse)
-            hits = [client.request(op, source=MP, **params)
-                    for op, params in requests]
-        for (op, _params), first, hit in zip(requests, cold, hits):
-            assert (first["cached"], hit["cached"]) == (False, True), op
-            assert {**hit, "cached": False} == first, op
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a hit decoded or re-encoded its entry")
+
+        cold = results()
+        for module, name in ((pickle, "loads"), (base64, "b64encode"),
+                             (protocol, "encode")):
+            monkeypatch.setattr(module, name, refuse)
+        hits = results()
+        for op, first in cold.items():
+            assert (first["cached"], hits[op]["cached"]) == (False, True), op
+            assert {**hits[op], "cached": False} == first, op
 
     def test_cli_written_entry_is_served_with_no_put(
         self, server, socket_path
@@ -295,6 +341,110 @@ class TestHitPath:
                 assert delta(client, op, params) == (True, {
                     "entries": 0, "puts": 0, "hits": 1, "misses": 0,
                 }), op
+
+    def test_quarantined_read_counts_a_miss_not_a_hit(
+        self, server, socket_path
+    ):
+        """A read whose verified bytes are not an entry is one miss and
+        one corrupt entry, never a hit; the recompile is one put."""
+        from repro.perf.parallel import cache_key
+
+        cache = server.server.cache
+        cache.put_bytes(cache_key(SB, "O0"), pickle.dumps(RaisesOnLoad()))
+        names = ("hits", "misses", "corrupt", "quarantined", "puts",
+                 "entries")
+        with ServeClient(socket_path) as client:
+            before = client.stats()["cache"]
+            assert client.compile(SB, opt="O0")["cached"] is False
+            after = client.stats()["cache"]
+        assert {name: after[name] - before[name] for name in names} == {
+            "hits": 0, "misses": 1, "corrupt": 1, "quarantined": 1,
+            "puts": 1, "entries": 0,
+        }
+        assert after["hit_rate"] == 0.0
+
+
+class TestSplice:
+    """Every artifact reply is the stored entry spliced after the
+    reply's per-request fields: one ASCII line that parses to the
+    reply ``protocol.encode`` would build."""
+
+    @pytest.mark.parametrize(
+        "mode", ["cold", "hit", "dedup_waiter", "memory_only"]
+    )
+    @pytest.mark.parametrize("op", sorted(ARTIFACT_REQUESTS))
+    def test_reply_is_one_ascii_line_equal_to_an_encoded_reply(
+        self, socket_path, isolated_cache_dir, monkeypatch, op, mode
+    ):
+        if mode == "memory_only":
+            monkeypatch.setenv("REPRO_COMPILE_CACHE", "0")
+        server = Server(ServeConfig(
+            socket_path=socket_path, cache_dir=isolated_cache_dir,
+        ))
+        thread = ServerThread(server).start()
+        request = ARTIFACT_REQUESTS[op]
+        try:
+            if mode == "hit":
+                raw_lines(socket_path, [{"id": 0, **request}])
+            lines = raw_lines(socket_path, [
+                {"id": index, **request}
+                for index in range(2 if mode == "dedup_waiter" else 1)
+            ])
+            dedup_hits = server.profiler.counters.get("serve.dedup_hits")
+        finally:
+            thread.stop()
+        assert dedup_hits == (1 if mode == "dedup_waiter" else None)
+        for line in lines:
+            assert line.isascii() and line.endswith(b"\n"), line[-80:]
+            assert line.count(b"\n") == 1
+            reply = json.loads(line)
+            want = expected_result(
+                server, request, reply["result"], mode == "hit"
+            )
+            assert reply == json.loads(
+                protocol.encode(protocol.ok_response(reply["id"], want))
+            )
+
+    @pytest.mark.parametrize("request_id", [
+        0, -7, 2 ** 70, 1.5, 'a "quoted" \\ ü\n', True, False, None,
+    ])
+    def test_request_ids_echo_back_unchanged(
+        self, server, socket_path, request_id
+    ):
+        request = {"id": request_id, "op": "compile", "source": SB,
+                   "opt": "O0"}
+        miss, hit = (
+            json.loads(raw_lines(socket_path, [request])[0])
+            for _ in range(2)
+        )
+        for reply in (miss, hit):
+            assert reply["id"] == request_id
+            assert type(reply["id"]) is type(request_id)
+        assert (miss["result"]["cached"], hit["result"]["cached"]) == (
+            False, True
+        )
+
+    @pytest.mark.parametrize("blob", [
+        pytest.param(b'["opt","O0"]', id="json_array"),
+        pytest.param(b'{"opt":"O0"}\n{"opt":"O0"}', id="newline"),
+        pytest.param('{"opt":"Ö"}'.encode(), id="non_ascii"),
+    ])
+    def test_stored_non_entry_is_quarantined_and_recompiled(
+        self, server, socket_path, blob
+    ):
+        from repro.perf.parallel import cache_key
+
+        cache = server.server.cache
+        key = cache_key(SB, "O0")
+        cache.put_bytes(key, blob)
+        with ServeClient(socket_path) as client:
+            fresh = client.compile(SB, opt="O0")
+            again = client.compile(SB, opt="O0")
+        assert (fresh["cached"], again["cached"]) == (False, True)
+        assert again == {**fresh, "cached": True}
+        quarantined = os.path.join(cache.quarantine_dir(), f"{key}.blob")
+        with open(quarantined, "rb") as handle:
+            assert handle.read().endswith(b"\n" + blob)
 
 
 class TestOps:
@@ -493,7 +643,12 @@ class TestDedup:
             results = [None] * clients
 
             def run(index):
-                with ServeClient(socket_path) as client:
+                # A short timeout and no retry: an orphaned waiter
+                # fails the test in seconds instead of hanging it.
+                with ServeClient(
+                    socket_path, timeout=10.0,
+                    retry=RetryPolicy(max_attempts=1),
+                ) as client:
                     barrier.wait(timeout=30)
                     results[index] = client.compile(APP, opt="O3")
 

@@ -64,17 +64,25 @@ class TestBlobs:
         assert cache.get_bytes(key) == b"payload"
 
     def test_round_trip_objects(self, tmp_path):
-        """An entry is its fields and its artifact, with or without
-        one, in one blob: canonical JSON, a newline, the artifact."""
-        from repro.perf.parallel import read_entry, write_entry
+        """An entry is its fields, plus its artifact in base64 if it
+        has one, as compact, sorted, ASCII JSON on one line."""
+        import base64
+
+        from repro.perf.parallel import make_entry, read_entry
 
         cache = make_cache(tmp_path)
-        fields = {"cycles": 12, "snapshot": {"A": [1.0, 2.0]}}
-        for key, artifact in (("k" * 64, b""), ("j" * 64, b"\n\x80\n")):
-            write_entry(cache, key, fields, artifact)
-            assert read_entry(cache, key) == (fields, artifact)
-            assert cache.get_bytes(key) == (
-                b'{"cycles":12,"snapshot":{"A":[1.0,2.0]}}\n' + artifact
+        fields = {"cycles": 12, "snapshot": {"A": [1.0, 2.0]}, "to": "ü"}
+        for key, artifact, head in (
+            ("k" * 64, b"", b"{"),
+            ("j" * 64, b"\n\x80\n", b'{"artifact":"CoAK",'),
+        ):
+            cache.put_bytes(key, make_entry(fields, artifact))
+            entry = read_entry(cache, key)
+            parsed = json.loads(entry)
+            assert base64.b64decode(parsed.pop("artifact", "")) == artifact
+            assert parsed == fields
+            assert entry == head + (
+                b'"cycles":12,"snapshot":{"A":[1.0,2.0]},"to":"\\u00fc"}'
             )
 
     def test_round_trip_compiled_program(self, isolated_cache_dir):
@@ -216,13 +224,13 @@ def assert_load_quarantines(artifact):
         cache_key,
         compile_with_cache,
         load_cached,
-        write_entry,
+        make_entry,
     )
 
     cache = default_cache()
     source = sb_source()
     key = cache_key(source, "O0")
-    write_entry(cache, key, {"opt": "O0"}, artifact)
+    cache.put_bytes(key, make_entry({"opt": "O0"}, artifact))
     with profiled(Profiler()) as prof:
         program = compile_with_cache(source, "O0")
     assert prof.counters["compile.jobs"] == 1
@@ -389,6 +397,19 @@ class TestTelemetry:
         assert (cache.hits, cache.misses, cache.puts) == (1, 1, 1)
         assert cache.hit_rate() == 0.5
 
+    def test_blob_its_reader_cannot_parse_counts_as_a_miss(self, tmp_path):
+        """A verified blob whose parse raises is quarantined and read
+        as a miss: it never counts as a hit."""
+        from repro.perf.parallel import read_entry
+
+        cache = make_cache(tmp_path)
+        key = "c1" + "0" * 62
+        cache.put_bytes(key, pickle.dumps(RaisesOnLoad()))
+        assert read_entry(cache, key) is None
+        assert (cache.hits, cache.misses, cache.corrupt,
+                cache.quarantined) == (0, 1, 1, 1)
+        assert cache.hit_rate() == 0.0
+
     def test_profiler_counters_mirrored(self, tmp_path, monkeypatch):
         """artifact_store.* counters surface in --profile JSON."""
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "1")
@@ -487,17 +508,25 @@ class TestDefaultCache:
     def test_compile_entry_holds_the_reply_it_answers(
         self, isolated_cache_dir
     ):
-        """One file per compile: the reply's fields as canonical JSON,
-        a newline, then the pickled program they describe."""
+        """One file per compile: the reply's fields, the pickled
+        program they describe in base64 under ``artifact``, as
+        compact, sorted, ASCII JSON on one line."""
+        import base64
+
         from repro import OptLevel, compile_source
 
         cache, _key, source, data = stored_compile_entry()
-        head, artifact = data[HEADER_BYTES:].split(b"\n", 1)
-        fields = json.loads(head)
+        entry = data[HEADER_BYTES:]
+        assert entry.isascii() and b"\n" not in entry
+        fields = json.loads(entry)
         assert sorted(fields) == [
-            "artifact_bytes", "artifact_sha256", "delay_fences", "opt",
-            "report",
+            "artifact", "artifact_bytes", "artifact_sha256",
+            "delay_fences", "opt", "report",
         ]
+        assert entry == json.dumps(
+            fields, sort_keys=True, separators=(",", ":")
+        ).encode()
+        artifact = base64.b64decode(fields["artifact"])
         assert fields["artifact_sha256"] == hashlib.sha256(
             artifact
         ).hexdigest()
