@@ -19,7 +19,7 @@ fuzz:
 	$(PYTHON) -m repro fuzz --budget-seconds 60 --profile all
 
 # Lossy-network campaign only: every program replayed under seeded
-# drop/duplicate/partition schedules with the snapshot-agreement oracle.
+# drop/duplicate schedules with the snapshot-agreement oracle.
 fuzz-faults:
 	$(PYTHON) -m repro fuzz --budget-seconds 60 --profile faulty
 

@@ -102,11 +102,11 @@ class RuntimeFault(ReproError):
 class NetworkFault(RuntimeFault):
     """A message exhausted its retransmission budget and is undeliverable.
 
-    Raised by ``network.Transport`` when the retry cap is reached — a
-    permanently partitioned link, or a fault plan so lossy
-    the exponential backoff budget runs out.  Carries the undeliverable
-    message and the sending link's fault statistics so callers (and the
-    CLI) can render a precise diagnostic instead of hanging.
+    Raised by ``network.Transport`` when an envelope is still unacked
+    after ``network.RETRY_CAP`` retransmissions — a fault plan so lossy
+    that the exponential backoff runs out.  Carries the undeliverable
+    message, its (src, dst) link and its transmission count, so callers
+    (and the CLI) render a diagnosis instead of hanging.
     """
 
     def __init__(
@@ -115,12 +115,10 @@ class NetworkFault(RuntimeFault):
         undeliverable=None,
         link=None,
         attempts: Optional[int] = None,
-        link_stats=None,
     ):
         self.undeliverable = undeliverable
         self.link = link
         self.attempts = attempts
-        self.link_stats = link_stats
         super().__init__(message)
 
 

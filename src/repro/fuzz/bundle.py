@@ -6,9 +6,9 @@ needed to reproduce and debug one oracle failure offline:
 * ``program.ms`` — the minimized program;
 * ``original.ms`` — the unreduced program the campaign generated;
 * ``repro.json`` — generator seed/profile/procs, the adversarial
-  schedules (network seed, machine, jitter), the optimization levels,
-  the failing oracle with its detail, the trace digest, and a
-  ready-to-paste reproduction hint.
+  schedules (network seed, machine, jitter), the barrier topology, the
+  optimization levels, the failing oracle with its detail, the trace
+  digest, and a ready-to-paste reproduction hint.
 
 Bundles are plain files: they can be attached to a CI artifact, mailed
 around, and replayed with nothing but this repository.
@@ -73,7 +73,9 @@ def write_bundle(
             "num_phases": len(minimized.phases),
         },
         "campaign": campaign_meta,
-        "repro_hint": _repro_hint(minimized, failure),
+        "repro_hint": _repro_hint(
+            minimized, failure, campaign_meta["barrier_topology"]
+        ),
     }
     with open(os.path.join(directory, "repro.json"), "w",
               encoding="utf-8") as handle:
@@ -82,14 +84,17 @@ def write_bundle(
     return directory
 
 
-def _repro_hint(program: GeneratedProgram,
-                failure: OracleFailure) -> str:
+def _repro_hint(program: GeneratedProgram, failure: OracleFailure,
+                topology: str) -> str:
     schedule = failure.schedule or {}
     machine = schedule.get("machine", "cm5")
     seed = schedule.get("net_seed", 0)
     level = failure.level or "O3"
     if level not in ("O0", "O1", "O2", "O3", "O4"):
         level = "O3"
+    barrier = ""
+    if topology != "central":
+        barrier = f" --barrier-topology {topology}"
     faults = ""
     if schedule.get("faults"):
         faults = (
@@ -106,7 +111,8 @@ def _repro_hint(program: GeneratedProgram,
             weak += " --strip-delays"
     return (
         f"repro run program.ms --opt {level} --procs {program.procs} "
-        f"--machine {machine} --seed {seed}{faults}{weak} --dump 8   "
+        f"--machine {machine} --seed {seed}{barrier}{faults}{weak} "
+        f"--dump 8   "
         f"# compare against --opt O0"
     )
 

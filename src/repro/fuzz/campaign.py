@@ -362,8 +362,8 @@ def _profile_is_weak(name: str) -> bool:
     return profile is not None and profile.weak
 
 
-def _make_schedules(rng: random.Random, config: FuzzConfig,
-                    procs: int) -> List[Schedule]:
+def _make_schedules(rng: random.Random,
+                    config: FuzzConfig) -> List[Schedule]:
     schedules = [
         Schedule(
             net_seed=rng.getrandbits(16),
@@ -379,26 +379,11 @@ def _make_schedules(rng: random.Random, config: FuzzConfig,
         # keep providing the reference snapshot and SC coverage).
         for base in list(schedules):
             drop, dup = rng.choice(FAULT_RATES)
-            spec = f"drop={drop},dup={dup}"
-            if rng.random() < 0.25:
-                spec += ",spike=0.05:2000"
-            if rng.random() < 0.25:
-                # Delivery is only guaranteed for partitions that heal
-                # within the retransmission window, so stay inside the
-                # protocol's envelope: bound the outage and widen the
-                # retry budget (on the lowest-RTO machine, t3d, cap 16
-                # leaves ~10 post-heal attempts for the worst outage
-                # generated here — a legitimate NetworkFault would
-                # otherwise surface as a false campaign failure).
-                a, b = rng.sample(range(procs), 2)
-                start = rng.randrange(0, 5000)
-                duration = rng.randrange(2000, 12000)
-                spec += f",partition={a}-{b}@{start}+{duration},retry_cap=16"
             schedules.append(Schedule(
                 net_seed=base.net_seed,
                 machine=base.machine,
                 jitter=base.jitter,
-                faults=spec,
+                faults=f"drop={drop},dup={dup}",
                 fault_seed=rng.getrandbits(16),
             ))
     if _profile_is_weak(config.profile):
@@ -557,6 +542,7 @@ def _minimize_and_bundle(
             "levels": list(config.levels),
             "schedules": [s.as_dict() for s in schedules],
             "sc_step_limit": config.sc_step_limit,
+            "barrier_topology": config.barrier_topology,
             "iteration": iteration,
             **extra_meta,
         },
@@ -624,7 +610,7 @@ def run_campaign(
         program = generate_program(
             gen_seed, config.profile, procs, num_phases
         )
-        schedules = _make_schedules(rng, config, program.procs)
+        schedules = _make_schedules(rng, config)
         failure = check_program(program, schedules, config, stats)
         stats.programs += 1
         if failure is not None:

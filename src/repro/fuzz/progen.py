@@ -459,7 +459,7 @@ PROFILES: Dict[str, Profile] = {
     "faulty": Profile(
         "faulty",
         "the mixed phase set replayed over a lossy network: dropped/"
-        "duplicated/delayed messages behind the retransmission protocol",
+        "duplicated messages behind the retransmission protocol",
         deterministic=True, straight_line=False,
         mix=_B.PHASES,
         faulty=True,

@@ -24,8 +24,6 @@ from repro.runtime.machine import (
 from repro.runtime.memory import GlobalMemory
 from repro.runtime.network import (
     FaultPlan,
-    LinkPartition,
-    LinkStats,
     Message,
     MsgKind,
     Network,
@@ -62,8 +60,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "FaultPlan",
-    "LinkPartition",
-    "LinkStats",
     "Message",
     "MsgKind",
     "Simulator",

@@ -19,14 +19,13 @@ Fault injection
 A :class:`FaultPlan` turns the network adversarial in a second
 dimension: *loss*.  With a plan installed, :meth:`Network.transmit`
 replaces :meth:`Network.send` — each physical transmission may be
-dropped, duplicated, hit by a latency spike, or swallowed by a
-temporary link partition, all decided by a dedicated seeded RNG so a
-(program seed, fault seed) pair replays exactly.
+dropped or duplicated, decided by a dedicated seeded RNG so a (program
+seed, fault seed) pair replays exactly.
 
 Above it the :class:`Transport` restores point-to-point FIFO.  Each
 logical message travels in a sequence-numbered envelope, retransmitted
 until acked on a timeout strictly above the worst-case round trip that
-doubles per attempt (capped at 64x); past the plan's ``retry_cap``
+doubles per attempt (capped at 64x); past ``RETRY_CAP`` retransmissions
 :class:`NetworkFault` is raised — silent loss becomes a diagnosis,
 never a hang.  Receivers ack every arrival (acks are faultable too),
 suppress duplicates and release strictly in sequence order, so handlers
@@ -40,15 +39,10 @@ Fault-plan spec grammar (the CLI's ``--faults`` string)::
     spec      := item (',' item)*
     item      := 'drop=P'                        # drop probability
                | 'dup=P'                         # duplication probability
-               | 'spike=P:CYCLES'                # latency spike
-               | 'partition=A-B@START+DURATION'  # temporary link outage
-               | 'retry_cap=N'                   # retransmission budget
-               | 'seed=N'                        # fault RNG seed
 
 where probabilities are floats in [0, 1] that apply to every message
-kind (transport acks included), and cycles, durations and the retry
-cap are non-negative integers.  Example: ``drop=0.1,dup=0.05,
-spike=0.02:2000,partition=0-1@1000+5000``.
+kind (transport acks included); the fault RNG's seed is the CLI's
+``--fault-seed``.  Example: ``drop=0.1,dup=0.05``.
 """
 
 from __future__ import annotations
@@ -135,28 +129,8 @@ class Message:
 # -- fault plans -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkPartition:
-    """A temporary outage between two processors (both directions)."""
-
-    a: int
-    b: int
-    #: outage window [start, heal) in cycles
-    start: int
-    heal: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.heal:
-            raise ValueError(
-                f"partition window [{self.start}, {self.heal}) needs "
-                "0 <= start <= heal"
-            )
-
-    def covers(self, src: int, dst: int, now: int) -> bool:
-        return (
-            self.start <= now < self.heal
-            and {src, dst} == {self.a, self.b}
-        )
+#: retransmissions per envelope before :class:`NetworkFault`
+RETRY_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -172,32 +146,19 @@ class FaultPlan:
 
     drop: float = 0.0
     duplicate: float = 0.0
-    #: probability / magnitude of an extra latency spike per copy
-    spike_prob: float = 0.0
-    spike_cycles: int = 0
-    partitions: Tuple[LinkPartition, ...] = ()
-    #: maximum retransmissions per envelope before NetworkFault
-    retry_cap: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # The bounds ``parse`` applies, for plans built directly too: a
-        # negative spike, say, would schedule an event into the past.
-        for prob in (self.drop, self.duplicate, self.spike_prob):
-            _prob(prob)
-        _count(self.spike_cycles, "spike cycles")
-        _count(self.retry_cap, "retry_cap")
-
-    def partitioned(self, src: int, dst: int, now: int) -> bool:
-        return any(p.covers(src, dst, now) for p in self.partitions)
+        # The bounds ``parse`` applies, for plans built directly too.
+        _prob(self.drop)
+        _prob(self.duplicate)
 
     # -- parsing ----------------------------------------------------------
 
     @classmethod
     def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
         """Parses the ``--faults`` grammar documented in the module."""
-        kwargs: Dict[str, object] = {"seed": seed}
-        partitions: List[LinkPartition] = []
+        kwargs: Dict[str, float] = {}
         for raw in spec.split(","):
             item = raw.strip()
             if not item:
@@ -209,54 +170,23 @@ class FaultPlan:
                     f"bad fault item {item!r} (expected key=value)"
                 ) from None
             key = key.strip()
-            value = value.strip()
             try:
                 if key == "drop":
-                    kwargs["drop"] = _prob(value)
+                    kwargs["drop"] = _prob(value.strip())
                 elif key == "dup":
-                    kwargs["duplicate"] = _prob(value)
-                elif key == "spike":
-                    prob, _, cycles = value.partition(":")
-                    kwargs["spike_prob"] = _prob(prob)
-                    kwargs["spike_cycles"] = _count(
-                        cycles or "0", "spike cycles",
-                    )
-                elif key == "partition":
-                    link, _, window = value.partition("@")
-                    a, _, b = link.partition("-")
-                    start, _, duration = window.partition("+")
-                    begin = int(start)
-                    partitions.append(LinkPartition(
-                        int(a), int(b), begin,
-                        begin + _count(duration, "partition duration"),
-                    ))
-                elif key == "retry_cap":
-                    kwargs["retry_cap"] = _count(value, "retry_cap")
-                elif key == "seed":
-                    kwargs["seed"] = int(value)
+                    kwargs["duplicate"] = _prob(value.strip())
                 else:
                     raise ValueError(f"unknown fault key {key!r}")
             except ValueError as exc:
                 raise ValueError(
                     f"bad fault item {item!r}: {exc}"
                 ) from None
-        kwargs["partitions"] = tuple(partitions)
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(seed=seed, **kwargs)
 
     def describe(self) -> str:
-        """The plan as a ``--faults`` spec that parses back to it."""
-        parts = [f"drop={_num(self.drop)}", f"dup={_num(self.duplicate)}"]
-        if self.spike_prob or self.spike_cycles:
-            parts.append(
-                f"spike={_num(self.spike_prob)}:{self.spike_cycles}"
-            )
-        for p in self.partitions:
-            parts.append(
-                f"partition={p.a}-{p.b}@{p.start}+{p.heal - p.start}"
-            )
-        parts.append(f"retry_cap={self.retry_cap}")
-        parts.append(f"seed={self.seed}")
-        return ",".join(parts)
+        """The plan as a ``--faults`` spec: ``parse(describe(), seed)``
+        gives the plan back."""
+        return f"drop={_num(self.drop)},dup={_num(self.duplicate)}"
 
 
 def _prob(text: Union[str, float]) -> float:
@@ -266,30 +196,12 @@ def _prob(text: Union[str, float]) -> float:
     return value
 
 
-def _count(text: Union[str, int], what: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"{what} {value} is negative")
-    return value
-
-
 def _num(value: float) -> str:
     """The shortest text that parses back to ``value`` exactly."""
     return repr(value).removesuffix(".0")
 
 
 # -- statistics --------------------------------------------------------------
-
-
-@dataclass
-class LinkStats:
-    """Per-(src, dst) fault accounting."""
-
-    sent: int = 0
-    delivered_copies: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-    partition_drops: int = 0
 
 
 @dataclass
@@ -303,37 +215,13 @@ class NetworkStats:
     duplicates: int = 0
     retransmits: int = 0
     duplicates_suppressed: int = 0
-    spikes: int = 0
-    partition_drops: int = 0
-    #: transmissions-needed -> completed envelopes (1 = first try)
-    retry_histogram: Dict[int, int] = field(default_factory=dict)
 
     def record(self, kind: MsgKind) -> None:
         self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + 1
         self.total_messages += 1
 
-    def record_retries(self, attempts: int) -> None:
-        self.retry_histogram[attempts] = (
-            self.retry_histogram.get(attempts, 0) + 1
-        )
-
     def count(self, kind: MsgKind) -> int:
         return self.messages_by_kind.get(kind, 0)
-
-    def fault_summary(self) -> Dict[str, object]:
-        """The reliability-protocol counters as plain JSON-able data."""
-        return {
-            "drops": self.drops,
-            "duplicates_injected": self.duplicates,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "retransmits": self.retransmits,
-            "latency_spikes": self.spikes,
-            "partition_drops": self.partition_drops,
-            "retry_histogram": {
-                str(attempts): count
-                for attempts, count in sorted(self.retry_histogram.items())
-            },
-        }
 
 
 class Network:
@@ -356,7 +244,6 @@ class Network:
         self.plan = plan
         self._frng = random.Random(plan.seed if plan is not None else 0)
         self.stats = NetworkStats()
-        self.link_stats: Dict[Tuple[int, int], LinkStats] = {}
 
     def send(self, msg: Message, now: int) -> int:
         """Accounts for a message injection; returns its delivery time."""
@@ -386,46 +273,20 @@ class Network:
         stats.record(msg.kind)
         if retransmission:
             stats.retransmits += 1
-        link = (msg.src, msg.dst)
-        lstats = self.link_stats.get(link)
-        if lstats is None:
-            lstats = self.link_stats[link] = LinkStats()
-        lstats.sent += 1
         copies = 1
         if self._frng.random() < plan.duplicate:
             copies = 2
             stats.duplicates += 1
-            lstats.duplicated += 1
         arrivals: List[int] = []
         for _ in range(copies):
-            if plan.partitioned(msg.src, msg.dst, now):
-                stats.partition_drops += 1
-                lstats.partition_drops += 1
-                lstats.dropped += 1
-                continue
             if self._frng.random() < plan.drop:
                 stats.drops += 1
-                lstats.dropped += 1
                 continue
             delay = self._wire
             if self._jitter:
                 delay += self._rng.randint(0, self._jitter)
-            if plan.spike_prob and self._frng.random() < plan.spike_prob:
-                delay += plan.spike_cycles
-                stats.spikes += 1
             arrivals.append(now + delay)
-            lstats.delivered_copies += 1
         return arrivals
-
-    def describe_link(self, link: Tuple[int, int]) -> str:
-        """One line of per-link fault forensics for error messages."""
-        stats = self.link_stats.get(link, LinkStats())
-        return (
-            f"link {link[0]}->{link[1]}: {stats.sent} sent, "
-            f"{stats.dropped} dropped ({stats.partition_drops} by "
-            f"partition), {stats.duplicated} duplicated, "
-            f"{stats.delivered_copies} copies delivered"
-        )
 
 
 # -- the reliability protocol ------------------------------------------------
@@ -450,16 +311,15 @@ class Transport:
     are looked up per call (the test-side reference engine rebinds
     ``_push`` after construction)."""
 
-    def __init__(self, network: Network, plan: FaultPlan,
-                 machine: MachineConfig, sim: Simulator) -> None:
+    def __init__(self, network: Network, machine: MachineConfig,
+                 sim: Simulator) -> None:
         self.network = network
-        self.plan = plan
         self.sim = sim
         # Strictly above the worst-case round trip — data and ack wire
-        # time, each inflated by the full jitter bound and any spike,
-        # plus handler time and slack for FIFO bumps and queueing — so
-        # a timeout means a lost envelope or ack, never a slow one.
-        worst_one_way = machine.wire_latency + machine.jitter + plan.spike_cycles
+        # time, each inflated by the full jitter bound, plus handler
+        # time and slack for FIFO bumps and queueing — so a timeout
+        # means a lost envelope or ack, never a slow one.
+        worst_one_way = machine.wire_latency + machine.jitter
         self.base_timeout = (
             2 * worst_one_way + machine.remote_handle
             + machine.send_overhead + machine.recv_overhead + 16
@@ -502,17 +362,12 @@ class Transport:
         if entry is None:
             return  # acked in the meantime: a stale timer
         msg, attempts = entry
-        plan = self.plan
-        if attempts > plan.retry_cap:
+        if attempts > RETRY_CAP:
             raise NetworkFault(
                 f"P{msg.src}: {msg.kind.value} to P{msg.dst} "
                 f"undeliverable after {attempts} transmissions "
-                f"(seq {seq}, retry cap {plan.retry_cap}); "
-                + self.network.describe_link(key)
-                + ("; link currently partitioned"
-                   if plan.partitioned(key[0], key[1], now) else ""),
+                f"(seq {seq}, retry cap {RETRY_CAP})",
                 undeliverable=msg, link=key, attempts=attempts,
-                link_stats=self.network.link_stats.get(key),
             )
         self._transmit(link, seq, msg, attempts + 1, now)
 
@@ -540,12 +395,9 @@ class Transport:
         """Clears the acked envelope of link ``key``, and every one at
         or below the receiver's in-order floor."""
         unacked = self._links[key].unacked
-        stats = self.network.stats
-        entry = unacked.pop(seq, None)
-        if entry is not None:
-            stats.record_retries(entry[1])
+        unacked.pop(seq, None)
         for done in [s for s in unacked if s <= floor]:
-            stats.record_retries(unacked.pop(done)[1])
+            del unacked[done]
 
     def forensics(self) -> List[str]:
         """The deadlock report's lines on envelopes awaiting an ack."""

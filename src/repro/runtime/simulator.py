@@ -84,23 +84,9 @@ class SimulationResult:
     def snapshot(self) -> Dict[str, List[Value]]:
         return self.memory.snapshot()
 
-    # -- reliability-protocol observability --------------------------------
-
     @property
     def retransmits(self) -> int:
         return self.network.stats.retransmits
-
-    @property
-    def drops(self) -> int:
-        return self.network.stats.drops
-
-    @property
-    def duplicates_suppressed(self) -> int:
-        return self.network.stats.duplicates_suppressed
-
-    def fault_summary(self) -> Dict[str, object]:
-        """Drop/duplicate/retransmit counters and the retry histogram."""
-        return self.network.stats.fault_summary()
 
     @property
     def total_messages(self) -> int:
@@ -193,7 +179,7 @@ class Simulator:
         self.transport: Optional[Transport] = None
         self.send: Callable[[Message, int], None] = self._send_perfect
         if fault_plan is not None:
-            self.transport = Transport(self.network, fault_plan, machine, self)
+            self.transport = Transport(self.network, machine, self)
             self.send = self.transport.send
         self._decoded_cache: Dict[str, Dict[str, List[Step]]] = {}
         self.procs = [

@@ -36,7 +36,7 @@ Both expose the same entry points (``local_arrive``, ``on_arrive``,
 ``last_arrival``, the time the rendezvous completed) and forensics
 (``describe_block``, ``forensics``).  All barrier
 traffic flows through ``Simulator.send`` and therefore composes with
-jitter, fault plans (drop/duplicate/partition) and the reliability
+jitter, fault plans (drop/duplicate) and the reliability
 protocol unchanged; the store-drain gate (the implicit
 ``all_store_sync``) is preserved by both.  Because a barrier release
 never carries data, the topologies differ only in *timing*:

@@ -150,6 +150,20 @@ class TestInjectedBugs:
         assert manifest["minimized"]["num_phases"] == 1
         assert len(minimized) <= len(original)
         assert "repro run program.ms" in manifest["repro_hint"]
+        assert manifest["campaign"]["barrier_topology"] == "central"
+        assert "--barrier-topology" not in manifest["repro_hint"]
+
+    def test_bundle_replays_on_the_campaigns_barrier_topology(
+        self, tmp_path
+    ):
+        stats = run_campaign(config_for(
+            tmp_path, compile_fn=corrupting_compile,
+            barrier_topology="tree", minimize=False,
+        ))
+        assert stats.failure_count == 1
+        manifest = read_bundle(stats.bundles[0])
+        assert manifest["campaign"]["barrier_topology"] == "tree"
+        assert "--barrier-topology tree" in manifest["repro_hint"]
 
     def test_broken_analysis_caught(self, tmp_path):
         stats = run_campaign(
@@ -264,29 +278,6 @@ class TestFaultyProfile:
         assert "stalled" in stats.failures[0]["detail"]
         assert "blocked on" in stats.failures[0]["detail"]
 
-    @pytest.mark.parametrize("procs", [2, 3])
-    def test_partitions_name_two_of_the_programs_processors(self, procs):
-        # A partition naming a processor the program lacks partitions
-        # nothing: the lossy twin would silently run fault-free there.
-        import random
-
-        from repro.fuzz.campaign import _make_schedules
-        from repro.runtime.network import FaultPlan
-
-        rng = random.Random(procs)
-        config = FuzzConfig(profile="faulty", schedules_per_program=2)
-        partitions = [
-            part
-            for _ in range(200)
-            for schedule in _make_schedules(rng, config, procs)
-            if schedule.faults
-            for part in FaultPlan.parse(schedule.faults).partitions
-        ]
-        assert partitions
-        for part in partitions:
-            assert part.a != part.b
-            assert {part.a, part.b} <= set(range(procs))
-
     def test_schedule_dict_round_trips_fault_fields(self):
         from repro.fuzz.campaign import Schedule
 
@@ -312,7 +303,7 @@ class TestWeakProfile:
         config = FuzzConfig(
             profile="weak_memory", schedules_per_program=2
         )
-        schedules = _make_schedules(random.Random(0), config, procs=2)
+        schedules = _make_schedules(random.Random(0), config)
         assert len(schedules) == 6
         models = [s.memory_model for s in schedules]
         assert models.count("sc") == 2

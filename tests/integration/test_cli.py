@@ -154,9 +154,10 @@ class TestRunWithFaults:
             "--faults", "drop=0.2,dup=0.1", "--fault-seed", "3",
         ]) == 0
         out = capsys.readouterr().out
-        assert "fault plan:  drop=0.2,dup=0.1" in out
-        assert "retransmits:" in out
+        assert "fault plan:  drop=0.2,dup=0.1 (--fault-seed 3)" in out
+        assert "drops:" in out
         assert "duplicates:" in out
+        assert "retransmits:" in out
 
     def test_fault_seed_changes_fault_decisions(
         self, program_file, capsys
@@ -175,15 +176,14 @@ class TestRunWithFaults:
     def test_bad_fault_spec_exits_two(self, program_file, capsys):
         for spec, reason in [
             ("drop=7", "outside [0, 1]"),
-            ("spike=1:-100", "spike cycles -100 is negative"),
-            # keys of removed modes: stall windows, per-kind rates
+            # keys of removed modes: latency spikes, link partitions,
+            # retry caps, stall windows, per-kind rates
+            ("spike=1:-100", "unknown fault key 'spike'"),
+            ("partition=5-8@0+100000", "unknown fault key 'partition'"),
+            ("retry_cap=2", "unknown fault key 'retry_cap'"),
             ("stall=1@5+10", "unknown fault key 'stall'"),
             ("drop.store_req=0.3", "unknown fault key 'drop.store_req'"),
             ("dup.net_ack=0.2", "unknown fault key 'dup.net_ack'"),
-            # processor 8 does not exist at the default 8 processors:
-            # the run would silently be fault-free
-            ("partition=5-8@0+100000",
-             "partition 5-8 names a processor outside 0..7"),
         ]:
             assert main(["run", program_file, "--faults", spec]) == 2, spec
             err = capsys.readouterr().err
@@ -196,7 +196,7 @@ class TestRunWithFaults:
     ):
         assert main([
             "run", program_file, "--procs", "2",
-            "--faults", "drop=1.0,retry_cap=2",
+            "--faults", "drop=1.0",
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error:")
@@ -206,7 +206,7 @@ class TestRunWithFaults:
     def test_verbose_prints_traceback(self, program_file, capsys):
         assert main([
             "run", program_file, "--procs", "2",
-            "--faults", "drop=1.0,retry_cap=2", "--verbose",
+            "--faults", "drop=1.0", "--verbose",
         ]) == 2
         err = capsys.readouterr().err
         assert "Traceback" in err

@@ -1,10 +1,9 @@
 """The litmus suite and the bundled apps replayed over a lossy network.
 
 The contract under test: for deterministic-by-construction programs,
-every (drop, duplicate, spike, partition) schedule the fault grammar can
-express yields the *same final snapshot* as the perfect network, at
-every optimization level — the reliability protocol is invisible except
-in timing.  Lock-based programs (``health``, LOCK_COUNTER) settle
+every (drop, duplicate) schedule the fault grammar can express yields
+the *same final snapshot* as the perfect network, at every optimization
+level — the reliability protocol is invisible except in timing.  Lock-based programs (``health``, LOCK_COUNTER) settle
 acquisition order by arrival time, so they are checked against their
 invariants instead of snapshot equality.
 """
@@ -25,13 +24,11 @@ from tests.integration.test_litmus import (
 
 LEVELS = (OptLevel.O0, OptLevel.O1, OptLevel.O3)
 
-#: Escalating severities, mirroring the campaign's FAULT_RATES plus a
-#: spike/partition schedule that exercises heal-time handling.
+#: Escalating severities, mirroring the campaign's FAULT_RATES.
 FAULT_SPECS = (
     "drop=0.05",
     "drop=0.1,dup=0.05",
     "drop=0.2,dup=0.1",
-    "drop=0.15,dup=0.05,spike=0.05:1500,partition=0-1@500+8000",
 )
 
 LITMUS = [

@@ -26,8 +26,8 @@ def fingerprint(result):
         result.per_proc_wait,
         result.instructions,
         result.retransmits,
-        result.drops,
-        result.duplicates_suppressed,
+        result.network.stats.drops,
+        result.network.stats.duplicates_suppressed,
     )
 
 

@@ -106,7 +106,7 @@ class TestMachineVariants:
     """One run per axis the two event cores handle differently."""
 
     def test_lossy_network(self):
-        plan = FaultPlan.parse("drop=0.2,dup=0.1,spike=0.05:800", seed=5)
+        plan = FaultPlan.parse("drop=0.2,dup=0.1", seed=5)
         program = compile_source(get_app("em3d").source(4), OptLevel.O3)
         observed = parity_of(program, 4, seed=2, fault_plan=plan)
         assert observed["retransmits"] > 0
@@ -292,7 +292,7 @@ class TestFaultTexts:
         module = inlined(
             "shared int X; void main() { if (MYPROC == 1) { X = 1; } }"
         )
-        plan = FaultPlan.parse("drop=1.0,retry_cap=3")
+        plan = FaultPlan.parse("drop=1.0")
         observed = assert_parity(module, 2, CM5, fault_plan=plan)
         assert observed["fault"].startswith("NetworkFault:")
 

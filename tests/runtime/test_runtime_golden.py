@@ -50,7 +50,7 @@ MODES = {
     "pso": dict(machine=CM5.with_jitter(50).with_memory_model("pso")),
     "lossy": dict(
         machine=CM5,
-        fault_plan=FaultPlan.parse("drop=0.05,dup=0.02", seed=3),
+        fault_plan=FaultPlan(drop=0.05, duplicate=0.02, seed=3),
     ),
     "traced": dict(machine=CM5, trace=True),
 }

@@ -16,8 +16,8 @@ import pytest
 from repro.errors import NetworkFault, RuntimeFault
 from repro.runtime import CM5, network, simulator
 from repro.runtime.network import (
+    RETRY_CAP,
     FaultPlan,
-    LinkPartition,
     Message,
     MsgKind,
     Network,
@@ -43,7 +43,7 @@ class StubSim:
 def make(plan=FaultPlan()):
     sim = StubSim()
     net = Network(CM5.wire_latency, 0, seed=0, plan=plan)
-    return Transport(net, plan, CM5, sim), net, sim
+    return Transport(net, CM5, sim), net, sim
 
 
 def take(sim, what):
@@ -59,9 +59,9 @@ def delivered(sim):
 
 
 def test_timeout_strictly_exceeds_the_worst_round_trip():
-    transport, _net, _sim = make(FaultPlan(spike_cycles=100))
-    # 2 * (wire + jitter + spike) + remote_handle + send + recv + slack
-    assert transport.base_timeout == 2 * (150 + 0 + 100) + 30 + 35 + 35 + 16
+    transport, _net, _sim = make()
+    # 2 * (wire + jitter) + remote_handle + send + recv + slack
+    assert transport.base_timeout == 2 * (150 + 0) + 30 + 35 + 35 + 16
 
 
 def test_duplicate_is_suppressed_and_counted():
@@ -81,7 +81,6 @@ def test_duplicate_is_suppressed_and_counted():
     for event in acks:
         transport.handle(*event)
     assert transport.forensics() == ["  unacked envelopes: none"]
-    assert net.stats.retry_histogram == {1: 1}
     assert net.stats.duplicates == 3  # the envelope and both acks
 
 
@@ -123,7 +122,6 @@ def test_cumulative_ack_clears_an_envelope_whose_own_ack_was_lost():
     _first_ack, second_ack = take(sim, "ack")  # first's only ack dies
     transport.handle(*second_ack)
     assert transport.forensics() == ["  unacked envelopes: none"]
-    assert net.stats.retry_histogram == {1: 1, 2: 1}
     # Every timer still pending is now stale.
     [retry_timer] = take(sim, "timer")
     for timer in (second_timer, retry_timer):
@@ -143,46 +141,46 @@ def test_stale_timer_is_a_no_op():
     transport.handle(*timer)
     assert sim.events == []
     assert net.stats.retransmits == 0
-    assert net.stats.retry_histogram == {1: 1}
+    assert transport.forensics() == ["  unacked envelopes: none"]
 
 
 def test_exhausted_retry_cap_raises_network_fault():
-    plan = FaultPlan(partitions=(LinkPartition(0, 1, 0, 10**9),),
-                     retry_cap=2)
-    transport, net, sim = make(plan)
+    transport, net, sim = make(FaultPlan(drop=1.0))
     store = Message(MsgKind.STORE_REQ, src=0, dst=1)
     transport.send(store, 0)
     base = transport.base_timeout
     fired = []
-    for _ in range(2):  # two retransmissions, both swallowed
+    for _ in range(RETRY_CAP):  # every retransmission dropped
         [timer] = take(sim, "timer")
         fired.append(timer[0])
         transport.handle(*timer)
     [timer] = take(sim, "timer")
     fired.append(timer[0])
-    assert fired == [base, 3 * base, 7 * base]  # the backoff doubles
+    # The backoff doubles per attempt, up to 64x the base timeout.
+    gaps = [b - a for a, b in zip([0] + fired, fired)]
+    assert gaps == [base * 2 ** min(n, 6) for n in range(RETRY_CAP + 1)]
     assert take(sim, "data") == []
+    assert net.stats.drops == RETRY_CAP + 1
     with pytest.raises(NetworkFault) as info:
         transport.handle(*timer)
     fault = info.value
+    attempts = RETRY_CAP + 1
     assert str(fault) == (
-        "P0: store_req to P1 undeliverable after 3 transmissions "
-        "(seq 0, retry cap 2); " + net.describe_link((0, 1))
-        + "; link currently partitioned"
+        f"P0: store_req to P1 undeliverable after {attempts} transmissions "
+        f"(seq 0, retry cap {RETRY_CAP})"
     )
-    assert "link 0->1: 3 sent, 3 dropped (3 by partition)" in str(fault)
     assert fault.undeliverable is store
     assert fault.link == (0, 1)
-    assert fault.attempts == 3
-    assert fault.link_stats is net.link_stats[(0, 1)]
+    assert fault.attempts == attempts
     assert transport.forensics() == [
-        "  unacked envelope 0->1 seq 0 (store_req, 3 transmission(s))"
+        f"  unacked envelope 0->1 seq 0 (store_req, {attempts} "
+        "transmission(s))"
     ]
 
 
 # -- teeth for the lossy oracles ---------------------------------------------
 
-#: One-line source mutants of the receive path: (anchor, replacement).
+#: One-line source mutants of the protocol: (anchor, replacement).
 MUTANTS = {
     # The receiver trusts arrival order: each arrival fills the next
     # expected slot and is released at once.
@@ -193,6 +191,17 @@ MUTANTS = {
     "no_duplicate_suppression": (
         "self.network.stats.duplicates_suppressed += 1",
         "self.sim._handle_message(now, msg)",
+    ),
+    # An ack clears only its own envelope: one whose acks were all
+    # lost is retransmitted until an ack of a retransmission arrives.
+    "no_cumulative_ack": (
+        "for done in [s for s in unacked if s <= floor]:",
+        "for done in []:",
+    ),
+    # Every retransmission waits the base timeout: no backoff.
+    "no_backoff": (
+        "self.base_timeout * 2 ** min(attempts - 1, 6)",
+        "self.base_timeout * 1",
     ),
 }
 
