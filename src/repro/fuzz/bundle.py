@@ -109,11 +109,17 @@ def _repro_hint(program: GeneratedProgram, failure: OracleFailure,
         )
         if failure.stripped:
             weak += " --strip-delays"
+    jitter = ""
+    if schedule.get("jitter"):
+        jitter = (
+            f"; jitter {schedule['jitter']} is not replayed: "
+            f"repro run has no jitter flag"
+        )
     return (
         f"repro run program.ms --opt {level} --procs {program.procs} "
         f"--machine {machine} --seed {seed}{barrier}{faults}{weak} "
         f"--dump 8   "
-        f"# compare against --opt O0"
+        f"# compare against --opt O0{jitter}"
     )
 
 

@@ -40,7 +40,7 @@ from repro.runtime.topology import (
     TreeBarrier,
     build_topology,
 )
-from repro.runtime.trace import ExecutionTrace, MemEvent, PrecedenceOracle, SyncRecord
+from repro.runtime.trace import ExecutionTrace, MemEvent
 
 __all__ = [
     "MachineConfig",
@@ -68,8 +68,6 @@ __all__ = [
     "run_module",
     "ExecutionTrace",
     "MemEvent",
-    "SyncRecord",
-    "PrecedenceOracle",
     "is_sequentially_consistent",
     "find_violation_witness",
 ]

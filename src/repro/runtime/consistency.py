@@ -3,84 +3,28 @@
 An execution is sequentially consistent when some total order ``S`` of
 its accesses (a) contains every processor's program order and (b) makes
 every read return the most recent preceding write (Lamport).  Deciding
-this is NP-hard in general; the exact checker below is a memoized
-backtracking search adequate for litmus-test-sized traces.
+this is NP-hard in general; the checker below is an exact, memoized
+depth-first search over interleavings.
 
-Large traced runs (the 256+ processor configurations of ROADMAP item
-4) never fit the exact search, so a **fast accept path** runs first:
-one pass over the :class:`~repro.runtime.trace.PrecedenceOracle`'s
-topological event order with per-location last-write/open-read sets, a
-la FastTrack.  If the trace is data-race-free under the recorded
-synchronization *and* every read returns its happens-before-latest
-write, then any hb-consistent linearization is an SC witness — answer
-``True`` without searching.  Any race or value mismatch makes the fast
-path abstain (it does **not** answer ``False``: the exact checker only
-requires ``S`` to contain program order, so a read may legally return
-a value that contradicts the sync-induced hb order — e.g.
-``P0: w x=1; post f`` / ``P1: wait f; r x=0`` is SC under program
-order alone).  Abstention falls through to the exact search, so the
-fast path is sound in both directions.
+A search state is each processor's position in its program plus the
+memory those moves left behind; locations are interned into slots of
+one memory tuple, so a state is two tuples.  The processor that moved
+last is tried first: a run's trace is mostly long same-processor
+stretches between cross-processor handoffs, so following one processor
+until it blocks finds a witness in about one step per event, where a
+fixed processor-0-first order would keep switching away and back.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.runtime.trace import ExecutionTrace, Location, MemEvent, PrecedenceOracle
+from repro.runtime.trace import ExecutionTrace, Location
 
 Value = Union[int, float]
 
 #: Default initial contents of every location.
 _DEFAULT_INITIAL: Value = 0
-
-
-def _fast_sc_verdict(
-    trace: ExecutionTrace,
-    initial: Dict[Location, Value],
-) -> Optional[bool]:
-    """``True`` when provably SC via race-freedom; ``None`` to abstain.
-
-    Sound positives only: a ``True`` means every conflicting access
-    pair was hb-ordered by the recorded syncs (checking each access
-    against the hb-latest write suffices — ordered writes form a chain,
-    so ordering with the chain head orders the whole chain) and every
-    read matched the unique hb-preceding write, making any topological
-    linearization of hb a legal total order.
-    """
-    oracle = PrecedenceOracle(trace)
-    events = oracle.topological_events()
-    if events is None:
-        return None
-    last_write: Dict[Location, MemEvent] = {}
-    open_reads: Dict[Location, List[MemEvent]] = {}
-    for event in events:
-        location = event.location
-        writer = last_write.get(location)
-        if event.op == "w":
-            if writer is not None and not oracle.precedes(
-                writer.proc, writer.pos, event.proc, event.pos
-            ):
-                return None  # write-write race
-            for read in open_reads.get(location, ()):
-                if not oracle.precedes(
-                    read.proc, read.pos, event.proc, event.pos
-                ):
-                    return None  # read-write race
-            last_write[location] = event
-            open_reads[location] = []
-        else:
-            if writer is not None and not oracle.precedes(
-                writer.proc, writer.pos, event.proc, event.pos
-            ):
-                return None  # write-read race
-            expected = (
-                writer.value if writer is not None
-                else initial.get(location, _DEFAULT_INITIAL)
-            )
-            if event.value != expected:
-                return None  # hb-inexplicable value: needs the search
-            open_reads.setdefault(location, []).append(event)
-    return True
 
 
 class StepLimitExceeded(RuntimeError):
@@ -100,60 +44,66 @@ def is_sequentially_consistent(
     """Does some legal total order explain the trace?
 
     ``initial`` overrides the default all-zero initial memory.  The
-    race-free fast path (see :func:`_fast_sc_verdict`) accepts most
-    well-synchronized traces in linear time; otherwise the search is
-    exact, with ``step_limit`` bounding pathological cases (raising
-    rather than answering wrongly).
+    search is exact; ``step_limit`` bounds the number of distinct
+    states it visits, raising :class:`StepLimitExceeded` rather than
+    answering wrongly.
     """
     initial = initial or {}
-    if _fast_sc_verdict(trace, initial):
-        return True
-    per_proc = [list(events) for events in trace.per_proc]
-    lengths = [len(events) for events in per_proc]
+    slots: Dict[Location, int] = {}
+    programs: List[List[Tuple[bool, int, Value]]] = [
+        [(event.op == "w", slots.setdefault(event.location, len(slots)),
+          event.value) for event in events]
+        for events in trace.per_proc
+    ]
+    lengths = tuple(len(program) for program in programs)
+    num_procs = len(programs)
 
-    # Pre-intern locations/values for cheap memo keys.
-    def value_at(memory: Dict[Location, Value], location: Location) -> Value:
-        return memory.get(location, initial.get(location, _DEFAULT_INITIAL))
-
-    seen: set = set()
-    steps = 0
-
-    def search(positions: Tuple[int, ...],
-               memory: Tuple[Tuple[Location, Value], ...]) -> bool:
-        nonlocal steps
-        steps += 1
-        if steps > step_limit:
-            raise StepLimitExceeded(
-                f"SC check exceeded step limit ({step_limit}); trace "
-                f"too large for the exact checker"
-            )
-        if all(pos == length for pos, length in zip(positions, lengths)):
-            return True
-        key = (positions, memory)
-        if key in seen:
-            return False
-        seen.add(key)
-        memory_dict = dict(memory)
-        for proc, pos in enumerate(positions):
-            if pos >= lengths[proc]:
+    def moves(positions: Tuple[int, ...], memory: Tuple[Value, ...],
+              last: int) -> Iterator[Tuple[Tuple[int, ...],
+                                           Tuple[Value, ...], int]]:
+        """Every legal next state, ``last``'s move first."""
+        for proc in (last, *range(last), *range(last + 1, num_procs)):
+            pos = positions[proc]
+            if pos == lengths[proc]:
                 continue
-            event = per_proc[proc][pos]
-            next_positions = (
-                positions[:proc] + (pos + 1,) + positions[proc + 1:]
-            )
-            if event.op == "w":
-                next_memory = dict(memory_dict)
-                next_memory[event.location] = event.value
-                if search(next_positions,
-                          tuple(sorted(next_memory.items()))):
-                    return True
+            is_write, slot, value = programs[proc][pos]
+            if is_write:
+                next_memory = memory[:slot] + (value,) + memory[slot + 1:]
+            elif memory[slot] == value:
+                next_memory = memory
             else:
-                if value_at(memory_dict, event.location) == event.value:
-                    if search(next_positions, memory):
-                        return True
-        return False
+                continue
+            yield (positions[:proc] + (pos + 1,) + positions[proc + 1:],
+                   next_memory, proc)
 
-    return search(tuple(0 for _ in per_proc), ())
+    start = (
+        (0,) * num_procs,
+        tuple(initial.get(location, _DEFAULT_INITIAL) for location in slots),
+    )
+    if start[0] == lengths:
+        return True
+    seen = {start}
+    stack = [moves(*start, 0)]
+    steps = 1
+    while stack:
+        for positions, memory, proc in stack[-1]:
+            state = (positions, memory)
+            if state in seen:
+                continue
+            if positions == lengths:
+                return True
+            steps += 1
+            if steps > step_limit:
+                raise StepLimitExceeded(
+                    f"SC check exceeded step limit ({step_limit}); trace "
+                    f"too large for the exact checker"
+                )
+            seen.add(state)
+            stack.append(moves(positions, memory, proc))
+            break
+        else:
+            stack.pop()
+    return False
 
 
 def find_violation_witness(

@@ -96,9 +96,6 @@ class Processor:
         self.blocked_on: Optional[Instr] = None
         self.counters: Dict[int, int] = {}
         self.instructions = 0
-        #: barriers this processor has executed (the per-proc
-        #: generation serial the precedence oracle pairs arrivals by)
-        self.barrier_no = 0
         self.frames: List[_Frame] = [self._make_frame(sim.module.main, None)]
 
     def _make_frame(self, function: Function,
@@ -336,14 +333,8 @@ class Processor:
         sim = self.sim
         op = instr.op
         owner, flat = sim.memory.resolve(instr.var, self.indices_of(instr))
-        key = (instr.var, flat)
-        if sim.trace is not None:
-            record = sim.trace.record_sync(
-                self.pid, op.value, key, uid=instr.uid)
-            if op is Opcode.LOCK or op is Opcode.UNLOCK:
-                sim._pending_serial[self.pid] = record
         if owner == self.pid:
-            if sim.home_sync(op, key, self.pid, self.clock):
+            if sim.home_sync(op, (instr.var, flat), self.pid, self.clock):
                 self.clock += sim.machine.local_access
                 frame.index += 1
                 return True
@@ -357,11 +348,6 @@ class Processor:
 
     def _barrier(self, instr: Instr, frame: _Frame) -> bool:
         sim = self.sim
-        if sim.trace is not None:
-            sim.trace.record_sync(
-                self.pid, "barrier", serial=self.barrier_no, uid=instr.uid,
-            )
-        self.barrier_no += 1
         self.clock += sim.machine.send_overhead
         sim.topology.local_arrive(self.pid, self.clock)
         self._block(instr)

@@ -52,7 +52,7 @@ from repro.runtime.network import FaultPlan, Message, MsgKind, Network, Transpor
 from repro.runtime.processor import _SYNC_REQUEST, Processor, _land
 from repro.runtime.sync_objects import FlagTable, LockTable
 from repro.runtime.topology import CentralBarrier, TreeBarrier, build_topology
-from repro.runtime.trace import ExecutionTrace, SyncRecord
+from repro.runtime.trace import ExecutionTrace
 
 Value = Union[int, float]
 
@@ -164,9 +164,6 @@ class Simulator:
         #: (counted on the bail path only; the fused path pays nothing)
         self.bails: Counter = Counter()
         self.store_sync_waiters: List[int] = []
-        #: traced lock/unlock records awaiting their pairing serial, by
-        #: pid (a processor has at most one such operation in flight)
-        self._pending_serial: Dict[int, SyncRecord] = {}
         self._calendar = CalendarQueue()
         self._links = LinkChannels()
         # The only two entry points into the event core, bound per
@@ -254,22 +251,11 @@ class Simulator:
             self.flags.add_waiter(key, requester)
             return False
         if op is Opcode.LOCK:
-            if not self.locks.acquire(key, requester):
-                return False
-            self._stamp_serial(requester, key)
-            return True
+            return self.locks.acquire(key, requester)
         next_holder = self.locks.release(key, requester)
-        self._stamp_serial(requester, key)
         if next_holder is not None:
-            # The handoff follows the release that just happened.
-            self._stamp_serial(next_holder, key)
             self._grant(MsgKind.LOCK_GRANT, next_holder, key, now)
         return True
-
-    def _stamp_serial(self, pid: int, key: Tuple[str, int]) -> None:
-        record = self._pending_serial.pop(pid, None)
-        if record is not None:
-            record.serial = self.locks.release_serial(key)
 
     def _grant(self, kind: MsgKind, pid: int, key: Tuple[str, int],
                now: int) -> None:

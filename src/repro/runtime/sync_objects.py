@@ -60,11 +60,6 @@ class LockTable:
     def __init__(self) -> None:
         self._holder: Dict[ObjKey, Optional[int]] = {}
         self._queue: Dict[ObjKey, List[int]] = {}
-        #: releases performed so far per lock.  The precedence oracle
-        #: pairs the s-th release with the acquisition that observed
-        #: release serial s, giving each unlock→lock edge a stable
-        #: identity independent of timestamps.
-        self._release_count: Dict[ObjKey, int] = {}
 
     def acquire(self, key: ObjKey, pid: int) -> bool:
         """Tries to take the lock; True on success, else queues ``pid``."""
@@ -83,7 +78,6 @@ class LockTable:
                 f"processor {pid} unlocking {key[0]}[{key[1]}] "
                 f"held by {holder}"
             )
-        self._release_count[key] = self._release_count.get(key, 0) + 1
         queue = self._queue.get(key, [])
         if queue:
             next_pid = queue.pop(0)
@@ -91,15 +85,6 @@ class LockTable:
             return next_pid
         self._holder[key] = None
         return None
-
-    def release_serial(self, key: ObjKey) -> int:
-        """Number of releases of ``key`` so far (0 before the first).
-
-        Read at grant time this identifies the release an acquisition
-        follows; read just after :meth:`release` it names that release
-        itself.
-        """
-        return self._release_count.get(key, 0)
 
     def holder(self, key: ObjKey) -> Optional[int]:
         return self._holder.get(key)

@@ -9,8 +9,9 @@ from repro import OptLevel, compile_source
 from repro.analysis.delays import AnalysisLevel
 from repro.cli import main as cli_main
 from repro.fuzz import FuzzConfig, run_campaign
-from repro.fuzz.bundle import read_bundle
+from repro.fuzz.bundle import _repro_hint, read_bundle
 from repro.fuzz.campaign import check_program
+from repro.fuzz.oracles import OracleFailure
 from repro.fuzz.progen import generate_program
 from repro.perf import profiler as perf
 
@@ -164,6 +165,23 @@ class TestInjectedBugs:
         manifest = read_bundle(stats.bundles[0])
         assert manifest["campaign"]["barrier_topology"] == "tree"
         assert "--barrier-topology tree" in manifest["repro_hint"]
+
+    def test_bundle_hint_names_the_jitter_it_cannot_replay(self, tmp_path):
+        stats = run_campaign(config_for(
+            tmp_path, compile_fn=corrupting_compile, minimize=False,
+        ))
+        manifest = read_bundle(stats.bundles[0])
+        assert manifest["schedule"]["jitter"] == 400
+        assert manifest["repro_hint"].endswith(
+            "# compare against --opt O0; jitter 400 is not replayed: "
+            "repro run has no jitter flag"
+        )
+        calm = OracleFailure(
+            oracle="snapshot", detail="", level="O3",
+            schedule=dict(manifest["schedule"], jitter=0),
+        )
+        hint = _repro_hint(generate_program(0), calm, "central")
+        assert hint.endswith("# compare against --opt O0")
 
     def test_broken_analysis_caught(self, tmp_path):
         stats = run_campaign(

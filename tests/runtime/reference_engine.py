@@ -170,9 +170,7 @@ def observe(simulator_class, module, procs, machine, **kwargs):
         "retransmits": result.retransmits,
         "weak_stats": result.weak_stats,
         "snapshot": result.snapshot(),
-        "trace": result.trace and (
-            result.trace.per_proc, result.trace.sync_per_proc
-        ),
+        "trace": result.trace and result.trace.per_proc,
     }
 
 

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro import OptLevel, compile_source
+from repro.apps import APPS
+from repro.runtime import CM5, run_module
 from repro.runtime.consistency import (
     StepLimitExceeded,
     find_violation_witness,
     is_sequentially_consistent,
 )
 from repro.runtime.trace import ExecutionTrace
+from tests.helpers import inlined
 
 
 def trace_of(*per_proc):
@@ -179,3 +183,81 @@ class TestStepLimit:
             [("w", Y, 1), ("r", X, 0)],
         )
         assert not is_sequentially_consistent(trace, step_limit=100_000)
+
+
+class TestSearchScale:
+    def test_long_trace_does_not_recurse(self):
+        # 1 400 racing writes: a search that recursed once per event
+        # would exhaust Python's recursion limit here.
+        trace = trace_of(
+            [("w", X, i) for i in range(700)],
+            [("w", X, i + 1000) for i in range(700)],
+        )
+        assert is_sequentially_consistent(trace, step_limit=20_000)
+
+    @pytest.mark.parametrize("level", (OptLevel.O0, OptLevel.O3))
+    @pytest.mark.parametrize("kernel", sorted(APPS))
+    def test_traced_kernel_decided_in_two_steps_per_event(self, kernel,
+                                                          level):
+        """Each §8 kernel's traced run at 8 processors is accepted
+        within two search steps per event.  Trying the processor that
+        moved last first is what makes this hold: with a fixed
+        ``range(n)`` move order the search gives up on epithelial and
+        ocean at this limit."""
+        program = compile_source(APPS[kernel].source(8), level)
+        trace = program.run(8, machine=CM5, trace=True).trace
+        assert is_sequentially_consistent(
+            trace, step_limit=2 * trace.total_length()
+        )
+
+
+class TestTracedRuns:
+    """Traces of simulated runs, as run and with one value forged."""
+
+    FIGURE_ONE = (
+        "shared int Data; shared flag_t Flag;\n"
+        "void main() {\n"
+        "  if (MYPROC == 0) { Data = 7; post(Flag); }\n"
+        "  else { wait(Flag); Data = Data + 1; }\n"
+        "}\n"
+    )
+
+    def _traced(self, source, procs=2):
+        return run_module(inlined(source), procs, CM5, trace=True).trace
+
+    def test_figure_one_pattern(self):
+        trace = self._traced(self.FIGURE_ONE)
+        assert [str(e) for e in trace.per_proc[1]] == [
+            "P1:r Data[0]=7", "P1:w Data[0]=8",
+        ]
+        assert is_sequentially_consistent(trace)
+
+    def test_barrier_program(self):
+        trace = self._traced(
+            "shared int A[4]; shared int B[4];\n"
+            "void main() {\n"
+            "  A[MYPROC] = MYPROC;\n"
+            "  barrier();\n"
+            "  B[MYPROC] = A[(MYPROC + 1) % PROCS] + 10;\n"
+            "}\n",
+            procs=4,
+        )
+        assert trace.total_length() == 12
+        assert is_sequentially_consistent(trace)
+
+    def test_racy_trace(self):
+        # Nothing orders P1's read against P0's write: either value
+        # it reads has an SC witness.
+        trace = self._traced(
+            "shared int Data; shared int Seen;\n"
+            "void main() {\n"
+            "  if (MYPROC == 0) { Data = 7; } else { Seen = Data; }\n"
+            "}\n"
+        )
+        assert trace.per_proc[1][0].value in (0, 7)
+        assert is_sequentially_consistent(trace)
+
+    def test_non_sc_trace(self):
+        trace = self._traced(self.FIGURE_ONE)
+        trace.per_proc[1][0].value = 5  # a value no access wrote
+        assert not is_sequentially_consistent(trace)

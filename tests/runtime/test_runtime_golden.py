@@ -140,11 +140,8 @@ def _trace_rows(trace):
     if trace is None:
         return None
     return [
-        [[e.op, e.location, e.value, e.pos, e.forwarded] for e in events]
+        [[e.op, e.location, e.value, e.forwarded] for e in events]
         for events in trace.per_proc
-    ], [
-        [[r.kind, r.key, r.serial] for r in records]
-        for records in trace.sync_per_proc
     ]
 
 
